@@ -17,6 +17,13 @@ estimates the sup-norm capacity.  The balance point lambda_star solves
 N(lam) / lam = n, the largest regularization strength at which the
 variance budget matches the sample size; N(lam)/lam is strictly
 decreasing, so the solution is unique whenever the bracket straddles n.
+
+All of it comes from one eigendecomposition K/n = U diag(t) U^T, where
+
+    C_lam(x) = ( k(x, x) - (1/n) * sum_i (U^T k_x)_i^2 / (lam + t_i) ) / lam.
+
+A profile over L strengths and p probes costs one decomposition, one
+n x p product W = (U^T k_x)^2 and an (L x n) @ W filter sum.
 """
 
 from __future__ import annotations
@@ -27,40 +34,55 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError, NumericalError
 from .kernel import GramSystem, KernelSpec, SampleSet, eval_kernel, kernel_matrix
 
 
-def _normalized_spectrum(gram: GramSystem) -> np.ndarray:
-    """Eigenvalues of K/n, floored at zero."""
+def _strengths(lambdas, single: bool = False) -> np.ndarray:
+    lams = np.atleast_1d(np.asarray(lambdas, dtype=float))
+    if (single and np.ndim(lambdas)) or not (lams.size and np.all(np.isfinite(lams) & (lams > 0))):
+        count = "a single number" if single else "at least one"
+        raise InputError(f"lam must be finite and positive ({count}), got {lambdas!r}")
+    return lams
+
+
+def _eigensystem(gram: GramSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of K/n."""
     try:
-        spectrum = np.linalg.eigvalsh(gram.k_matrix / gram.n)
+        return np.linalg.eigh(gram.k_matrix / gram.n)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("eigendecomposition of the kernel matrix failed") from exc
-    return np.clip(spectrum, 0.0, None)
 
 
-def _leverage_factor(gram: GramSystem, lam: float):
-    a_matrix = gram.k_matrix / gram.n + lam * np.eye(gram.n)
-    try:
-        return scipy.linalg.cho_factor(a_matrix, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        smallest = float(np.linalg.eigvalsh(a_matrix)[0])
+def _n_eff(spectrum: np.ndarray, lam: float) -> float:
+    return float(np.sum(spectrum / (lam + spectrum)))
+
+
+def _probes(xp: SampleSet, points) -> np.ndarray:
+    probes = np.asarray(points, dtype=float)
+    if probes.ndim == 1:
+        probes = probes.reshape(-1, 1)
+    if probes.shape[0] == 0:
+        raise InputError("probe_points must be non-empty")
+    if probes.shape[1] != xp.dim:
+        raise InputError(f"probes have dimension {probes.shape[1]}, sample has {xp.dim}")
+    return probes
+
+
+def _leverages(gram: GramSystem, spec: KernelSpec, xp: SampleSet,
+               lams: np.ndarray, probes: np.ndarray):
+    """Eigenvalues of K/n and C_lam as a (len(lams), len(probes)) array."""
+    t, u = _eigensystem(gram)
+    smallest = float(lams.min() + t[0])
+    if not (smallest > 0.0):
         raise NumericalError("regularized kernel system is not positive definite",
-                             lam=lam, smallest_eigenvalue=smallest) from exc
-
-
-def _leverage_batch(gram: GramSystem, spec: KernelSpec, xp: SampleSet,
-                    lam: float, probes: np.ndarray) -> np.ndarray:
-    """C_lam at many probe points, sharing one factorization."""
-    factor = _leverage_factor(gram, lam)
-    k_cross = kernel_matrix(spec, xp.points, probes)  # (n, p)
-    solved = scipy.linalg.cho_solve(factor, k_cross)
-    diag = np.array([eval_kernel(spec, probe, probe) for probe in probes])
-    quad = np.einsum("ip,ip->p", k_cross, solved) / gram.n
-    return (diag - quad) / lam
+                             lam=float(lams.min()), smallest_eigenvalue=smallest)
+    diag = np.array([eval_kernel(spec, x, x) for x in probes])
+    weights = u.T @ kernel_matrix(spec, xp.points, probes)
+    np.square(weights, out=weights)
+    quad = (1.0 / (lams[:, None] + t)) @ weights / gram.n
+    return t, (diag - quad) / lams[:, None]
 
 
 def christoffel(gram: GramSystem, spec: KernelSpec, xp: SampleSet,
@@ -68,15 +90,11 @@ def christoffel(gram: GramSystem, spec: KernelSpec, xp: SampleSet,
     """Regularized leverage C_lam(x) of a single point.
 
     Non-negative in exact arithmetic; tiny negative values (above about
-    -1e-10 on unit-scale kernels) can appear through the factorization
-    and are returned as computed.
+    -1e-10 on unit-scale kernels) can appear through cancellation and
+    are returned as computed.
     """
-    if not (lam > 0.0):
-        raise InputError(f"lam must be positive, got {lam!r}")
-    probe = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1)
-    if probe.shape[1] != xp.dim:
-        raise InputError(f"point has dimension {probe.shape[1]}, sample has {xp.dim}")
-    return float(_leverage_batch(gram, spec, xp, lam, probe)[0])
+    probe = _probes(xp, np.reshape(np.asarray(x, dtype=float), (1, -1)))
+    return float(_leverages(gram, spec, xp, _strengths(lam, single=True), probe)[1][0, 0])
 
 
 def effective_dimension(gram: GramSystem, lam: float) -> float:
@@ -84,10 +102,8 @@ def effective_dimension(gram: GramSystem, lam: float) -> float:
 
     Strictly positive, below n, and decreasing in lam.
     """
-    if not (lam > 0.0):
-        raise InputError(f"lam must be positive, got {lam!r}")
-    spectrum = _normalized_spectrum(gram)
-    return float(np.sum(spectrum / (lam + spectrum)))
+    _strengths(lam, single=True)
+    return _n_eff(np.clip(_eigensystem(gram)[0], 0.0, None), lam)
 
 
 def n_inf_estimate(gram: GramSystem, spec: KernelSpec, xp: SampleSet,
@@ -97,18 +113,32 @@ def n_inf_estimate(gram: GramSystem, spec: KernelSpec, xp: SampleSet,
     The reference points themselves are always included in the scan, so
     the estimate is never below the in-sample maximum.
     """
-    if not (lam > 0.0):
-        raise InputError(f"lam must be positive, got {lam!r}")
-    probes = np.asarray(probe_points, dtype=float)
-    if probes.ndim == 1:
-        probes = probes.reshape(-1, 1)
-    if probes.shape[0] == 0:
-        raise InputError("probe_points must be non-empty")
-    if probes.shape[1] != xp.dim:
-        raise InputError(
-            f"probes have dimension {probes.shape[1]}, sample has {xp.dim}")
-    scan = np.vstack([probes, xp.points])
-    return float(_leverage_batch(gram, spec, xp, lam, scan).max())
+    scan = np.vstack([_probes(xp, probe_points), xp.points])
+    return float(_leverages(gram, spec, xp, _strengths(lam, single=True), scan)[1].max())
+
+
+def _balance_point(gram: GramSystem, spectrum: np.ndarray, bracket,
+                   rel_tol: float = 1e-9, max_iter: int = 200) -> float:
+    """Bisection in log(lam) for N(lam)/lam = n over a given spectrum."""
+    if bracket is None:
+        bracket = (1e-8, float(gram.k_matrix.diagonal().max()))
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not (0.0 < lo < hi < math.inf):
+        raise InputError(f"bracket must satisfy 0 < lo < hi < inf, got {bracket!r}")
+    r_lo, r_hi = _n_eff(spectrum, lo) / lo, _n_eff(spectrum, hi) / hi
+    if not (r_lo > gram.n > r_hi):
+        raise InputError("bracket does not straddle the balance point: "
+                         f"N/lam at lo={lo!r} is {r_lo!r}, at hi={hi!r} is {r_hi!r}, "
+                         f"target n={gram.n}")
+    for _ in range(max_iter):
+        mid = math.sqrt(lo * hi)
+        if _n_eff(spectrum, mid) / mid > gram.n:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= rel_tol * mid:
+            break
+    return math.sqrt(lo * hi)
 
 
 def find_lambda_star(gram: GramSystem, bracket: tuple[float, float] | None = None,
@@ -119,31 +149,8 @@ def find_lambda_star(gram: GramSystem, bracket: tuple[float, float] | None = Non
     lam -> N(lam)/lam is strictly decreasing, so the root is unique
     inside any bracket on which the map straddles n.
     """
-    if bracket is None:
-        bracket = (1e-8, float(gram.k_matrix.diagonal().max()))
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0.0 < lo < hi):
-        raise InputError(f"bracket must satisfy 0 < lo < hi, got {bracket!r}")
-    spectrum = _normalized_spectrum(gram)
-
-    def ratio(lam: float) -> float:
-        return float(np.sum(spectrum / (lam + spectrum))) / lam
-
-    r_lo, r_hi = ratio(lo), ratio(hi)
-    if not (r_lo > gram.n > r_hi):
-        raise InputError(
-            "bracket does not straddle the balance point: "
-            f"N/lam at lo={lo!r} is {r_lo!r}, at hi={hi!r} is {r_hi!r}, "
-            f"target n={gram.n}")
-    for _ in range(max_iter):
-        mid = math.sqrt(lo * hi)
-        if ratio(mid) > gram.n:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rel_tol * mid:
-            break
-    return math.sqrt(lo * hi)
+    spectrum = np.clip(_eigensystem(gram)[0], 0.0, None)
+    return _balance_point(gram, spectrum, bracket, rel_tol, max_iter)
 
 
 @dataclass(frozen=True)
@@ -156,12 +163,8 @@ class CapacityProfile:
     lambda_star: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "lambdas": self.lambdas.tolist(),
-            "n_eff": self.n_eff.tolist(),
-            "n_inf": self.n_inf.tolist(),
-            "lambda_star": self.lambda_star,
-        }
+        return {"lambdas": self.lambdas.tolist(), "n_eff": self.n_eff.tolist(),
+                "n_inf": self.n_inf.tolist(), "lambda_star": self.lambda_star}
 
 
 def default_probe_grid(xp: SampleSet, count: int = 200) -> np.ndarray:
@@ -187,26 +190,22 @@ def capacity_profile(gram: GramSystem, spec: KernelSpec, xp: SampleSet,
                      lambdas, probe_points=None) -> CapacityProfile:
     """Tabulate N(lam), the sup-capacity estimate, and the balance point.
 
-    ``lambdas`` must be positive; it is sorted into decreasing order.
-    ``lambda_star`` is None when the default bracket does not straddle
-    the balance point (tiny samples), rather than an error.
+    ``lambdas`` must be finite and positive; it is sorted into decreasing
+    order.  ``lambda_star`` is None when the default bracket does not
+    straddle the balance point (tiny samples), rather than an error.
     """
-    lams = np.asarray(lambdas, dtype=float)
-    if lams.size == 0:
-        raise InputError("lambdas must be non-empty")
-    if lams.min() <= 0.0:
-        raise InputError("lambdas must be positive")
-    lams = np.sort(lams)[::-1]
-    probes = (default_probe_grid(xp) if probe_points is None
-              else np.asarray(probe_points, dtype=float))
-    spectrum = _normalized_spectrum(gram)
-    n_eff = np.array([float(np.sum(spectrum / (lam + spectrum))) for lam in lams])
-    n_inf = np.array([n_inf_estimate(gram, spec, xp, lam, probes) for lam in lams])
+    lams = np.sort(_strengths(lambdas))[::-1]
+    scan = np.vstack([_probes(xp, default_probe_grid(xp) if probe_points is None
+                              else probe_points), xp.points])
+    t, leverages = _leverages(gram, spec, xp, lams, scan)
+    spectrum = np.clip(t, 0.0, None)
+    n_eff = np.array([_n_eff(spectrum, lam) for lam in lams])
     try:
-        star = find_lambda_star(gram)
+        star = _balance_point(gram, spectrum, None)
     except InputError:
         star = None
-    return CapacityProfile(lambdas=lams, n_eff=n_eff, n_inf=n_inf, lambda_star=star)
+    return CapacityProfile(lambdas=lams, n_eff=n_eff, n_inf=leverages.max(axis=1),
+                           lambda_star=star)
 
 
 def save_profile_csv(profile: CapacityProfile, path) -> None:

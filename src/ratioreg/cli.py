@@ -74,8 +74,9 @@ def _require(options: dict, key: str) -> object:
 
 def _positive(options: dict, key: str) -> float:
     value = float(options[key])
-    if not (value > 0.0):
-        raise InputError(f"--{key.replace('_', '-')} must be positive, got {value!r}")
+    if not (math.isfinite(value) and value > 0.0):
+        raise InputError(
+            f"--{key.replace('_', '-')} must be finite and positive, got {value!r}")
     return value
 
 
@@ -109,9 +110,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     xp_path = _require(options, "xp")
     xq_path = _require(options, "xq")
     out_path = _require(options, "out")
-    lam = float(_require(options, "lam"))
-    if not (lam > 0.0):
-        raise InputError(f"--lam must be positive, got {lam!r}")
+    _require(options, "lam")
+    lam = _positive(options, "lam")
     iterations = int(options["iterations"])
     spec = _kernel_from_options(options)
     xp = kernel.load_samples_csv(xp_path, measure_tag="p")

@@ -53,6 +53,7 @@ one also covers filters with no iterative form, such as hard cutoff.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -165,8 +166,8 @@ def fit_iterated_lavrentiev_path(gram: GramSystem, xp: SampleSet, xq: SampleSet,
         raise InputError("iteration_counts must be non-empty")
     if targets[0] < 1:
         raise InputError(f"iteration counts must be positive, got {targets[0]}")
-    if not (lam > 0.0):
-        raise InputError(f"lam must be positive, got {lam!r}")
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise InputError(f"lam must be finite and positive, got {lam!r}")
 
     factor = _shifted_factorization(gram, lam)
     n_lam = gram.n * lam

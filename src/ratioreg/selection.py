@@ -51,8 +51,8 @@ class LambdaGrid:
     values: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        if not (self.lambda_0 > 0.0):
-            raise InputError(f"lambda_0 must be positive, got {self.lambda_0!r}")
+        if not (math.isfinite(self.lambda_0) and self.lambda_0 > 0.0):
+            raise InputError(f"lambda_0 must be finite and positive, got {self.lambda_0!r}")
         if not (0.0 < self.rho < 1.0):
             raise InputError(f"rho must lie in (0, 1), got {self.rho!r}")
         if int(self.size) != self.size or self.size < 1:

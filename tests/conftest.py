@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import ratioreg as rr
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="session")
@@ -32,3 +37,15 @@ def benchmark_pair(default_kernel):
 @pytest.fixture()
 def rng():
     return np.random.Generator(np.random.PCG64(424242))
+
+
+@pytest.fixture(scope="session")
+def subprocess_env() -> dict[str, str]:
+    """Environment for ``python -m ratioreg`` children, from any working directory.
+
+    The absolute ``src`` path goes first on PYTHONPATH, so a relative entry
+    inherited from the parent (``PYTHONPATH=src``) no longer matters.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    return env

@@ -196,13 +196,13 @@ def test_criterion_7_iteration_wins_pointwise(criterion):
         assert wins >= 15
 
 
-def test_criterion_8_cli_study_is_byte_deterministic(criterion, tmp_path):
+def test_criterion_8_cli_study_is_byte_deterministic(criterion, tmp_path, subprocess_env):
     dirs = [tmp_path / f"run{i}" for i in range(4)]
     for out_dir, threads in zip(dirs, ("1", "1", "4", "4")):
         result = subprocess.run(
             [sys.executable, "-m", "ratioreg", "simulate", "--seed", "0",
              "--threads", threads, "--out-dir", str(out_dir)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=subprocess_env)
         assert result.returncode == 0, result.stderr
     with criterion(8, {}) as rec:
         identical = all(

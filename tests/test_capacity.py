@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import csv
+import json
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import ratioreg as rr
-from ratioreg.capacity import save_profile_csv
-from ratioreg.kernel import reference_gram
+from ratioreg.capacity import save_profile_csv, save_profile_json
+from ratioreg.kernel import kernel_matrix, reference_gram
 
 GOLDEN_RATIO_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -113,6 +115,12 @@ def test_capacity_validation(capacity_instance):
         rr.n_inf_estimate(gram, spec, xp, 0.1, np.zeros((0, 1)))
     with pytest.raises(rr.InputError):
         rr.christoffel(gram, spec, xp, 0.1, [0.0, 1.0])
+    with pytest.raises(rr.InputError):
+        rr.christoffel(gram, spec, xp, [0.1, 0.2], [0.0])
+    with pytest.raises(rr.InputError):
+        rr.effective_dimension(gram, [0.1, 0.2])
+    with pytest.raises(rr.InputError):
+        rr.n_inf_estimate(gram, spec, xp, [0.1, 0.2], [[0.0]])
 
 
 def test_profile_tabulates_decreasing(capacity_instance):
@@ -140,6 +148,18 @@ def test_profile_csv_round_trip(tmp_path, capacity_instance):
     assert np.array_equal(back[:, 1], profile.n_eff)
 
 
+def test_profile_json_round_trip(tmp_path, capacity_instance):
+    spec, xp, gram = capacity_instance
+    profile = rr.capacity_profile(gram, spec, xp, [0.5, 0.1])
+    path = tmp_path / "profile.json"
+    save_profile_json(profile, path)
+    with open(path) as handle:
+        back = json.load(handle)
+    assert back == profile.to_dict()
+    assert back["lambdas"] == [0.5, 0.1]
+    assert back["lambda_star"] == profile.lambda_star
+
+
 def test_profile_validation(capacity_instance):
     spec, xp, gram = capacity_instance
     with pytest.raises(rr.InputError):
@@ -161,3 +181,107 @@ def test_default_probe_grid_multidimensional():
     grid = rr.default_probe_grid(xp, count=200)
     assert grid.shape[1] == 2
     assert grid.shape[0] == 15 * 15  # ceil(sqrt(200)) per axis
+
+
+@pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
+def test_non_finite_strengths_rejected(capacity_instance, lam):
+    spec, xp, gram = capacity_instance
+    with pytest.raises(rr.InputError):
+        rr.christoffel(gram, spec, xp, lam, [0.0])
+    with pytest.raises(rr.InputError):
+        rr.effective_dimension(gram, lam)
+    with pytest.raises(rr.InputError):
+        rr.n_inf_estimate(gram, spec, xp, lam, [[0.0]])
+    with pytest.raises(rr.InputError):
+        rr.capacity_profile(gram, spec, xp, [0.5, lam])
+    with pytest.raises(rr.InputError):
+        rr.find_lambda_star(gram, bracket=(1e-3, lam))
+
+
+def _dense_leverage(gram, spec, xp, lam, points):
+    k_cross = kernel_matrix(spec, xp.points, points)
+    solved = np.linalg.solve(lam * np.eye(gram.n) + gram.k_matrix / gram.n, k_cross)
+    quad = np.einsum("ip,ip->p", k_cross, solved) / gram.n
+    return (spec.diagonal_value() - quad) / lam
+
+
+def test_spectral_leverage_matches_dense_solve():
+    """The eigenbasis leverage agrees with a direct solve, down to lam < 1e-3.
+
+    Pointwise, k(x, x) - quad cancels to lam * C_lam(x), so single values
+    carry a relative error of order eps / (lam * C_lam) in either method;
+    the comparison is therefore scaled by the largest leverage.
+    """
+    spec = rr.KernelSpec()
+    xp = rr.sample_normal(2.0, 5.0, 200, 7, "p")
+    gram = reference_gram(spec, xp)
+    probes = np.linspace(-10.0, 14.0, 41).reshape(-1, 1)
+    scan = np.vstack([probes, xp.points])
+    profile = rr.capacity_profile(gram, spec, xp, [0.9, 0.1, 0.01, 5e-4], probes)
+    for lam, n_inf in zip(profile.lambdas, profile.n_inf):
+        reference = _dense_leverage(gram, spec, xp, lam, scan)
+        scale = reference.max()
+        assert abs(n_inf - scale) <= 1e-12 * scale
+        points = scan[::12]
+        single = [rr.christoffel(gram, spec, xp, lam, x) for x in points]
+        assert np.max(np.abs(single - reference[::12])) <= 1e-12 * scale
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_one_decomposition_per_call(monkeypatch, capacity_instance):
+    spec, xp, gram = capacity_instance
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        _count_calls(monkeypatch, np.linalg, name, calls)
+    for name in ("cho_factor", "cho_solve"):
+        _count_calls(monkeypatch, scipy.linalg, name, calls)
+    for lambdas in ([0.5], np.geomspace(0.01, 1.0, 20)):
+        calls.clear()
+        rr.capacity_profile(gram, spec, xp, lambdas)
+        assert calls == ["eigh"]
+    for single in (lambda: rr.christoffel(gram, spec, xp, 0.1, [0.0]),
+                   lambda: rr.effective_dimension(gram, 0.1),
+                   lambda: rr.n_inf_estimate(gram, spec, xp, 0.1, [[0.0]]),
+                   lambda: rr.find_lambda_star(gram)):
+        calls.clear()
+        single()
+        assert calls == ["eigh"]
+
+
+def test_indefinite_system_raises_numerical_error():
+    """K/n has eigenvalues 1.5 and -0.5, so lam = 0.1 leaves a negative shift."""
+    spec = rr.KernelSpec()
+    xp = rr.SampleSet([[0.0], [1.0]], "p")
+    gram = rr.GramSystem(k_matrix=np.array([[1.0, 2.0], [2.0, 1.0]]),
+                         f_bar=np.zeros(2), n=2, m=1)
+    for attempt in (lambda: rr.christoffel(gram, spec, xp, 0.1, [0.0]),
+                    lambda: rr.n_inf_estimate(gram, spec, xp, 0.1, [[0.5]]),
+                    lambda: rr.capacity_profile(gram, spec, xp, [1.0, 0.1])):
+        with pytest.raises(rr.NumericalError) as info:
+            attempt()
+        assert info.value.lam == 0.1
+        assert info.value.smallest_eigenvalue == pytest.approx(-0.4, abs=1e-12)
+    # a shift past the negative eigenvalue is positive definite again
+    assert rr.christoffel(gram, spec, xp, 1.0, [0.0]) > 0.0
+
+
+def test_failed_eigendecomposition_raises_numerical_error(monkeypatch, capacity_instance):
+    spec, xp, gram = capacity_instance
+
+    def broken(matrix):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", broken)
+    with pytest.raises(rr.NumericalError):
+        rr.capacity_profile(gram, spec, xp, [0.5])
+    with pytest.raises(rr.NumericalError):
+        rr.effective_dimension(gram, 0.5)

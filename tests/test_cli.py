@@ -63,6 +63,16 @@ def test_fit_rejects_nonpositive_lam(sample_files, tmp_path, capsys):
     assert "--lam" in read_stderr_error(capsys)["message"]
 
 
+def test_fit_rejects_infinite_lam(sample_files, tmp_path, capsys):
+    _, _, xp_path, xq_path = sample_files
+    code = main(["fit", "--xp", xp_path, "--xq", xq_path, "--lam", "inf",
+                 "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "--lam" in json.loads(err)["message"]
+
+
 def test_fit_rejects_empty_sample(tmp_path, sample_files, capsys):
     _, _, _, xq_path = sample_files
     empty = tmp_path / "empty.csv"
@@ -242,10 +252,10 @@ def test_capacity_reports_unbracketed_balance_point(tmp_path, sample_files,
                                                     capsys, monkeypatch):
     _, _, xp_path, _ = sample_files
 
-    def refuse(gram, bracket=None, rel_tol=1e-9, max_iter=200):
+    def refuse(gram, spectrum, bracket, rel_tol=1e-9, max_iter=200):
         raise rr.InputError("bracket does not straddle the balance point")
 
-    monkeypatch.setattr(capacity_mod, "find_lambda_star", refuse)
+    monkeypatch.setattr(capacity_mod, "_balance_point", refuse)
     out = tmp_path / "profile.csv"
     code = main(["capacity", "--xp", xp_path, "--num-lambdas", "4",
                  "--out", str(out)])
@@ -261,6 +271,19 @@ def test_capacity_validates_bounds(tmp_path, sample_files, capsys):
                  "--lambda-max", "1.0", "--out", str(tmp_path / "p.csv")])
     assert code == 2
     assert "--lambda-min" in read_stderr_error(capsys)["message"]
+
+
+@pytest.mark.parametrize("flag", ["--lambda-min", "--lambda-max"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_capacity_rejects_non_finite_bounds(tmp_path, sample_files, capsys, flag, value):
+    _, _, xp_path, _ = sample_files
+    code = main(["capacity", "--xp", xp_path, flag, value,
+                 "--out", str(tmp_path / "p.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "validation" and flag in payload["message"]
 
 
 # -- check-schemes -----------------------------------------------------------
@@ -332,9 +355,9 @@ def test_help_lists_defaults(capsys):
     assert "(default:" in capsys.readouterr().out
 
 
-def test_module_entry_point(tmp_path):
+def test_module_entry_point(tmp_path, subprocess_env):
     result = subprocess.run(
         [sys.executable, "-m", "ratioreg", "check-schemes", "--iterations", "5"],
-        capture_output=True, text=True, cwd=tmp_path)
+        capture_output=True, text=True, cwd=tmp_path, env=subprocess_env)
     assert result.returncode == 0
     assert "all_satisfied: true" in result.stdout

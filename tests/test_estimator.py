@@ -126,6 +126,8 @@ def test_fit_validation(default_kernel, small_pair):
     with pytest.raises(rr.InputError):
         rr.fit_iterated_lavrentiev(gram, xp, xq, default_kernel, 0.0, 1)
     with pytest.raises(rr.InputError):
+        fit_iterated_lavrentiev_path(gram, xp, xq, default_kernel, float("inf"), [1])
+    with pytest.raises(rr.InputError):
         rr.fit_iterated_lavrentiev(gram, xp, xq, default_kernel, 0.3, 0)
     with pytest.raises(rr.InputError):
         fit_iterated_lavrentiev_path(gram, xp, xq, default_kernel, 0.3, [])

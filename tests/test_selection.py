@@ -29,6 +29,8 @@ def test_grid_validation():
     with pytest.raises(rr.InputError):
         rr.LambdaGrid(lambda_0=0.0)
     with pytest.raises(rr.InputError):
+        rr.LambdaGrid(lambda_0=float("inf"))
+    with pytest.raises(rr.InputError):
         rr.LambdaGrid(rho=1.0)
     with pytest.raises(rr.InputError):
         rr.LambdaGrid(rho=0.0)
