@@ -14,7 +14,8 @@ from .capacity import (CapacityProfile, capacity_profile, christoffel,
                        default_probe_grid, effective_dimension,
                        find_lambda_star, n_inf_estimate)
 from .errors import InputError, NumericalError
-from .estimator import (RatioModel, evaluate, evaluate_batch, fit_iterated_lavrentiev,
+from .estimator import (IteratedLadder, RatioModel, evaluate, evaluate_batch,
+                        fit_iterated_lavrentiev, fit_iterated_lavrentiev_ladder,
                         fit_iterated_lavrentiev_path, fit_spectral, load_model,
                         save_model)
 from .experiment import (CellResult, ExperimentReport, RateRecord, SimConfig,
@@ -33,16 +34,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityProfile", "CellResult", "ExperimentReport", "GramSystem",
-    "InputError", "KernelSpec", "LambdaGrid", "NumericalError", "RateRecord",
-    "RatioModel", "RegScheme", "SampleSet", "SchemeCheckReport",
+    "InputError", "IteratedLadder", "KernelSpec", "LambdaGrid", "NumericalError",
+    "RateRecord", "RatioModel", "RegScheme", "SampleSet", "SchemeCheckReport",
     "SelectionTrace", "SimConfig", "assemble_gram", "capacity_profile",
     "check_scheme_constants", "christoffel", "default_probe_grid",
     "effective_dimension", "eval_kernel", "evaluate", "evaluate_batch",
-    "find_lambda_star", "fit_iterated_lavrentiev", "fit_iterated_lavrentiev_path",
-    "fit_log_slope", "fit_spectral", "iterated_lavrentiev", "kernel_matrix",
-    "lambda_mn", "lavrentiev", "load_model", "load_samples_csv",
-    "load_samples_json", "msd", "n_inf_estimate", "quasi_optimality",
-    "reference_gram", "residual_value", "rms_norm", "run_rate_study",
-    "run_study", "sample_normal", "save_model", "save_samples_csv",
+    "find_lambda_star", "fit_iterated_lavrentiev", "fit_iterated_lavrentiev_ladder",
+    "fit_iterated_lavrentiev_path", "fit_log_slope", "fit_spectral",
+    "iterated_lavrentiev", "kernel_matrix", "lambda_mn", "lavrentiev", "load_model",
+    "load_samples_csv", "load_samples_json", "msd", "n_inf_estimate",
+    "quasi_optimality", "reference_gram", "residual_value", "rms_norm",
+    "run_rate_study", "run_study", "sample_normal", "save_model", "save_samples_csv",
     "save_samples_json", "spectral_cutoff", "true_beta", "filter_value",
 ]

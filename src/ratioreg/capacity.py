@@ -47,14 +47,6 @@ def _strengths(lambdas, single: bool = False) -> np.ndarray:
     return lams
 
 
-def _eigensystem(gram: GramSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of K/n."""
-    try:
-        return np.linalg.eigh(gram.k_matrix / gram.n)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("eigendecomposition of the kernel matrix failed") from exc
-
-
 def _n_eff(spectrum: np.ndarray, lam: float) -> float:
     return float(np.sum(spectrum / (lam + spectrum)))
 
@@ -73,7 +65,7 @@ def _probes(xp: SampleSet, points) -> np.ndarray:
 def _leverages(gram: GramSystem, spec: KernelSpec, xp: SampleSet,
                lams: np.ndarray, probes: np.ndarray):
     """Eigenvalues of K/n and C_lam as a (len(lams), len(probes)) array."""
-    t, u = _eigensystem(gram)
+    t, u = gram.eigensystem()
     smallest = float(lams.min() + t[0])
     if not (smallest > 0.0):
         raise NumericalError("regularized kernel system is not positive definite",
@@ -103,7 +95,7 @@ def effective_dimension(gram: GramSystem, lam: float) -> float:
     Strictly positive, below n, and decreasing in lam.
     """
     _strengths(lam, single=True)
-    return _n_eff(np.clip(_eigensystem(gram)[0], 0.0, None), lam)
+    return _n_eff(np.clip(gram.eigensystem()[0], 0.0, None), lam)
 
 
 def n_inf_estimate(gram: GramSystem, spec: KernelSpec, xp: SampleSet,
@@ -149,7 +141,7 @@ def find_lambda_star(gram: GramSystem, bracket: tuple[float, float] | None = Non
     lam -> N(lam)/lam is strictly decreasing, so the root is unique
     inside any bracket on which the map straddles n.
     """
-    spectrum = np.clip(_eigensystem(gram)[0], 0.0, None)
+    spectrum = np.clip(gram.eigensystem()[0], 0.0, None)
     return _balance_point(gram, spectrum, bracket, rel_tol, max_iter)
 
 

@@ -45,7 +45,11 @@ def _float_list(value) -> list[float]:
 
 
 def _merged_options(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults <- config file <- explicit flags (flags win)."""
+    """defaults <- config file <- explicit flags (flags win).
+
+    A config value goes through the same type conversion as its flag, so
+    a value the flag would reject is an InputError here too.
+    """
     merged = dict(defaults)
     passed = vars(args)
     config_path = passed.get("config")
@@ -55,10 +59,20 @@ def _merged_options(args: argparse.Namespace, defaults: dict) -> dict:
                 loaded = json.load(handle)
             except json.JSONDecodeError as exc:
                 raise InputError(f"config file {config_path} is not valid JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise InputError(f"config file {config_path} must hold a JSON object, "
+                             f"got {type(loaded).__name__}")
         for key, value in loaded.items():
             key = key.replace("-", "_")
             if key not in defaults:
                 raise InputError(f"unknown config key {key!r} for this command")
+            convert = passed["flag_types"].get(key)
+            if convert is not None and not (value is None and defaults[key] is None):
+                try:
+                    value = convert(value)
+                except (TypeError, ValueError) as exc:
+                    raise InputError(f"config key {key!r} has an invalid value "
+                                     f"{value!r}: {exc}") from exc
             merged[key] = value
     for key, value in passed.items():
         if key in defaults:
@@ -435,6 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="optional JSON report path")
     check.set_defaults(handler=cmd_check_schemes)
 
+    # _merged_options converts config-file values with their flags' types.
+    for sub in commands.choices.values():
+        sub.set_defaults(flag_types={action.dest: action.type for action in sub._actions
+                                     if action.type is not None})
     return parser
 
 

@@ -32,3 +32,12 @@ class NumericalError(RuntimeError):
         super().__init__(message)
         self.lam = lam
         self.smallest_eigenvalue = smallest_eigenvalue
+
+
+def require_keys(data, keys, what: str) -> None:
+    """Raise InputError unless ``data`` is a dict holding every key in ``keys``."""
+    if not isinstance(data, dict):
+        raise InputError(f"{what} must be a JSON object, got {type(data).__name__}")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise InputError(f"{what} is missing {', '.join(map(repr, missing))}")

@@ -28,8 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NumericalError
-from .estimator import RatioModel, evaluate_batch, fit_iterated_lavrentiev_path
+from .errors import InputError, NumericalError, require_keys
+from .estimator import (RatioModel, evaluate_batch, fit_iterated_lavrentiev_ladder,
+                        fit_iterated_lavrentiev_path)
 from .kernel import KernelSpec, SampleSet, assemble_gram
 from .selection import LambdaGrid, choose_from_values, lambda_mn
 
@@ -165,6 +166,10 @@ class SimConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "SimConfig":
+        require_keys(data, (), "study config")
+        unknown = sorted(set(data) - set(SimConfig.__dataclass_fields__))
+        if unknown:
+            raise InputError(f"study config has unknown keys {unknown}")
         fields = dict(data)
         if "grid" in fields:
             fields["grid"] = LambdaGrid.from_dict(fields["grid"])
@@ -228,12 +233,13 @@ def _run_cell(config: SimConfig, mu_q: float, replication: int,
         xp = sample_normal(config.mu_p, config.var_p, config.n, seed_p, "p")
         xq = sample_normal(mu_q, config.var_q, config.m, seed_q, "q")
         gram = assemble_gram(config.kernel, xp, xq)
-        ladder = config.grid.with_anchor()
-        by_lambda = [
-            fit_iterated_lavrentiev_path(gram, xp, xq, config.kernel, lam,
-                                         config.k_list)
-            for lam in ladder
-        ]
+        ladder = fit_iterated_lavrentiev_ladder(gram, xp, xq, config.kernel,
+                                                config.grid.with_anchor(), config.k_list)
+        chosen_models = []
+        for k in config.k_list:
+            _, chosen = choose_from_values(ladder.values[k])
+            # +1 skips the anchor fit
+            chosen_models.append((k, chosen, ladder.model(chosen + 1, k)))
     except (InputError, NumericalError) as exc:
         message = f"{type(exc).__name__}: {exc}"
         return [CellResult(mu_q=mu_q, k=k, replication=replication,
@@ -245,10 +251,7 @@ def _run_cell(config: SimConfig, mu_q: float, replication: int,
                                config.var_q)
                      if probe_grid is not None else None)
     results = []
-    for k in config.k_list:
-        diffs, chosen = choose_from_values(
-            [models[k].values_at_xp for models in by_lambda])
-        model = by_lambda[chosen + 1][k]  # +1 skips the anchor fit
+    for k, chosen, model in chosen_models:
         cell_msd = msd(model, mu_q, config.mu_p, config.var_p, config.var_q)
         max_err = None
         if probe_grid is not None:

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError, require_keys
 
 KNOWN_FAMILIES = ("gaussian_plus_one", "gaussian", "custom_ref")
 
@@ -90,6 +90,7 @@ class KernelSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "KernelSpec":
+        require_keys(data, ("family", "bandwidth", "offset"), "kernel")
         return KernelSpec(family=data["family"], bandwidth=data["bandwidth"],
                           offset=data["offset"])
 
@@ -143,6 +144,7 @@ class SampleSet:
 
     @staticmethod
     def from_dict(data: dict) -> "SampleSet":
+        require_keys(data, ("points", "measure_tag"), "sample")
         return SampleSet(points=data["points"], measure_tag=data["measure_tag"],
                          seed=data.get("seed"))
 
@@ -212,6 +214,17 @@ class GramSystem:
         object.__setattr__(self, "k_matrix", k)
         object.__setattr__(self, "f_bar", f)
 
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (ascending, unclipped) and eigenvectors of K/n.
+
+        The one eigendecomposition behind selection, capacity and the
+        spectral fit; each call decomposes afresh, nothing is cached.
+        """
+        try:
+            return np.linalg.eigh(self.k_matrix / self.n)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("eigendecomposition of the kernel matrix failed") from exc
+
     def psd_tolerance(self) -> float:
         """Scale-aware slack allowed on eigenvalue non-negativity checks."""
         return 1e-10 * self.n * float(self.k_matrix.diagonal().max())
@@ -220,9 +233,9 @@ class GramSystem:
 def assemble_gram(spec: KernelSpec, xp: SampleSet, xq: SampleSet) -> GramSystem:
     """Build the GramSystem for a reference/target sample pair.
 
-    Symmetry of the kernel matrix is exact (each unordered pair is
-    evaluated once and mirrored), so downstream symmetric factorizations
-    never see asymmetry noise.
+    The kernel matrix is exactly symmetric as evaluated: entry (j, i)
+    repeats the arithmetic of entry (i, j) on negated differences, so
+    downstream symmetric factorizations never see asymmetry noise.
     """
     if xp.measure_tag != "p":
         raise InputError("first sample must carry measure_tag 'p'")
@@ -230,9 +243,7 @@ def assemble_gram(spec: KernelSpec, xp: SampleSet, xq: SampleSet) -> GramSystem:
         raise InputError("second sample must carry measure_tag 'q'")
     if xp.dim != xq.dim:
         raise InputError(f"sample dimensions differ: {xp.dim} vs {xq.dim}")
-    full = kernel_matrix(spec, xp.points, xp.points)
-    upper = np.triu(full)
-    k = upper + np.triu(full, 1).T
+    k = kernel_matrix(spec, xp.points, xp.points)
     cross = kernel_matrix(spec, xp.points, xq.points)
     f_bar = (xp.n / xq.n) * cross.sum(axis=1)
     return GramSystem(k_matrix=k, f_bar=f_bar, n=xp.n, m=xq.n)
@@ -243,9 +254,7 @@ def reference_gram(spec: KernelSpec, xp: SampleSet) -> GramSystem:
 
     Enough for capacity diagnostics, which never touch f_bar.
     """
-    full = kernel_matrix(spec, xp.points, xp.points)
-    upper = np.triu(full)
-    k = upper + np.triu(full, 1).T
+    k = kernel_matrix(spec, xp.points, xp.points)
     return GramSystem(k_matrix=k, f_bar=np.zeros(xp.n), n=xp.n, m=1)
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, require_keys
 
 SCHEME_KINDS = ("lavrentiev", "iterated_lavrentiev", "spectral_cutoff")
 
@@ -103,6 +103,7 @@ class RegScheme:
 
     @staticmethod
     def from_dict(data: dict) -> "RegScheme":
+        require_keys(data, ("kind", "lambda"), "scheme")
         return RegScheme(kind=data["kind"], lam=data["lambda"],
                          iterations=data.get("k", 1))
 

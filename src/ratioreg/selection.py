@@ -12,7 +12,9 @@ root-mean-square norm on the reference sample,
 
 and keep the strength whose difference is smallest.  The top of the
 ladder (i = 0) only anchors the first difference and is never chosen;
-ties go to the larger strength.
+ties go to the larger strength.  All the fits share one
+eigendecomposition of K/n: the whole ladder costs that decomposition
+plus one matrix product (see ``estimator.fit_iterated_lavrentiev_ladder``).
 
 The a-priori strength for sample sizes (m, n) under a polynomial source
 condition of order eta and an embedding index varsigma is
@@ -30,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
-from .estimator import RatioModel, fit_iterated_lavrentiev_path
+from .errors import InputError, require_keys
+from .estimator import RatioModel, fit_iterated_lavrentiev_ladder
 from .kernel import GramSystem, KernelSpec, SampleSet
 
 
@@ -70,6 +72,7 @@ class LambdaGrid:
 
     @staticmethod
     def from_dict(data: dict) -> "LambdaGrid":
+        require_keys(data, ("lambda_0", "rho", "size"), "grid")
         return LambdaGrid(lambda_0=data["lambda_0"], rho=data["rho"],
                           size=data["size"])
 
@@ -81,7 +84,8 @@ class SelectionTrace:
     ``diffs[i]`` is the consecutive difference ending at
     ``grid.values[i]``; ``chosen_index`` indexes into ``grid.values``.
     ``models`` (optional) retains the fit at every ladder strength,
-    anchor first.
+    anchor first.  ``at_boundary`` flags a choice on the first or last
+    rung, where the rule's minimum may lie outside the ladder.
     """
 
     grid: LambdaGrid
@@ -96,12 +100,17 @@ class SelectionTrace:
             return None
         return self.models[self.chosen_index + 1]  # skip the anchor
 
+    @property
+    def at_boundary(self) -> bool:
+        return self.chosen_index in (0, self.grid.size - 1)
+
     def to_dict(self) -> dict:
         return {
             "grid": self.grid.to_dict(),
             "diffs": list(self.diffs),
             "chosen_index": self.chosen_index,
             "chosen_lambda": self.chosen_lambda,
+            "at_boundary": self.at_boundary,
         }
 
 
@@ -140,18 +149,19 @@ def quasi_optimality(gram: GramSystem, xp: SampleSet, xq: SampleSet,
     """Pick the regularization strength by the quasi-optimality rule.
 
     Fits the iterated scheme at every ladder strength (anchor included)
-    and minimizes the consecutive difference of fitted value vectors in
-    the root-mean-square norm on the reference sample.
+    from one eigendecomposition and minimizes the consecutive difference
+    of fitted value vectors in the root-mean-square norm on the
+    reference sample.
     """
     grid = LambdaGrid() if grid is None else grid
-    models = [
-        fit_iterated_lavrentiev_path(gram, xp, xq, kernel, lam, [iterations])[iterations]
-        for lam in grid.with_anchor()
-    ]
-    diffs, chosen = choose_from_values([m.values_at_xp for m in models])
+    ladder = fit_iterated_lavrentiev_ladder(gram, xp, xq, kernel, grid.with_anchor(),
+                                            [iterations])
+    diffs, chosen = choose_from_values(ladder.values[iterations])
+    models = None
+    if keep_models:
+        models = tuple(ladder.model(i, iterations) for i in range(len(ladder.lambdas)))
     return SelectionTrace(grid=grid, diffs=diffs, chosen_index=chosen,
-                          chosen_lambda=grid.values[chosen],
-                          models=tuple(models) if keep_models else None)
+                          chosen_lambda=grid.values[chosen], models=models)
 
 
 def lambda_mn(m: int, n: int, eta: float, varsigma: float) -> float:

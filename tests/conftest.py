@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import ratioreg as rr
 
@@ -37,6 +38,23 @@ def benchmark_pair(default_kernel):
 @pytest.fixture()
 def rng():
     return np.random.Generator(np.random.PCG64(424242))
+
+
+@pytest.fixture()
+def linalg_calls(monkeypatch) -> list[str]:
+    """Names of the dense decompositions and solves called, in order."""
+    calls: list[str] = []
+    for module, names in ((np.linalg, ("eigh", "eigvalsh")),
+                          (scipy.linalg, ("cho_factor", "cho_solve"))):
+        for name in names:
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import ratioreg as rr
 from ratioreg.capacity import save_profile_csv, save_profile_json
@@ -227,23 +226,9 @@ def test_spectral_leverage_matches_dense_solve():
         assert np.max(np.abs(single - reference[::12])) <= 1e-12 * scale
 
 
-def _count_calls(monkeypatch, module, name, calls):
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-
-
-def test_one_decomposition_per_call(monkeypatch, capacity_instance):
+def test_one_decomposition_per_call(linalg_calls, capacity_instance):
     spec, xp, gram = capacity_instance
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        _count_calls(monkeypatch, np.linalg, name, calls)
-    for name in ("cho_factor", "cho_solve"):
-        _count_calls(monkeypatch, scipy.linalg, name, calls)
+    calls = linalg_calls
     for lambdas in ([0.5], np.geomspace(0.01, 1.0, 20)):
         calls.clear()
         rr.capacity_profile(gram, spec, xp, lambdas)

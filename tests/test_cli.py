@@ -348,6 +348,47 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "bogus_knob" in read_stderr_error(capsys)["message"]
 
 
+def read_single_error_line(capsys):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    return json.loads(err)
+
+
+def test_config_value_of_wrong_type_rejected(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"n": "abc"}))
+    code = main(["simulate", "--config", str(config), "--out-dir", str(tmp_path)])
+    assert code == 2
+    payload = read_single_error_line(capsys)
+    assert payload["error"] == "validation"
+    assert "'n'" in payload["message"] and "abc" in payload["message"]
+
+
+def test_config_file_holding_a_list_rejected(tmp_path, capsys):
+    config = tmp_path / "list.json"
+    config.write_text(json.dumps([{"n": 20}]))
+    code = main(["simulate", "--config", str(config), "--out-dir", str(tmp_path)])
+    assert code == 2
+    payload = read_single_error_line(capsys)
+    assert payload["error"] == "validation"
+    assert "JSON object" in payload["message"]
+
+
+def test_evaluate_rejects_model_without_scheme(tmp_path, fitted_model, capsys):
+    data = json.loads(open(fitted_model).read())
+    del data["scheme"]
+    broken = tmp_path / "no_scheme.json"
+    broken.write_text(json.dumps(data))
+    points = tmp_path / "points.csv"
+    points.write_text("0.0\n1.0\n")
+    code = main(["evaluate", "--model", str(broken), "--points", str(points),
+                 "--out", str(tmp_path / "values.csv")])
+    assert code == 2
+    payload = read_single_error_line(capsys)
+    assert payload["error"] == "validation"
+    assert "'scheme'" in payload["message"]
+
+
 def test_help_lists_defaults(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["simulate", "--help"])

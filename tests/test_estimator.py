@@ -67,6 +67,43 @@ def test_two_path_equivalence(default_kernel, small_pair):
             assert fast.mu_coeff == pytest.approx(spectral.mu_coeff, rel=1e-14)
 
 
+def test_ladder_agrees_with_cholesky_path(default_kernel):
+    """Every rung and count of the spectral ladder matches the recursion."""
+    xp = rr.sample_normal(2.0, 5.0, 200, derive_seed(31, 0), "p")
+    xq = rr.sample_normal(3.0, 0.5, 200, derive_seed(31, 1), "q")
+    gram = rr.assemble_gram(default_kernel, xp, xq)
+    counts = (1, 2, 3, 5, 10)
+    lambdas = rr.LambdaGrid().with_anchor()
+    ladder = rr.fit_iterated_lavrentiev_ladder(gram, xp, xq, default_kernel,
+                                               lambdas, counts)
+    probes = np.linspace(-6.0, 10.0, 40).reshape(-1, 1)
+    for index, lam in enumerate(lambdas):
+        path = fit_iterated_lavrentiev_path(gram, xp, xq, default_kernel, lam, counts)
+        for k in counts:
+            reference = path[k]
+            scale = np.abs(reference.values_at_xp).max()
+            assert np.abs(ladder.values[k][index] - reference.values_at_xp).max() \
+                <= 1e-12 * scale
+            model = ladder.model(index, k)
+            assert model.scheme == reference.scheme
+            assert model.mu_coeff == reference.mu_coeff
+            assert np.array_equal(model.values_at_xp, ladder.values[k][index])
+            assert np.abs(model.alpha - reference.alpha).max() \
+                <= 1e-12 * np.abs(reference.alpha).max()
+            expected = rr.evaluate_batch(reference, probes)
+            assert np.abs(rr.evaluate_batch(model, probes) - expected).max() \
+                <= 1e-12 * np.abs(expected).max()
+
+
+def test_ladder_validation(default_kernel, small_pair):
+    xp, xq, gram = small_pair
+    for lambdas, counts in (([], [1]), ([0.5, float("inf")], [1]), ([0.5, 0.0], [1]),
+                            ([0.5], []), ([0.5], [0, 1])):
+        with pytest.raises(rr.InputError):
+            rr.fit_iterated_lavrentiev_ladder(gram, xp, xq, default_kernel,
+                                              lambdas, counts)
+
+
 def test_evaluate_reproduces_cached_values(default_kernel, small_pair):
     xp, xq, gram = small_pair
     model = rr.fit_iterated_lavrentiev(gram, xp, xq, default_kernel, 0.2, 3)
@@ -145,6 +182,25 @@ def test_indefinite_system_raises_numerical_error(default_kernel):
     assert info.value.lam == 0.01
     assert info.value.smallest_eigenvalue is not None
     assert info.value.smallest_eigenvalue < 0.0
+    # the ladder checks min(lambdas) + t_min, with K/n = -I so t_min = -1
+    with pytest.raises(rr.NumericalError) as info:
+        rr.fit_iterated_lavrentiev_ladder(bad, xp, xq, default_kernel, [3.0, 0.5], [1])
+    assert info.value.lam == 0.5
+    assert info.value.smallest_eigenvalue == pytest.approx(-0.5, abs=1e-12)
+
+
+def test_failed_eigendecomposition_raises_numerical_error(monkeypatch, default_kernel,
+                                                          small_pair):
+    xp, xq, gram = small_pair
+
+    def broken(matrix):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", broken)
+    with pytest.raises(rr.NumericalError):
+        rr.fit_iterated_lavrentiev_ladder(gram, xp, xq, default_kernel, [0.5], [1])
+    with pytest.raises(rr.NumericalError):
+        rr.fit_spectral(gram, xp, xq, default_kernel, spectral_cutoff(0.1))
 
 
 def test_cutoff_above_spectrum_gives_zero_function(default_kernel, small_pair):
@@ -193,6 +249,10 @@ def test_model_json_round_trip(tmp_path, default_kernel, small_pair):
 
 def test_ratio_model_shape_validation(default_kernel, small_pair):
     xp, xq, gram = small_pair
+    flat = rr.fit_iterated_lavrentiev(gram, xp, xq, default_kernel, 0.2, 1).to_dict()
+    flat["xp_points"] = [row[0] for row in flat["xp_points"]]
+    with pytest.raises(rr.InputError):
+        rr.RatioModel.from_dict(flat)
     with pytest.raises(rr.InputError):
         rr.RatioModel(kernel=default_kernel, scheme=rr.lavrentiev(0.5),
                       xp_points=xp.points, xq_points=xq.points,

@@ -193,12 +193,10 @@ def test_run_study_matches_direct_selection(default_kernel):
     xp = rr.sample_normal(2.0, 5.0, 25, derive_seed(11, bits, 0, 0), "p")
     xq = rr.sample_normal(3.0, 0.5, 25, derive_seed(11, bits, 0, 1), "q")
     gram = rr.assemble_gram(default_kernel, xp, xq)
-    trace = rr.quasi_optimality(gram, xp, xq, default_kernel, 2)
+    trace = rr.quasi_optimality(gram, xp, xq, default_kernel, 2, keep_models=True)
     assert cell.chosen_index == trace.chosen_index
     assert cell.chosen_lambda == trace.chosen_lambda
-    model = rr.fit_iterated_lavrentiev(gram, xp, xq, default_kernel,
-                                       trace.chosen_lambda, 2)
-    assert cell.msd == rr.msd(model, 3.0)
+    assert cell.msd == rr.msd(trace.chosen_model, 3.0)
 
 
 def test_run_study_golden_cells():
@@ -226,14 +224,14 @@ def test_run_study_median_stability_under_doubling():
 
 
 def test_run_study_isolates_cell_failures(monkeypatch):
-    real = experiment.fit_iterated_lavrentiev_path
+    real = experiment.fit_iterated_lavrentiev_ladder
 
-    def flaky(gram, xp, xq, kernel, lam, counts):
+    def flaky(gram, xp, xq, kernel, lambdas, counts):
         if xp.seed == derive_seed(3, int(np.float64(2.0).view(np.uint64)), 1, 0):
-            raise rr.NumericalError("synthetic breakdown", lam=lam)
-        return real(gram, xp, xq, kernel, lam, counts)
+            raise rr.NumericalError("synthetic breakdown", lam=min(lambdas))
+        return real(gram, xp, xq, kernel, lambdas, counts)
 
-    monkeypatch.setattr(experiment, "fit_iterated_lavrentiev_path", flaky)
+    monkeypatch.setattr(experiment, "fit_iterated_lavrentiev_ladder", flaky)
     report = rr.run_study(tiny_config(), threads=1)
     failed = [c for c in report.cells if c.error is not None]
     fine = [c for c in report.cells if c.error is None]
@@ -244,6 +242,37 @@ def test_run_study_isolates_cell_failures(monkeypatch):
     assert len(fine) == 2
     # box stats ignore the failed half
     assert report.box[repr(2.0)]["1"]["count"] == 1
+
+
+def test_study_cell_decomposes_once(linalg_calls):
+    """One eigendecomposition per draw covers every strength and every k."""
+    rr.run_study(tiny_config(k_list=(1, 2, 3)), threads=1)
+    assert linalg_calls == ["eigh", "eigh"]  # two replications
+
+
+def test_run_study_isolates_indefinite_systems(monkeypatch):
+    """A cell whose Gram system is indefinite fails alone, with the diagnosis."""
+    real = experiment.assemble_gram
+    bad_seed = derive_seed(3, int(np.float64(2.0).view(np.uint64)), 0, 0)
+
+    def indefinite(spec, xp, xq):
+        gram = real(spec, xp, xq)
+        if xp.seed != bad_seed:
+            return gram
+        k_matrix = np.eye(xp.n)
+        k_matrix[0, 0] = -float(xp.n)  # K/n has eigenvalue -1
+        return rr.GramSystem(k_matrix=k_matrix, f_bar=gram.f_bar, n=gram.n, m=gram.m)
+
+    monkeypatch.setattr(experiment, "assemble_gram", indefinite)
+    report = rr.run_study(tiny_config(), threads=1)
+    failed = [c for c in report.cells if c.error is not None]
+    assert [c.replication for c in failed] == [0, 0]
+    bottom = min(tiny_config().grid.values)
+    for cell in failed:
+        assert cell.error.startswith("NumericalError")
+        assert f"lambda={bottom!r}" in cell.error
+        assert f"smallest eigenvalue estimate={bottom - 1.0!r}" in cell.error
+    assert report.failures == 2
 
 
 def test_report_json_round_trip(tmp_path):

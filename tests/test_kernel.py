@@ -99,10 +99,13 @@ def test_sample_set_points_read_only():
 
 
 def test_gram_symmetry_is_bitwise(default_kernel, rng):
-    xp = rr.SampleSet(rng.normal(size=(37, 2)), "p")
-    xq = rr.SampleSet(rng.normal(size=(11, 2)), "q")
-    gram = rr.assemble_gram(default_kernel, xp, xq)
-    assert np.array_equal(gram.k_matrix, gram.k_matrix.T)
+    """The kernel matrix comes out exactly symmetric with no mirroring step."""
+    for dim in (1, 2, 3):
+        xp = rr.SampleSet(rng.normal(size=(301, dim)), "p")
+        xq = rr.SampleSet(rng.normal(size=(11, dim)), "q")
+        for gram in (rr.assemble_gram(default_kernel, xp, xq),
+                     rr.reference_gram(default_kernel, xp)):
+            assert np.array_equal(gram.k_matrix, gram.k_matrix.T)
 
 
 def test_gram_diagonal_is_offset_plus_one(default_kernel, small_pair):

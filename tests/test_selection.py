@@ -111,6 +111,38 @@ def test_quasi_optimality_keep_models(default_kernel, small_pair):
     assert bare.models is None and bare.chosen_model is None
 
 
+def test_quasi_optimality_decomposes_once(linalg_calls, default_kernel, small_pair):
+    xp, xq, gram = small_pair
+    for keep_models in (False, True):
+        linalg_calls.clear()
+        rr.quasi_optimality(gram, xp, xq, default_kernel, 3, keep_models=keep_models)
+        assert linalg_calls == ["eigh"]
+
+
+def test_quasi_optimality_indefinite_system_raises(default_kernel):
+    """K/n has eigenvalues 1.5 and -0.5; the ladder's bottom 0.1 leaves -0.4."""
+    xp = rr.SampleSet([[0.0], [1.0]], "p")
+    xq = rr.SampleSet([[0.5]], "q")
+    gram = rr.GramSystem(k_matrix=np.array([[1.0, 2.0], [2.0, 1.0]]),
+                         f_bar=np.ones(2), n=2, m=1)
+    with pytest.raises(rr.NumericalError) as info:
+        rr.quasi_optimality(gram, xp, xq, default_kernel, 2)
+    assert info.value.lam == min(rr.LambdaGrid().values)
+    assert info.value.smallest_eigenvalue == pytest.approx(
+        min(rr.LambdaGrid().values) - 0.5, abs=1e-12)
+
+
+def test_trace_flags_choice_on_ladder_edge():
+    grid = rr.LambdaGrid(size=4)
+    flags = []
+    for index in range(4):
+        trace = rr.SelectionTrace(grid=grid, diffs=(1.0,) * 4, chosen_index=index,
+                                  chosen_lambda=grid.values[index])
+        assert trace.to_dict()["at_boundary"] is trace.at_boundary
+        flags.append(trace.at_boundary)
+    assert flags == [True, False, False, True]
+
+
 def test_trace_json_export(tmp_path, default_kernel, small_pair):
     xp, xq, gram = small_pair
     trace = rr.quasi_optimality(gram, xp, xq, default_kernel, 2)
@@ -120,6 +152,7 @@ def test_trace_json_export(tmp_path, default_kernel, small_pair):
     assert raw["chosen_lambda"] == trace.chosen_lambda
     assert raw["grid"]["size"] == 9
     assert len(raw["diffs"]) == 9
+    assert raw["at_boundary"] == (trace.chosen_index in (0, 8))
 
 
 def test_lambda_mn_frozen_values():
