@@ -48,7 +48,10 @@ def _merged_options(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults <- config file <- explicit flags (flags win).
 
     A config value goes through the same type conversion as its flag, so
-    a value the flag would reject is an InputError here too.
+    a value the flag would reject is an InputError here too.  A typed flag
+    also rejects a JSON boolean, and an integer flag a JSON float: int()
+    and float() would turn 4.7 into 4 and true into 1 where the flags
+    themselves reject "4.7" and "true".
     """
     merged = dict(defaults)
     passed = vars(args)
@@ -67,6 +70,10 @@ def _merged_options(args: argparse.Namespace, defaults: dict) -> dict:
             if key not in defaults:
                 raise InputError(f"unknown config key {key!r} for this command")
             convert = passed["flag_types"].get(key)
+            if convert is not None and (isinstance(value, bool)
+                                        or (convert is int and isinstance(value, float))):
+                kind = "an integer" if convert is int else "a number"
+                raise InputError(f"config key {key!r} must be {kind}, got {value!r}")
             if convert is not None and not (value is None and defaults[key] is None):
                 try:
                     value = convert(value)

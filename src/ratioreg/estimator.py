@@ -57,6 +57,11 @@ and their solves (measured from n = 100 to n = 1600 on one BLAS
 thread), so the ladder takes the spectral path.  The Cholesky recursion
 is kept for a single (lam, k) fit, where one factor is far cheaper than
 an eigendecomposition.
+
+Memory: a Cholesky fit holds K and one Fortran-order copy that is
+shifted and factored in place, 2 n^2 floats.  ``evaluate_batch`` works
+through row blocks of the kernel values, so it holds O(block (n + m))
+floats besides its input and output, whatever the batch size.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InputError, NumericalError, require_keys
-from .kernel import GramSystem, KernelSpec, SampleSet, kernel_matrix
+from .kernel import GramSystem, KernelSpec, SampleSet, _row_blocks, kernel_matrix
 from .regularization import (RegScheme, filter_quotient_value, filter_value,
                              filter_zero_value, iterated_lavrentiev)
 
@@ -167,12 +172,20 @@ def _check_lam(lam: float) -> None:
 
 
 def _shifted_factorization(gram: GramSystem, lam: float):
-    """Cholesky factor of (n lam I + K), with a diagnosable failure path."""
-    a_matrix = gram.k_matrix + (gram.n * lam) * np.eye(gram.n)
+    """Cholesky factor of (n lam I + K), with a diagnosable failure path.
+
+    The shift goes onto the diagonal of one Fortran-order copy of K, which
+    LAPACK then factors in place: the only n x n allocation.  A failed
+    factorization leaves that copy partly overwritten, so the reported
+    smallest eigenvalue comes from K itself.
+    """
+    n_lam = gram.n * lam
+    a_matrix = np.array(gram.k_matrix, order="F")
+    a_matrix.flat[::gram.n + 1] += n_lam
     try:
-        return scipy.linalg.cho_factor(a_matrix, lower=True)
+        return scipy.linalg.cho_factor(a_matrix, lower=True, overwrite_a=True)
     except scipy.linalg.LinAlgError as exc:
-        smallest = float(np.linalg.eigvalsh(a_matrix)[0])
+        smallest = float(np.linalg.eigvalsh(gram.k_matrix)[0]) + n_lam
         raise NumericalError("shifted kernel system is not positive definite",
                              lam=lam, smallest_eigenvalue=smallest) from exc
 
@@ -325,7 +338,14 @@ def fit_iterated_lavrentiev_ladder(gram: GramSystem, xp: SampleSet, xq: SampleSe
 
 
 def evaluate_batch(model: RatioModel, points) -> np.ndarray:
-    """Evaluate the fitted ratio at many points at once."""
+    """Evaluate the fitted ratio at many points at once.
+
+    Works through row blocks of about ``kernel._BLOCK_ELEMENTS`` kernel
+    values, so memory stays O(block (n + m)) for any batch size.  Each
+    block uses the unblocked formula on rows aligned to the BLAS row
+    groups, so the values keep the bits of one unblocked product (see
+    ``kernel._BLOCK_ROW_MULTIPLE`` for when that holds).
+    """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         return np.zeros(0)
@@ -335,9 +355,13 @@ def evaluate_batch(model: RatioModel, points) -> np.ndarray:
         raise InputError(
             f"points have dimension {pts.shape[1]}, model expects "
             f"{model.xp_points.shape[1]}")
-    k_ref = kernel_matrix(model.kernel, pts, model.xp_points)
-    k_target = kernel_matrix(model.kernel, pts, model.xq_points)
-    return k_ref @ model.alpha + model.mu_coeff * k_target.mean(axis=1)
+    values = np.empty(pts.shape[0])
+    width = model.xp_points.shape[0] + model.xq_points.shape[0]
+    for rows in _row_blocks(pts.shape[0], width):
+        k_ref = kernel_matrix(model.kernel, pts[rows], model.xp_points)
+        k_target = kernel_matrix(model.kernel, pts[rows], model.xq_points)
+        values[rows] = k_ref @ model.alpha + model.mu_coeff * k_target.mean(axis=1)
+    return values
 
 
 def evaluate(model: RatioModel, x) -> float:

@@ -8,6 +8,13 @@ the dense kernel matrix over ``xp`` together with the cross-sample vector
     f_bar[i] = (n / m) * sum_j k(x_i, x'_j)
 
 that acts as the right-hand side of every estimator in the package.
+
+Memory: ``kernel_matrix`` allocates its output and, for points of more
+than one coordinate, one more array of the same shape; no (a, b, d)
+array of differences.  ``assemble_gram`` holds the n x n kernel matrix
+plus one row block of the n x m cross kernel, whose row sums give f_bar.
+A block holds about ``_BLOCK_ELEMENTS`` kernel values (8 MB); the same
+budget sizes the row blocks of ``estimator.evaluate_batch``.
 """
 
 from __future__ import annotations
@@ -26,6 +33,14 @@ KNOWN_FAMILIES = ("gaussian_plus_one", "gaussian", "custom_ref")
 
 # Families for which k(x, y) = offset + exp(-|x - y|^2 / (2 * bandwidth^2)).
 _GAUSSIAN_FAMILIES = ("gaussian_plus_one", "gaussian")
+
+# Kernel values in one row block of a blocked computation (8 MB of float64).
+_BLOCK_ELEMENTS = 1 << 20
+# Block heights are a multiple of this.  A BLAS matrix-vector product
+# takes rows in small fixed groups and rounds a row by its place in its
+# group, so aligned blocks round like one product over the whole batch
+# wherever that product splits its rows over threads on aligned rows too.
+_BLOCK_ROW_MULTIPLE = 64
 
 
 @dataclass(frozen=True)
@@ -104,6 +119,8 @@ def _as_points(values, *, name: str = "points") -> np.ndarray:
         arr = arr.reshape(-1, 1)
     elif arr.ndim != 2:
         raise InputError(f"{name} must be at most 2-dimensional, got shape {arr.shape}")
+    if arr.shape[1] == 0:
+        raise InputError(f"{name} must have at least one coordinate")
     if arr.size and not np.isfinite(arr).all():
         raise InputError(f"{name} contain non-finite entries")
     arr.setflags(write=False)
@@ -164,8 +181,11 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All pairwise kernel values between the rows of ``a`` and ``b``.
 
-    Returns an (len(a), len(b)) array.  Gaussian families are evaluated
-    by broadcasting; custom kernels fall back to an explicit loop.
+    Returns an (len(a), len(b)) array.  Gaussian families accumulate the
+    squared distances one coordinate at a time in the output and finish in
+    place, so the call allocates the output plus, for d > 1, one array of
+    the same shape.  The result is exactly symmetric when ``a`` is ``b``.
+    Custom kernels fall back to an explicit loop.
     """
     a = _as_points(a, name="left points")
     b = _as_points(b, name="right points")
@@ -178,9 +198,30 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             for j in range(b.shape[0]):
                 out[i, j] = spec.ref(a[i], b[j])
         return out
-    diff = a[:, None, :] - b[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
-    return spec.offset + np.exp(-sq / (2.0 * spec.bandwidth**2))
+    out = np.subtract.outer(a[:, 0], b[:, 0])
+    np.square(out, out=out)
+    if a.shape[1] > 1:
+        column = np.empty_like(out)
+        for k in range(1, a.shape[1]):
+            np.subtract.outer(a[:, k], b[:, k], out=column)
+            np.square(column, out=column)
+            out += column
+    out /= -(2.0 * spec.bandwidth**2)
+    np.exp(out, out=out)
+    out += spec.offset
+    return out
+
+
+def _row_blocks(count: int, width: int):
+    """Slices over ``count`` rows of ``width`` kernel values, one block each.
+
+    A block has at least ``_BLOCK_ROW_MULTIPLE`` rows and otherwise at most
+    ``_BLOCK_ELEMENTS`` values.
+    """
+    rows = _BLOCK_ELEMENTS // width // _BLOCK_ROW_MULTIPLE * _BLOCK_ROW_MULTIPLE
+    rows = max(rows, _BLOCK_ROW_MULTIPLE)
+    for start in range(0, count, rows):
+        yield slice(start, min(start + rows, count))
 
 
 @dataclass(frozen=True)
@@ -235,7 +276,9 @@ def assemble_gram(spec: KernelSpec, xp: SampleSet, xq: SampleSet) -> GramSystem:
 
     The kernel matrix is exactly symmetric as evaluated: entry (j, i)
     repeats the arithmetic of entry (i, j) on negated differences, so
-    downstream symmetric factorizations never see asymmetry noise.
+    downstream symmetric factorizations never see asymmetry noise.  f_bar
+    comes from row blocks of the cross kernel, so the call holds the
+    n x n matrix plus one block, never the n x m cross kernel.
     """
     if xp.measure_tag != "p":
         raise InputError("first sample must carry measure_tag 'p'")
@@ -244,8 +287,10 @@ def assemble_gram(spec: KernelSpec, xp: SampleSet, xq: SampleSet) -> GramSystem:
     if xp.dim != xq.dim:
         raise InputError(f"sample dimensions differ: {xp.dim} vs {xq.dim}")
     k = kernel_matrix(spec, xp.points, xp.points)
-    cross = kernel_matrix(spec, xp.points, xq.points)
-    f_bar = (xp.n / xq.n) * cross.sum(axis=1)
+    row_sums = np.empty(xp.n)
+    for rows in _row_blocks(xp.n, xq.n):
+        row_sums[rows] = kernel_matrix(spec, xp.points[rows], xq.points).sum(axis=1)
+    f_bar = (xp.n / xq.n) * row_sums
     return GramSystem(k_matrix=k, f_bar=f_bar, n=xp.n, m=xq.n)
 
 

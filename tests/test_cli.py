@@ -364,6 +364,19 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys):
     assert "'n'" in payload["message"] and "abc" in payload["message"]
 
 
+@pytest.mark.parametrize("key, value, kind", [("n", 4.7, "integer"), ("n", 4.0, "integer"),
+                                             ("n", True, "integer"), ("rho", True, "number")])
+def test_config_number_flag_rejects_truncation_and_bool(tmp_path, capsys, key, value, kind):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"n": 20, "m": 20, "replications": 1, key: value}))
+    code = main(["simulate", "--config", str(config), "--out-dir", str(tmp_path)])
+    assert code == 2
+    payload = read_single_error_line(capsys)
+    assert payload["error"] == "validation"
+    assert f"'{key}'" in payload["message"] and kind in payload["message"]
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_config_file_holding_a_list_rejected(tmp_path, capsys):
     config = tmp_path / "list.json"
     config.write_text(json.dumps([{"n": 20}]))
@@ -394,6 +407,18 @@ def test_help_lists_defaults(capsys):
         main(["simulate", "--help"])
     assert excinfo.value.code == 0
     assert "(default:" in capsys.readouterr().out
+
+
+def test_cli_import_loads_no_spatial_or_sparse(subprocess_env):
+    """Importing the CLI pulls in neither scipy.spatial nor scipy.sparse.
+
+    Either costs a measurable share of every process start.
+    """
+    probe = ("import sys, ratioreg.cli; print(sorted(m for m in sys.modules "
+             "if m.startswith(('scipy.spatial', 'scipy.sparse'))))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, env=subprocess_env, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_module_entry_point(tmp_path, subprocess_env):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import scipy.linalg
 import ratioreg as rr
 from ratioreg.estimator import fit_iterated_lavrentiev_path
 from ratioreg.experiment import derive_seed
+from ratioreg.kernel import _row_blocks
 from ratioreg.regularization import iterated_lavrentiev, spectral_cutoff
 
 
@@ -122,6 +124,52 @@ def test_evaluate_batch_matches_pointwise(default_kernel, small_pair):
     np.testing.assert_allclose(batch, singles, rtol=1e-14)
 
 
+@pytest.fixture(scope="module")
+def model_400(default_kernel):
+    """A k = 3 fit on n = m = 400, wide enough that a batch spans row blocks."""
+    xp = rr.sample_normal(2.0, 5.0, 400, derive_seed(41, 0), "p")
+    xq = rr.sample_normal(3.0, 0.5, 400, derive_seed(41, 1), "q")
+    gram = rr.assemble_gram(default_kernel, xp, xq)
+    return rr.fit_iterated_lavrentiev(gram, xp, xq, default_kernel, 0.1, 3)
+
+
+def test_evaluate_batch_blocks_are_bitwise(model_400):
+    """A batch over several row blocks gives the bits of one unblocked product.
+
+    3072 rows split evenly over 1, 2 or 4 BLAS threads on multiples of 64,
+    as do the blocks, so every row keeps its place in its BLAS row group.
+    """
+    model = model_400
+    points = np.linspace(-8.0, 12.0, 3072).reshape(-1, 1)
+    blocks = list(_row_blocks(points.shape[0], 800))
+    assert len(blocks) >= 3
+    batch = rr.evaluate_batch(model, points)
+    k_ref = rr.kernel_matrix(model.kernel, points, model.xp_points)
+    k_target = rr.kernel_matrix(model.kernel, points, model.xq_points)
+    unblocked = k_ref @ model.alpha + model.mu_coeff * k_target.mean(axis=1)
+    assert np.array_equal(batch, unblocked)
+    by_block = np.concatenate([rr.evaluate_batch(model, points[rows]) for rows in blocks])
+    assert np.array_equal(batch, by_block)
+    # A one-point product sums the n terms in another order than the BLAS row
+    # groups of a batch, so each side is within (n - 1) eps sum|k_i alpha_i|.
+    edges = sorted({i for rows in blocks for i in (rows.start, rows.stop - 1)})
+    singles = np.array([rr.evaluate(model, points[i]) for i in edges])
+    bound = 2 * 400 * np.finfo(float).eps * (k_ref[edges] @ np.abs(model.alpha))
+    assert np.all(np.abs(singles - batch[edges]) <= bound)
+
+
+def test_evaluate_batch_memory_is_bounded(model_400):
+    """20,000 points on a 400 + 400 model stay below one 20,000 x 400 block."""
+    points = np.linspace(-8.0, 12.0, 20000).reshape(-1, 1)
+    tracemalloc.start()
+    try:
+        rr.evaluate_batch(model_400, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20000 * 400 * 8
+
+
 def test_evaluate_batch_empty(default_kernel, small_pair):
     xp, xq, gram = small_pair
     model = rr.fit_iterated_lavrentiev(gram, xp, xq, default_kernel, 0.2, 2)
@@ -180,8 +228,8 @@ def test_indefinite_system_raises_numerical_error(default_kernel):
     with pytest.raises(rr.NumericalError) as info:
         rr.fit_iterated_lavrentiev(bad, xp, xq, default_kernel, 0.01, 1)
     assert info.value.lam == 0.01
-    assert info.value.smallest_eigenvalue is not None
-    assert info.value.smallest_eigenvalue < 0.0
+    # eigenvalues of K + n lam I = -2 + 2 * 0.01, read from K, not the factored buffer
+    assert info.value.smallest_eigenvalue == pytest.approx(-1.98)
     # the ladder checks min(lambdas) + t_min, with K/n = -I so t_min = -1
     with pytest.raises(rr.NumericalError) as info:
         rr.fit_iterated_lavrentiev_ladder(bad, xp, xq, default_kernel, [3.0, 0.5], [1])

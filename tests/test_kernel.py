@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ratioreg as rr
-from ratioreg.kernel import reference_gram
+from ratioreg.kernel import _row_blocks, reference_gram
 
 # k(x, y) = 1 + exp(-(x-y)^2 / 2) at squared distance 2 -> 1 + e^{-1}
 ONE_PLUS_E_MINUS_1 = 1.3678794411714423
@@ -44,12 +45,46 @@ def test_eval_dimension_mismatch(default_kernel):
 
 
 def test_custom_ref_kernel_matches_callable():
-    spec = rr.KernelSpec(family="custom_ref", ref=lambda a, b: float(a @ b) + 1.0)
+    calls = []
+
+    def ref(a, b):
+        calls.append((a, b))
+        return float(a @ b) + 1.0
+
+    spec = rr.KernelSpec(family="custom_ref", ref=ref)
     assert rr.eval_kernel(spec, [1.0, 2.0], [3.0, 4.0]) == 12.0
     pts = np.array([[1.0], [2.0], [0.5]])
-    mat = rr.kernel_matrix(spec, pts, pts)
-    expected = pts @ pts.T + 1.0
+    calls.clear()
+    mat = rr.kernel_matrix(spec, pts, pts[:2])
+    expected = pts @ pts[:2].T + 1.0
     assert np.allclose(mat, expected, rtol=0, atol=0)
+    # one call of the callable per pair, through the explicit loop
+    assert len(calls) == 6
+
+
+def _broadcast_kernel_matrix(spec, a, b):
+    """The (a, b, d) broadcast form that kernel_matrix replaced, as a reference."""
+    diff = a[:, None, :] - b[None, :, :]
+    sq = np.einsum("ijk,ijk->ij", diff, diff)
+    return spec.offset + np.exp(-sq / (2.0 * spec.bandwidth**2))
+
+
+def test_kernel_matrix_matches_broadcast_formula(rng):
+    """Bitwise at d = 1; at d > 1 only the order of the coordinate sum moves."""
+    for spec in (rr.KernelSpec(), rr.KernelSpec(bandwidth=0.37),
+                 rr.KernelSpec(family="gaussian", bandwidth=2.5)):
+        for dim in (1, 2, 3):
+            a = rng.normal(size=(301, dim)) * 3.0
+            b = rng.normal(size=(257, dim)) * 3.0
+            got = rr.kernel_matrix(spec, a, b)
+            expected = _broadcast_kernel_matrix(spec, a, b)
+            if dim == 1:
+                assert np.array_equal(got, expected)
+            else:
+                # A few ulps in the exponent x move exp(-x) by about x exp(-x) eps,
+                # at most eps / e: 1e-15 of the kernel's diagonal value.
+                np.testing.assert_allclose(got, expected, rtol=0,
+                                           atol=1e-15 * spec.diagonal_value())
 
 
 def test_kernel_spec_validation():
@@ -90,6 +125,8 @@ def test_sample_set_validation():
         rr.SampleSet([1.0], "x")
     with pytest.raises(rr.InputError):
         rr.SampleSet([np.nan], "p")
+    with pytest.raises(rr.InputError):
+        rr.SampleSet(np.zeros((3, 0)), "p")
 
 
 def test_sample_set_points_read_only():
@@ -106,6 +143,30 @@ def test_gram_symmetry_is_bitwise(default_kernel, rng):
         for gram in (rr.assemble_gram(default_kernel, xp, xq),
                      rr.reference_gram(default_kernel, xp)):
             assert np.array_equal(gram.k_matrix, gram.k_matrix.T)
+
+
+def test_f_bar_from_row_blocks_is_bitwise(default_kernel, rng):
+    """f_bar summed block by block equals the sums of the whole cross kernel."""
+    xp = rr.SampleSet(rng.normal(size=(700, 1)) * 3.0, "p")
+    xq = rr.SampleSet(rng.normal(size=(2000, 1)), "q")
+    assert len(list(_row_blocks(xp.n, xq.n))) >= 2
+    gram = rr.assemble_gram(default_kernel, xp, xq)
+    cross = rr.kernel_matrix(default_kernel, xp.points, xq.points)
+    assert np.array_equal(gram.f_bar, (xp.n / xq.n) * cross.sum(axis=1))
+
+
+def test_assemble_gram_memory_is_bounded(default_kernel, rng):
+    """At n = m = 3000 the call holds K plus one block, under 2 n^2 floats."""
+    n = 3000
+    xp = rr.SampleSet(rng.normal(size=(n, 1)) * 3.0, "p")
+    xq = rr.SampleSet(rng.normal(size=(n, 1)), "q")
+    tracemalloc.start()
+    try:
+        rr.assemble_gram(default_kernel, xp, xq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * n * 8
 
 
 def test_gram_diagonal_is_offset_plus_one(default_kernel, small_pair):
