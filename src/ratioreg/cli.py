@@ -2,9 +2,10 @@
 
 One binary with subcommands.  Every subcommand accepts --config pointing
 at a JSON file whose keys are the flag names (underscored); explicit
-flags override the file, the file overrides built-in defaults.  Errors
-leave a machine-readable JSON object on stderr and map to exit codes:
-1 for I/O problems, 2 for validation, 3 for numerical breakdown.
+flags override the file, the file overrides built-in defaults.  Errors,
+a malformed command line included, leave one machine-readable JSON line
+on stderr and map to exit codes: 1 for I/O problems, 2 for validation,
+3 for numerical breakdown.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import capacity as capacity_mod
 from . import estimator, experiment, kernel, regularization, selection
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, load_json
 
 
 def _fail(kind: str, message: str) -> None:
@@ -30,6 +31,9 @@ def _int_list(value) -> list[int]:
     if isinstance(value, str):
         value = [v for v in value.split(",") if v.strip()]
     try:
+        # a JSON array may hold 2.7 or true, which int() would take as 2 or 1
+        if any(isinstance(v, (bool, float)) for v in value):
+            raise TypeError("not an integer")
         return [int(v) for v in value]
     except (TypeError, ValueError) as exc:
         raise InputError(f"expected a comma-separated integer list, got {value!r}") from exc
@@ -39,29 +43,49 @@ def _float_list(value) -> list[float]:
     if isinstance(value, str):
         value = [v for v in value.split(",") if v.strip()]
     try:
+        if any(isinstance(v, bool) for v in value):
+            raise TypeError("not a number")
         return [float(v) for v in value]
     except (TypeError, ValueError) as exc:
         raise InputError(f"expected a comma-separated number list, got {value!r}") from exc
 
 
-def _merged_options(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults <- config file <- explicit flags (flags win).
+# Flags that take a comma-separated list, or a JSON array in a config file.
+_LIST_KEYS = ("mu_q_list", "k_list", "n_list")
 
-    A config value goes through the same type conversion as its flag, so
-    a value the flag would reject is an InputError here too.  A typed flag
-    also rejects a JSON boolean, and an integer flag a JSON float: int()
-    and float() would turn 4.7 into 4 and true into 1 where the flags
-    themselves reject "4.7" and "true".
+
+def _config_value(key: str, value, convert, default):
+    """A config-file value, checked and converted like its flag's argument.
+
+    A typed flag rejects a JSON boolean, and an integer flag a JSON float:
+    int() and float() would turn 4.7 into 4 and true into 1 where the flags
+    themselves reject "4.7" and "true".  An untyped flag takes a string
+    (a list flag also an array), as on the command line.
     """
+    if value is None and default is None:
+        return None
+    if convert is None:
+        if (isinstance(value, str) and "\0" not in value) or (
+                key in _LIST_KEYS and isinstance(value, list)):
+            return value
+        raise InputError(f"config key {key!r} must be a string without NUL "
+                         f"characters, got {value!r}")
+    if isinstance(value, bool) or (convert is int and isinstance(value, float)):
+        kind = "an integer" if convert is int else "a number"
+        raise InputError(f"config key {key!r} must be {kind}, got {value!r}")
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"config key {key!r} has an invalid value {value!r}: {exc}") from exc
+
+
+def _merged_options(args: argparse.Namespace, defaults: dict) -> dict:
+    """defaults <- config file <- explicit flags (flags win)."""
     merged = dict(defaults)
     passed = vars(args)
     config_path = passed.get("config")
     if config_path:
-        with open(config_path) as handle:
-            try:
-                loaded = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"config file {config_path} is not valid JSON: {exc}") from exc
+        loaded = load_json(config_path, "config file")
         if not isinstance(loaded, dict):
             raise InputError(f"config file {config_path} must hold a JSON object, "
                              f"got {type(loaded).__name__}")
@@ -69,18 +93,8 @@ def _merged_options(args: argparse.Namespace, defaults: dict) -> dict:
             key = key.replace("-", "_")
             if key not in defaults:
                 raise InputError(f"unknown config key {key!r} for this command")
-            convert = passed["flag_types"].get(key)
-            if convert is not None and (isinstance(value, bool)
-                                        or (convert is int and isinstance(value, float))):
-                kind = "an integer" if convert is int else "a number"
-                raise InputError(f"config key {key!r} must be {kind}, got {value!r}")
-            if convert is not None and not (value is None and defaults[key] is None):
-                try:
-                    value = convert(value)
-                except (TypeError, ValueError) as exc:
-                    raise InputError(f"config key {key!r} has an invalid value "
-                                     f"{value!r}: {exc}") from exc
-            merged[key] = value
+            merged[key] = _config_value(key, value, passed["flag_types"].get(key),
+                                        defaults[key])
     for key, value in passed.items():
         if key in defaults:
             merged[key] = value
@@ -328,8 +342,15 @@ def _add_kernel_flags(sub: argparse.ArgumentParser) -> None:
                           "gaussian_plus_one, 0 for gaussian)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as an InputError, like any other bad input."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ratioreg",
         description="Density-ratio estimation by spectral regularization in an RKHS.")
     commands = parser.add_subparsers(dest="command", required=True)
@@ -464,9 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except InputError as exc:
         _fail("validation", str(exc))

@@ -6,6 +6,9 @@ them to different exit codes: bad inputs versus numerical breakdown.
 
 from __future__ import annotations
 
+import json
+import numbers
+
 
 class InputError(ValueError):
     """Raised when arguments violate a documented precondition."""
@@ -41,3 +44,21 @@ def require_keys(data, keys, what: str) -> None:
     missing = [key for key in keys if key not in data]
     if missing:
         raise InputError(f"{what} is missing {', '.join(map(repr, missing))}")
+
+
+def is_number(value) -> bool:
+    """True for a real number that is not a bool (JSON true and false are not numbers)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def load_json(path, what: str):
+    """The JSON value in the file at ``path``.
+
+    A file that is not UTF-8 JSON is an InputError; one that cannot be
+    read stays an OSError.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputError(f"{what} {path} is not valid UTF-8 JSON: {exc}") from exc

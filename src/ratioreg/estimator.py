@@ -56,7 +56,8 @@ the ten-rung default ladder that is cheaper than ten Cholesky factors
 and their solves (measured from n = 100 to n = 1600 on one BLAS
 thread), so the ladder takes the spectral path.  The Cholesky recursion
 is kept for a single (lam, k) fit, where one factor is far cheaper than
-an eigendecomposition.
+an eigendecomposition.  It is the package's only use of scipy, which is
+imported there, so only ``fit`` and ``rates`` load it.
 
 Memory: a Cholesky fit holds K and one Fortran-order copy that is
 shifted and factored in place, 2 n^2 floats.  ``evaluate_batch`` works
@@ -72,12 +73,12 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-import scipy.linalg
 
-from .errors import InputError, NumericalError, require_keys
+from .errors import InputError, NumericalError, load_json, require_keys
 from .kernel import GramSystem, KernelSpec, SampleSet, _row_blocks, kernel_matrix
 from .regularization import (RegScheme, filter_quotient_value, filter_value,
-                             filter_zero_value, iterated_lavrentiev)
+                             filter_zero_value, iterated_filter_rows,
+                             iterated_lavrentiev)
 
 
 @dataclass(frozen=True)
@@ -144,8 +145,7 @@ def save_model(model: RatioModel, path) -> None:
 
 
 def load_model(path) -> RatioModel:
-    with open(path) as handle:
-        return RatioModel.from_dict(json.load(handle))
+    return RatioModel.from_dict(load_json(path, "model file"))
 
 
 def _check_fit_inputs(gram: GramSystem, xp: SampleSet, xq: SampleSet) -> None:
@@ -171,23 +171,29 @@ def _check_lam(lam: float) -> None:
         raise InputError(f"lam must be finite and positive, got {lam!r}")
 
 
-def _shifted_factorization(gram: GramSystem, lam: float):
-    """Cholesky factor of (n lam I + K), with a diagnosable failure path.
+def _shifted_solver(gram: GramSystem, lam: float):
+    """Solver for (n lam I + K) v = rhs from one Cholesky factor.
 
     The shift goes onto the diagonal of one Fortran-order copy of K, which
     LAPACK then factors in place: the only n x n allocation.  A failed
     factorization leaves that copy partly overwritten, so the reported
     smallest eigenvalue comes from K itself.
+
+    scipy is imported here, on the only path that uses it, so that every
+    other command starts without loading it.
     """
+    import scipy.linalg
+
     n_lam = gram.n * lam
     a_matrix = np.array(gram.k_matrix, order="F")
     a_matrix.flat[::gram.n + 1] += n_lam
     try:
-        return scipy.linalg.cho_factor(a_matrix, lower=True, overwrite_a=True)
+        factor = scipy.linalg.cho_factor(a_matrix, lower=True, overwrite_a=True)
     except scipy.linalg.LinAlgError as exc:
         smallest = float(np.linalg.eigvalsh(gram.k_matrix)[0]) + n_lam
         raise NumericalError("shifted kernel system is not positive definite",
                              lam=lam, smallest_eigenvalue=smallest) from exc
+    return lambda rhs: scipy.linalg.cho_solve(factor, rhs)
 
 
 def fit_iterated_lavrentiev_path(gram: GramSystem, xp: SampleSet, xq: SampleSet,
@@ -203,14 +209,16 @@ def fit_iterated_lavrentiev_path(gram: GramSystem, xp: SampleSet, xq: SampleSet,
     _check_fit_inputs(gram, xp, xq)
     targets = _checked_counts(iteration_counts)
     _check_lam(lam)
-
-    factor = _shifted_factorization(gram, lam)
     n_lam = gram.n * lam
+    if not math.isfinite(n_lam):
+        raise InputError(f"the shift n * lam overflows: n={gram.n}, lam={lam!r}")
+
+    solve = _shifted_solver(gram, lam)
     values = np.zeros(gram.n)
     alpha_accum = np.zeros(gram.n)
     models: dict[int, RatioModel] = {}
     for step in range(1, targets[-1] + 1):
-        values = scipy.linalg.cho_solve(factor, n_lam * values + gram.f_bar)
+        values = solve(n_lam * values + gram.f_bar)
         alpha_accum = alpha_accum + values
         if step in targets:
             if not np.isfinite(values).all():
@@ -326,8 +334,7 @@ def fit_iterated_lavrentiev_ladder(gram: GramSystem, xp: SampleSet, xq: SampleSe
                              lam=min(lams), smallest_eigenvalue=smallest)
     spectrum = np.clip(t, 0.0, None)
     rotated = basis.T @ gram.f_bar
-    filters = np.array([filter_value(iterated_lavrentiev(lam, k), spectrum)
-                        for k in targets for lam in lams])
+    filters = iterated_filter_rows(lams, targets, spectrum)
     table = (filters * (rotated / gram.n)) @ basis.T
     if not np.isfinite(table).all():
         raise NumericalError("non-finite fitted values on the ladder", lam=min(lams))

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NumericalError, require_keys
+from .errors import InputError, NumericalError, load_json, require_keys
 from .estimator import (RatioModel, evaluate_batch, fit_iterated_lavrentiev_ladder,
                         fit_iterated_lavrentiev_path)
 from .kernel import KernelSpec, SampleSet, assemble_gram
@@ -322,8 +322,7 @@ def save_report_json(report: ExperimentReport, path) -> None:
 
 
 def load_report_json(path) -> dict:
-    with open(path) as handle:
-        return json.load(handle)
+    return load_json(path, "report file")
 
 
 def save_report_csv(report: ExperimentReport, path) -> None:

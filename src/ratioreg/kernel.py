@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, NumericalError, require_keys
+from .errors import InputError, NumericalError, is_number, load_json, require_keys
 
 KNOWN_FAMILIES = ("gaussian_plus_one", "gaussian", "custom_ref")
 
@@ -55,10 +55,10 @@ class KernelSpec:
         hypothesis space), ``"gaussian"`` (plain Gaussian, offset pinned
         to zero), or ``"custom_ref"`` (arbitrary callable ``ref(x, y)``).
     bandwidth : float
-        Length scale of the Gaussian part; must be positive.
+        Length scale of the Gaussian part; must be finite and positive.
     offset : float, optional
         Additive constant.  Defaults to 1 for ``gaussian_plus_one`` and
-        to 0 for ``gaussian``; must be non-negative.
+        to 0 for ``gaussian``; must be finite and non-negative.
     ref : callable, optional
         The kernel function itself, required iff family is
         ``"custom_ref"``.  Must accept two 1-d coordinate arrays.
@@ -74,13 +74,17 @@ class KernelSpec:
         if self.family not in KNOWN_FAMILIES:
             raise InputError(
                 f"unknown kernel family {self.family!r}; expected one of {KNOWN_FAMILIES}")
-        if not (self.bandwidth > 0.0):
-            raise InputError(f"bandwidth must be positive, got {self.bandwidth!r}")
+        # the kernel divides by 2 h^2, which must neither overflow nor vanish
+        if not (is_number(self.bandwidth)
+                and 0.0 < 2.0 * self.bandwidth * self.bandwidth < math.inf):
+            raise InputError(f"bandwidth must be finite and positive, with 2 * bandwidth**2 "
+                             f"finite and non-zero, got {self.bandwidth!r}")
         if self.offset is None:
             resolved = 1.0 if self.family == "gaussian_plus_one" else 0.0
             object.__setattr__(self, "offset", resolved)
-        if self.offset < 0.0:
-            raise InputError(f"offset must be non-negative, got {self.offset!r}")
+        if not (is_number(self.offset) and math.isfinite(self.offset) and self.offset >= 0.0):
+            raise InputError(
+                f"offset must be finite and non-negative, got {self.offset!r}")
         if self.family == "gaussian" and self.offset != 0.0:
             raise InputError("family 'gaussian' has offset fixed at 0")
         if self.family == "custom_ref" and self.ref is None:
@@ -315,15 +319,15 @@ def save_samples_csv(sample: SampleSet, path) -> None:
 
 
 def load_samples_csv(path, measure_tag: str, seed: int | None = None) -> SampleSet:
-    rows = []
-    with open(path, newline="") as handle:
-        for record in csv.reader(handle):
-            if not record:
-                continue
-            try:
-                rows.append([float(v) for v in record])
-            except ValueError as exc:
-                raise InputError(f"non-numeric value in {path}: {exc}") from exc
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            records = [record for record in csv.reader(handle) if record]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"{path} is not a UTF-8 CSV file: {exc}") from exc
+    try:
+        rows = [[float(v) for v in record] for record in records]
+    except ValueError as exc:
+        raise InputError(f"non-numeric value in {path}: {exc}") from exc
     if not rows:
         raise InputError(f"no points found in {path}")
     widths = {len(r) for r in rows}
@@ -339,5 +343,4 @@ def save_samples_json(sample: SampleSet, path) -> None:
 
 
 def load_samples_json(path) -> SampleSet:
-    with open(path) as handle:
-        return SampleSet.from_dict(json.load(handle))
+    return SampleSet.from_dict(load_json(path, "sample file"))

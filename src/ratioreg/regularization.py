@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, require_keys
+from .errors import InputError, is_number, require_keys
 
 SCHEME_KINDS = ("lavrentiev", "iterated_lavrentiev", "spectral_cutoff")
 
@@ -59,9 +59,10 @@ class RegScheme:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise InputError(f"unknown scheme kind {self.kind!r}; expected one of {SCHEME_KINDS}")
-        if not (self.lam > 0.0) or not math.isfinite(self.lam):
+        if not (is_number(self.lam) and math.isfinite(self.lam) and self.lam > 0.0):
             raise InputError(f"lam must be a positive finite real, got {self.lam!r}")
-        if int(self.iterations) != self.iterations or self.iterations < 1:
+        if not (is_number(self.iterations) and math.isfinite(self.iterations)
+                and int(self.iterations) == self.iterations and self.iterations >= 1):
             raise InputError(f"iterations must be a positive integer, got {self.iterations!r}")
         object.__setattr__(self, "iterations", int(self.iterations))
         if self.kind == "lavrentiev" and self.iterations != 1:
@@ -144,15 +145,38 @@ def filter_value(scheme: RegScheme, t):
         keep = arr >= lam
         out[keep] = 1.0 / arr[keep]
         return float(out[0]) if scalar else out
+    out = iterated_filter_rows([lam], [scheme.iterations], arr)[0]
+    return float(out[0]) if scalar else out
+
+
+def iterated_filter_rows(lams, counts, t) -> np.ndarray:
+    """g_{lam,k}(t) of the iterated scheme at every pair of strength and count.
+
+    ``counts`` must be strictly ascending positive integers and ``lams``
+    positive.  Row ``i * len(lams) + j`` of the
+    (len(counts) * len(lams), len(t)) result holds g at ``counts[i]`` and
+    ``lams[j]``.  The geometric sum of ``filter_value`` runs once for all
+    strengths, up to max(counts), and each row is taken as it passes its
+    count, so every row has the bits of the single-scheme filter.
+    """
+    arr, _ = _as_spectrum(t)
+    counts = list(counts)
+    if not counts or counts != sorted(set(counts)) or counts[0] < 1:
+        raise InputError(f"counts must be strictly ascending positive integers, got {counts!r}")
+    lam = np.asarray(lams, dtype=float)[:, None]
     shifted = lam + arr
     ratio = lam / shifted
-    total = np.zeros(arr.shape)
-    power = np.ones(arr.shape)
-    for _ in range(scheme.iterations):
-        total = total + power
-        power = power * ratio
-    out = total / shifted
-    return float(out[0]) if scalar else out
+    total = np.zeros(shifted.shape)
+    power = np.ones(shifted.shape)
+    rows = []
+    step = 0
+    for count in counts:
+        while step < count:
+            total = total + power
+            power = power * ratio
+            step += 1
+        rows.append(total / shifted)
+    return np.concatenate(rows)
 
 
 def residual_value(scheme: RegScheme, t):
@@ -297,10 +321,14 @@ def check_scheme_constants(scheme: RegScheme, t_max: float, grid_size: int = 200
         checks.append(InequalityCheck(name="qualification", margin=math.inf,
                                       worst_t=float(grid[0]), satisfied=True))
     else:
-        gaps = lam**s - grid**s * np.abs(r)
+        try:
+            bound = lam**s
+        except OverflowError as exc:
+            raise InputError(f"lam**s overflows: lam={lam!r}, s={s!r}") from exc
+        gaps = bound - grid**s * np.abs(r)
         worst = int(np.argmin(gaps))
         checks.append(InequalityCheck(
             name="qualification", margin=float(gaps[worst]), worst_t=float(grid[worst]),
-            satisfied=float(gaps[worst]) >= -1e-12 * max(1.0, lam**s)))
+            satisfied=float(gaps[worst]) >= -1e-12 * max(1.0, bound)))
     return SchemeCheckReport(scheme=scheme, t_max=float(t_max), grid_size=int(grid_size),
                              qualification=s, checks=tuple(checks))

@@ -402,6 +402,95 @@ def test_evaluate_rejects_model_without_scheme(tmp_path, fitted_model, capsys):
     assert "'scheme'" in payload["message"]
 
 
+@pytest.mark.parametrize("flag, value", [("--offset", "inf"), ("--offset", "nan"),
+                                         ("--bandwidth", "inf"), ("--bandwidth", "nan")])
+def test_kernel_flags_must_be_finite(tmp_path, sample_files, capsys, flag, value):
+    _, _, xp_path, xq_path = sample_files
+    runs = (["fit", "--xp", xp_path, "--xq", xq_path, "--lam", "0.3",
+             "--out", str(tmp_path / "m.json")],
+            ["capacity", "--xp", xp_path, "--out", str(tmp_path / "p.csv")])
+    for argv in runs:
+        assert main([*argv, flag, value]) == 2
+        payload = read_single_error_line(capsys)
+        assert payload["error"] == "validation" and flag[2:] in payload["message"]
+
+
+NOT_UTF8 = b"\xff\xfe0.5\n"
+
+
+@pytest.mark.parametrize("content", [b"{not json", NOT_UTF8])
+def test_undecodable_model_file_rejected(tmp_path, sample_files, capsys, content):
+    _, _, xp_path, _ = sample_files
+    model = tmp_path / "model.json"
+    model.write_bytes(content)
+    code = main(["evaluate", "--model", str(model), "--points", xp_path,
+                 "--out", str(tmp_path / "values.csv")])
+    assert code == 2
+    payload = read_single_error_line(capsys)
+    assert payload["error"] == "validation" and "model file" in payload["message"]
+
+
+def test_undecodable_config_file_rejected(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(NOT_UTF8)
+    assert main(["check-schemes", "--config", str(config)]) == 2
+    payload = read_single_error_line(capsys)
+    assert payload["error"] == "validation" and "config file" in payload["message"]
+
+
+def test_undecodable_sample_csv_rejected(tmp_path, fitted_model, sample_files, capsys):
+    _, _, _, xq_path = sample_files
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(NOT_UTF8)
+    runs = (["evaluate", "--model", fitted_model, "--points", str(binary),
+             "--out", str(tmp_path / "values.csv")],
+            ["fit", "--xp", str(binary), "--xq", xq_path, "--lam", "0.3",
+             "--out", str(tmp_path / "m.json")],
+            ["capacity", "--xp", str(binary), "--out", str(tmp_path / "p.csv")])
+    for argv in runs:
+        assert main(argv) == 2
+        payload = read_single_error_line(capsys)
+        assert payload["error"] == "validation" and "UTF-8" in payload["message"]
+
+
+@pytest.mark.parametrize("key, value", [("xp", 3), ("out", ["a.json"]), ("xq", "a\u0000b"),
+                                        ("kernel_family", None)])
+def test_config_text_flag_needs_a_string(tmp_path, capsys, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"lam": 0.3, key: value}))
+    assert main(["fit", "--config", str(config)]) == 2
+    payload = read_single_error_line(capsys)
+    assert payload["error"] == "validation" and f"'{key}'" in payload["message"]
+
+
+def test_config_list_flag_takes_an_array(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 20, "m": 20, "replications": 1,
+                                  "k_list": [1, 5], "mu_q_list": [3]}))
+    assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["config"]["k_list"] == [1, 5]
+
+
+@pytest.mark.parametrize("key, value", [("k_list", [2.7]), ("k_list", [True]),
+                                        ("mu_q_list", [False])])
+def test_config_array_rejects_truncation_and_bool(tmp_path, capsys, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 20, "m": 20, "replications": 1, key: value}))
+    assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
+    assert read_single_error_line(capsys)["error"] == "validation"
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [[], ["nope"], ["simulate", "--n", "abc"],
+                                  ["fit", "--bogus"], ["check-schemes", "--lam"]])
+def test_malformed_command_line_is_one_json_line(capsys, argv):
+    assert main(argv) == 2
+    payload = read_single_error_line(capsys)
+    assert payload["error"] == "validation" and payload["message"].startswith("ratioreg")
+
+
 def test_help_lists_defaults(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["simulate", "--help"])
@@ -409,16 +498,63 @@ def test_help_lists_defaults(capsys):
     assert "(default:" in capsys.readouterr().out
 
 
-def test_cli_import_loads_no_spatial_or_sparse(subprocess_env):
-    """Importing the CLI pulls in neither scipy.spatial nor scipy.sparse.
+# Runs command lines through ``python -m ratioreg`` (``runpy``) in one fresh
+# interpreter, then prints their exit codes and every loaded scipy module.
+FRESH_RUNS = """
+import json, runpy, sys
+import ratioreg.cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["ratioreg", *argv]
+    try:
+        runpy.run_module("ratioreg", run_name="__main__")
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(json.dumps({"codes": codes, "scipy": sorted(
+    m for m in sys.modules if m.partition(".")[0] == "scipy")}))
+"""
 
-    Either costs a measurable share of every process start.
-    """
-    probe = ("import sys, ratioreg.cli; print(sorted(m for m in sys.modules "
-             "if m.startswith(('scipy.spatial', 'scipy.sparse'))))")
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                            text=True, env=subprocess_env, check=True)
-    assert result.stdout.strip() == "[]"
+
+def run_fresh(command_lines, env):
+    result = subprocess.run([sys.executable, "-c", FRESH_RUNS, json.dumps(command_lines)],
+                            capture_output=True, text=True, env=env, check=True)
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_loads_no_scipy(subprocess_env):
+    """Importing the CLI loads no scipy module: only the Cholesky fit needs one."""
+    assert run_fresh([], subprocess_env) == {"codes": [], "scipy": []}
+
+
+def test_commands_without_cholesky_fit_load_no_scipy(tmp_path, sample_files, small_pair,
+                                                     default_kernel, subprocess_env):
+    """--help, capacity, evaluate, simulate and check-schemes never import scipy."""
+    _, _, xp_path, _ = sample_files
+    xp, xq, gram = small_pair
+    model_path = str(tmp_path / "model.json")
+    rr.save_model(rr.fit_spectral(gram, xp, xq, default_kernel,
+                                  rr.iterated_lavrentiev(0.2, 3)), model_path)
+    runs = [["--help"],
+            ["capacity", "--xp", xp_path, "--num-lambdas", "4",
+             "--out", str(tmp_path / "profile.csv")],
+            ["evaluate", "--model", model_path, "--points", xp_path,
+             "--out", str(tmp_path / "values.csv")],
+            ["simulate", "--n", "20", "--m", "20", "--replications", "1",
+             "--out-dir", str(tmp_path / "study")],
+            ["check-schemes"]]
+    assert run_fresh(runs, subprocess_env) == {"codes": [0] * len(runs), "scipy": []}
+
+
+def test_fit_imports_scipy_on_first_use(tmp_path, sample_files, subprocess_env):
+    """A fresh ``fit`` process loads scipy itself and writes the in-process model."""
+    xp, xq, xp_path, xq_path = sample_files
+    out = str(tmp_path / "model.json")
+    got = run_fresh([["fit", "--xp", xp_path, "--xq", xq_path, "--lam", "0.3",
+                      "--iterations", "2", "--out", out]], subprocess_env)
+    assert got["codes"] == [0] and "scipy.linalg" in got["scipy"]
+    spec = rr.KernelSpec()
+    direct = rr.fit_iterated_lavrentiev(rr.assemble_gram(spec, xp, xq), xp, xq, spec, 0.3, 2)
+    assert np.array_equal(rr.load_model(out).alpha, direct.alpha)
 
 
 def test_module_entry_point(tmp_path, subprocess_env):

@@ -98,6 +98,12 @@ def test_kernel_spec_validation():
         rr.KernelSpec(family="gaussian", offset=1.0)
     with pytest.raises(rr.InputError):
         rr.KernelSpec(family="custom_ref")
+    for bad in (math.inf, math.nan, "1.0", True, None):
+        with pytest.raises(rr.InputError, match="bandwidth"):
+            rr.KernelSpec(bandwidth=bad)
+    for bad in (math.inf, math.nan, "1.0", True):
+        with pytest.raises(rr.InputError, match="offset"):
+            rr.KernelSpec(offset=bad)
 
 
 def test_custom_ref_not_serializable():

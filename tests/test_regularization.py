@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import ratioreg as rr
 from ratioreg.regularization import (filter_quotient_value, filter_zero_value,
-                                     iterated_lavrentiev, spectral_cutoff)
+                                     iterated_filter_rows, iterated_lavrentiev,
+                                     spectral_cutoff)
 
 ALL_K = (1, 2, 3, 5, 10)
 LAMBDAS = (0.9, 0.5, 0.2, 0.1, 0.05)
@@ -26,6 +27,13 @@ def test_scheme_validation():
         rr.RegScheme(kind="iterated_lavrentiev", lam=0.1, iterations=0)
     with pytest.raises(rr.InputError):
         rr.RegScheme(kind="lavrentiev", lam=0.1, iterations=3)
+    # values a model file can hold: each must be an InputError, not a TypeError
+    for bad_lam in ("0.1", None, [0.1], True):
+        with pytest.raises(rr.InputError, match="lam"):
+            rr.RegScheme(kind="iterated_lavrentiev", lam=bad_lam)
+    for bad_k in (math.nan, math.inf, 2.5, "2", None, True):
+        with pytest.raises(rr.InputError, match="iterations"):
+            rr.RegScheme(kind="iterated_lavrentiev", lam=0.1, iterations=bad_k)
 
 
 def test_scheme_constants():
@@ -51,6 +59,31 @@ def test_scheme_round_trip():
 def test_filter_value_single_step_examples():
     assert rr.filter_value(iterated_lavrentiev(0.5, 1), 0.5) == 1.0
     assert rr.filter_value(iterated_lavrentiev(1.0, 2), 1.0) == 0.75
+
+
+def test_iterated_filter_rows_are_the_single_filters_bitwise():
+    """One pass over k gives every (k, lam) row with the bits of its own filter.
+
+    The reference is the geometric sum of one scheme, written out here, and
+    ``filter_value`` itself; counts skip values, as in the study's 1, 2, 3, 5, 10.
+    """
+    t = np.concatenate([[0.0, 1e-18], np.geomspace(1e-12, 2.0, 200)])
+    lams = rr.LambdaGrid().with_anchor()
+    rows = iterated_filter_rows(lams, ALL_K, t)
+    assert rows.shape == (len(ALL_K) * len(lams), t.size)
+    for i, k in enumerate(ALL_K):
+        for j, lam in enumerate(lams):
+            shifted = lam + t
+            total, power = np.zeros(t.size), np.ones(t.size)
+            for _ in range(k):
+                total = total + power
+                power = power * (lam / shifted)
+            row = rows[i * len(lams) + j]
+            assert np.array_equal(row, total / shifted)
+            assert np.array_equal(row, rr.filter_value(iterated_lavrentiev(lam, k), t))
+    for counts in ([], [2, 1], [1, 1], [0, 1]):
+        with pytest.raises(rr.InputError, match="counts"):
+            iterated_filter_rows(lams, counts, t)
 
 
 def test_filter_value_at_zero_is_analytic_limit():
