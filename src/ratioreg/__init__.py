@@ -21,9 +21,9 @@ from .estimator import (IteratedLadder, RatioModel, evaluate, evaluate_batch,
 from .experiment import (CellResult, ExperimentReport, RateRecord, SimConfig,
                          fit_log_slope, msd, run_rate_study, run_study,
                          sample_normal, true_beta)
-from .kernel import (GramSystem, KernelSpec, SampleSet, assemble_gram, eval_kernel,
-                     kernel_matrix, load_samples_csv, load_samples_json,
-                     reference_gram, save_samples_csv, save_samples_json)
+from .kernel import (GramSystem, KernelSpec, SampleSet, assemble_gram, kernel_matrix,
+                     load_samples_csv, load_samples_json, save_samples_csv,
+                     save_samples_json)
 from .regularization import (RegScheme, SchemeCheckReport, check_scheme_constants,
                              filter_value, iterated_lavrentiev, lavrentiev,
                              residual_value, spectral_cutoff)
@@ -38,12 +38,12 @@ __all__ = [
     "RateRecord", "RatioModel", "RegScheme", "SampleSet", "SchemeCheckReport",
     "SelectionTrace", "SimConfig", "assemble_gram", "capacity_profile",
     "check_scheme_constants", "christoffel", "default_probe_grid",
-    "effective_dimension", "eval_kernel", "evaluate", "evaluate_batch",
+    "effective_dimension", "evaluate", "evaluate_batch",
     "find_lambda_star", "fit_iterated_lavrentiev", "fit_iterated_lavrentiev_ladder",
     "fit_iterated_lavrentiev_path", "fit_log_slope", "fit_spectral",
     "iterated_lavrentiev", "kernel_matrix", "lambda_mn", "lavrentiev", "load_model",
     "load_samples_csv", "load_samples_json", "msd", "n_inf_estimate",
-    "quasi_optimality", "reference_gram", "residual_value", "rms_norm",
+    "quasi_optimality", "residual_value", "rms_norm",
     "run_rate_study", "run_study", "sample_normal", "save_model", "save_samples_csv",
     "save_samples_json", "spectral_cutoff", "true_beta", "filter_value",
 ]

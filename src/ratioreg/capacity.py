@@ -18,12 +18,15 @@ N(lam) / lam = n, the largest regularization strength at which the
 variance budget matches the sample size; N(lam)/lam is strictly
 decreasing, so the solution is unique whenever the bracket straddles n.
 
-All of it comes from one eigendecomposition K/n = U diag(t) U^T, where
+All of it comes from one eigensystem of K/n, r eigenpairs (t, U) with
+the complement of span(U) as eigenvalue 0 (``GramSystem.eigensystem``):
 
-    C_lam(x) = ( k(x, x) - (1/n) * sum_i (U^T k_x)_i^2 / (lam + t_i) ) / lam.
+    C_lam(x) = ( k(x, x) - (1/n) * sum_i (U^T k_x)_i^2 / (lam + t_i)
+                         - |k_x - U U^T k_x|^2 / (n lam) ) / lam,
 
-A profile over L strengths and p probes costs one decomposition, one
-n x p product W = (U^T k_x)^2 and an (L x n) @ W filter sum.
+whose last term vanishes when r = n.  A profile over L strengths and p
+probes costs one eigensystem, products over blocks of probes and an
+(L x r) @ (r x p) filter sum, in O(n r) floats plus one block.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .kernel import GramSystem, KernelSpec, SampleSet, eval_kernel, kernel_matrix
+from .kernel import (GramSystem, KernelSpec, SampleSet, _outside_span, _row_blocks,
+                     kernel_matrix)
 
 
 def _strengths(lambdas, single: bool = False) -> np.ndarray:
@@ -70,11 +74,16 @@ def _leverages(gram: GramSystem, spec: KernelSpec, xp: SampleSet,
     if not (smallest > 0.0):
         raise NumericalError("regularized kernel system is not positive definite",
                              lam=float(lams.min()), smallest_eigenvalue=smallest)
-    diag = np.array([eval_kernel(spec, x, x) for x in probes])
-    weights = u.T @ kernel_matrix(spec, xp.points, probes)
-    np.square(weights, out=weights)
-    quad = (1.0 / (lams[:, None] + t)) @ weights / gram.n
-    return t, (diag - quad) / lams[:, None]
+    inverse = 1.0 / (lams[:, None] + t)
+    quad = np.empty((lams.size, probes.shape[0]))
+    for cols in _row_blocks(probes.shape[0], gram.n):
+        cross = kernel_matrix(spec, xp.points, probes[cols])
+        weights = u.T @ cross
+        outside = _outside_span(u, cross, weights)
+        np.square(weights, out=weights)
+        quad[:, cols] = inverse @ weights + np.outer(
+            1.0 / lams, np.einsum("ip,ip->p", outside, outside))
+    return t, (spec.diagonal_value() - quad / gram.n) / lams[:, None]
 
 
 def christoffel(gram: GramSystem, spec: KernelSpec, xp: SampleSet,
@@ -113,7 +122,7 @@ def _balance_point(gram: GramSystem, spectrum: np.ndarray, bracket,
                    rel_tol: float = 1e-9, max_iter: int = 200) -> float:
     """Bisection in log(lam) for N(lam)/lam = n over a given spectrum."""
     if bracket is None:
-        bracket = (1e-8, float(gram.k_matrix.diagonal().max()))
+        bracket = (1e-8, gram.max_diagonal())
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0.0 < lo < hi < math.inf):
         raise InputError(f"bracket must satisfy 0 < lo < hi < inf, got {bracket!r}")

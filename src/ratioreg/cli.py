@@ -79,10 +79,15 @@ def _config_value(key: str, value, convert, default):
         raise InputError(f"config key {key!r} has an invalid value {value!r}: {exc}") from exc
 
 
-def _merged_options(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults <- config file <- explicit flags (flags win)."""
+def _merged_options(args: argparse.Namespace) -> dict:
+    """The command's defaults <- config file <- explicit flags (flags win)."""
+    flags = _COMMANDS[args.command][2]
+    defaults = {dest: default for dest, (_, default, _) in flags.items()}
     merged = dict(defaults)
     passed = vars(args)
+    for key, value in passed.items():
+        if isinstance(value, str) and "\0" in value:
+            raise InputError(f"--{key.replace('_', '-')} must not contain NUL characters")
     config_path = passed.get("config")
     if config_path:
         loaded = load_json(config_path, "config file")
@@ -93,8 +98,7 @@ def _merged_options(args: argparse.Namespace, defaults: dict) -> dict:
             key = key.replace("-", "_")
             if key not in defaults:
                 raise InputError(f"unknown config key {key!r} for this command")
-            merged[key] = _config_value(key, value, passed["flag_types"].get(key),
-                                        defaults[key])
+            merged[key] = _config_value(key, value, flags[key][0], defaults[key])
     for key, value in passed.items():
         if key in defaults:
             merged[key] = value
@@ -123,25 +127,11 @@ def _kernel_from_options(options: dict) -> kernel.KernelSpec:
         offset=None if offset is None else float(offset))
 
 
-def _grid_from_options(options: dict) -> selection.LambdaGrid:
-    return selection.LambdaGrid(
-        lambda_0=float(options["lambda_0"]),
-        rho=float(options["rho"]),
-        size=int(options["grid_size"]))
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers.  Each returns the process exit code.
 
-_FIT_DEFAULTS = {
-    "xp": None, "xq": None, "kernel_family": "gaussian_plus_one",
-    "bandwidth": 1.0, "offset": None, "lam": None, "iterations": 1,
-    "out": None,
-}
-
-
 def cmd_fit(args: argparse.Namespace) -> int:
-    options = _merged_options(args, _FIT_DEFAULTS)
+    options = _merged_options(args)
     xp_path = _require(options, "xp")
     xq_path = _require(options, "xq")
     out_path = _require(options, "out")
@@ -158,13 +148,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-_EVALUATE_DEFAULTS = {
-    "model": None, "points": None, "out": None, "format": "csv",
-}
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    options = _merged_options(args, _EVALUATE_DEFAULTS)
+    options = _merged_options(args)
     model_path = _require(options, "model")
     points_path = _require(options, "points")
     out_path = _require(options, "out")
@@ -189,15 +174,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-_SIMULATE_DEFAULTS = {
-    "n": 100, "m": 100, "mu_p": 2.0, "var_p": 5.0, "mu_q_list": "2,3,4",
-    "var_q": 0.5, "k_list": "1,2,3,5,10", "replications": 20,
-    "lambda_0": 0.9, "rho": (1.0 / 9.0) ** (1.0 / 9.0), "grid_size": 9,
-    "seed": 0, "threads": None, "out_dir": ".",
-    "kernel_family": "gaussian_plus_one", "bandwidth": 1.0, "offset": None,
-}
-
-
 def _median_table(report: experiment.ExperimentReport) -> str:
     config = report.config
     k_list = list(config.k_list)
@@ -219,7 +195,7 @@ def _median_table(report: experiment.ExperimentReport) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    options = _merged_options(args, _SIMULATE_DEFAULTS)
+    options = _merged_options(args)
     config = experiment.SimConfig(
         n=int(options["n"]), m=int(options["m"]),
         mu_p=float(options["mu_p"]), var_p=_positive(options, "var_p"),
@@ -227,7 +203,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         var_q=_positive(options, "var_q"),
         k_list=tuple(_int_list(options["k_list"])),
         replications=int(options["replications"]),
-        grid=_grid_from_options(options), seed=int(options["seed"]),
+        grid=selection.LambdaGrid(lambda_0=float(options["lambda_0"]),
+                                  rho=float(options["rho"]), size=int(options["grid_size"])),
+        seed=int(options["seed"]),
         kernel=_kernel_from_options(options))
     threads = options["threads"]
     report = experiment.run_study(config, threads=None if threads is None else int(threads))
@@ -243,15 +221,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-_RATES_DEFAULTS = {
-    "n_list": "50,100,200,400", "eta": 1.0, "varsigma": 0.5, "iterations": 10,
-    "replications": 5, "seed": 0, "mu_q": 2.0, "probe_x": None, "out": None,
-    "kernel_family": "gaussian_plus_one", "bandwidth": 1.0, "offset": None,
-}
-
-
 def cmd_rates(args: argparse.Namespace) -> int:
-    options = _merged_options(args, _RATES_DEFAULTS)
+    options = _merged_options(args)
     record = experiment.run_rate_study(
         n_list=_int_list(options["n_list"]), eta=float(options["eta"]),
         varsigma=float(options["varsigma"]), iterations=int(options["iterations"]),
@@ -269,15 +240,8 @@ def cmd_rates(args: argparse.Namespace) -> int:
     return 0
 
 
-_CAPACITY_DEFAULTS = {
-    "xp": None, "kernel_family": "gaussian_plus_one", "bandwidth": 1.0,
-    "offset": None, "lambda_min": 0.01, "lambda_max": 1.0, "num_lambdas": 20,
-    "out": None,
-}
-
-
 def cmd_capacity(args: argparse.Namespace) -> int:
-    options = _merged_options(args, _CAPACITY_DEFAULTS)
+    options = _merged_options(args)
     xp_path = _require(options, "xp")
     out_path = _require(options, "out")
     lo = _positive(options, "lambda_min")
@@ -289,7 +253,7 @@ def cmd_capacity(args: argparse.Namespace) -> int:
         raise InputError(f"--num-lambdas must be at least 1, got {count}")
     spec = _kernel_from_options(options)
     xp = kernel.load_samples_csv(xp_path, measure_tag="p")
-    gram = kernel.reference_gram(spec, xp)
+    gram = kernel.assemble_gram(spec, xp)
     lams = np.geomspace(lo, hi, count)
     profile = capacity_mod.capacity_profile(gram, spec, xp, lams)
     capacity_mod.save_profile_csv(profile, out_path)
@@ -301,14 +265,8 @@ def cmd_capacity(args: argparse.Namespace) -> int:
     return 0
 
 
-_CHECK_DEFAULTS = {
-    "kind": "iterated_lavrentiev", "lam": 0.2, "iterations": 3, "t_max": 2.0,
-    "grid_size": 2000, "qualification": None, "out": None,
-}
-
-
 def cmd_check_schemes(args: argparse.Namespace) -> int:
-    options = _merged_options(args, _CHECK_DEFAULTS)
+    options = _merged_options(args)
     scheme = regularization.RegScheme(
         kind=options["kind"], lam=_positive(options, "lam"),
         iterations=int(options["iterations"]) if options["kind"] != "spectral_cutoff" else 1)
@@ -331,17 +289,6 @@ def cmd_check_schemes(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # Parser assembly.
 
-def _add_kernel_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--kernel-family", dest="kernel_family", default=argparse.SUPPRESS,
-                     help="kernel family: gaussian_plus_one or gaussian "
-                          "(default: gaussian_plus_one)")
-    sub.add_argument("--bandwidth", type=float, default=argparse.SUPPRESS,
-                     help="kernel length scale (default: 1.0)")
-    sub.add_argument("--offset", type=float, default=argparse.SUPPRESS,
-                     help="kernel additive constant (default: 1.0 for "
-                          "gaussian_plus_one, 0 for gaussian)")
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line as an InputError, like any other bad input."""
 
@@ -349,138 +296,98 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+# Per subcommand: handler, summary and a table dest -> (type, default, help)
+# of its flags --<dest with "-" for "_">.  The help gains "(default: ...)"
+# for a default other than None unless it names one itself.
+_KERNEL_FLAGS = {
+    "kernel_family": (None, "gaussian_plus_one", "kernel family: gaussian_plus_one or gaussian"),
+    "bandwidth": (float, 1.0, "kernel length scale"),
+    "offset": (float, None, "kernel additive constant (default: 1.0 for "
+                            "gaussian_plus_one, 0 for gaussian)"),
+}
+
+_COMMANDS = {
+    "fit": (cmd_fit, "fit a ratio model from two CSV samples", {
+        "xp": (None, None, "CSV of reference points (denominator sample)"),
+        "xq": (None, None, "CSV of target points (numerator sample)"),
+        **_KERNEL_FLAGS,
+        "lam": (float, None, "regularization strength, positive (required)"),
+        "iterations": (int, 1, "iteration count of the shifted-inversion scheme"),
+        "out": (None, None, "output model JSON path"),
+    }),
+    "evaluate": (cmd_evaluate, "evaluate a saved model at points", {
+        "model": (None, None, "model JSON path"),
+        "points": (None, None, "CSV of points to evaluate"),
+        "out": (None, None, "output path"),
+        "format": (None, "csv", "output format: csv or json"),
+    }),
+    "simulate": (cmd_simulate, "run the two-Gaussian replication study", {
+        "n": (int, 100, "reference sample size"),
+        "m": (int, 100, "target sample size"),
+        "mu_p": (float, 2.0, "reference mean"),
+        "var_p": (float, 5.0, "reference variance"),
+        "mu_q_list": (None, "2,3,4", "comma-separated target means"),
+        "var_q": (float, 0.5, "target variance"),
+        "k_list": (None, "1,2,3,5,10", "comma-separated iteration counts"),
+        "replications": (int, 20, "replications per cell"),
+        "lambda_0": (float, 0.9, "top of the strength ladder"),
+        "rho": (float, (1.0 / 9.0) ** (1.0 / 9.0),
+                "ladder ratio in (0,1) (default: (1/9)**(1/9))"),
+        "grid_size": (int, 9, "ladder length below the anchor"),
+        "seed": (int, 0, "master seed"),
+        "threads": (int, None, "worker threads (default: all available cores)"),
+        "out_dir": (None, ".", "output directory (default: current directory)"),
+        **_KERNEL_FLAGS,
+    }),
+    "rates": (cmd_rates, "empirical convergence-rate sweep", {
+        "n_list": (None, "50,100,200,400", "increasing sample sizes"),
+        "eta": (float, 1.0, "source-condition order"),
+        "varsigma": (float, 0.5, "embedding index in [0, 0.5]"),
+        "iterations": (int, 10, "iteration count"),
+        "replications": (int, 5, "replications per n"),
+        "seed": (int, 0, "master seed"),
+        "mu_q": (float, 2.0, "target mean"),
+        "probe_x": (float, None, "pointwise-error probe (default: mu_q)"),
+        "out": (None, None, "output record JSON path"),
+        **_KERNEL_FLAGS,
+    }),
+    "capacity": (cmd_capacity, "capacity diagnostics sweep", {
+        "xp": (None, None, "CSV of reference points"),
+        **_KERNEL_FLAGS,
+        "lambda_min": (float, 0.01, "smallest strength"),
+        "lambda_max": (float, 1.0, "largest strength"),
+        "num_lambdas": (int, 20, "grid length"),
+        "out": (None, None, "output profile CSV path"),
+    }),
+    "check-schemes": (cmd_check_schemes, "verify filter inequalities for a scheme", {
+        "kind": (None, "iterated_lavrentiev", "scheme kind"),
+        "lam": (float, 0.2, "regularization strength"),
+        "iterations": (int, 3, "iteration count"),
+        "t_max": (float, 2.0, "right end of the spectral grid (default: 2.0, "
+                              "the diagonal value of the default kernel)"),
+        "grid_size": (int, 2000, "log-grid resolution"),
+        "qualification": (float, None, "override the qualification order to test a "
+                                       "claim (default: the scheme's own)"),
+        "out": (None, None, "optional JSON report path"),
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ratioreg",
         description="Density-ratio estimation by spectral regularization in an RKHS.")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    fit = commands.add_parser("fit", help="fit a ratio model from two CSV samples")
-    fit.add_argument("--config", help="JSON file supplying flag values (flags override)")
-    fit.add_argument("--xp", default=argparse.SUPPRESS,
-                     help="CSV of reference points (denominator sample)")
-    fit.add_argument("--xq", default=argparse.SUPPRESS,
-                     help="CSV of target points (numerator sample)")
-    _add_kernel_flags(fit)
-    fit.add_argument("--lam", type=float, default=argparse.SUPPRESS,
-                     help="regularization strength, positive (required)")
-    fit.add_argument("--iterations", type=int, default=argparse.SUPPRESS,
-                     help="iteration count of the shifted-inversion scheme (default: 1)")
-    fit.add_argument("--out", default=argparse.SUPPRESS, help="output model JSON path")
-    fit.set_defaults(handler=cmd_fit)
-
-    evaluate = commands.add_parser("evaluate", help="evaluate a saved model at points")
-    evaluate.add_argument("--config", help="JSON file supplying flag values")
-    evaluate.add_argument("--model", default=argparse.SUPPRESS, help="model JSON path")
-    evaluate.add_argument("--points", default=argparse.SUPPRESS,
-                          help="CSV of points to evaluate")
-    evaluate.add_argument("--out", default=argparse.SUPPRESS, help="output path")
-    evaluate.add_argument("--format", default=argparse.SUPPRESS,
-                          help="output format: csv or json (default: csv)")
-    evaluate.set_defaults(handler=cmd_evaluate)
-
-    simulate = commands.add_parser(
-        "simulate", help="run the two-Gaussian replication study")
-    simulate.add_argument("--config", help="JSON file supplying flag values")
-    simulate.add_argument("--n", type=int, default=argparse.SUPPRESS,
-                          help="reference sample size (default: 100)")
-    simulate.add_argument("--m", type=int, default=argparse.SUPPRESS,
-                          help="target sample size (default: 100)")
-    simulate.add_argument("--mu-p", dest="mu_p", type=float, default=argparse.SUPPRESS,
-                          help="reference mean (default: 2.0)")
-    simulate.add_argument("--var-p", dest="var_p", type=float, default=argparse.SUPPRESS,
-                          help="reference variance (default: 5.0)")
-    simulate.add_argument("--mu-q-list", dest="mu_q_list", default=argparse.SUPPRESS,
-                          help="comma-separated target means (default: 2,3,4)")
-    simulate.add_argument("--var-q", dest="var_q", type=float, default=argparse.SUPPRESS,
-                          help="target variance (default: 0.5)")
-    simulate.add_argument("--k-list", dest="k_list", default=argparse.SUPPRESS,
-                          help="comma-separated iteration counts (default: 1,2,3,5,10)")
-    simulate.add_argument("--replications", type=int, default=argparse.SUPPRESS,
-                          help="replications per cell (default: 20)")
-    simulate.add_argument("--lambda-0", dest="lambda_0", type=float,
-                          default=argparse.SUPPRESS,
-                          help="top of the strength ladder (default: 0.9)")
-    simulate.add_argument("--rho", type=float, default=argparse.SUPPRESS,
-                          help="ladder ratio in (0,1) (default: (1/9)**(1/9))")
-    simulate.add_argument("--grid-size", dest="grid_size", type=int,
-                          default=argparse.SUPPRESS,
-                          help="ladder length below the anchor (default: 9)")
-    simulate.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                          help="master seed (default: 0)")
-    simulate.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                          help="worker threads (default: all available cores)")
-    simulate.add_argument("--out-dir", dest="out_dir", default=argparse.SUPPRESS,
-                          help="output directory (default: current directory)")
-    _add_kernel_flags(simulate)
-    simulate.set_defaults(handler=cmd_simulate)
-
-    rates = commands.add_parser("rates", help="empirical convergence-rate sweep")
-    rates.add_argument("--config", help="JSON file supplying flag values")
-    rates.add_argument("--n-list", dest="n_list", default=argparse.SUPPRESS,
-                       help="increasing sample sizes (default: 50,100,200,400)")
-    rates.add_argument("--eta", type=float, default=argparse.SUPPRESS,
-                       help="source-condition order (default: 1.0)")
-    rates.add_argument("--varsigma", type=float, default=argparse.SUPPRESS,
-                       help="embedding index in [0, 0.5] (default: 0.5)")
-    rates.add_argument("--iterations", type=int, default=argparse.SUPPRESS,
-                       help="iteration count (default: 10)")
-    rates.add_argument("--replications", type=int, default=argparse.SUPPRESS,
-                       help="replications per n (default: 5)")
-    rates.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                       help="master seed (default: 0)")
-    rates.add_argument("--mu-q", dest="mu_q", type=float, default=argparse.SUPPRESS,
-                       help="target mean (default: 2.0)")
-    rates.add_argument("--probe-x", dest="probe_x", type=float, default=argparse.SUPPRESS,
-                       help="pointwise-error probe (default: mu_q)")
-    rates.add_argument("--out", default=argparse.SUPPRESS, help="output record JSON path")
-    _add_kernel_flags(rates)
-    rates.set_defaults(handler=cmd_rates)
-
-    capacity = commands.add_parser("capacity", help="capacity diagnostics sweep")
-    capacity.add_argument("--config", help="JSON file supplying flag values")
-    capacity.add_argument("--xp", default=argparse.SUPPRESS,
-                          help="CSV of reference points")
-    _add_kernel_flags(capacity)
-    capacity.add_argument("--lambda-min", dest="lambda_min", type=float,
-                          default=argparse.SUPPRESS,
-                          help="smallest strength (default: 0.01)")
-    capacity.add_argument("--lambda-max", dest="lambda_max", type=float,
-                          default=argparse.SUPPRESS,
-                          help="largest strength (default: 1.0)")
-    capacity.add_argument("--num-lambdas", dest="num_lambdas", type=int,
-                          default=argparse.SUPPRESS,
-                          help="grid length (default: 20)")
-    capacity.add_argument("--out", default=argparse.SUPPRESS,
-                          help="output profile CSV path")
-    capacity.set_defaults(handler=cmd_capacity)
-
-    check = commands.add_parser(
-        "check-schemes", help="verify filter inequalities for a scheme")
-    check.add_argument("--config", help="JSON file supplying flag values")
-    check.add_argument("--kind", default=argparse.SUPPRESS,
-                       help="scheme kind (default: iterated_lavrentiev)")
-    check.add_argument("--lam", type=float, default=argparse.SUPPRESS,
-                       help="regularization strength (default: 0.2)")
-    check.add_argument("--iterations", type=int, default=argparse.SUPPRESS,
-                       help="iteration count (default: 3)")
-    check.add_argument("--t-max", dest="t_max", type=float, default=argparse.SUPPRESS,
-                       help="right end of the spectral grid (default: 2.0, "
-                            "the diagonal value of the default kernel)")
-    check.add_argument("--grid-size", dest="grid_size", type=int,
-                       default=argparse.SUPPRESS,
-                       help="log-grid resolution (default: 2000)")
-    check.add_argument("--qualification", type=float, default=argparse.SUPPRESS,
-                       help="override the qualification order to test a claim "
-                            "(default: the scheme's own)")
-    check.add_argument("--out", default=argparse.SUPPRESS,
-                       help="optional JSON report path")
-    check.set_defaults(handler=cmd_check_schemes)
-
-    # _merged_options converts config-file values with their flags' types.
-    for sub in commands.choices.values():
-        sub.set_defaults(flag_types={action.dest: action.type for action in sub._actions
-                                     if action.type is not None})
+    for name, (handler, summary, flags) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=summary)
+        sub.add_argument("--config", help="JSON file supplying flag values"
+                         + (" (flags override)" if name == "fit" else ""))
+        for dest, (kind, default, text) in flags.items():
+            if default is not None and "(default" not in text:
+                text += f" (default: {default})"
+            sub.add_argument("--" + dest.replace("_", "-"), dest=dest, type=kind,
+                             default=argparse.SUPPRESS, help=text)
+        sub.set_defaults(handler=handler)
     return parser
 
 

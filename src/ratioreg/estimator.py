@@ -45,24 +45,27 @@ vanishes at every reference point) gives
     q_lam(t) = (g_lam(t) - g_lam(0)) / t,
 
 so alpha = q_lam(K/n) f_bar / n^2, mu = g_lam(0), and the fitted values
-at the reference points reduce to U g_lam(diag t) U^T (f_bar / n).  For
-the iterated scheme the two paths agree in exact arithmetic; the second
-one also covers filters with no iterative form, such as hard cutoff.
+at the reference points are g_lam(K/n) f_bar / n.  ``GramSystem.eigensystem``
+gives r eigenpairs (t, U) and counts the complement of span(U) as
+eigenvalue 0, so with f_out = f_bar - U U^T f_bar (zero when r = n)
 
-A ladder of L strengths and a set of iteration counts k needs the values
-at every pair (lam, k).  From one eigendecomposition they are the rows
-of a single (L |k| x n) @ (n x n) product of filter rows with U^T.  For
-the ten-rung default ladder that is cheaper than ten Cholesky factors
-and their solves (measured from n = 100 to n = 1600 on one BLAS
-thread), so the ladder takes the spectral path.  The Cholesky recursion
-is kept for a single (lam, k) fit, where one factor is far cheaper than
-an eigendecomposition.  It is the package's only use of scipy, which is
-imported there, so only ``fit`` and ``rates`` load it.
+    values = (U g_lam(t) U^T f_bar + g_lam(0) f_out) / n,
+    alpha  = (U q_lam(t) U^T f_bar + q_lam(0) f_out) / n^2.
 
-Memory: a Cholesky fit holds K and one Fortran-order copy that is
-shifted and factored in place, 2 n^2 floats.  ``evaluate_batch`` works
-through row blocks of the kernel values, so it holds O(block (n + m))
-floats besides its input and output, whatever the batch size.
+For the iterated scheme the two paths agree in exact arithmetic; the
+second one also covers filters with no iterative form, such as cutoff.
+A ladder of strengths and iteration counts takes all its values from one
+eigensystem and one (L |k| x r) @ (r x n) product.  A single (lam, k) fit
+(``fit``, ``rates``) keeps the Cholesky recursion, whose values match the
+dense solve to the last bits where the estimate crosses zero; only it
+imports scipy.
+
+Memory: the ladder and the spectral fit hold O(n r) floats besides the
+(L |k| x n) table; a Cholesky fit holds n^2, one fresh K shifted and
+factored in place.  ``evaluate_batch`` works through row blocks, so it
+holds O(block (n + m)) floats whatever the batch size.  Its values are
+reproducible per batch, not per point: the BLAS product rounds a row by
+its place in the batch.
 """
 
 from __future__ import annotations
@@ -75,7 +78,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InputError, NumericalError, load_json, require_keys
-from .kernel import GramSystem, KernelSpec, SampleSet, _row_blocks, kernel_matrix
+from .kernel import (GramSystem, KernelSpec, SampleSet, _outside_span, _row_blocks,
+                     kernel_matrix)
 from .regularization import (RegScheme, filter_quotient_value, filter_value,
                              filter_zero_value, iterated_filter_rows,
                              iterated_lavrentiev)
@@ -174,10 +178,10 @@ def _check_lam(lam: float) -> None:
 def _shifted_solver(gram: GramSystem, lam: float):
     """Solver for (n lam I + K) v = rhs from one Cholesky factor.
 
-    The shift goes onto the diagonal of one Fortran-order copy of K, which
-    LAPACK then factors in place: the only n x n allocation.  A failed
-    factorization leaves that copy partly overwritten, so the reported
-    smallest eigenvalue comes from K itself.
+    The shift goes onto the diagonal of a fresh Fortran-order K
+    (``GramSystem.dense``), which LAPACK then factors in place: the only
+    n x n allocation.  A failed factorization leaves that buffer partly
+    overwritten, so the reported smallest eigenvalue comes from a new K.
 
     scipy is imported here, on the only path that uses it, so that every
     other command starts without loading it.
@@ -185,12 +189,12 @@ def _shifted_solver(gram: GramSystem, lam: float):
     import scipy.linalg
 
     n_lam = gram.n * lam
-    a_matrix = np.array(gram.k_matrix, order="F")
+    a_matrix = gram.dense()
     a_matrix.flat[::gram.n + 1] += n_lam
     try:
         factor = scipy.linalg.cho_factor(a_matrix, lower=True, overwrite_a=True)
     except scipy.linalg.LinAlgError as exc:
-        smallest = float(np.linalg.eigvalsh(gram.k_matrix)[0]) + n_lam
+        smallest = float(np.linalg.eigvalsh(gram.dense())[0]) + n_lam
         raise NumericalError("shifted kernel system is not positive definite",
                              lam=lam, smallest_eigenvalue=smallest) from exc
     return lambda rhs: scipy.linalg.cho_solve(factor, rhs)
@@ -249,15 +253,25 @@ def fit_iterated_lavrentiev(gram: GramSystem, xp: SampleSet, xq: SampleSet,
     return path[iterations]
 
 
+def _split_rhs(gram: GramSystem):
+    """(t, U, U^T f_bar, f_bar - U U^T f_bar) from one eigensystem of K/n."""
+    t, basis = gram.eigensystem()
+    rotated = basis.T @ gram.f_bar
+    return t, basis, rotated, _outside_span(basis, gram.f_bar, rotated)
+
+
 def _spectral_model(kernel: KernelSpec, xp: SampleSet, xq: SampleSet,
                     scheme: RegScheme, spectrum: np.ndarray, basis: np.ndarray,
-                    rotated: np.ndarray, values: np.ndarray) -> RatioModel:
+                    rotated: np.ndarray, outside: np.ndarray,
+                    values: np.ndarray) -> RatioModel:
     """The model of ``scheme`` with the given values at xp, from K/n = U diag(t) U^T.
 
-    ``spectrum`` is t floored at zero, ``basis`` is U and ``rotated`` is
-    U^T f_bar; alpha = U q_lam(t) U^T f_bar / n^2.
+    ``spectrum`` is t floored at zero, ``basis`` is U, ``rotated`` is
+    U^T f_bar and ``outside`` is f_bar - U U^T f_bar, where t = 0;
+    alpha = (U q_lam(t) U^T f_bar + q_lam(0) outside) / n^2.
     """
-    alpha = basis @ (filter_quotient_value(scheme, spectrum) * rotated) / spectrum.size**2
+    alpha = (basis @ (filter_quotient_value(scheme, spectrum) * rotated)
+             + filter_quotient_value(scheme, 0.0) * outside) / basis.shape[0]**2
     if not (np.isfinite(values).all() and np.isfinite(alpha).all()):
         raise NumericalError("non-finite spectral fit", lam=scheme.lam)
     return RatioModel(kernel=kernel, scheme=scheme, xp_points=xp.points,
@@ -273,11 +287,12 @@ def fit_spectral(gram: GramSystem, xp: SampleSet, xq: SampleSet,
     symmetric-eigensolver noise before the filter is applied.
     """
     _check_fit_inputs(gram, xp, xq)
-    t, basis = gram.eigensystem()
+    t, basis, rotated, outside = _split_rhs(gram)
     spectrum = np.clip(t, 0.0, None)
-    rotated = basis.T @ gram.f_bar
-    values = basis @ (filter_value(scheme, spectrum) * rotated / gram.n)
-    return _spectral_model(kernel, xp, xq, scheme, spectrum, basis, rotated, values)
+    values = (basis @ (filter_value(scheme, spectrum) * rotated / gram.n)
+              + filter_zero_value(scheme) * outside / gram.n)
+    return _spectral_model(kernel, xp, xq, scheme, spectrum, basis, rotated, outside,
+                           values)
 
 
 @dataclass(frozen=True)
@@ -286,8 +301,9 @@ class IteratedLadder:
 
     ``values[k][i]`` holds the fitted values at the reference points for
     strength ``lambdas[i]`` and k iterations.  ``model(i, k)`` builds the
-    full model at that pair from the same eigendecomposition (``spectrum``
-    floored at zero, ``basis`` = U, ``rotated`` = U^T f_bar).
+    full model at that pair from the same eigensystem (``spectrum``
+    floored at zero, ``basis`` = U, ``rotated`` = U^T f_bar, ``outside`` =
+    f_bar - U U^T f_bar).
     """
 
     kernel: KernelSpec
@@ -298,25 +314,25 @@ class IteratedLadder:
     spectrum: np.ndarray
     basis: np.ndarray
     rotated: np.ndarray
+    outside: np.ndarray
 
     def model(self, index: int, iterations: int) -> RatioModel:
         return _spectral_model(
             self.kernel, self.xp, self.xq,
             iterated_lavrentiev(self.lambdas[index], iterations),
-            self.spectrum, self.basis, self.rotated,
+            self.spectrum, self.basis, self.rotated, self.outside,
             self.values[iterations][index].copy())
 
 
 def fit_iterated_lavrentiev_ladder(gram: GramSystem, xp: SampleSet, xq: SampleSet,
                                    kernel: KernelSpec, lambdas: Iterable[float],
                                    iteration_counts: Iterable[int]) -> IteratedLadder:
-    """Fit the iterated scheme at every strength and count from one eigendecomposition.
+    """Fit the iterated scheme at every strength and count from one eigensystem.
 
-    The values at the reference points are U g_{lam,k}(t) U^T f_bar / n
-    for every pair, all from one (len(lambdas) * |counts| x n) @ (n x n)
-    product.  They agree with ``fit_iterated_lavrentiev_path`` at each
-    strength to rounding.  Raises ``NumericalError`` when
-    min(lambdas) + t_min <= 0 (the shifted system is not positive
+    The values of every pair come from one (len(lambdas) |counts| x r) @
+    (r x n) product plus g(0) f_out (module docstring), and agree with
+    ``fit_iterated_lavrentiev_path`` to rounding.  Raises ``NumericalError``
+    when min(lambdas) + t_min <= 0 (the shifted system is not positive
     definite) or when any value is non-finite.
     """
     _check_fit_inputs(gram, xp, xq)
@@ -327,21 +343,22 @@ def fit_iterated_lavrentiev_ladder(gram: GramSystem, xp: SampleSet, xq: SampleSe
     for lam in lams:
         _check_lam(lam)
 
-    t, basis = gram.eigensystem()
+    t, basis, rotated, outside = _split_rhs(gram)
     smallest = min(lams) + float(t[0])
     if not (smallest > 0.0):
         raise NumericalError("regularized kernel system is not positive definite",
                              lam=min(lams), smallest_eigenvalue=smallest)
     spectrum = np.clip(t, 0.0, None)
-    rotated = basis.T @ gram.f_bar
-    filters = iterated_filter_rows(lams, targets, spectrum)
-    table = (filters * (rotated / gram.n)) @ basis.T
+    filters = iterated_filter_rows(lams, targets, np.append(spectrum, 0.0))  # g(0) last
+    table = (filters[:, :-1] * (rotated / gram.n)) @ basis.T
+    table += np.outer(filters[:, -1], outside / gram.n)
     if not np.isfinite(table).all():
         raise NumericalError("non-finite fitted values on the ladder", lam=min(lams))
     table = table.reshape(len(targets), len(lams), gram.n)
     return IteratedLadder(kernel=kernel, xp=xp, xq=xq, lambdas=lams,
                           values={k: table[i] for i, k in enumerate(targets)},
-                          spectrum=spectrum, basis=basis, rotated=rotated)
+                          spectrum=spectrum, basis=basis, rotated=rotated,
+                          outside=outside)
 
 
 def evaluate_batch(model: RatioModel, points) -> np.ndarray:

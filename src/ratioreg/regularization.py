@@ -325,7 +325,14 @@ def check_scheme_constants(scheme: RegScheme, t_max: float, grid_size: int = 200
             bound = lam**s
         except OverflowError as exc:
             raise InputError(f"lam**s overflows: lam={lam!r}, s={s!r}") from exc
-        gaps = bound - grid**s * np.abs(r)
+        # t**s |r| in log space: t**s overflows once t_max**s passes the
+        # float range, and (lam / (lam + t))**k underflows before that
+        if scheme.kind == "spectral_cutoff":
+            log_r = np.where(grid >= lam, -np.inf, 0.0)
+        else:
+            log_r = -scheme.iterations * np.logaddexp(0.0, np.log(grid) - math.log(lam))
+        with np.errstate(over="ignore"):
+            gaps = bound - np.exp(s * np.log(grid) + log_r)
         worst = int(np.argmin(gaps))
         checks.append(InequalityCheck(
             name="qualification", margin=float(gaps[worst]), worst_t=float(grid[worst]),

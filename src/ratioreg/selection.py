@@ -12,9 +12,11 @@ root-mean-square norm on the reference sample,
 
 and keep the strength whose difference is smallest.  The top of the
 ladder (i = 0) only anchors the first difference and is never chosen;
-ties go to the larger strength.  All the fits share one
-eigendecomposition of K/n: the whole ladder costs that decomposition
-plus one matrix product (see ``estimator.fit_iterated_lavrentiev_ladder``).
+ties go to the larger strength.  All the fits share one eigensystem of
+K/n, r eigenpairs from a pivoted Cholesky factor (see
+``kernel.GramSystem.eigensystem``): the whole ladder costs that factor
+plus one (L |k| x r) @ (r x n) product and O(n r) memory, and never forms
+the n x n kernel matrix (see ``estimator.fit_iterated_lavrentiev_ladder``).
 
 The a-priori strength for sample sizes (m, n) under a polynomial source
 condition of order eta and an embedding index varsigma is
@@ -149,7 +151,7 @@ def quasi_optimality(gram: GramSystem, xp: SampleSet, xq: SampleSet,
     """Pick the regularization strength by the quasi-optimality rule.
 
     Fits the iterated scheme at every ladder strength (anchor included)
-    from one eigendecomposition and minimizes the consecutive difference
+    from one eigensystem and minimizes the consecutive difference
     of fitted value vectors in the root-mean-square norm on the
     reference sample.
     """

@@ -102,7 +102,8 @@ def test_criterion_3_single_step_solves_shifted_system(criterion):
         xq = rr.sample_normal(3.0, 0.5, m, derive_seed(88, trial, 1), "q")
         gram = rr.assemble_gram(spec, xp, xq)
         model = rr.fit_iterated_lavrentiev(gram, xp, xq, spec, lam, 1)
-        direct = np.linalg.solve(gram.k_matrix + n * lam * np.eye(n), gram.f_bar)
+        k_matrix = rr.kernel_matrix(spec, xp.points, xp.points)
+        direct = np.linalg.solve(k_matrix + n * lam * np.eye(n), gram.f_bar)
         worst = max(worst, np.abs(model.values_at_xp - direct).max())
     with criterion(3, {}) as rec:
         rec["detail"] = (f"one-step fit vs dense solve of the shifted system: "
@@ -157,7 +158,7 @@ def test_criterion_5_closed_form_ratio_matches_density_quotient(criterion):
 def test_criterion_6_capacity_diagnostics(criterion):
     spec = rr.KernelSpec()
     xp = rr.sample_normal(2.0, 5.0, 60, 11, "p")
-    gram = rr.reference_gram(spec, xp)
+    gram = rr.assemble_gram(spec, xp)
     with criterion(6, {}) as rec:
         worst_mean = 0.0
         for lam in (0.9, 0.3, 0.1, 0.05):
@@ -171,8 +172,8 @@ def test_criterion_6_capacity_diagnostics(criterion):
         strictly_decreasing = bool(np.all(np.diff(traded) < 0))
         star = rr.find_lambda_star(gram)
         residual = abs(rr.effective_dimension(gram, star) / star - gram.n)
-        single = rr.reference_gram(rr.KernelSpec(family="gaussian"),
-                                   rr.SampleSet([[0.0]], "p"))
+        single = rr.assemble_gram(rr.KernelSpec(family="gaussian"),
+                                  rr.SampleSet([[0.0]], "p"))
         golden_gap = abs(rr.find_lambda_star(single) - (math.sqrt(5.0) - 1.0) / 2.0)
         rec["detail"] = (f"mean leverage vs trace formula gap {worst_mean:.3e} "
                          f"(<= 1e-8); balance residual {residual:.3e} "

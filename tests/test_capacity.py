@@ -9,7 +9,7 @@ import pytest
 
 import ratioreg as rr
 from ratioreg.capacity import save_profile_csv, save_profile_json
-from ratioreg.kernel import kernel_matrix, reference_gram
+from ratioreg.kernel import kernel_matrix
 
 GOLDEN_RATIO_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -18,13 +18,13 @@ GOLDEN_RATIO_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 def capacity_instance():
     spec = rr.KernelSpec()
     xp = rr.sample_normal(2.0, 5.0, 60, 11, "p")
-    return spec, xp, reference_gram(spec, xp)
+    return spec, xp, rr.assemble_gram(spec, xp)
 
 
 def test_single_point_leverage_closed_form(default_kernel):
     # one point, k(x,x) = 2: C_lam = 2 / (lam + 2)
     xp = rr.SampleSet([[0.0]], "p")
-    gram = reference_gram(default_kernel, xp)
+    gram = rr.assemble_gram(default_kernel, xp)
     assert rr.christoffel(gram, default_kernel, xp, 2.0, [0.0]) == pytest.approx(0.5, abs=1e-14)
     assert rr.christoffel(gram, default_kernel, xp, 0.5, [0.0]) == pytest.approx(0.8, abs=1e-14)
 
@@ -83,7 +83,7 @@ def test_lambda_star_scalar_analytic_case():
     golden-ratio conjugate."""
     spec = rr.KernelSpec(family="gaussian")
     xp = rr.SampleSet([[0.0]], "p")
-    gram = reference_gram(spec, xp)
+    gram = rr.assemble_gram(spec, xp)
     star = rr.find_lambda_star(gram)
     assert abs(star - GOLDEN_RATIO_CONJUGATE) <= 1e-6
 
@@ -199,7 +199,8 @@ def test_non_finite_strengths_rejected(capacity_instance, lam):
 
 def _dense_leverage(gram, spec, xp, lam, points):
     k_cross = kernel_matrix(spec, xp.points, points)
-    solved = np.linalg.solve(lam * np.eye(gram.n) + gram.k_matrix / gram.n, k_cross)
+    k_matrix = kernel_matrix(spec, xp.points, xp.points)
+    solved = np.linalg.solve(lam * np.eye(gram.n) + k_matrix / gram.n, k_cross)
     quad = np.einsum("ip,ip->p", k_cross, solved) / gram.n
     return (spec.diagonal_value() - quad) / lam
 
@@ -213,7 +214,7 @@ def test_spectral_leverage_matches_dense_solve():
     """
     spec = rr.KernelSpec()
     xp = rr.sample_normal(2.0, 5.0, 200, 7, "p")
-    gram = reference_gram(spec, xp)
+    gram = rr.assemble_gram(spec, xp)
     probes = np.linspace(-10.0, 14.0, 41).reshape(-1, 1)
     scan = np.vstack([probes, xp.points])
     profile = rr.capacity_profile(gram, spec, xp, [0.9, 0.1, 0.01, 5e-4], probes)

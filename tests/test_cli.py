@@ -286,6 +286,17 @@ def test_capacity_rejects_non_finite_bounds(tmp_path, sample_files, capsys, flag
     assert payload["error"] == "validation" and flag in payload["message"]
 
 
+def test_nul_in_path_flag_is_validation_error(tmp_path, capsys):
+    for argv in (["capacity", "--xp", "a\x00b", "--out", str(tmp_path / "p.csv")],
+                 ["capacity", "--config", "c\x00.json"],
+                 ["fit", "--xp", "a", "--xq", "b", "--lam", "0.1", "--out", "m\x00.json"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "validation" and "NUL" in payload["message"]
+
+
 # -- check-schemes -----------------------------------------------------------
 
 def test_check_schemes_default_passes(capsys):
@@ -303,6 +314,15 @@ def test_check_schemes_flags_false_claim(capsys):
     out = capsys.readouterr().out
     assert "VIOLATED" in out
     assert "all_satisfied: false" in out
+
+
+@pytest.mark.parametrize("t_max", ["1e200", "1e308"])
+def test_check_schemes_huge_t_max(t_max, capfd):
+    assert main(["check-schemes", "--t-max", t_max]) == 0
+    captured = capfd.readouterr()
+    assert "VIOLATED" not in captured.out
+    assert "all_satisfied: true" in captured.out
+    assert captured.err == ""
 
 
 def test_check_schemes_json_report(tmp_path, capsys):

@@ -19,9 +19,31 @@ def test_single_step_equals_direct_solve(default_kernel, small_pair):
     xp, xq, gram = small_pair
     for lam in (0.9, 0.3, 0.1):
         model = rr.fit_iterated_lavrentiev(gram, xp, xq, default_kernel, lam, 1)
+        k_matrix = rr.kernel_matrix(default_kernel, xp.points, xp.points)
         direct = np.linalg.solve(
-            gram.n * lam * np.eye(gram.n) + gram.k_matrix, gram.f_bar)
+            gram.n * lam * np.eye(gram.n) + k_matrix, gram.f_bar)
         assert np.abs(model.values_at_xp - direct).max() <= 1e-12
+
+
+def test_cholesky_fit_factors_one_fresh_matrix(default_kernel):
+    """The fit factors K in place through its transpose view: the bits of the
+    Fortran-order copy a hand-built matrix gets, and one n x n buffer."""
+    n = 1200
+    xp = rr.sample_normal(2.0, 5.0, n, 41, "p")
+    xq = rr.sample_normal(3.0, 0.5, n, 42, "q")
+    tracemalloc.start()
+    try:
+        gram = rr.assemble_gram(default_kernel, xp, xq)
+        model = rr.fit_iterated_lavrentiev(gram, xp, xq, default_kernel, 0.1, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * n * n * 8
+    copied = rr.GramSystem(k_matrix=rr.kernel_matrix(default_kernel, xp.points, xp.points),
+                           f_bar=gram.f_bar, n=n, m=n)
+    twin = rr.fit_iterated_lavrentiev(copied, xp, xq, default_kernel, 0.1, 3)
+    assert np.array_equal(model.values_at_xp, twin.values_at_xp)
+    assert np.array_equal(model.alpha, twin.alpha)
 
 
 def test_iteration_telescopes(default_kernel, small_pair):
@@ -30,8 +52,9 @@ def test_iteration_telescopes(default_kernel, small_pair):
     lam = 0.2
     path = fit_iterated_lavrentiev_path(gram, xp, xq, default_kernel, lam,
                                         [4, 5])
+    k_matrix = rr.kernel_matrix(default_kernel, xp.points, xp.points)
     factor = scipy.linalg.cho_factor(
-        gram.n * lam * np.eye(gram.n) + gram.k_matrix, lower=True)
+        gram.n * lam * np.eye(gram.n) + k_matrix, lower=True)
     recomputed = scipy.linalg.cho_solve(
         factor, gram.n * lam * path[4].values_at_xp + gram.f_bar)
     assert np.abs(recomputed - path[5].values_at_xp).max() <= 1e-12
@@ -187,8 +210,9 @@ def test_fit_is_linear_in_rhs(default_kernel, small_pair):
     """Scaling f_bar scales values and alpha; the embedding coefficient
     k/lam stays put because the scale rides on the embedding itself."""
     xp, xq, gram = small_pair
-    scaled = rr.GramSystem(k_matrix=gram.k_matrix, f_bar=4.0 * gram.f_bar,
-                           n=gram.n, m=gram.m)
+    scaled = rr.GramSystem(
+        k_matrix=rr.kernel_matrix(default_kernel, xp.points, xp.points),
+        f_bar=4.0 * gram.f_bar, n=gram.n, m=gram.m)
     base = rr.fit_iterated_lavrentiev(gram, xp, xq, default_kernel, 0.3, 3)
     double = rr.fit_iterated_lavrentiev(scaled, xp, xq, default_kernel, 0.3, 3)
     assert np.allclose(double.values_at_xp, 4.0 * base.values_at_xp,
@@ -253,7 +277,8 @@ def test_failed_eigendecomposition_raises_numerical_error(monkeypatch, default_k
 
 def test_cutoff_above_spectrum_gives_zero_function(default_kernel, small_pair):
     xp, xq, gram = small_pair
-    top = float(np.linalg.eigvalsh(gram.k_matrix / gram.n)[-1])
+    k_matrix = rr.kernel_matrix(default_kernel, xp.points, xp.points)
+    top = float(np.linalg.eigvalsh(k_matrix / gram.n)[-1])
     model = rr.fit_spectral(gram, xp, xq, default_kernel,
                             spectral_cutoff(top * 1.01))
     assert np.all(model.values_at_xp == 0.0)
@@ -277,7 +302,7 @@ def test_forced_embedding_only_model(default_kernel, small_pair):
         xp_points=xp.points, xq_points=xq.points,
         alpha=np.zeros(gram.n), mu_coeff=1.0, values_at_xp=gram.f_bar / gram.n)
     x = 1.7
-    expected = np.mean([rr.eval_kernel(default_kernel, x, y) for y in xq.points])
+    expected = np.mean([1.0 + math.exp(-(x - y) ** 2 / 2.0) for y in xq.points[:, 0]])
     assert rr.evaluate(model, x) == pytest.approx(expected, rel=1e-14)
 
 

@@ -10,56 +10,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ratioreg as rr
-from ratioreg.kernel import _row_blocks, reference_gram
+from ratioreg.kernel import _row_blocks
 
 # k(x, y) = 1 + exp(-(x-y)^2 / 2) at squared distance 2 -> 1 + e^{-1}
 ONE_PLUS_E_MINUS_1 = 1.3678794411714423
 
 
+def _pair(spec, x, y):
+    return float(rr.kernel_matrix(spec, [x], [y])[0, 0])
+
+
 def test_eval_default_kernel_diagonal(default_kernel):
-    assert rr.eval_kernel(default_kernel, 0.3, 0.3) == 2.0
+    assert _pair(default_kernel, 0.3, 0.3) == 2.0
     assert default_kernel.diagonal_value() == 2.0
 
 
 def test_eval_default_kernel_at_root_two(default_kernel):
-    value = rr.eval_kernel(default_kernel, 0.0, math.sqrt(2.0))
+    value = _pair(default_kernel, 0.0, math.sqrt(2.0))
     assert value == pytest.approx(ONE_PLUS_E_MINUS_1, rel=1e-15)
 
 
 def test_eval_gaussian_family_has_no_offset():
     spec = rr.KernelSpec(family="gaussian")
     assert spec.offset == 0.0
-    assert rr.eval_kernel(spec, 1.0, 1.0) == 1.0
+    assert _pair(spec, 1.0, 1.0) == 1.0
     assert spec.diagonal_value() == 1.0
 
 
 def test_eval_bandwidth_scaling():
     spec = rr.KernelSpec(bandwidth=2.0)
     # squared distance 4 over 2 * bandwidth^2 = 8 -> exponent -0.5
-    assert rr.eval_kernel(spec, 0.0, 2.0) == pytest.approx(1.0 + math.exp(-0.5), rel=1e-15)
+    assert _pair(spec, 0.0, 2.0) == pytest.approx(1.0 + math.exp(-0.5), rel=1e-15)
 
 
 def test_eval_dimension_mismatch(default_kernel):
     with pytest.raises(rr.InputError):
-        rr.eval_kernel(default_kernel, [0.0, 1.0], [0.0])
-
-
-def test_custom_ref_kernel_matches_callable():
-    calls = []
-
-    def ref(a, b):
-        calls.append((a, b))
-        return float(a @ b) + 1.0
-
-    spec = rr.KernelSpec(family="custom_ref", ref=ref)
-    assert rr.eval_kernel(spec, [1.0, 2.0], [3.0, 4.0]) == 12.0
-    pts = np.array([[1.0], [2.0], [0.5]])
-    calls.clear()
-    mat = rr.kernel_matrix(spec, pts, pts[:2])
-    expected = pts @ pts[:2].T + 1.0
-    assert np.allclose(mat, expected, rtol=0, atol=0)
-    # one call of the callable per pair, through the explicit loop
-    assert len(calls) == 6
+        rr.kernel_matrix(default_kernel, [[0.0, 1.0]], [[0.0]])
 
 
 def _broadcast_kernel_matrix(spec, a, b):
@@ -106,14 +92,6 @@ def test_kernel_spec_validation():
             rr.KernelSpec(offset=bad)
 
 
-def test_custom_ref_not_serializable():
-    spec = rr.KernelSpec(family="custom_ref", ref=lambda a, b: 1.0)
-    with pytest.raises(rr.InputError):
-        spec.to_dict()
-    with pytest.raises(rr.InputError):
-        spec.diagonal_value()
-
-
 def test_kernel_spec_round_trip(default_kernel):
     assert rr.KernelSpec.from_dict(default_kernel.to_dict()) == default_kernel
 
@@ -142,13 +120,18 @@ def test_sample_set_points_read_only():
 
 
 def test_gram_symmetry_is_bitwise(default_kernel, rng):
-    """The kernel matrix comes out exactly symmetric with no mirroring step."""
+    """The kernel matrix comes out exactly symmetric with no mirroring step,
+    so the Fortran-order K that the Cholesky fit factors is its transpose view."""
     for dim in (1, 2, 3):
         xp = rr.SampleSet(rng.normal(size=(301, dim)), "p")
         xq = rr.SampleSet(rng.normal(size=(11, dim)), "q")
+        k_matrix = rr.kernel_matrix(default_kernel, xp.points, xp.points)
+        assert np.array_equal(k_matrix, k_matrix.T)
         for gram in (rr.assemble_gram(default_kernel, xp, xq),
-                     rr.reference_gram(default_kernel, xp)):
-            assert np.array_equal(gram.k_matrix, gram.k_matrix.T)
+                     rr.assemble_gram(default_kernel, xp)):
+            dense = gram.dense()
+            assert dense.flags.f_contiguous and dense.flags.writeable
+            assert np.array_equal(dense, k_matrix)
 
 
 def test_f_bar_from_row_blocks_is_bitwise(default_kernel, rng):
@@ -176,8 +159,10 @@ def test_assemble_gram_memory_is_bounded(default_kernel, rng):
 
 
 def test_gram_diagonal_is_offset_plus_one(default_kernel, small_pair):
-    _, _, gram = small_pair
-    assert np.all(gram.k_matrix.diagonal() == default_kernel.offset + 1.0)
+    xp, _, gram = small_pair
+    k_matrix = rr.kernel_matrix(default_kernel, xp.points, xp.points)
+    assert np.all(k_matrix.diagonal() == default_kernel.offset + 1.0)
+    assert gram.max_diagonal() == default_kernel.offset + 1.0
 
 
 def test_gram_frozen_f_bar_example(default_kernel):
@@ -210,10 +195,13 @@ def test_gram_system_shape_validation():
 
 
 def test_reference_gram_matches_assembled(default_kernel, small_pair):
+    """Without a target sample the system has the same spectrum and f_bar = 0."""
     xp, xq, gram = small_pair
-    ref = reference_gram(default_kernel, xp)
-    assert np.array_equal(ref.k_matrix, gram.k_matrix)
+    ref = rr.assemble_gram(default_kernel, xp)
+    for got, want in zip(ref.eigensystem(), gram.eigensystem()):
+        assert np.array_equal(got, want)
     assert np.all(ref.f_bar == 0.0)
+    assert (ref.n, ref.m) == (xp.n, 1)
 
 
 @settings(max_examples=25, deadline=None)
@@ -221,9 +209,9 @@ def test_reference_gram_matches_assembled(default_kernel, small_pair):
 def test_gram_matrix_is_psd(seed, n, dim):
     spec = rr.KernelSpec()
     points = np.random.Generator(np.random.PCG64(seed)).normal(size=(n, dim)) * 3.0
-    gram = reference_gram(spec, rr.SampleSet(points, "p"))
-    smallest = np.linalg.eigvalsh(gram.k_matrix)[0]
-    assert smallest >= -gram.psd_tolerance()
+    k_matrix = rr.kernel_matrix(spec, points, points)
+    smallest = np.linalg.eigvalsh(k_matrix)[0]
+    assert smallest >= -1e-10 * n * float(k_matrix.diagonal().max())
 
 
 @settings(max_examples=25, deadline=None)

@@ -186,6 +186,21 @@ def test_constants_check_iterated_holds():
     assert all(c.margin >= 0.0 for c in report.checks)
 
 
+@pytest.mark.parametrize("t_max", [1e200, 1e308])
+def test_constants_check_holds_at_huge_t_max(t_max):
+    """t**s |r| is formed without overflow, so a true claim still holds."""
+    with np.errstate(over="raise", invalid="raise"):
+        for scheme in (iterated_lavrentiev(0.2, 3), rr.lavrentiev(0.05),
+                       spectral_cutoff(0.3)):
+            report = rr.check_scheme_constants(scheme, t_max=t_max)
+            assert report.all_satisfied
+            assert all(math.isfinite(c.margin) or c.margin == math.inf
+                       for c in report.checks)
+        wrong = rr.check_scheme_constants(rr.lavrentiev(0.05), t_max=t_max,
+                                          qualification=2.0)
+    assert not wrong.all_satisfied
+
+
 def test_constants_check_cutoff_holds():
     report = rr.check_scheme_constants(spectral_cutoff(0.3), t_max=2.0)
     assert report.all_satisfied
