@@ -16,8 +16,7 @@ from .capacity import (CapacityProfile, capacity_profile, christoffel,
 from .errors import InputError, NumericalError
 from .estimator import (IteratedLadder, RatioModel, evaluate, evaluate_batch,
                         fit_iterated_lavrentiev, fit_iterated_lavrentiev_ladder,
-                        fit_iterated_lavrentiev_path, fit_spectral, load_model,
-                        save_model)
+                        fit_spectral, load_model, save_model)
 from .experiment import (CellResult, ExperimentReport, RateRecord, SimConfig,
                          fit_log_slope, msd, run_rate_study, run_study,
                          sample_normal, true_beta)
@@ -40,7 +39,7 @@ __all__ = [
     "check_scheme_constants", "christoffel", "default_probe_grid",
     "effective_dimension", "evaluate", "evaluate_batch",
     "find_lambda_star", "fit_iterated_lavrentiev", "fit_iterated_lavrentiev_ladder",
-    "fit_iterated_lavrentiev_path", "fit_log_slope", "fit_spectral",
+    "fit_log_slope", "fit_spectral",
     "iterated_lavrentiev", "kernel_matrix", "lambda_mn", "lavrentiev", "load_model",
     "load_samples_csv", "load_samples_json", "msd", "n_inf_estimate",
     "quasi_optimality", "residual_value", "rms_norm",

@@ -18,7 +18,9 @@ N(lam) / lam = n, the largest regularization strength at which the
 variance budget matches the sample size; N(lam)/lam is strictly
 decreasing, so the solution is unique whenever the bracket straddles n.
 
-All of it comes from one eigensystem of K/n, r eigenpairs (t, U) with
+Every diagnostic takes one ``GramSystem``, the holder of the kernel and
+the reference sample (a target sample is not needed), and all of it
+comes from one eigensystem of K/n, r eigenpairs (t, U) with
 the complement of span(U) as eigenvalue 0 (``GramSystem.eigensystem``):
 
     C_lam(x) = ( k(x, x) - (1/n) * sum_i (U^T k_x)_i^2 / (lam + t_i)
@@ -32,15 +34,13 @@ probes costs one eigensystem, products over blocks of probes and an
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .kernel import (GramSystem, KernelSpec, SampleSet, _outside_span, _row_blocks,
-                     kernel_matrix)
+from .kernel import GramSystem, SampleSet, _outside_span, _row_blocks, kernel_matrix
 
 
 def _strengths(lambdas, single: bool = False) -> np.ndarray:
@@ -55,19 +55,18 @@ def _n_eff(spectrum: np.ndarray, lam: float) -> float:
     return float(np.sum(spectrum / (lam + spectrum)))
 
 
-def _probes(xp: SampleSet, points) -> np.ndarray:
+def _probes(gram: GramSystem, points) -> np.ndarray:
     probes = np.asarray(points, dtype=float)
     if probes.ndim == 1:
         probes = probes.reshape(-1, 1)
     if probes.shape[0] == 0:
         raise InputError("probe_points must be non-empty")
-    if probes.shape[1] != xp.dim:
-        raise InputError(f"probes have dimension {probes.shape[1]}, sample has {xp.dim}")
+    if probes.shape[1] != gram.xp.dim:
+        raise InputError(f"probes have dimension {probes.shape[1]}, sample has {gram.xp.dim}")
     return probes
 
 
-def _leverages(gram: GramSystem, spec: KernelSpec, xp: SampleSet,
-               lams: np.ndarray, probes: np.ndarray):
+def _leverages(gram: GramSystem, lams: np.ndarray, probes: np.ndarray):
     """Eigenvalues of K/n and C_lam as a (len(lams), len(probes)) array."""
     t, u = gram.eigensystem()
     smallest = float(lams.min() + t[0])
@@ -77,25 +76,24 @@ def _leverages(gram: GramSystem, spec: KernelSpec, xp: SampleSet,
     inverse = 1.0 / (lams[:, None] + t)
     quad = np.empty((lams.size, probes.shape[0]))
     for cols in _row_blocks(probes.shape[0], gram.n):
-        cross = kernel_matrix(spec, xp.points, probes[cols])
+        cross = kernel_matrix(gram.kernel, gram.xp.points, probes[cols])
         weights = u.T @ cross
         outside = _outside_span(u, cross, weights)
         np.square(weights, out=weights)
         quad[:, cols] = inverse @ weights + np.outer(
             1.0 / lams, np.einsum("ip,ip->p", outside, outside))
-    return t, (spec.diagonal_value() - quad / gram.n) / lams[:, None]
+    return t, (gram.kernel.diagonal_value() - quad / gram.n) / lams[:, None]
 
 
-def christoffel(gram: GramSystem, spec: KernelSpec, xp: SampleSet,
-                lam: float, x) -> float:
+def christoffel(gram: GramSystem, lam: float, x) -> float:
     """Regularized leverage C_lam(x) of a single point.
 
     Non-negative in exact arithmetic; tiny negative values (above about
     -1e-10 on unit-scale kernels) can appear through cancellation and
     are returned as computed.
     """
-    probe = _probes(xp, np.reshape(np.asarray(x, dtype=float), (1, -1)))
-    return float(_leverages(gram, spec, xp, _strengths(lam, single=True), probe)[1][0, 0])
+    probe = _probes(gram, np.reshape(np.asarray(x, dtype=float), (1, -1)))
+    return float(_leverages(gram, _strengths(lam, single=True), probe)[1][0, 0])
 
 
 def effective_dimension(gram: GramSystem, lam: float) -> float:
@@ -107,15 +105,14 @@ def effective_dimension(gram: GramSystem, lam: float) -> float:
     return _n_eff(np.clip(gram.eigensystem()[0], 0.0, None), lam)
 
 
-def n_inf_estimate(gram: GramSystem, spec: KernelSpec, xp: SampleSet,
-                   lam: float, probe_points) -> float:
+def n_inf_estimate(gram: GramSystem, lam: float, probe_points) -> float:
     """Sup-norm capacity estimate: max regularized leverage over probes.
 
     The reference points themselves are always included in the scan, so
     the estimate is never below the in-sample maximum.
     """
-    scan = np.vstack([_probes(xp, probe_points), xp.points])
-    return float(_leverages(gram, spec, xp, _strengths(lam, single=True), scan)[1].max())
+    scan = np.vstack([_probes(gram, probe_points), gram.xp.points])
+    return float(_leverages(gram, _strengths(lam, single=True), scan)[1].max())
 
 
 def _balance_point(gram: GramSystem, spectrum: np.ndarray, bracket,
@@ -163,10 +160,6 @@ class CapacityProfile:
     n_inf: np.ndarray
     lambda_star: float | None
 
-    def to_dict(self) -> dict:
-        return {"lambdas": self.lambdas.tolist(), "n_eff": self.n_eff.tolist(),
-                "n_inf": self.n_inf.tolist(), "lambda_star": self.lambda_star}
-
 
 def default_probe_grid(xp: SampleSet, count: int = 200) -> np.ndarray:
     """Probe points: a uniform grid over the sample's bounding box, inflated 20%.
@@ -187,8 +180,7 @@ def default_probe_grid(xp: SampleSet, count: int = 200) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def capacity_profile(gram: GramSystem, spec: KernelSpec, xp: SampleSet,
-                     lambdas, probe_points=None) -> CapacityProfile:
+def capacity_profile(gram: GramSystem, lambdas, probe_points=None) -> CapacityProfile:
     """Tabulate N(lam), the sup-capacity estimate, and the balance point.
 
     ``lambdas`` must be finite and positive; it is sorted into decreasing
@@ -196,9 +188,10 @@ def capacity_profile(gram: GramSystem, spec: KernelSpec, xp: SampleSet,
     straddle the balance point (tiny samples), rather than an error.
     """
     lams = np.sort(_strengths(lambdas))[::-1]
-    scan = np.vstack([_probes(xp, default_probe_grid(xp) if probe_points is None
+    xp = gram.xp
+    scan = np.vstack([_probes(gram, default_probe_grid(xp) if probe_points is None
                               else probe_points), xp.points])
-    t, leverages = _leverages(gram, spec, xp, lams, scan)
+    t, leverages = _leverages(gram, lams, scan)
     spectrum = np.clip(t, 0.0, None)
     n_eff = np.array([_n_eff(spectrum, lam) for lam in lams])
     try:
@@ -215,9 +208,3 @@ def save_profile_csv(profile: CapacityProfile, path) -> None:
         writer.writerow(["lambda", "n_eff", "n_inf"])
         for lam, ne, ni in zip(profile.lambdas, profile.n_eff, profile.n_inf):
             writer.writerow([repr(float(lam)), repr(float(ne)), repr(float(ni))])
-
-
-def save_profile_json(profile: CapacityProfile, path) -> None:
-    with open(path, "w") as handle:
-        json.dump(profile.to_dict(), handle, sort_keys=True, indent=2)
-        handle.write("\n")

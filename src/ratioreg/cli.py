@@ -142,7 +142,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     xp = kernel.load_samples_csv(xp_path, measure_tag="p")
     xq = kernel.load_samples_csv(xq_path, measure_tag="q")
     gram = kernel.assemble_gram(spec, xp, xq)
-    model = estimator.fit_iterated_lavrentiev(gram, xp, xq, spec, lam, iterations)
+    model = estimator.fit_iterated_lavrentiev(gram, lam, iterations)
     estimator.save_model(model, out_path)
     print(f"wrote model with {gram.n} expansion coefficients to {out_path}")
     return 0
@@ -255,7 +255,7 @@ def cmd_capacity(args: argparse.Namespace) -> int:
     xp = kernel.load_samples_csv(xp_path, measure_tag="p")
     gram = kernel.assemble_gram(spec, xp)
     lams = np.geomspace(lo, hi, count)
-    profile = capacity_mod.capacity_profile(gram, spec, xp, lams)
+    profile = capacity_mod.capacity_profile(gram, lams)
     capacity_mod.save_profile_csv(profile, out_path)
     summary = {"lambda_star": profile.lambda_star, "csv": str(out_path)}
     if profile.lambda_star is None:

@@ -36,6 +36,11 @@ Gram system.  One symmetric factorization of (n lam I + K) is shared by
 all k steps, so iterating costs k triangular solves, not k
 factorizations.
 
+Every fit takes one ``kernel.GramSystem``, the one holder of the kernel,
+both samples and f_bar, and copies the kernel and the sample points into
+the model it returns.  A system assembled without a target sample cannot
+be fitted.
+
 The spectral path instead diagonalizes K/n = U diag(t) U^T and applies a
 scalar filter g_lam to the spectrum.  Splitting f into its component
 inside span{k(., x_i)} and a remainder that T annihilates (and that
@@ -77,9 +82,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InputError, NumericalError, load_json, require_keys
-from .kernel import (GramSystem, KernelSpec, SampleSet, _outside_span, _row_blocks,
-                     kernel_matrix)
+from .errors import InputError, NumericalError, is_number, load_json, require_keys
+from .kernel import GramSystem, KernelSpec, _outside_span, _row_blocks, kernel_matrix
 from .regularization import (RegScheme, filter_quotient_value, filter_value,
                              filter_zero_value, iterated_filter_rows,
                              iterated_lavrentiev)
@@ -152,22 +156,20 @@ def load_model(path) -> RatioModel:
     return RatioModel.from_dict(load_json(path, "model file"))
 
 
-def _check_fit_inputs(gram: GramSystem, xp: SampleSet, xq: SampleSet) -> None:
-    if gram.n != xp.n or gram.m != xq.n:
-        raise InputError(
-            f"gram system is (n={gram.n}, m={gram.m}) but samples are "
-            f"(n={xp.n}, m={xq.n})")
-    if xp.dim != xq.dim:
-        raise InputError(f"sample dimensions differ: {xp.dim} vs {xq.dim}")
+def _check_target(gram: GramSystem) -> None:
+    if gram.xq is None:
+        raise InputError("the Gram system has no target sample to fit; "
+                         "assemble it from both xp and xq")
 
 
 def _checked_counts(iteration_counts: Iterable[int]) -> list[int]:
-    targets = sorted(set(int(k) for k in iteration_counts))
-    if not targets:
+    counts = list(iteration_counts)
+    if not counts:
         raise InputError("iteration_counts must be non-empty")
-    if targets[0] < 1:
-        raise InputError(f"iteration counts must be positive, got {targets[0]}")
-    return targets
+    # int() alone would take 2.5 as 2 and True as 1
+    if not all(is_number(k) and math.isfinite(k) and k == int(k) >= 1 for k in counts):
+        raise InputError(f"iteration counts must be positive integers, got {counts!r}")
+    return sorted(set(int(k) for k in counts))
 
 
 def _check_lam(lam: float) -> None:
@@ -200,19 +202,16 @@ def _shifted_solver(gram: GramSystem, lam: float):
     return lambda rhs: scipy.linalg.cho_solve(factor, rhs)
 
 
-def fit_iterated_lavrentiev_path(gram: GramSystem, xp: SampleSet, xq: SampleSet,
-                                 kernel: KernelSpec, lam: float,
-                                 iteration_counts: Iterable[int]) -> dict[int, RatioModel]:
-    """Run the iteration once and snapshot a model at each requested count.
+def fit_iterated_lavrentiev(gram: GramSystem, lam: float, iterations: int = 1) -> RatioModel:
+    """Fit by k shifted inversions of the empirical covariance.
 
-    All requested counts share a single factorization and a single value
-    sequence, so fitting at k in {1, 2, 3, 5, 10} costs the same linear
-    algebra as fitting at k = 10 alone.  Each snapshot is identical to
-    what a separate ``fit_iterated_lavrentiev`` call would return.
+    k = 1 is the classical least-squares importance-fitting estimate;
+    larger k raises the scheme's qualification, which lowers the
+    achievable bias for smooth ratios at the same lam.  All k steps share
+    one Cholesky factor of (n lam I + K).
     """
-    _check_fit_inputs(gram, xp, xq)
-    targets = _checked_counts(iteration_counts)
-    _check_lam(lam)
+    _check_target(gram)
+    scheme = iterated_lavrentiev(lam, iterations)
     n_lam = gram.n * lam
     if not math.isfinite(n_lam):
         raise InputError(f"the shift n * lam overflows: n={gram.n}, lam={lam!r}")
@@ -220,37 +219,15 @@ def fit_iterated_lavrentiev_path(gram: GramSystem, xp: SampleSet, xq: SampleSet,
     solve = _shifted_solver(gram, lam)
     values = np.zeros(gram.n)
     alpha_accum = np.zeros(gram.n)
-    models: dict[int, RatioModel] = {}
-    for step in range(1, targets[-1] + 1):
+    for _ in range(scheme.iterations):
         values = solve(n_lam * values + gram.f_bar)
-        alpha_accum = alpha_accum + values
-        if step in targets:
-            if not np.isfinite(values).all():
-                raise NumericalError(
-                    f"non-finite fitted values after {step} iterations", lam=lam)
-            models[step] = RatioModel(
-                kernel=kernel,
-                scheme=iterated_lavrentiev(lam, step),
-                xp_points=xp.points,
-                xq_points=xq.points,
-                alpha=-alpha_accum / n_lam,
-                mu_coeff=step / lam,
-                values_at_xp=values.copy(),
-            )
-    return models
-
-
-def fit_iterated_lavrentiev(gram: GramSystem, xp: SampleSet, xq: SampleSet,
-                            kernel: KernelSpec, lam: float,
-                            iterations: int = 1) -> RatioModel:
-    """Fit by k shifted inversions of the empirical covariance.
-
-    k = 1 is the classical least-squares importance-fitting estimate;
-    larger k raises the scheme's qualification, which lowers the
-    achievable bias for smooth ratios at the same lam.
-    """
-    path = fit_iterated_lavrentiev_path(gram, xp, xq, kernel, lam, [iterations])
-    return path[iterations]
+        alpha_accum += values
+    if not np.isfinite(values).all():
+        raise NumericalError(
+            f"non-finite fitted values after {scheme.iterations} iterations", lam=lam)
+    return RatioModel(kernel=gram.kernel, scheme=scheme, xp_points=gram.xp.points,
+                      xq_points=gram.xq.points, alpha=-alpha_accum / n_lam,
+                      mu_coeff=scheme.iterations / lam, values_at_xp=values)
 
 
 def _split_rhs(gram: GramSystem):
@@ -260,9 +237,8 @@ def _split_rhs(gram: GramSystem):
     return t, basis, rotated, _outside_span(basis, gram.f_bar, rotated)
 
 
-def _spectral_model(kernel: KernelSpec, xp: SampleSet, xq: SampleSet,
-                    scheme: RegScheme, spectrum: np.ndarray, basis: np.ndarray,
-                    rotated: np.ndarray, outside: np.ndarray,
+def _spectral_model(gram: GramSystem, scheme: RegScheme, spectrum: np.ndarray,
+                    basis: np.ndarray, rotated: np.ndarray, outside: np.ndarray,
                     values: np.ndarray) -> RatioModel:
     """The model of ``scheme`` with the given values at xp, from K/n = U diag(t) U^T.
 
@@ -274,25 +250,23 @@ def _spectral_model(kernel: KernelSpec, xp: SampleSet, xq: SampleSet,
              + filter_quotient_value(scheme, 0.0) * outside) / basis.shape[0]**2
     if not (np.isfinite(values).all() and np.isfinite(alpha).all()):
         raise NumericalError("non-finite spectral fit", lam=scheme.lam)
-    return RatioModel(kernel=kernel, scheme=scheme, xp_points=xp.points,
-                      xq_points=xq.points, alpha=alpha,
+    return RatioModel(kernel=gram.kernel, scheme=scheme, xp_points=gram.xp.points,
+                      xq_points=gram.xq.points, alpha=alpha,
                       mu_coeff=filter_zero_value(scheme), values_at_xp=values)
 
 
-def fit_spectral(gram: GramSystem, xp: SampleSet, xq: SampleSet,
-                 kernel: KernelSpec, scheme: RegScheme) -> RatioModel:
+def fit_spectral(gram: GramSystem, scheme: RegScheme) -> RatioModel:
     """Fit by applying an arbitrary spectral filter to the kernel spectrum.
 
     Diagonalizes K/n once; eigenvalues are floored at zero to absorb
     symmetric-eigensolver noise before the filter is applied.
     """
-    _check_fit_inputs(gram, xp, xq)
+    _check_target(gram)
     t, basis, rotated, outside = _split_rhs(gram)
     spectrum = np.clip(t, 0.0, None)
     values = (basis @ (filter_value(scheme, spectrum) * rotated / gram.n)
               + filter_zero_value(scheme) * outside / gram.n)
-    return _spectral_model(kernel, xp, xq, scheme, spectrum, basis, rotated, outside,
-                           values)
+    return _spectral_model(gram, scheme, spectrum, basis, rotated, outside, values)
 
 
 @dataclass(frozen=True)
@@ -301,14 +275,12 @@ class IteratedLadder:
 
     ``values[k][i]`` holds the fitted values at the reference points for
     strength ``lambdas[i]`` and k iterations.  ``model(i, k)`` builds the
-    full model at that pair from the same eigensystem (``spectrum``
-    floored at zero, ``basis`` = U, ``rotated`` = U^T f_bar, ``outside`` =
-    f_bar - U U^T f_bar).
+    full model at that pair from the same eigensystem of ``gram``
+    (``spectrum`` floored at zero, ``basis`` = U, ``rotated`` = U^T f_bar,
+    ``outside`` = f_bar - U U^T f_bar).
     """
 
-    kernel: KernelSpec
-    xp: SampleSet
-    xq: SampleSet
+    gram: GramSystem
     lambdas: tuple[float, ...]
     values: dict[int, np.ndarray]
     spectrum: np.ndarray
@@ -318,24 +290,22 @@ class IteratedLadder:
 
     def model(self, index: int, iterations: int) -> RatioModel:
         return _spectral_model(
-            self.kernel, self.xp, self.xq,
-            iterated_lavrentiev(self.lambdas[index], iterations),
+            self.gram, iterated_lavrentiev(self.lambdas[index], iterations),
             self.spectrum, self.basis, self.rotated, self.outside,
             self.values[iterations][index].copy())
 
 
-def fit_iterated_lavrentiev_ladder(gram: GramSystem, xp: SampleSet, xq: SampleSet,
-                                   kernel: KernelSpec, lambdas: Iterable[float],
+def fit_iterated_lavrentiev_ladder(gram: GramSystem, lambdas: Iterable[float],
                                    iteration_counts: Iterable[int]) -> IteratedLadder:
     """Fit the iterated scheme at every strength and count from one eigensystem.
 
     The values of every pair come from one (len(lambdas) |counts| x r) @
     (r x n) product plus g(0) f_out (module docstring), and agree with
-    ``fit_iterated_lavrentiev_path`` to rounding.  Raises ``NumericalError``
+    ``fit_iterated_lavrentiev`` to rounding.  Raises ``NumericalError``
     when min(lambdas) + t_min <= 0 (the shifted system is not positive
     definite) or when any value is non-finite.
     """
-    _check_fit_inputs(gram, xp, xq)
+    _check_target(gram)
     targets = _checked_counts(iteration_counts)
     lams = tuple(float(lam) for lam in lambdas)
     if not lams:
@@ -355,7 +325,7 @@ def fit_iterated_lavrentiev_ladder(gram: GramSystem, xp: SampleSet, xq: SampleSe
     if not np.isfinite(table).all():
         raise NumericalError("non-finite fitted values on the ladder", lam=min(lams))
     table = table.reshape(len(targets), len(lams), gram.n)
-    return IteratedLadder(kernel=kernel, xp=xp, xq=xq, lambdas=lams,
+    return IteratedLadder(gram=gram, lambdas=lams,
                           values={k: table[i] for i, k in enumerate(targets)},
                           spectrum=spectrum, basis=basis, rotated=rotated,
                           outside=outside)

@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NumericalError, load_json, require_keys
-from .estimator import (RatioModel, evaluate_batch, fit_iterated_lavrentiev_ladder,
-                        fit_iterated_lavrentiev_path)
+from .errors import InputError, NumericalError, require_keys
+from .estimator import (RatioModel, evaluate_batch, fit_iterated_lavrentiev,
+                        fit_iterated_lavrentiev_ladder)
 from .kernel import KernelSpec, SampleSet, assemble_gram
 from .selection import LambdaGrid, choose_from_values, lambda_mn
 
@@ -233,8 +233,8 @@ def _run_cell(config: SimConfig, mu_q: float, replication: int,
         xp = sample_normal(config.mu_p, config.var_p, config.n, seed_p, "p")
         xq = sample_normal(mu_q, config.var_q, config.m, seed_q, "q")
         gram = assemble_gram(config.kernel, xp, xq)
-        ladder = fit_iterated_lavrentiev_ladder(gram, xp, xq, config.kernel,
-                                                config.grid.with_anchor(), config.k_list)
+        ladder = fit_iterated_lavrentiev_ladder(gram, config.grid.with_anchor(),
+                                                config.k_list)
         chosen_models = []
         for k in config.k_list:
             _, chosen = choose_from_values(ladder.values[k])
@@ -319,10 +319,6 @@ def report_to_json(report: ExperimentReport) -> str:
 def save_report_json(report: ExperimentReport, path) -> None:
     with open(path, "w") as handle:
         handle.write(report_to_json(report))
-
-
-def load_report_json(path) -> dict:
-    return load_json(path, "report file")
 
 
 def save_report_csv(report: ExperimentReport, path) -> None:
@@ -446,8 +442,7 @@ def run_rate_study(n_list, eta: float, varsigma: float, iterations: int,
             xp = sample_normal(mu_p, var_p, n, seed_p, "p")
             xq = sample_normal(mu_q, var_q, n, seed_q, "q")
             gram = assemble_gram(kernel, xp, xq)
-            model = fit_iterated_lavrentiev_path(
-                gram, xp, xq, kernel, lam, [iterations])[iterations]
+            model = fit_iterated_lavrentiev(gram, lam, iterations)
             fitted_at_probe = float(evaluate_batch(model, [[probe]])[0])
             point_errors.append(abs(truth_at_probe - fitted_at_probe))
             truth = true_beta(xp.points[:, 0], mu_q, mu_p, var_p, var_q)

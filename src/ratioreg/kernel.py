@@ -2,12 +2,15 @@
 
 Everything downstream works with two finite samples: ``xp`` drawn from the
 reference distribution (the denominator of the density ratio) and ``xq``
-drawn from the target distribution (the numerator).  A ``GramSystem``
-pairs the kernel on ``xp`` with the cross-sample vector
+drawn from the target distribution (the numerator).  A ``GramSystem`` is
+the one holder of the kernel and both samples, together with the
+cross-sample vector
 
     f_bar[i] = (n / m) * sum_j k(x_i, x'_j)
 
-that acts as the right-hand side of every estimator in the package.
+that acts as the right-hand side of every estimator in the package.  The
+fits, the selection rule and the capacity diagnostics take the system
+alone, so they cannot be handed a kernel or a sample it was not built from.
 
 Selection, capacity and the spectral fit filter the spectrum of K/n,
 which for the Gaussian kernels decays geometrically: on 1-d samples K
@@ -262,43 +265,50 @@ def _outside_span(basis: np.ndarray, vectors: np.ndarray, coords: np.ndarray) ->
 
 @dataclass(frozen=True, kw_only=True)
 class GramSystem:
-    """The kernel system shared by all fits on a sample pair.
+    """The one holder of the kernel and the sample pair that every fit shares.
 
-    An assembled system holds the ``kernel``, the reference ``points`` and
-    ``f_bar`` = (n/m) * sum_j k(x_i, x'_j), and forms kernel values when
-    asked.  A hand-built one holds any (n, n) ``k_matrix`` instead and
-    takes the dense paths.  Immutable after construction.
+    It keeps the ``kernel``, the reference sample ``xp``, the target
+    sample ``xq`` (None for a capacity-only system) and ``f_bar`` =
+    (n/m) * sum_j k(x_i, x'_j); n and m are read off the samples.  Kernel
+    values are formed when asked.  ``k_matrix``, if set, replaces them by
+    any (n, n) matrix, and the system then takes the dense paths: a test's
+    reference or fault, built as ``dataclasses.replace(gram, k_matrix=K)``.
+    Immutable after construction.
     """
 
+    kernel: KernelSpec
+    xp: SampleSet
+    xq: SampleSet | None
     f_bar: np.ndarray
-    n: int
-    m: int
     k_matrix: np.ndarray | None = None
-    kernel: KernelSpec | None = None
-    points: np.ndarray | None = None
 
     def __post_init__(self):
-        if (self.k_matrix is None) == (self.kernel is None or self.points is None):
-            raise InputError("GramSystem takes either k_matrix or kernel and points")
-        if self.k_matrix is None:
-            object.__setattr__(self, "points", _as_points(self.points))
-            order = self.points.shape[0]
-        else:
+        if self.xp.measure_tag != "p":
+            raise InputError("first sample must carry measure_tag 'p'")
+        if self.xq is not None:
+            if self.xq.measure_tag != "q":
+                raise InputError("second sample must carry measure_tag 'q'")
+            if self.xp.dim != self.xq.dim:
+                raise InputError(f"sample dimensions differ: {self.xp.dim} vs {self.xq.dim}")
+        if self.k_matrix is not None:
             k = np.asarray(self.k_matrix, dtype=float)
-            if k.ndim != 2 or k.shape[0] != k.shape[1]:
-                raise InputError(f"k_matrix must be square, got shape {k.shape}")
+            if k.shape != (self.n, self.n):
+                raise InputError(f"k_matrix has shape {k.shape}, expected ({self.n}, {self.n})")
             k.setflags(write=False)
             object.__setattr__(self, "k_matrix", k)
-            order = k.shape[0]
         f = np.asarray(self.f_bar, dtype=float)
-        if f.shape != (order,):
-            raise InputError(f"f_bar has shape {f.shape}, expected ({order},)")
-        if order != self.n:
-            raise InputError(f"n={self.n} does not match a system of order {order}")
-        if self.m < 1:
-            raise InputError(f"m must be at least 1, got {self.m}")
+        if f.shape != (self.n,):
+            raise InputError(f"f_bar has shape {f.shape}, expected ({self.n},)")
         f.setflags(write=False)
         object.__setattr__(self, "f_bar", f)
+
+    @property
+    def n(self) -> int:
+        return self.xp.n
+
+    @property
+    def m(self) -> int | None:
+        return None if self.xq is None else self.xq.n
 
     def max_diagonal(self) -> float:
         """max_i k(x_i, x_i): the kernel's closed form, or read off ``k_matrix``."""
@@ -310,10 +320,10 @@ class GramSystem:
         """A fresh, writable, Fortran-contiguous K for LAPACK to work on in place.
 
         An assembled system forms K anew, exactly symmetric, and returns its
-        transpose view; a hand-built matrix is copied.
+        transpose view; a set ``k_matrix`` is copied.
         """
         if self.k_matrix is None:
-            return kernel_matrix(self.kernel, self.points, self.points).T
+            return kernel_matrix(self.kernel, self.xp.points, self.xp.points).T
         return np.array(self.k_matrix, order="F")
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
@@ -322,12 +332,12 @@ class GramSystem:
         An assembled system factors K = F^T F by pivoted Cholesky; with
         F^T / sqrt(n) = Q R and R R^T = V diag(t) V^T, U = Q V is (n, r) and
         the complement of span(U) stands for eigenvalue 0.  Past the pivot
-        cap, and for a hand-built system, K/n is diagonalized densely
+        cap, and when ``k_matrix`` is set, K/n is diagonalized densely
         (r = n).  Each call decomposes afresh; nothing is cached.
         """
         factor = None
         if self.k_matrix is None:
-            factor = _pivoted_cholesky(self.kernel, self.points,
+            factor = _pivoted_cholesky(self.kernel, self.xp.points,
                                        _PIVOT_TOL * self.max_diagonal(),
                                        int(_PIVOT_CAP * self.n))
         try:
@@ -347,22 +357,15 @@ def assemble_gram(spec: KernelSpec, xp: SampleSet, xq: SampleSet | None = None) 
 
     f_bar comes from row blocks of the cross kernel, so the call never
     holds the n x m cross kernel, nor any n x n matrix.  Without a target
-    sample f_bar is zero and m = 1, which is all the capacity diagnostics
-    need.
+    sample f_bar is zero, which is all the capacity diagnostics need; such
+    a system cannot be fitted.
     """
-    if xp.measure_tag != "p":
-        raise InputError("first sample must carry measure_tag 'p'")
-    if xq is None:
-        return GramSystem(f_bar=np.zeros(xp.n), n=xp.n, m=1, kernel=spec, points=xp.points)
-    if xq.measure_tag != "q":
-        raise InputError("second sample must carry measure_tag 'q'")
-    if xp.dim != xq.dim:
-        raise InputError(f"sample dimensions differ: {xp.dim} vs {xq.dim}")
-    row_sums = np.empty(xp.n)
-    for rows in _row_blocks(xp.n, xq.n):
-        row_sums[rows] = kernel_matrix(spec, xp.points[rows], xq.points).sum(axis=1)
-    f_bar = (xp.n / xq.n) * row_sums
-    return GramSystem(f_bar=f_bar, n=xp.n, m=xq.n, kernel=spec, points=xp.points)
+    f_bar = np.zeros(xp.n)
+    if xq is not None:
+        for rows in _row_blocks(xp.n, xq.n):
+            f_bar[rows] = kernel_matrix(spec, xp.points[rows], xq.points).sum(axis=1)
+        f_bar *= xp.n / xq.n
+    return GramSystem(kernel=spec, xp=xp, xq=xq, f_bar=f_bar)
 
 
 # ---------------------------------------------------------------------------

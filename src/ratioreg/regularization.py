@@ -37,19 +37,19 @@ import numpy as np
 
 from .errors import InputError, is_number, require_keys
 
-SCHEME_KINDS = ("lavrentiev", "iterated_lavrentiev", "spectral_cutoff")
+SCHEME_KINDS = ("iterated_lavrentiev", "spectral_cutoff")
 
 
 @dataclass(frozen=True)
 class RegScheme:
     """A regularization scheme: kind, strength, and iteration count.
 
-    ``kind`` is one of ``"lavrentiev"`` (single shifted inversion),
-    ``"iterated_lavrentiev"`` (k shifted inversions), or
-    ``"spectral_cutoff"``.  ``lam`` must be positive.  ``iterations``
-    is the step count k of the iterated scheme; for ``"lavrentiev"``
-    it must be 1 and for ``"spectral_cutoff"`` it is ignored and
-    stored as 1.
+    ``kind`` is one of ``"iterated_lavrentiev"`` (k shifted inversions)
+    or ``"spectral_cutoff"``.  ``lam`` must be positive.  ``iterations``
+    is the step count k of the iterated scheme; for ``"spectral_cutoff"``
+    it is ignored and stored as 1.  ``"lavrentiev"`` (a single shifted
+    inversion) is accepted as input for ``"iterated_lavrentiev"`` with
+    k = 1 and stored under that name.
     """
 
     kind: str
@@ -57,7 +57,7 @@ class RegScheme:
     iterations: int = 1
 
     def __post_init__(self):
-        if self.kind not in SCHEME_KINDS:
+        if self.kind not in SCHEME_KINDS + ("lavrentiev",):
             raise InputError(f"unknown scheme kind {self.kind!r}; expected one of {SCHEME_KINDS}")
         if not (is_number(self.lam) and math.isfinite(self.lam) and self.lam > 0.0):
             raise InputError(f"lam must be a positive finite real, got {self.lam!r}")
@@ -65,9 +65,11 @@ class RegScheme:
                 and int(self.iterations) == self.iterations and self.iterations >= 1):
             raise InputError(f"iterations must be a positive integer, got {self.iterations!r}")
         object.__setattr__(self, "iterations", int(self.iterations))
-        if self.kind == "lavrentiev" and self.iterations != 1:
-            raise InputError("kind 'lavrentiev' means a single iteration; "
-                             "use 'iterated_lavrentiev' for k > 1")
+        if self.kind == "lavrentiev":
+            if self.iterations != 1:
+                raise InputError("kind 'lavrentiev' means a single iteration; "
+                                 "use 'iterated_lavrentiev' for k > 1")
+            object.__setattr__(self, "kind", "iterated_lavrentiev")
         if self.kind == "spectral_cutoff":
             object.__setattr__(self, "iterations", 1)
 
@@ -110,7 +112,7 @@ class RegScheme:
 
 
 def lavrentiev(lam: float) -> RegScheme:
-    return RegScheme(kind="lavrentiev", lam=lam, iterations=1)
+    return iterated_lavrentiev(lam, 1)
 
 
 def iterated_lavrentiev(lam: float, iterations: int) -> RegScheme:
@@ -267,9 +269,10 @@ class SchemeCheckReport:
             "grid_size": self.grid_size,
             "qualification": None if math.isinf(self.qualification) else self.qualification,
             "all_satisfied": self.all_satisfied,
+            # JSON has no infinities: a non-finite margin is written as null
             "checks": [
-                {"name": c.name, "margin": c.margin, "worst_t": c.worst_t,
-                 "satisfied": c.satisfied}
+                {"name": c.name, "margin": c.margin if math.isfinite(c.margin) else None,
+                 "worst_t": c.worst_t, "satisfied": c.satisfied}
                 for c in self.checks
             ],
         }

@@ -12,8 +12,9 @@ root-mean-square norm on the reference sample,
 
 and keep the strength whose difference is smallest.  The top of the
 ladder (i = 0) only anchors the first difference and is never chosen;
-ties go to the larger strength.  All the fits share one eigensystem of
-K/n, r eigenpairs from a pivoted Cholesky factor (see
+ties go to the larger strength.  The rule takes one ``GramSystem``, the
+holder of the kernel and both samples, and all the fits share one
+eigensystem of K/n, r eigenpairs from a pivoted Cholesky factor (see
 ``kernel.GramSystem.eigensystem``): the whole ladder costs that factor
 plus one (L |k| x r) @ (r x n) product and O(n r) memory, and never forms
 the n x n kernel matrix (see ``estimator.fit_iterated_lavrentiev_ladder``).
@@ -28,7 +29,6 @@ the balance point of the corresponding bias and variance terms.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import InputError, require_keys
 from .estimator import RatioModel, fit_iterated_lavrentiev_ladder
-from .kernel import GramSystem, KernelSpec, SampleSet
+from .kernel import GramSystem
 
 
 @dataclass(frozen=True)
@@ -106,21 +106,6 @@ class SelectionTrace:
     def at_boundary(self) -> bool:
         return self.chosen_index in (0, self.grid.size - 1)
 
-    def to_dict(self) -> dict:
-        return {
-            "grid": self.grid.to_dict(),
-            "diffs": list(self.diffs),
-            "chosen_index": self.chosen_index,
-            "chosen_lambda": self.chosen_lambda,
-            "at_boundary": self.at_boundary,
-        }
-
-
-def save_trace_json(trace: SelectionTrace, path) -> None:
-    with open(path, "w") as handle:
-        json.dump(trace.to_dict(), handle, sort_keys=True, indent=2)
-        handle.write("\n")
-
 
 def rms_norm(vector: np.ndarray) -> float:
     """Root-mean-square norm, the (1/n)-weighted Euclidean norm."""
@@ -144,20 +129,17 @@ def choose_from_values(value_vectors) -> tuple[tuple[float, ...], int]:
     return diffs, int(np.argmin(diffs))
 
 
-def quasi_optimality(gram: GramSystem, xp: SampleSet, xq: SampleSet,
-                     kernel: KernelSpec, iterations: int,
-                     grid: LambdaGrid | None = None,
+def quasi_optimality(gram: GramSystem, iterations: int, grid: LambdaGrid | None = None,
                      keep_models: bool = False) -> SelectionTrace:
     """Pick the regularization strength by the quasi-optimality rule.
 
     Fits the iterated scheme at every ladder strength (anchor included)
-    from one eigensystem and minimizes the consecutive difference
-    of fitted value vectors in the root-mean-square norm on the
-    reference sample.
+    from one eigensystem of ``gram`` and minimizes the consecutive
+    difference of fitted value vectors in the root-mean-square norm on
+    the reference sample.
     """
     grid = LambdaGrid() if grid is None else grid
-    ladder = fit_iterated_lavrentiev_ladder(gram, xp, xq, kernel, grid.with_anchor(),
-                                            [iterations])
+    ladder = fit_iterated_lavrentiev_ladder(gram, grid.with_anchor(), [iterations])
     diffs, chosen = choose_from_values(ladder.values[iterations])
     models = None
     if keep_models:

@@ -74,12 +74,9 @@ def test_criterion_2_recursion_agrees_with_spectral_path(criterion):
         xq = rr.sample_normal(3.0, 0.5, 40, derive_seed(777, s, 1), "q")
         gram = rr.assemble_gram(spec, xp, xq)
         for lam in np.geomspace(0.1, 0.9, 5):
-            by_k = rr.fit_iterated_lavrentiev_path(gram, xp, xq, spec,
-                                                   float(lam), ALL_K)
             for k in ALL_K:
-                direct = by_k[k]
-                eig = rr.fit_spectral(gram, xp, xq, spec,
-                                      rr.iterated_lavrentiev(float(lam), k))
+                direct = rr.fit_iterated_lavrentiev(gram, float(lam), k)
+                eig = rr.fit_spectral(gram, rr.iterated_lavrentiev(float(lam), k))
                 worst = max(worst,
                             np.abs(direct.values_at_xp - eig.values_at_xp).max(),
                             np.abs(rr.evaluate_batch(direct, probes)
@@ -101,7 +98,7 @@ def test_criterion_3_single_step_solves_shifted_system(criterion):
         xp = rr.sample_normal(2.0, 5.0, n, derive_seed(88, trial, 0), "p")
         xq = rr.sample_normal(3.0, 0.5, m, derive_seed(88, trial, 1), "q")
         gram = rr.assemble_gram(spec, xp, xq)
-        model = rr.fit_iterated_lavrentiev(gram, xp, xq, spec, lam, 1)
+        model = rr.fit_iterated_lavrentiev(gram, lam, 1)
         k_matrix = rr.kernel_matrix(spec, xp.points, xp.points)
         direct = np.linalg.solve(k_matrix + n * lam * np.eye(n), gram.f_bar)
         worst = max(worst, np.abs(model.values_at_xp - direct).max())
@@ -162,7 +159,7 @@ def test_criterion_6_capacity_diagnostics(criterion):
     with criterion(6, {}) as rec:
         worst_mean = 0.0
         for lam in (0.9, 0.3, 0.1, 0.05):
-            mean_lev = np.mean([rr.christoffel(gram, spec, xp, lam, x)
+            mean_lev = np.mean([rr.christoffel(gram, lam, x)
                                 for x in xp.points])
             worst_mean = max(worst_mean,
                              abs(mean_lev - rr.effective_dimension(gram, lam)))

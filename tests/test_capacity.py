@@ -1,80 +1,75 @@
 from __future__ import annotations
 
 import csv
-import json
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import ratioreg as rr
-from ratioreg.capacity import save_profile_csv, save_profile_json
+from ratioreg.capacity import save_profile_csv
 from ratioreg.kernel import kernel_matrix
 
 GOLDEN_RATIO_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @pytest.fixture(scope="module")
-def capacity_instance():
-    spec = rr.KernelSpec()
-    xp = rr.sample_normal(2.0, 5.0, 60, 11, "p")
-    return spec, xp, rr.assemble_gram(spec, xp)
+def gram():
+    """A capacity-only system: n = 60 reference points, no target sample."""
+    return rr.assemble_gram(rr.KernelSpec(), rr.sample_normal(2.0, 5.0, 60, 11, "p"))
 
 
 def test_single_point_leverage_closed_form(default_kernel):
     # one point, k(x,x) = 2: C_lam = 2 / (lam + 2)
     xp = rr.SampleSet([[0.0]], "p")
     gram = rr.assemble_gram(default_kernel, xp)
-    assert rr.christoffel(gram, default_kernel, xp, 2.0, [0.0]) == pytest.approx(0.5, abs=1e-14)
-    assert rr.christoffel(gram, default_kernel, xp, 0.5, [0.0]) == pytest.approx(0.8, abs=1e-14)
+    assert rr.christoffel(gram, 2.0, [0.0]) == pytest.approx(0.5, abs=1e-14)
+    assert rr.christoffel(gram, 0.5, [0.0]) == pytest.approx(0.8, abs=1e-14)
 
 
-def test_mean_leverage_equals_effective_dimension(capacity_instance):
+def test_mean_leverage_equals_effective_dimension(gram):
     """Averaging the regularized leverage over the sample recovers N(lam)."""
-    spec, xp, gram = capacity_instance
+    xp = gram.xp
     for lam in (0.9, 0.3, 0.1, 0.05):
         mean_leverage = np.mean(
-            [rr.christoffel(gram, spec, xp, lam, x) for x in xp.points])
+            [rr.christoffel(gram, lam, x) for x in xp.points])
         assert abs(mean_leverage - rr.effective_dimension(gram, lam)) <= 1e-8
 
 
-def test_effective_dimension_monotone_and_below_n(capacity_instance):
-    _, _, gram = capacity_instance
+def test_effective_dimension_monotone_and_below_n(gram):
     lams = np.geomspace(0.005, 2.0, 30)
     values = [rr.effective_dimension(gram, lam) for lam in lams]
     assert all(a > b for a, b in zip(values, values[1:]))  # decreasing in lam
     assert all(0.0 < v < gram.n for v in values)
 
 
-def test_ratio_strictly_decreasing(capacity_instance):
-    _, _, gram = capacity_instance
+def test_ratio_strictly_decreasing(gram):
     lams = np.geomspace(0.01, 2.0, 40)
     ratios = [rr.effective_dimension(gram, lam) / lam for lam in lams]
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
 
-def test_leverage_non_negative(capacity_instance):
-    spec, xp, gram = capacity_instance
+def test_leverage_non_negative(gram):
     probes = np.linspace(-6.0, 10.0, 100)
     for lam in (0.9, 0.1, 0.01):
-        values = [rr.christoffel(gram, spec, xp, lam, x) for x in probes]
+        values = [rr.christoffel(gram, lam, x) for x in probes]
         assert min(values) >= -1e-10
 
 
-def test_sup_estimate_dominates_mean(capacity_instance):
-    spec, xp, gram = capacity_instance
+def test_sup_estimate_dominates_mean(gram):
     probes = np.linspace(-6.0, 10.0, 50).reshape(-1, 1)
     for lam in (0.5, 0.1):
-        sup = rr.n_inf_estimate(gram, spec, xp, lam, probes)
+        sup = rr.n_inf_estimate(gram, lam, probes)
         assert sup >= rr.effective_dimension(gram, lam)
 
 
-def test_sup_estimate_includes_sample_points(capacity_instance):
-    spec, xp, gram = capacity_instance
+def test_sup_estimate_includes_sample_points(gram):
+    xp = gram.xp
     lam = 0.2
-    at_samples = max(rr.christoffel(gram, spec, xp, lam, x) for x in xp.points)
+    at_samples = max(rr.christoffel(gram, lam, x) for x in xp.points)
     # probe set far away from the data: the in-sample scan still counts
-    sup = rr.n_inf_estimate(gram, spec, xp, lam, [[100.0]])
+    sup = rr.n_inf_estimate(gram, lam, [[100.0]])
     assert sup >= at_samples
 
 
@@ -88,14 +83,12 @@ def test_lambda_star_scalar_analytic_case():
     assert abs(star - GOLDEN_RATIO_CONJUGATE) <= 1e-6
 
 
-def test_lambda_star_balances_ratio(capacity_instance):
-    _, _, gram = capacity_instance
+def test_lambda_star_balances_ratio(gram):
     star = rr.find_lambda_star(gram)
     assert abs(rr.effective_dimension(gram, star) / star - gram.n) <= 1e-4 * gram.n
 
 
-def test_lambda_star_bad_bracket_reports_endpoints(capacity_instance):
-    _, _, gram = capacity_instance
+def test_lambda_star_bad_bracket_reports_endpoints(gram):
     with pytest.raises(rr.InputError) as info:
         rr.find_lambda_star(gram, bracket=(1.0, 2.0))
     message = str(info.value)
@@ -104,27 +97,25 @@ def test_lambda_star_bad_bracket_reports_endpoints(capacity_instance):
         rr.find_lambda_star(gram, bracket=(2.0, 1.0))
 
 
-def test_capacity_validation(capacity_instance):
-    spec, xp, gram = capacity_instance
+def test_capacity_validation(gram):
     with pytest.raises(rr.InputError):
-        rr.christoffel(gram, spec, xp, 0.0, [0.0])
+        rr.christoffel(gram, 0.0, [0.0])
     with pytest.raises(rr.InputError):
         rr.effective_dimension(gram, -1.0)
     with pytest.raises(rr.InputError):
-        rr.n_inf_estimate(gram, spec, xp, 0.1, np.zeros((0, 1)))
+        rr.n_inf_estimate(gram, 0.1, np.zeros((0, 1)))
     with pytest.raises(rr.InputError):
-        rr.christoffel(gram, spec, xp, 0.1, [0.0, 1.0])
+        rr.christoffel(gram, 0.1, [0.0, 1.0])
     with pytest.raises(rr.InputError):
-        rr.christoffel(gram, spec, xp, [0.1, 0.2], [0.0])
+        rr.christoffel(gram, [0.1, 0.2], [0.0])
     with pytest.raises(rr.InputError):
         rr.effective_dimension(gram, [0.1, 0.2])
     with pytest.raises(rr.InputError):
-        rr.n_inf_estimate(gram, spec, xp, [0.1, 0.2], [[0.0]])
+        rr.n_inf_estimate(gram, [0.1, 0.2], [[0.0]])
 
 
-def test_profile_tabulates_decreasing(capacity_instance):
-    spec, xp, gram = capacity_instance
-    profile = rr.capacity_profile(gram, spec, xp, np.geomspace(0.05, 1.0, 8))
+def test_profile_tabulates_decreasing(gram):
+    profile = rr.capacity_profile(gram, np.geomspace(0.05, 1.0, 8))
     assert all(a > b for a, b in zip(profile.lambdas, profile.lambdas[1:]))
     # n_eff grows as lam shrinks
     assert all(a < b for a, b in zip(profile.n_eff, profile.n_eff[1:]))
@@ -133,9 +124,8 @@ def test_profile_tabulates_decreasing(capacity_instance):
     assert profile.lambda_star == pytest.approx(rr.find_lambda_star(gram), rel=1e-12)
 
 
-def test_profile_csv_round_trip(tmp_path, capacity_instance):
-    spec, xp, gram = capacity_instance
-    profile = rr.capacity_profile(gram, spec, xp, [0.5, 0.1, 0.9])
+def test_profile_csv_round_trip(tmp_path, gram):
+    profile = rr.capacity_profile(gram, [0.5, 0.1, 0.9])
     path = tmp_path / "profile.csv"
     save_profile_csv(profile, path)
     with open(path, newline="") as handle:
@@ -147,24 +137,11 @@ def test_profile_csv_round_trip(tmp_path, capacity_instance):
     assert np.array_equal(back[:, 1], profile.n_eff)
 
 
-def test_profile_json_round_trip(tmp_path, capacity_instance):
-    spec, xp, gram = capacity_instance
-    profile = rr.capacity_profile(gram, spec, xp, [0.5, 0.1])
-    path = tmp_path / "profile.json"
-    save_profile_json(profile, path)
-    with open(path) as handle:
-        back = json.load(handle)
-    assert back == profile.to_dict()
-    assert back["lambdas"] == [0.5, 0.1]
-    assert back["lambda_star"] == profile.lambda_star
-
-
-def test_profile_validation(capacity_instance):
-    spec, xp, gram = capacity_instance
+def test_profile_validation(gram):
     with pytest.raises(rr.InputError):
-        rr.capacity_profile(gram, spec, xp, [])
+        rr.capacity_profile(gram, [])
     with pytest.raises(rr.InputError):
-        rr.capacity_profile(gram, spec, xp, [0.5, -0.1])
+        rr.capacity_profile(gram, [0.5, -0.1])
 
 
 def test_default_probe_grid_covers_inflated_box():
@@ -183,16 +160,15 @@ def test_default_probe_grid_multidimensional():
 
 
 @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
-def test_non_finite_strengths_rejected(capacity_instance, lam):
-    spec, xp, gram = capacity_instance
+def test_non_finite_strengths_rejected(gram, lam):
     with pytest.raises(rr.InputError):
-        rr.christoffel(gram, spec, xp, lam, [0.0])
+        rr.christoffel(gram, lam, [0.0])
     with pytest.raises(rr.InputError):
         rr.effective_dimension(gram, lam)
     with pytest.raises(rr.InputError):
-        rr.n_inf_estimate(gram, spec, xp, lam, [[0.0]])
+        rr.n_inf_estimate(gram, lam, [[0.0]])
     with pytest.raises(rr.InputError):
-        rr.capacity_profile(gram, spec, xp, [0.5, lam])
+        rr.capacity_profile(gram, [0.5, lam])
     with pytest.raises(rr.InputError):
         rr.find_lambda_star(gram, bracket=(1e-3, lam))
 
@@ -217,26 +193,25 @@ def test_spectral_leverage_matches_dense_solve():
     gram = rr.assemble_gram(spec, xp)
     probes = np.linspace(-10.0, 14.0, 41).reshape(-1, 1)
     scan = np.vstack([probes, xp.points])
-    profile = rr.capacity_profile(gram, spec, xp, [0.9, 0.1, 0.01, 5e-4], probes)
+    profile = rr.capacity_profile(gram, [0.9, 0.1, 0.01, 5e-4], probes)
     for lam, n_inf in zip(profile.lambdas, profile.n_inf):
         reference = _dense_leverage(gram, spec, xp, lam, scan)
         scale = reference.max()
         assert abs(n_inf - scale) <= 1e-12 * scale
         points = scan[::12]
-        single = [rr.christoffel(gram, spec, xp, lam, x) for x in points]
+        single = [rr.christoffel(gram, lam, x) for x in points]
         assert np.max(np.abs(single - reference[::12])) <= 1e-12 * scale
 
 
-def test_one_decomposition_per_call(linalg_calls, capacity_instance):
-    spec, xp, gram = capacity_instance
+def test_one_decomposition_per_call(linalg_calls, gram):
     calls = linalg_calls
     for lambdas in ([0.5], np.geomspace(0.01, 1.0, 20)):
         calls.clear()
-        rr.capacity_profile(gram, spec, xp, lambdas)
+        rr.capacity_profile(gram, lambdas)
         assert calls == ["eigh"]
-    for single in (lambda: rr.christoffel(gram, spec, xp, 0.1, [0.0]),
+    for single in (lambda: rr.christoffel(gram, 0.1, [0.0]),
                    lambda: rr.effective_dimension(gram, 0.1),
-                   lambda: rr.n_inf_estimate(gram, spec, xp, 0.1, [[0.0]]),
+                   lambda: rr.n_inf_estimate(gram, 0.1, [[0.0]]),
                    lambda: rr.find_lambda_star(gram)):
         calls.clear()
         single()
@@ -247,27 +222,26 @@ def test_indefinite_system_raises_numerical_error():
     """K/n has eigenvalues 1.5 and -0.5, so lam = 0.1 leaves a negative shift."""
     spec = rr.KernelSpec()
     xp = rr.SampleSet([[0.0], [1.0]], "p")
-    gram = rr.GramSystem(k_matrix=np.array([[1.0, 2.0], [2.0, 1.0]]),
-                         f_bar=np.zeros(2), n=2, m=1)
-    for attempt in (lambda: rr.christoffel(gram, spec, xp, 0.1, [0.0]),
-                    lambda: rr.n_inf_estimate(gram, spec, xp, 0.1, [[0.5]]),
-                    lambda: rr.capacity_profile(gram, spec, xp, [1.0, 0.1])):
+    gram = dataclasses.replace(rr.assemble_gram(spec, xp),
+                               k_matrix=np.array([[1.0, 2.0], [2.0, 1.0]]))
+    for attempt in (lambda: rr.christoffel(gram, 0.1, [0.0]),
+                    lambda: rr.n_inf_estimate(gram, 0.1, [[0.5]]),
+                    lambda: rr.capacity_profile(gram, [1.0, 0.1])):
         with pytest.raises(rr.NumericalError) as info:
             attempt()
         assert info.value.lam == 0.1
         assert info.value.smallest_eigenvalue == pytest.approx(-0.4, abs=1e-12)
     # a shift past the negative eigenvalue is positive definite again
-    assert rr.christoffel(gram, spec, xp, 1.0, [0.0]) > 0.0
+    assert rr.christoffel(gram, 1.0, [0.0]) > 0.0
 
 
-def test_failed_eigendecomposition_raises_numerical_error(monkeypatch, capacity_instance):
-    spec, xp, gram = capacity_instance
+def test_failed_eigendecomposition_raises_numerical_error(monkeypatch, gram):
 
     def broken(matrix):
         raise np.linalg.LinAlgError("did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", broken)
     with pytest.raises(rr.NumericalError):
-        rr.capacity_profile(gram, spec, xp, [0.5])
+        rr.capacity_profile(gram, [0.5])
     with pytest.raises(rr.NumericalError):
         rr.effective_dimension(gram, 0.5)

@@ -39,8 +39,7 @@ def test_fit_writes_loadable_model(tmp_path, sample_files, capsys):
     model = rr.load_model(out)
     assert model.alpha.shape == (30,)
     assert model.scheme.lam == 0.3 and model.scheme.iterations == 2
-    direct = rr.fit_iterated_lavrentiev(
-        rr.assemble_gram(model.kernel, xp, xq), xp, xq, model.kernel, 0.3, 2)
+    direct = rr.fit_iterated_lavrentiev(rr.assemble_gram(model.kernel, xp, xq), 0.3, 2)
     # CSV round-trips floats via repr, so the refit is bit-identical
     assert np.array_equal(model.alpha, direct.alpha)
 
@@ -325,15 +324,34 @@ def test_check_schemes_huge_t_max(t_max, capfd):
     assert captured.err == ""
 
 
+def _strict_json(text: str):
+    """json.loads that rejects the Infinity and NaN extensions, as strict parsers do."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
 def test_check_schemes_json_report(tmp_path, capsys):
+    """Infinite margins (cutoff: +inf; a false claim at t_max = 1e308: -inf) are null."""
     out = tmp_path / "checks.json"
     assert main(["check-schemes", "--kind", "spectral_cutoff", "--lam", "0.2",
                  "--out", str(out)]) == 0
     capsys.readouterr()
-    payload = json.loads(out.read_text())
+    payload = _strict_json(out.read_text())
     assert payload["all_satisfied"] is True
     assert len(payload["checks"]) == 4
     assert payload["qualification"] is None  # unbounded order serializes as null
+    qualification = payload["checks"][-1]
+    assert qualification["margin"] is None and qualification["satisfied"] is True
+
+    assert main(["check-schemes", "--t-max", "1e308", "--qualification", "5",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    payload = _strict_json(out.read_text())
+    assert payload["all_satisfied"] is False
+    qualification = payload["checks"][-1]
+    assert qualification["margin"] is None and qualification["satisfied"] is False
+    assert all(isinstance(c["margin"], float) for c in payload["checks"][:-1])
 
 
 # -- config files and shared plumbing ----------------------------------------
@@ -547,13 +565,12 @@ def test_cli_import_loads_no_scipy(subprocess_env):
 
 
 def test_commands_without_cholesky_fit_load_no_scipy(tmp_path, sample_files, small_pair,
-                                                     default_kernel, subprocess_env):
+                                                     subprocess_env):
     """--help, capacity, evaluate, simulate and check-schemes never import scipy."""
     _, _, xp_path, _ = sample_files
-    xp, xq, gram = small_pair
+    xp, _, gram = small_pair
     model_path = str(tmp_path / "model.json")
-    rr.save_model(rr.fit_spectral(gram, xp, xq, default_kernel,
-                                  rr.iterated_lavrentiev(0.2, 3)), model_path)
+    rr.save_model(rr.fit_spectral(gram, rr.iterated_lavrentiev(0.2, 3)), model_path)
     runs = [["--help"],
             ["capacity", "--xp", xp_path, "--num-lambdas", "4",
              "--out", str(tmp_path / "profile.csv")],
@@ -573,7 +590,7 @@ def test_fit_imports_scipy_on_first_use(tmp_path, sample_files, subprocess_env):
                       "--iterations", "2", "--out", out]], subprocess_env)
     assert got["codes"] == [0] and "scipy.linalg" in got["scipy"]
     spec = rr.KernelSpec()
-    direct = rr.fit_iterated_lavrentiev(rr.assemble_gram(spec, xp, xq), xp, xq, spec, 0.3, 2)
+    direct = rr.fit_iterated_lavrentiev(rr.assemble_gram(spec, xp, xq), 0.3, 2)
     assert np.array_equal(rr.load_model(out).alpha, direct.alpha)
 
 

@@ -91,7 +91,7 @@ def write_inputs() -> None:
     rr.save_samples_csv(xq, XQ)
     spec = rr.KernelSpec()
     gram = rr.assemble_gram(spec, xp, xq)
-    rr.save_model(rr.fit_spectral(gram, xp, xq, spec, rr.iterated_lavrentiev(0.3, 2)), MODEL)
+    rr.save_model(rr.fit_spectral(gram, rr.iterated_lavrentiev(0.3, 2)), MODEL)
 
 
 def run_in_temp_dir(prepare, argv: list[str]) -> tuple[int, str]:

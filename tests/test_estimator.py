@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -8,7 +10,6 @@ import pytest
 import scipy.linalg
 
 import ratioreg as rr
-from ratioreg.estimator import fit_iterated_lavrentiev_path
 from ratioreg.experiment import derive_seed
 from ratioreg.kernel import _row_blocks
 from ratioreg.regularization import iterated_lavrentiev, spectral_cutoff
@@ -16,9 +17,9 @@ from ratioreg.regularization import iterated_lavrentiev, spectral_cutoff
 
 def test_single_step_equals_direct_solve(default_kernel, small_pair):
     """One shifted inversion is exactly the (n lam I + K)^{-1} f_bar solve."""
-    xp, xq, gram = small_pair
+    xp, _, gram = small_pair
     for lam in (0.9, 0.3, 0.1):
-        model = rr.fit_iterated_lavrentiev(gram, xp, xq, default_kernel, lam, 1)
+        model = rr.fit_iterated_lavrentiev(gram, lam, 1)
         k_matrix = rr.kernel_matrix(default_kernel, xp.points, xp.points)
         direct = np.linalg.solve(
             gram.n * lam * np.eye(gram.n) + k_matrix, gram.f_bar)
@@ -34,58 +35,46 @@ def test_cholesky_fit_factors_one_fresh_matrix(default_kernel):
     tracemalloc.start()
     try:
         gram = rr.assemble_gram(default_kernel, xp, xq)
-        model = rr.fit_iterated_lavrentiev(gram, xp, xq, default_kernel, 0.1, 3)
+        model = rr.fit_iterated_lavrentiev(gram, 0.1, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * n * n * 8
-    copied = rr.GramSystem(k_matrix=rr.kernel_matrix(default_kernel, xp.points, xp.points),
-                           f_bar=gram.f_bar, n=n, m=n)
-    twin = rr.fit_iterated_lavrentiev(copied, xp, xq, default_kernel, 0.1, 3)
+    copied = dataclasses.replace(
+        gram, k_matrix=rr.kernel_matrix(default_kernel, xp.points, xp.points))
+    twin = rr.fit_iterated_lavrentiev(copied, 0.1, 3)
     assert np.array_equal(model.values_at_xp, twin.values_at_xp)
     assert np.array_equal(model.alpha, twin.alpha)
 
 
 def test_iteration_telescopes(default_kernel, small_pair):
-    """Step k recomputed from the stored step k-1 reproduces the snapshot."""
-    xp, xq, gram = small_pair
+    """Step k recomputed from a separate fit at k-1 reproduces the fit at k."""
+    xp, _, gram = small_pair
     lam = 0.2
-    path = fit_iterated_lavrentiev_path(gram, xp, xq, default_kernel, lam,
-                                        [4, 5])
+    four = rr.fit_iterated_lavrentiev(gram, lam, 4)
+    five = rr.fit_iterated_lavrentiev(gram, lam, 5)
     k_matrix = rr.kernel_matrix(default_kernel, xp.points, xp.points)
     factor = scipy.linalg.cho_factor(
         gram.n * lam * np.eye(gram.n) + k_matrix, lower=True)
     recomputed = scipy.linalg.cho_solve(
-        factor, gram.n * lam * path[4].values_at_xp + gram.f_bar)
-    assert np.abs(recomputed - path[5].values_at_xp).max() <= 1e-12
+        factor, gram.n * lam * four.values_at_xp + gram.f_bar)
+    assert np.abs(recomputed - five.values_at_xp).max() <= 1e-12
 
 
-def test_path_snapshots_equal_separate_fits(default_kernel, small_pair):
-    xp, xq, gram = small_pair
-    path = fit_iterated_lavrentiev_path(gram, xp, xq, default_kernel, 0.3,
-                                        [1, 3, 5])
-    for k in (1, 3, 5):
-        separate = rr.fit_iterated_lavrentiev(gram, xp, xq, default_kernel, 0.3, k)
-        assert np.array_equal(path[k].values_at_xp, separate.values_at_xp)
-        assert np.array_equal(path[k].alpha, separate.alpha)
-        assert path[k].mu_coeff == separate.mu_coeff
-
-
-def test_mu_coeff_is_k_over_lambda(default_kernel, small_pair):
-    xp, xq, gram = small_pair
+def test_mu_coeff_is_k_over_lambda(small_pair):
+    gram = small_pair[2]
     for k in (1, 2, 3, 5, 10):
-        model = rr.fit_iterated_lavrentiev(gram, xp, xq, default_kernel, 0.3, k)
+        model = rr.fit_iterated_lavrentiev(gram, 0.3, k)
         assert model.mu_coeff == k / 0.3
 
 
-def test_two_path_equivalence(default_kernel, small_pair):
-    xp, xq, gram = small_pair
+def test_two_path_equivalence(small_pair):
+    gram = small_pair[2]
     probes = np.linspace(-2.0, 6.0, 10).reshape(-1, 1)
     for k in (1, 2, 3, 5, 10):
         for lam in (0.9, 0.3, 0.1):
-            fast = rr.fit_iterated_lavrentiev(gram, xp, xq, default_kernel, lam, k)
-            spectral = rr.fit_spectral(gram, xp, xq, default_kernel,
-                                       iterated_lavrentiev(lam, k))
+            fast = rr.fit_iterated_lavrentiev(gram, lam, k)
+            spectral = rr.fit_spectral(gram, iterated_lavrentiev(lam, k))
             assert np.abs(fast.values_at_xp - spectral.values_at_xp).max() <= 1e-8
             assert np.abs(rr.evaluate_batch(fast, probes)
                           - rr.evaluate_batch(spectral, probes)).max() <= 1e-8
@@ -99,13 +88,11 @@ def test_ladder_agrees_with_cholesky_path(default_kernel):
     gram = rr.assemble_gram(default_kernel, xp, xq)
     counts = (1, 2, 3, 5, 10)
     lambdas = rr.LambdaGrid().with_anchor()
-    ladder = rr.fit_iterated_lavrentiev_ladder(gram, xp, xq, default_kernel,
-                                               lambdas, counts)
+    ladder = rr.fit_iterated_lavrentiev_ladder(gram, lambdas, counts)
     probes = np.linspace(-6.0, 10.0, 40).reshape(-1, 1)
     for index, lam in enumerate(lambdas):
-        path = fit_iterated_lavrentiev_path(gram, xp, xq, default_kernel, lam, counts)
         for k in counts:
-            reference = path[k]
+            reference = rr.fit_iterated_lavrentiev(gram, lam, k)
             scale = np.abs(reference.values_at_xp).max()
             assert np.abs(ladder.values[k][index] - reference.values_at_xp).max() \
                 <= 1e-12 * scale
@@ -120,26 +107,28 @@ def test_ladder_agrees_with_cholesky_path(default_kernel):
                 <= 1e-12 * np.abs(expected).max()
 
 
-def test_ladder_validation(default_kernel, small_pair):
-    xp, xq, gram = small_pair
+def test_ladder_validation(small_pair):
+    gram = small_pair[2]
     for lambdas, counts in (([], [1]), ([0.5, float("inf")], [1]), ([0.5, 0.0], [1]),
-                            ([0.5], []), ([0.5], [0, 1])):
+                            ([0.5], []), ([0.5], [0, 1]), ([0.5], [2.5]), ([0.5], [True]),
+                            ([0.5], [float("nan")])):
         with pytest.raises(rr.InputError):
-            rr.fit_iterated_lavrentiev_ladder(gram, xp, xq, default_kernel,
-                                              lambdas, counts)
+            rr.fit_iterated_lavrentiev_ladder(gram, lambdas, counts)
+    with pytest.raises(rr.InputError):  # was a KeyError after a silent k = 2 ladder
+        rr.quasi_optimality(gram, 2.5)
 
 
-def test_evaluate_reproduces_cached_values(default_kernel, small_pair):
-    xp, xq, gram = small_pair
-    model = rr.fit_iterated_lavrentiev(gram, xp, xq, default_kernel, 0.2, 3)
+def test_evaluate_reproduces_cached_values(small_pair):
+    xp, _, gram = small_pair
+    model = rr.fit_iterated_lavrentiev(gram, 0.2, 3)
     replayed = rr.evaluate_batch(model, xp.points)
     assert np.abs(replayed - model.values_at_xp).max() <= 1e-8 * max(
         1.0, np.abs(model.values_at_xp).max())
 
 
-def test_evaluate_batch_matches_pointwise(default_kernel, small_pair):
-    xp, xq, gram = small_pair
-    model = rr.fit_iterated_lavrentiev(gram, xp, xq, default_kernel, 0.2, 2)
+def test_evaluate_batch_matches_pointwise(small_pair):
+    gram = small_pair[2]
+    model = rr.fit_iterated_lavrentiev(gram, 0.2, 2)
     points = np.array([[-1.0], [2.5], [7.0]])
     batch = rr.evaluate_batch(model, points)
     singles = np.array([rr.evaluate(model, x) for x in points])
@@ -153,7 +142,7 @@ def model_400(default_kernel):
     xp = rr.sample_normal(2.0, 5.0, 400, derive_seed(41, 0), "p")
     xq = rr.sample_normal(3.0, 0.5, 400, derive_seed(41, 1), "q")
     gram = rr.assemble_gram(default_kernel, xp, xq)
-    return rr.fit_iterated_lavrentiev(gram, xp, xq, default_kernel, 0.1, 3)
+    return rr.fit_iterated_lavrentiev(gram, 0.1, 3)
 
 
 def test_evaluate_batch_blocks_are_bitwise(model_400):
@@ -193,15 +182,15 @@ def test_evaluate_batch_memory_is_bounded(model_400):
     assert peak < 20000 * 400 * 8
 
 
-def test_evaluate_batch_empty(default_kernel, small_pair):
-    xp, xq, gram = small_pair
-    model = rr.fit_iterated_lavrentiev(gram, xp, xq, default_kernel, 0.2, 2)
+def test_evaluate_batch_empty(small_pair):
+    gram = small_pair[2]
+    model = rr.fit_iterated_lavrentiev(gram, 0.2, 2)
     assert rr.evaluate_batch(model, np.zeros((0, 1))).shape == (0,)
 
 
-def test_evaluate_dimension_mismatch(default_kernel, small_pair):
-    xp, xq, gram = small_pair
-    model = rr.fit_iterated_lavrentiev(gram, xp, xq, default_kernel, 0.2, 2)
+def test_evaluate_dimension_mismatch(small_pair):
+    gram = small_pair[2]
+    model = rr.fit_iterated_lavrentiev(gram, 0.2, 2)
     with pytest.raises(rr.InputError):
         rr.evaluate(model, [1.0, 2.0])
 
@@ -209,12 +198,12 @@ def test_evaluate_dimension_mismatch(default_kernel, small_pair):
 def test_fit_is_linear_in_rhs(default_kernel, small_pair):
     """Scaling f_bar scales values and alpha; the embedding coefficient
     k/lam stays put because the scale rides on the embedding itself."""
-    xp, xq, gram = small_pair
-    scaled = rr.GramSystem(
-        k_matrix=rr.kernel_matrix(default_kernel, xp.points, xp.points),
-        f_bar=4.0 * gram.f_bar, n=gram.n, m=gram.m)
-    base = rr.fit_iterated_lavrentiev(gram, xp, xq, default_kernel, 0.3, 3)
-    double = rr.fit_iterated_lavrentiev(scaled, xp, xq, default_kernel, 0.3, 3)
+    xp, _, gram = small_pair
+    scaled = dataclasses.replace(
+        gram, k_matrix=rr.kernel_matrix(default_kernel, xp.points, xp.points),
+        f_bar=4.0 * gram.f_bar)
+    base = rr.fit_iterated_lavrentiev(gram, 0.3, 3)
+    double = rr.fit_iterated_lavrentiev(scaled, 0.3, 3)
     assert np.allclose(double.values_at_xp, 4.0 * base.values_at_xp,
                        rtol=1e-12, atol=0)
     assert np.allclose(double.alpha, 4.0 * base.alpha, rtol=1e-12, atol=0)
@@ -226,70 +215,74 @@ def test_matched_distributions_concentrate_near_one(default_kernel):
     xp = rr.sample_normal(2.0, 5.0, 500, derive_seed(123, 0), "p")
     xq = rr.sample_normal(2.0, 5.0, 500, derive_seed(123, 1), "q")
     gram = rr.assemble_gram(default_kernel, xp, xq)
-    model = rr.fit_iterated_lavrentiev(gram, xp, xq, default_kernel, 0.3, 2)
+    model = rr.fit_iterated_lavrentiev(gram, 0.3, 2)
     assert abs(model.values_at_xp.mean() - 1.0) < 0.25
 
 
-def test_fit_validation(default_kernel, small_pair):
-    xp, xq, gram = small_pair
-    with pytest.raises(rr.InputError):
-        rr.fit_iterated_lavrentiev(gram, xp, xq, default_kernel, 0.0, 1)
-    with pytest.raises(rr.InputError):
-        fit_iterated_lavrentiev_path(gram, xp, xq, default_kernel, float("inf"), [1])
-    with pytest.raises(rr.InputError):
-        rr.fit_iterated_lavrentiev(gram, xp, xq, default_kernel, 0.3, 0)
-    with pytest.raises(rr.InputError):
-        fit_iterated_lavrentiev_path(gram, xp, xq, default_kernel, 0.3, [])
-    other = rr.SampleSet([0.0, 1.0], "p")
-    with pytest.raises(rr.InputError):
-        rr.fit_iterated_lavrentiev(gram, other, xq, default_kernel, 0.3, 1)
+def test_fit_validation(small_pair):
+    gram = small_pair[2]
+    for lam, k in ((0.0, 1), (float("inf"), 1), (float("inf"), 3), (0.3, 0), (0.3, 2.5)):
+        with pytest.raises(rr.InputError):
+            rr.fit_iterated_lavrentiev(gram, lam, k)
+
+
+def test_system_without_target_sample_cannot_be_fitted(default_kernel, small_pair):
+    """The capacity-only system has no xq: every fit raises one InputError."""
+    xp = small_pair[0]
+    ref = rr.assemble_gram(default_kernel, xp)
+    assert ref.xq is None and ref.m is None and np.all(ref.f_bar == 0.0)
+    attempts = (lambda: rr.fit_iterated_lavrentiev(ref, 0.3, 2),
+                lambda: rr.fit_spectral(ref, spectral_cutoff(0.1)),
+                lambda: rr.fit_iterated_lavrentiev_ladder(ref, [0.5, 0.1], [1, 2]),
+                lambda: rr.quasi_optimality(ref, 2))
+    for attempt in attempts:
+        with pytest.raises(rr.InputError, match="no target sample"):
+            attempt()
 
 
 def test_indefinite_system_raises_numerical_error(default_kernel):
-    xp = rr.SampleSet([0.0, 1.0], "p")
-    xq = rr.SampleSet([0.0], "q")
-    bad = rr.GramSystem(k_matrix=-2.0 * np.eye(2), f_bar=np.ones(2), n=2, m=1)
+    gram = rr.assemble_gram(default_kernel, rr.SampleSet([0.0, 1.0], "p"),
+                            rr.SampleSet([0.0], "q"))
+    bad = dataclasses.replace(gram, k_matrix=-2.0 * np.eye(2), f_bar=np.ones(2))
     with pytest.raises(rr.NumericalError) as info:
-        rr.fit_iterated_lavrentiev(bad, xp, xq, default_kernel, 0.01, 1)
+        rr.fit_iterated_lavrentiev(bad, 0.01, 1)
     assert info.value.lam == 0.01
     # eigenvalues of K + n lam I = -2 + 2 * 0.01, read from K, not the factored buffer
     assert info.value.smallest_eigenvalue == pytest.approx(-1.98)
     # the ladder checks min(lambdas) + t_min, with K/n = -I so t_min = -1
     with pytest.raises(rr.NumericalError) as info:
-        rr.fit_iterated_lavrentiev_ladder(bad, xp, xq, default_kernel, [3.0, 0.5], [1])
+        rr.fit_iterated_lavrentiev_ladder(bad, [3.0, 0.5], [1])
     assert info.value.lam == 0.5
     assert info.value.smallest_eigenvalue == pytest.approx(-0.5, abs=1e-12)
 
 
-def test_failed_eigendecomposition_raises_numerical_error(monkeypatch, default_kernel,
-                                                          small_pair):
-    xp, xq, gram = small_pair
+def test_failed_eigendecomposition_raises_numerical_error(monkeypatch, small_pair):
+    gram = small_pair[2]
 
     def broken(matrix):
         raise np.linalg.LinAlgError("did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", broken)
     with pytest.raises(rr.NumericalError):
-        rr.fit_iterated_lavrentiev_ladder(gram, xp, xq, default_kernel, [0.5], [1])
+        rr.fit_iterated_lavrentiev_ladder(gram, [0.5], [1])
     with pytest.raises(rr.NumericalError):
-        rr.fit_spectral(gram, xp, xq, default_kernel, spectral_cutoff(0.1))
+        rr.fit_spectral(gram, spectral_cutoff(0.1))
 
 
 def test_cutoff_above_spectrum_gives_zero_function(default_kernel, small_pair):
-    xp, xq, gram = small_pair
+    xp, _, gram = small_pair
     k_matrix = rr.kernel_matrix(default_kernel, xp.points, xp.points)
     top = float(np.linalg.eigvalsh(k_matrix / gram.n)[-1])
-    model = rr.fit_spectral(gram, xp, xq, default_kernel,
-                            spectral_cutoff(top * 1.01))
+    model = rr.fit_spectral(gram, spectral_cutoff(top * 1.01))
     assert np.all(model.values_at_xp == 0.0)
     assert np.all(model.alpha == 0.0)
     assert model.mu_coeff == 0.0
     assert rr.evaluate(model, 2.0) == 0.0
 
 
-def test_cutoff_fit_is_finite_and_sane(default_kernel, small_pair):
-    xp, xq, gram = small_pair
-    model = rr.fit_spectral(gram, xp, xq, default_kernel, spectral_cutoff(0.1))
+def test_cutoff_fit_is_finite_and_sane(small_pair):
+    gram = small_pair[2]
+    model = rr.fit_spectral(gram, spectral_cutoff(0.1))
     assert np.isfinite(model.values_at_xp).all()
     assert np.isfinite(rr.evaluate(model, 2.0))
 
@@ -306,9 +299,9 @@ def test_forced_embedding_only_model(default_kernel, small_pair):
     assert rr.evaluate(model, x) == pytest.approx(expected, rel=1e-14)
 
 
-def test_model_json_round_trip(tmp_path, default_kernel, small_pair):
-    xp, xq, gram = small_pair
-    model = rr.fit_iterated_lavrentiev(gram, xp, xq, default_kernel, 0.2, 3)
+def test_model_json_round_trip(tmp_path, small_pair):
+    gram = small_pair[2]
+    model = rr.fit_iterated_lavrentiev(gram, 0.2, 3)
     path = tmp_path / "model.json"
     rr.save_model(model, path)
     loaded = rr.load_model(path)
@@ -320,9 +313,21 @@ def test_model_json_round_trip(tmp_path, default_kernel, small_pair):
     assert np.abs(before - after).max() <= 1e-12
 
 
+def test_model_json_with_lavrentiev_kind_loads(tmp_path, small_pair):
+    """Model files that name the single step "lavrentiev" still load, as k = 1."""
+    model = rr.fit_iterated_lavrentiev(small_pair[2], 0.2, 1)
+    data = model.to_dict()
+    data["scheme"]["kind"] = "lavrentiev"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    loaded = rr.load_model(path)
+    assert loaded.scheme == rr.iterated_lavrentiev(0.2, 1) == model.scheme
+    assert np.array_equal(loaded.alpha, model.alpha)
+
+
 def test_ratio_model_shape_validation(default_kernel, small_pair):
     xp, xq, gram = small_pair
-    flat = rr.fit_iterated_lavrentiev(gram, xp, xq, default_kernel, 0.2, 1).to_dict()
+    flat = rr.fit_iterated_lavrentiev(gram, 0.2, 1).to_dict()
     flat["xp_points"] = [row[0] for row in flat["xp_points"]]
     with pytest.raises(rr.InputError):
         rr.RatioModel.from_dict(flat)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -10,6 +11,7 @@ import scipy.stats
 
 import ratioreg as rr
 from ratioreg import experiment
+from ratioreg.errors import load_json
 from ratioreg.experiment import (box_stats, derive_seed, nearest_rank_quantile,
                                  report_to_json, save_box_csv, save_report_csv)
 
@@ -193,7 +195,7 @@ def test_run_study_matches_direct_selection(default_kernel):
     xp = rr.sample_normal(2.0, 5.0, 25, derive_seed(11, bits, 0, 0), "p")
     xq = rr.sample_normal(3.0, 0.5, 25, derive_seed(11, bits, 0, 1), "q")
     gram = rr.assemble_gram(default_kernel, xp, xq)
-    trace = rr.quasi_optimality(gram, xp, xq, default_kernel, 2, keep_models=True)
+    trace = rr.quasi_optimality(gram, 2, keep_models=True)
     assert cell.chosen_index == trace.chosen_index
     assert cell.chosen_lambda == trace.chosen_lambda
     assert cell.msd == rr.msd(trace.chosen_model, 3.0)
@@ -226,10 +228,10 @@ def test_run_study_median_stability_under_doubling():
 def test_run_study_isolates_cell_failures(monkeypatch):
     real = experiment.fit_iterated_lavrentiev_ladder
 
-    def flaky(gram, xp, xq, kernel, lambdas, counts):
-        if xp.seed == derive_seed(3, int(np.float64(2.0).view(np.uint64)), 1, 0):
+    def flaky(gram, lambdas, counts):
+        if gram.xp.seed == derive_seed(3, int(np.float64(2.0).view(np.uint64)), 1, 0):
             raise rr.NumericalError("synthetic breakdown", lam=min(lambdas))
-        return real(gram, xp, xq, kernel, lambdas, counts)
+        return real(gram, lambdas, counts)
 
     monkeypatch.setattr(experiment, "fit_iterated_lavrentiev_ladder", flaky)
     report = rr.run_study(tiny_config(), threads=1)
@@ -261,7 +263,7 @@ def test_run_study_isolates_indefinite_systems(monkeypatch):
             return gram
         k_matrix = np.eye(xp.n)
         k_matrix[0, 0] = -float(xp.n)  # K/n has eigenvalue -1
-        return rr.GramSystem(k_matrix=k_matrix, f_bar=gram.f_bar, n=gram.n, m=gram.m)
+        return dataclasses.replace(gram, k_matrix=k_matrix)
 
     monkeypatch.setattr(experiment, "assemble_gram", indefinite)
     report = rr.run_study(tiny_config(), threads=1)
@@ -279,7 +281,7 @@ def test_report_json_round_trip(tmp_path):
     report = rr.run_study(tiny_config(), threads=1)
     path = tmp_path / "report.json"
     experiment.save_report_json(report, path)
-    raw = experiment.load_report_json(path)
+    raw = load_json(path, "report file")
     assert raw["config"]["n"] == 20
     assert len(raw["cells"]) == 4
     assert raw["failures"] == 0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -185,23 +186,28 @@ def test_gram_tag_and_dim_validation(default_kernel):
         rr.assemble_gram(default_kernel, xp, xq2)
 
 
-def test_gram_system_shape_validation():
+def test_gram_system_shape_validation(default_kernel):
+    """Every system is checked against its samples, a replaced one too."""
+    gram = rr.assemble_gram(default_kernel, rr.SampleSet([0.0, 1.0, 2.0], "p"))
     with pytest.raises(rr.InputError):
-        rr.GramSystem(k_matrix=np.eye(3), f_bar=np.zeros(2), n=3, m=1)
+        dataclasses.replace(gram, f_bar=np.zeros(2))
+    for k_matrix in (np.eye(2), np.eye(4), np.ones((3, 2))):
+        with pytest.raises(rr.InputError):
+            dataclasses.replace(gram, k_matrix=k_matrix)
     with pytest.raises(rr.InputError):
-        rr.GramSystem(k_matrix=np.eye(3), f_bar=np.zeros(3), n=2, m=1)
+        dataclasses.replace(gram, xq=rr.SampleSet([[0.0, 1.0]], "q"))
     with pytest.raises(rr.InputError):
-        rr.GramSystem(k_matrix=np.eye(3), f_bar=np.zeros(3), n=3, m=0)
+        dataclasses.replace(gram, xq=rr.SampleSet([0.0], "p"))
 
 
 def test_reference_gram_matches_assembled(default_kernel, small_pair):
     """Without a target sample the system has the same spectrum and f_bar = 0."""
-    xp, xq, gram = small_pair
+    xp, _, gram = small_pair
     ref = rr.assemble_gram(default_kernel, xp)
     for got, want in zip(ref.eigensystem(), gram.eigensystem()):
         assert np.array_equal(got, want)
     assert np.all(ref.f_bar == 0.0)
-    assert (ref.n, ref.m) == (xp.n, 1)
+    assert (ref.n, ref.m) == (xp.n, None)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,12 +1,13 @@
 """The low-rank spectral core of an assembled GramSystem against dense references.
 
 Every reference here diagonalizes or solves with the full kernel matrix,
-formed inside the test and handed to a hand-built GramSystem, which always
-takes the dense path.
+formed inside the test and set as the ``k_matrix`` of a copy of the system,
+which then always takes the dense path.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -21,9 +22,9 @@ from ratioreg.selection import choose_from_values
 COUNTS = (1, 2, 3, 5, 10)
 
 
-def _dense_twin(spec, xp, gram):
-    return rr.GramSystem(k_matrix=rr.kernel_matrix(spec, xp.points, xp.points),
-                         f_bar=gram.f_bar, n=gram.n, m=gram.m)
+def _dense_twin(gram):
+    return dataclasses.replace(
+        gram, k_matrix=rr.kernel_matrix(gram.kernel, gram.xp.points, gram.xp.points))
 
 
 def _pair(dim):
@@ -45,7 +46,7 @@ def test_low_rank_matches_dense(dim):
     """Values, alpha, mu and leverage agree with the dense eigendecomposition."""
     spec, xp, xq = _pair(dim)
     gram = rr.assemble_gram(spec, xp, xq)
-    dense = _dense_twin(spec, xp, gram)
+    dense = _dense_twin(gram)
     t, basis = gram.eigensystem()
     assert basis.shape == (xp.n, t.size) and t.size < xp.n // 2
     assert np.abs(basis.T @ basis - np.eye(t.size)).max() <= 1e-13
@@ -53,8 +54,8 @@ def test_low_rank_matches_dense(dim):
     assert t[-1] == pytest.approx(top, rel=1e-13)
 
     lambdas = rr.LambdaGrid().with_anchor()
-    fast = rr.fit_iterated_lavrentiev_ladder(gram, xp, xq, spec, lambdas, COUNTS)
-    slow = rr.fit_iterated_lavrentiev_ladder(dense, xp, xq, spec, lambdas, COUNTS)
+    fast = rr.fit_iterated_lavrentiev_ladder(gram, lambdas, COUNTS)
+    slow = rr.fit_iterated_lavrentiev_ladder(dense, lambdas, COUNTS)
     for k in COUNTS:
         scale = np.abs(slow.values[k]).max()
         assert np.abs(fast.values[k] - slow.values[k]).max() <= 1e-12 * scale
@@ -63,8 +64,8 @@ def test_low_rank_matches_dense(dim):
             assert got.mu_coeff == want.mu_coeff
             assert np.abs(got.alpha - want.alpha).max() <= 1e-12 * np.abs(want.alpha).max()
     scheme = iterated_lavrentiev(0.3, 2)
-    got = rr.fit_spectral(gram, xp, xq, spec, scheme)
-    want = rr.fit_spectral(dense, xp, xq, spec, scheme)
+    got = rr.fit_spectral(gram, scheme)
+    want = rr.fit_spectral(dense, scheme)
     assert np.abs(got.values_at_xp - want.values_at_xp).max() \
         <= 1e-12 * np.abs(want.values_at_xp).max()
     assert np.abs(got.alpha - want.alpha).max() <= 1e-12 * np.abs(want.alpha).max()
@@ -73,8 +74,8 @@ def test_low_rank_matches_dense(dim):
     reference = rr.assemble_gram(spec, xp)
     probes = np.random.Generator(np.random.PCG64(3)).normal(size=(50, dim)) * 2.0
     lams = [0.9, 0.1, 0.01, 1e-3]
-    got = rr.capacity_profile(reference, spec, xp, lams, probes)
-    want = rr.capacity_profile(_dense_twin(spec, xp, reference), spec, xp, lams, probes)
+    got = rr.capacity_profile(reference, lams, probes)
+    want = rr.capacity_profile(_dense_twin(reference), lams, probes)
     np.testing.assert_allclose(got.n_inf, want.n_inf, rtol=1e-12, atol=0)
     np.testing.assert_allclose(got.n_eff, want.n_eff, rtol=1e-12, atol=0)
     assert got.lambda_star == pytest.approx(want.lambda_star, rel=1e-12)
@@ -89,11 +90,11 @@ def test_dense_fallback_at_three_dimensions():
     gram = rr.assemble_gram(spec, xp, xq)
     assert kernel._pivoted_cholesky(spec, xp.points, 0.0, int(kernel._PIVOT_CAP * xp.n)) \
         is None
-    dense = _dense_twin(spec, xp, gram)
+    dense = _dense_twin(gram)
     for got, want in zip(gram.eigensystem(), dense.eigensystem()):
         assert got.shape == want.shape and np.array_equal(got, want)
-    fast = rr.fit_iterated_lavrentiev_ladder(gram, xp, xq, spec, [0.5, 0.1], COUNTS)
-    slow = rr.fit_iterated_lavrentiev_ladder(dense, xp, xq, spec, [0.5, 0.1], COUNTS)
+    fast = rr.fit_iterated_lavrentiev_ladder(gram, [0.5, 0.1], COUNTS)
+    slow = rr.fit_iterated_lavrentiev_ladder(dense, [0.5, 0.1], COUNTS)
     assert np.all(fast.outside == 0.0)
     for k in COUNTS:
         assert np.array_equal(fast.values[k], slow.values[k])
@@ -109,7 +110,7 @@ def test_assembly_and_ladder_memory_is_o_nr(default_kernel):
     try:
         gram = rr.assemble_gram(default_kernel, xp, xq)
         ladder = rr.fit_iterated_lavrentiev_ladder(
-            gram, xp, xq, default_kernel, rr.LambdaGrid().with_anchor(), COUNTS)
+            gram, rr.LambdaGrid().with_anchor(), COUNTS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -135,8 +136,7 @@ def test_default_study_chooses_as_the_dense_ladder():
             gram = rr.assemble_gram(config.kernel, xp, xq)
             assert gram.eigensystem()[0].size < config.n // 2  # the low-rank path
             ladder = rr.fit_iterated_lavrentiev_ladder(
-                _dense_twin(config.kernel, xp, gram), xp, xq, config.kernel,
-                config.grid.with_anchor(), config.k_list)
+                _dense_twin(gram), config.grid.with_anchor(), config.k_list)
             for k in config.k_list:
                 flips += chosen[(mu_q, k, rep)] != choose_from_values(ladder.values[k])[1]
     assert len(chosen) == 300 and flips == 0

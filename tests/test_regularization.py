@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ratioreg as rr
-from ratioreg.regularization import (filter_quotient_value, filter_zero_value,
-                                     iterated_filter_rows, iterated_lavrentiev,
-                                     spectral_cutoff)
+from ratioreg.regularization import (SCHEME_KINDS, filter_quotient_value,
+                                     filter_zero_value, iterated_filter_rows,
+                                     iterated_lavrentiev, spectral_cutoff)
 
 ALL_K = (1, 2, 3, 5, 10)
 LAMBDAS = (0.9, 0.5, 0.2, 0.1, 0.05)
@@ -34,6 +34,16 @@ def test_scheme_validation():
     for bad_k in (math.nan, math.inf, 2.5, "2", None, True):
         with pytest.raises(rr.InputError, match="iterations"):
             rr.RegScheme(kind="iterated_lavrentiev", lam=0.1, iterations=bad_k)
+
+
+def test_lavrentiev_is_an_input_alias():
+    """The single step is stored, compared and written as iterated_lavrentiev, k = 1."""
+    assert SCHEME_KINDS == ("iterated_lavrentiev", "spectral_cutoff")
+    single = iterated_lavrentiev(0.3, 1)
+    assert rr.lavrentiev(0.3) == single
+    assert rr.RegScheme(kind="lavrentiev", lam=0.3) == single
+    assert rr.RegScheme.from_dict({"kind": "lavrentiev", "lambda": 0.3}) == single
+    assert single.to_dict()["kind"] == "iterated_lavrentiev"
 
 
 def test_scheme_constants():

@@ -1,13 +1,13 @@
 from __future__ import annotations
 
-import json
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import ratioreg as rr
-from ratioreg.selection import choose_from_values, save_trace_json
+from ratioreg.selection import choose_from_values
 
 # frozen from the first verified run on the benchmark-sized mu_q = 3 instance
 GOLDEN_CHOSEN_INDEX = 8
@@ -76,57 +76,56 @@ def test_choose_from_values_needs_two(rng):
         choose_from_values([rng.normal(size=3)])
 
 
-def test_quasi_optimality_golden(default_kernel, benchmark_pair):
-    xp, xq, gram = benchmark_pair
-    trace = rr.quasi_optimality(gram, xp, xq, default_kernel, 3)
+def test_quasi_optimality_golden(benchmark_pair):
+    gram = benchmark_pair[2]
+    trace = rr.quasi_optimality(gram, 3)
     assert trace.chosen_index == GOLDEN_CHOSEN_INDEX
     assert trace.chosen_lambda == pytest.approx(GOLDEN_CHOSEN_LAMBDA, rel=1e-12)
     assert len(trace.diffs) == 9
-    refit = rr.fit_iterated_lavrentiev(gram, xp, xq, default_kernel,
-                                       trace.chosen_lambda, 3)
+    refit = rr.fit_iterated_lavrentiev(gram, trace.chosen_lambda, 3)
     assert rr.msd(refit, 3.0) == pytest.approx(GOLDEN_REFIT_MSD, rel=1e-9)
 
 
-def test_quasi_optimality_chosen_lambda_is_grid_value(default_kernel, small_pair):
-    xp, xq, gram = small_pair
-    trace = rr.quasi_optimality(gram, xp, xq, default_kernel, 2)
+def test_quasi_optimality_chosen_lambda_is_grid_value(small_pair):
+    gram = small_pair[2]
+    trace = rr.quasi_optimality(gram, 2)
     assert trace.chosen_lambda == trace.grid.values[trace.chosen_index]
     assert 0 <= trace.chosen_index < trace.grid.size
 
 
-def test_quasi_optimality_deterministic_bytes(default_kernel, small_pair):
-    xp, xq, gram = small_pair
-    one = rr.quasi_optimality(gram, xp, xq, default_kernel, 3)
-    two = rr.quasi_optimality(gram, xp, xq, default_kernel, 3)
-    assert json.dumps(one.to_dict(), sort_keys=True) == json.dumps(
-        two.to_dict(), sort_keys=True)
+def test_quasi_optimality_deterministic_bytes(small_pair):
+    gram = small_pair[2]
+    one = rr.quasi_optimality(gram, 3)
+    two = rr.quasi_optimality(gram, 3)
+    assert one.diffs == two.diffs
+    assert (one.chosen_index, one.chosen_lambda) == (two.chosen_index, two.chosen_lambda)
 
 
-def test_quasi_optimality_keep_models(default_kernel, small_pair):
-    xp, xq, gram = small_pair
-    trace = rr.quasi_optimality(gram, xp, xq, default_kernel, 2, keep_models=True)
+def test_quasi_optimality_keep_models(small_pair):
+    gram = small_pair[2]
+    trace = rr.quasi_optimality(gram, 2, keep_models=True)
     assert trace.models is not None and len(trace.models) == 10
     assert trace.chosen_model.scheme.lam == trace.chosen_lambda
-    bare = rr.quasi_optimality(gram, xp, xq, default_kernel, 2)
+    bare = rr.quasi_optimality(gram, 2)
     assert bare.models is None and bare.chosen_model is None
 
 
-def test_quasi_optimality_decomposes_once(linalg_calls, default_kernel, small_pair):
-    xp, xq, gram = small_pair
+def test_quasi_optimality_decomposes_once(linalg_calls, small_pair):
+    gram = small_pair[2]
     for keep_models in (False, True):
         linalg_calls.clear()
-        rr.quasi_optimality(gram, xp, xq, default_kernel, 3, keep_models=keep_models)
+        rr.quasi_optimality(gram, 3, keep_models=keep_models)
         assert linalg_calls == ["eigh"]
 
 
 def test_quasi_optimality_indefinite_system_raises(default_kernel):
     """K/n has eigenvalues 1.5 and -0.5; the ladder's bottom 0.1 leaves -0.4."""
-    xp = rr.SampleSet([[0.0], [1.0]], "p")
-    xq = rr.SampleSet([[0.5]], "q")
-    gram = rr.GramSystem(k_matrix=np.array([[1.0, 2.0], [2.0, 1.0]]),
-                         f_bar=np.ones(2), n=2, m=1)
+    gram = dataclasses.replace(
+        rr.assemble_gram(default_kernel, rr.SampleSet([[0.0], [1.0]], "p"),
+                         rr.SampleSet([[0.5]], "q")),
+        k_matrix=np.array([[1.0, 2.0], [2.0, 1.0]]), f_bar=np.ones(2))
     with pytest.raises(rr.NumericalError) as info:
-        rr.quasi_optimality(gram, xp, xq, default_kernel, 2)
+        rr.quasi_optimality(gram, 2)
     assert info.value.lam == min(rr.LambdaGrid().values)
     assert info.value.smallest_eigenvalue == pytest.approx(
         min(rr.LambdaGrid().values) - 0.5, abs=1e-12)
@@ -138,21 +137,8 @@ def test_trace_flags_choice_on_ladder_edge():
     for index in range(4):
         trace = rr.SelectionTrace(grid=grid, diffs=(1.0,) * 4, chosen_index=index,
                                   chosen_lambda=grid.values[index])
-        assert trace.to_dict()["at_boundary"] is trace.at_boundary
         flags.append(trace.at_boundary)
     assert flags == [True, False, False, True]
-
-
-def test_trace_json_export(tmp_path, default_kernel, small_pair):
-    xp, xq, gram = small_pair
-    trace = rr.quasi_optimality(gram, xp, xq, default_kernel, 2)
-    path = tmp_path / "trace.json"
-    save_trace_json(trace, path)
-    raw = json.loads(path.read_text())
-    assert raw["chosen_lambda"] == trace.chosen_lambda
-    assert raw["grid"]["size"] == 9
-    assert len(raw["diffs"]) == 9
-    assert raw["at_boundary"] == (trace.chosen_index in (0, 8))
 
 
 def test_lambda_mn_frozen_values():
