@@ -21,8 +21,7 @@ from .experiment import (CellResult, ExperimentReport, RateRecord, SimConfig,
                          fit_log_slope, msd, run_rate_study, run_study,
                          sample_normal, true_beta)
 from .kernel import (GramSystem, KernelSpec, SampleSet, assemble_gram, kernel_matrix,
-                     load_samples_csv, load_samples_json, save_samples_csv,
-                     save_samples_json)
+                     load_samples_csv, save_samples_csv)
 from .regularization import (RegScheme, SchemeCheckReport, check_scheme_constants,
                              filter_value, iterated_lavrentiev, lavrentiev,
                              residual_value, spectral_cutoff)
@@ -41,8 +40,8 @@ __all__ = [
     "find_lambda_star", "fit_iterated_lavrentiev", "fit_iterated_lavrentiev_ladder",
     "fit_log_slope", "fit_spectral",
     "iterated_lavrentiev", "kernel_matrix", "lambda_mn", "lavrentiev", "load_model",
-    "load_samples_csv", "load_samples_json", "msd", "n_inf_estimate",
+    "load_samples_csv", "msd", "n_inf_estimate",
     "quasi_optimality", "residual_value", "rms_norm",
     "run_rate_study", "run_study", "sample_normal", "save_model", "save_samples_csv",
-    "save_samples_json", "spectral_cutoff", "true_beta", "filter_value",
+    "spectral_cutoff", "true_beta", "filter_value",
 ]

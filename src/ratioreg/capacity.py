@@ -39,16 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError
-from .kernel import GramSystem, SampleSet, _outside_span, _row_blocks, kernel_matrix
+from .errors import InputError, positive_real, whole_number
+from .kernel import (GramSystem, SampleSet, _check_shift, _outside_span, _row_blocks,
+                     kernel_matrix)
 
-
-def _strengths(lambdas, single: bool = False) -> np.ndarray:
-    lams = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    if (single and np.ndim(lambdas)) or not (lams.size and np.all(np.isfinite(lams) & (lams > 0))):
-        count = "a single number" if single else "at least one"
-        raise InputError(f"lam must be finite and positive ({count}), got {lambdas!r}")
-    return lams
+# The balance-point bisection stops at this relative bracket width or step count.
+_BISECTION_TOL = 1e-9
+_BISECTION_STEPS = 200
 
 
 def _n_eff(spectrum: np.ndarray, lam: float) -> float:
@@ -69,10 +66,7 @@ def _probes(gram: GramSystem, points) -> np.ndarray:
 def _leverages(gram: GramSystem, lams: np.ndarray, probes: np.ndarray):
     """Eigenvalues of K/n and C_lam as a (len(lams), len(probes)) array."""
     t, u = gram.eigensystem()
-    smallest = float(lams.min() + t[0])
-    if not (smallest > 0.0):
-        raise NumericalError("regularized kernel system is not positive definite",
-                             lam=float(lams.min()), smallest_eigenvalue=smallest)
+    _check_shift(float(lams.min()), t)
     inverse = 1.0 / (lams[:, None] + t)
     quad = np.empty((lams.size, probes.shape[0]))
     for cols in _row_blocks(probes.shape[0], gram.n):
@@ -93,7 +87,7 @@ def christoffel(gram: GramSystem, lam: float, x) -> float:
     are returned as computed.
     """
     probe = _probes(gram, np.reshape(np.asarray(x, dtype=float), (1, -1)))
-    return float(_leverages(gram, _strengths(lam, single=True), probe)[1][0, 0])
+    return float(_leverages(gram, np.array([positive_real(lam, "lam")]), probe)[1][0, 0])
 
 
 def effective_dimension(gram: GramSystem, lam: float) -> float:
@@ -101,7 +95,7 @@ def effective_dimension(gram: GramSystem, lam: float) -> float:
 
     Strictly positive, below n, and decreasing in lam.
     """
-    _strengths(lam, single=True)
+    lam = positive_real(lam, "lam")
     return _n_eff(np.clip(gram.eigensystem()[0], 0.0, None), lam)
 
 
@@ -112,35 +106,33 @@ def n_inf_estimate(gram: GramSystem, lam: float, probe_points) -> float:
     the estimate is never below the in-sample maximum.
     """
     scan = np.vstack([_probes(gram, probe_points), gram.xp.points])
-    return float(_leverages(gram, _strengths(lam, single=True), scan)[1].max())
+    return float(_leverages(gram, np.array([positive_real(lam, "lam")]), scan)[1].max())
 
 
-def _balance_point(gram: GramSystem, spectrum: np.ndarray, bracket,
-                   rel_tol: float = 1e-9, max_iter: int = 200) -> float:
+def _balance_point(gram: GramSystem, spectrum: np.ndarray, bracket) -> float:
     """Bisection in log(lam) for N(lam)/lam = n over a given spectrum."""
     if bracket is None:
         bracket = (1e-8, gram.max_diagonal())
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0.0 < lo < hi < math.inf):
+    lo, hi = positive_real(bracket[0], "bracket"), positive_real(bracket[1], "bracket")
+    if not lo < hi:
         raise InputError(f"bracket must satisfy 0 < lo < hi < inf, got {bracket!r}")
     r_lo, r_hi = _n_eff(spectrum, lo) / lo, _n_eff(spectrum, hi) / hi
     if not (r_lo > gram.n > r_hi):
         raise InputError("bracket does not straddle the balance point: "
                          f"N/lam at lo={lo!r} is {r_lo!r}, at hi={hi!r} is {r_hi!r}, "
                          f"target n={gram.n}")
-    for _ in range(max_iter):
+    for _ in range(_BISECTION_STEPS):
         mid = math.sqrt(lo * hi)
         if _n_eff(spectrum, mid) / mid > gram.n:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= rel_tol * mid:
+        if hi - lo <= _BISECTION_TOL * mid:
             break
     return math.sqrt(lo * hi)
 
 
-def find_lambda_star(gram: GramSystem, bracket: tuple[float, float] | None = None,
-                     rel_tol: float = 1e-9, max_iter: int = 200) -> float:
+def find_lambda_star(gram: GramSystem, bracket: tuple[float, float] | None = None) -> float:
     """Solve N(lam) / lam = n by bisection in log(lam).
 
     The default bracket is (1e-8, max diagonal of K); the map
@@ -148,7 +140,7 @@ def find_lambda_star(gram: GramSystem, bracket: tuple[float, float] | None = Non
     inside any bracket on which the map straddles n.
     """
     spectrum = np.clip(gram.eigensystem()[0], 0.0, None)
-    return _balance_point(gram, spectrum, bracket, rel_tol, max_iter)
+    return _balance_point(gram, spectrum, bracket)
 
 
 @dataclass(frozen=True)
@@ -167,6 +159,7 @@ def default_probe_grid(xp: SampleSet, count: int = 200) -> np.ndarray:
     In one dimension this is a plain linspace; in d dimensions the grid
     takes ceil(count**(1/d)) points per axis.
     """
+    count = whole_number(count, "count")
     low = xp.points.min(axis=0)
     high = xp.points.max(axis=0)
     center = (low + high) / 2.0
@@ -187,7 +180,11 @@ def capacity_profile(gram: GramSystem, lambdas, probe_points=None) -> CapacityPr
     order.  ``lambda_star`` is None when the default bracket does not
     straddle the balance point (tiny samples), rather than an error.
     """
-    lams = np.sort(_strengths(lambdas))[::-1]
+    single = isinstance(lambdas, str) or not np.iterable(lambdas)
+    values = [lambdas] if single else list(lambdas)
+    if not values:
+        raise InputError("lambdas must hold at least one strength")
+    lams = np.sort([positive_real(lam, "lam") for lam in values])[::-1]
     xp = gram.xp
     scan = np.vstack([_probes(gram, default_probe_grid(xp) if probe_points is None
                               else probe_points), xp.points])

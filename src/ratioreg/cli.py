@@ -20,7 +20,7 @@ import numpy as np
 
 from . import capacity as capacity_mod
 from . import estimator, experiment, kernel, regularization, selection
-from .errors import InputError, NumericalError, load_json
+from .errors import InputError, NumericalError, load_json, positive_real, whole_number
 
 
 def _fail(kind: str, message: str) -> None:
@@ -111,20 +111,9 @@ def _require(options: dict, key: str) -> object:
     return options[key]
 
 
-def _positive(options: dict, key: str) -> float:
-    value = float(options[key])
-    if not (math.isfinite(value) and value > 0.0):
-        raise InputError(
-            f"--{key.replace('_', '-')} must be finite and positive, got {value!r}")
-    return value
-
-
 def _kernel_from_options(options: dict) -> kernel.KernelSpec:
-    offset = options.get("offset")
-    return kernel.KernelSpec(
-        family=options["kernel_family"],
-        bandwidth=float(options["bandwidth"]),
-        offset=None if offset is None else float(offset))
+    return kernel.KernelSpec(family=options["kernel_family"],
+                             bandwidth=options["bandwidth"], offset=options["offset"])
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +124,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
     xp_path = _require(options, "xp")
     xq_path = _require(options, "xq")
     out_path = _require(options, "out")
-    _require(options, "lam")
-    lam = _positive(options, "lam")
-    iterations = int(options["iterations"])
+    lam = positive_real(_require(options, "lam"), "--lam")
     spec = _kernel_from_options(options)
     xp = kernel.load_samples_csv(xp_path, measure_tag="p")
     xq = kernel.load_samples_csv(xq_path, measure_tag="q")
     gram = kernel.assemble_gram(spec, xp, xq)
-    model = estimator.fit_iterated_lavrentiev(gram, lam, iterations)
+    model = estimator.fit_iterated_lavrentiev(gram, lam, options["iterations"])
     estimator.save_model(model, out_path)
     print(f"wrote model with {gram.n} expansion coefficients to {out_path}")
     return 0
@@ -197,18 +184,17 @@ def _median_table(report: experiment.ExperimentReport) -> str:
 def cmd_simulate(args: argparse.Namespace) -> int:
     options = _merged_options(args)
     config = experiment.SimConfig(
-        n=int(options["n"]), m=int(options["m"]),
-        mu_p=float(options["mu_p"]), var_p=_positive(options, "var_p"),
+        n=options["n"], m=options["m"],
+        mu_p=options["mu_p"], var_p=positive_real(options["var_p"], "--var-p"),
         mu_q_list=tuple(_float_list(options["mu_q_list"])),
-        var_q=_positive(options, "var_q"),
+        var_q=positive_real(options["var_q"], "--var-q"),
         k_list=tuple(_int_list(options["k_list"])),
-        replications=int(options["replications"]),
-        grid=selection.LambdaGrid(lambda_0=float(options["lambda_0"]),
-                                  rho=float(options["rho"]), size=int(options["grid_size"])),
-        seed=int(options["seed"]),
+        replications=options["replications"],
+        grid=selection.LambdaGrid(lambda_0=options["lambda_0"], rho=options["rho"],
+                                  size=options["grid_size"]),
+        seed=options["seed"],
         kernel=_kernel_from_options(options))
-    threads = options["threads"]
-    report = experiment.run_study(config, threads=None if threads is None else int(threads))
+    report = experiment.run_study(config, threads=options["threads"])
     out_dir = options["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     experiment.save_report_json(report, os.path.join(out_dir, "report.json"))
@@ -224,11 +210,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_rates(args: argparse.Namespace) -> int:
     options = _merged_options(args)
     record = experiment.run_rate_study(
-        n_list=_int_list(options["n_list"]), eta=float(options["eta"]),
-        varsigma=float(options["varsigma"]), iterations=int(options["iterations"]),
-        replications=int(options["replications"]), seed=int(options["seed"]),
-        mu_q=float(options["mu_q"]),
-        probe_x=None if options["probe_x"] is None else float(options["probe_x"]),
+        n_list=_int_list(options["n_list"]), eta=options["eta"],
+        varsigma=options["varsigma"], iterations=options["iterations"],
+        replications=options["replications"], seed=options["seed"],
+        mu_q=options["mu_q"], probe_x=options["probe_x"],
         kernel=_kernel_from_options(options))
     if options["out"] is not None:
         experiment.save_rate_json(record, options["out"])
@@ -244,13 +229,11 @@ def cmd_capacity(args: argparse.Namespace) -> int:
     options = _merged_options(args)
     xp_path = _require(options, "xp")
     out_path = _require(options, "out")
-    lo = _positive(options, "lambda_min")
-    hi = _positive(options, "lambda_max")
+    lo = positive_real(options["lambda_min"], "--lambda-min")
+    hi = positive_real(options["lambda_max"], "--lambda-max")
     if not lo < hi:
         raise InputError(f"--lambda-min must be below --lambda-max, got {lo!r} >= {hi!r}")
-    count = int(options["num_lambdas"])
-    if count < 1:
-        raise InputError(f"--num-lambdas must be at least 1, got {count}")
+    count = whole_number(options["num_lambdas"], "--num-lambdas")
     spec = _kernel_from_options(options)
     xp = kernel.load_samples_csv(xp_path, measure_tag="p")
     gram = kernel.assemble_gram(spec, xp)
@@ -268,13 +251,11 @@ def cmd_capacity(args: argparse.Namespace) -> int:
 def cmd_check_schemes(args: argparse.Namespace) -> int:
     options = _merged_options(args)
     scheme = regularization.RegScheme(
-        kind=options["kind"], lam=_positive(options, "lam"),
-        iterations=int(options["iterations"]) if options["kind"] != "spectral_cutoff" else 1)
+        kind=options["kind"], lam=positive_real(options["lam"], "--lam"),
+        iterations=options["iterations"] if options["kind"] != "spectral_cutoff" else 1)
     report = regularization.check_scheme_constants(
-        scheme, t_max=_positive(options, "t_max"),
-        grid_size=int(options["grid_size"]),
-        qualification=(None if options["qualification"] is None
-                       else float(options["qualification"])))
+        scheme, t_max=positive_real(options["t_max"], "--t-max"),
+        grid_size=options["grid_size"], qualification=options["qualification"])
     if options["out"] is not None:
         with open(options["out"], "w") as handle:
             json.dump(report.to_dict(), handle, sort_keys=True, indent=2)
@@ -299,9 +280,12 @@ class _Parser(argparse.ArgumentParser):
 # Per subcommand: handler, summary and a table dest -> (type, default, help)
 # of its flags --<dest with "-" for "_">.  The help gains "(default: ...)"
 # for a default other than None unless it names one itself.
+_KERNEL = kernel.KernelSpec()
+_STUDY = experiment.SimConfig()
+
 _KERNEL_FLAGS = {
-    "kernel_family": (None, "gaussian_plus_one", "kernel family: gaussian_plus_one or gaussian"),
-    "bandwidth": (float, 1.0, "kernel length scale"),
+    "kernel_family": (None, _KERNEL.family, "kernel family: gaussian_plus_one or gaussian"),
+    "bandwidth": (float, _KERNEL.bandwidth, "kernel length scale"),
     "offset": (float, None, "kernel additive constant (default: 1.0 for "
                             "gaussian_plus_one, 0 for gaussian)"),
 }
@@ -322,19 +306,19 @@ _COMMANDS = {
         "format": (None, "csv", "output format: csv or json"),
     }),
     "simulate": (cmd_simulate, "run the two-Gaussian replication study", {
-        "n": (int, 100, "reference sample size"),
-        "m": (int, 100, "target sample size"),
-        "mu_p": (float, 2.0, "reference mean"),
-        "var_p": (float, 5.0, "reference variance"),
-        "mu_q_list": (None, "2,3,4", "comma-separated target means"),
-        "var_q": (float, 0.5, "target variance"),
-        "k_list": (None, "1,2,3,5,10", "comma-separated iteration counts"),
-        "replications": (int, 20, "replications per cell"),
-        "lambda_0": (float, 0.9, "top of the strength ladder"),
-        "rho": (float, (1.0 / 9.0) ** (1.0 / 9.0),
-                "ladder ratio in (0,1) (default: (1/9)**(1/9))"),
-        "grid_size": (int, 9, "ladder length below the anchor"),
-        "seed": (int, 0, "master seed"),
+        "n": (int, _STUDY.n, "reference sample size"),
+        "m": (int, _STUDY.m, "target sample size"),
+        "mu_p": (float, _STUDY.mu_p, "reference mean"),
+        "var_p": (float, _STUDY.var_p, "reference variance"),
+        "mu_q_list": (None, ",".join(f"{v:g}" for v in _STUDY.mu_q_list),
+                      "comma-separated target means"),
+        "var_q": (float, _STUDY.var_q, "target variance"),
+        "k_list": (None, ",".join(map(str, _STUDY.k_list)), "comma-separated iteration counts"),
+        "replications": (int, _STUDY.replications, "replications per cell"),
+        "lambda_0": (float, _STUDY.grid.lambda_0, "top of the strength ladder"),
+        "rho": (float, _STUDY.grid.rho, "ladder ratio in (0,1) (default: (1/9)**(1/9))"),
+        "grid_size": (int, _STUDY.grid.size, "ladder length below the anchor"),
+        "seed": (int, _STUDY.seed, "master seed"),
         "threads": (int, None, "worker threads (default: all available cores)"),
         "out_dir": (None, ".", "output directory (default: current directory)"),
         **_KERNEL_FLAGS,

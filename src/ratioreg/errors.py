@@ -1,12 +1,19 @@
-"""Exception types shared across the package.
+"""Exception types and the input checks shared across the package.
 
 Two failure families are distinguished so callers (and the CLI) can map
 them to different exit codes: bad inputs versus numerical breakdown.
+
+Every number a caller hands in goes through one of three checkers,
+``finite_real``, ``positive_real`` and ``whole_number``.  Each raises
+InputError naming the value and returns it normalized to a float or an
+int; a bool, a string, a non-finite value or (for a count) a fraction is
+rejected, never coerced or truncated.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 
 
@@ -49,6 +56,43 @@ def require_keys(data, keys, what: str) -> None:
 def is_number(value) -> bool:
     """True for a real number that is not a bool (JSON true and false are not numbers)."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _as_float(value) -> float:
+    """``value`` as a float; nan unless it is a real number, not a bool, within float range."""
+    if not is_number(value):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.nan
+
+
+def finite_real(value, name: str) -> float:
+    """``value`` as a float, if it is a finite real number and not a bool."""
+    number = _as_float(value)
+    if not math.isfinite(number):
+        raise InputError(f"{name} must be a finite real number, got {value!r}")
+    return number
+
+
+def positive_real(value, name: str) -> float:
+    """``value`` as a float, if it is a finite real number above 0 and not a bool."""
+    number = _as_float(value)
+    if not (math.isfinite(number) and number > 0.0):
+        raise InputError(f"{name} must be finite and positive, got {value!r}")
+    return number
+
+
+def whole_number(value, name: str, minimum: int = 1) -> int:
+    """``value`` as an int, if it is an integral real number >= ``minimum`` and not a bool.
+
+    2.0 is taken as 2; 2.5 is rejected, never truncated.
+    """
+    number = _as_float(value)
+    if not (math.isfinite(number) and number.is_integer() and number >= minimum):
+        raise InputError(f"{name} must be a whole number of at least {minimum}, got {value!r}")
+    return int(value)
 
 
 def load_json(path, what: str):

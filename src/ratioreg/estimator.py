@@ -82,11 +82,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InputError, NumericalError, is_number, load_json, require_keys
-from .kernel import GramSystem, KernelSpec, _outside_span, _row_blocks, kernel_matrix
+from .errors import (InputError, NumericalError, finite_real, load_json, positive_real,
+                     require_keys, whole_number)
+from .kernel import (GramSystem, KernelSpec, _check_shift, _outside_span, _row_blocks,
+                     kernel_matrix)
 from .regularization import (RegScheme, filter_quotient_value, filter_value,
-                             filter_zero_value, iterated_filter_rows,
-                             iterated_lavrentiev)
+                             iterated_filter_rows, iterated_lavrentiev)
 
 
 @dataclass(frozen=True)
@@ -139,11 +140,11 @@ class RatioModel:
         require_keys(data, ("kernel", "scheme", "mu_coeff") + arrays, "model")
         try:
             numbers = {key: np.asarray(data[key], dtype=float) for key in arrays}
-            numbers["mu_coeff"] = float(data["mu_coeff"])
         except (TypeError, ValueError) as exc:
             raise InputError(f"model holds a non-numeric entry: {exc}") from exc
         return RatioModel(kernel=KernelSpec.from_dict(data["kernel"]),
-                          scheme=RegScheme.from_dict(data["scheme"]), **numbers)
+                          scheme=RegScheme.from_dict(data["scheme"]),
+                          mu_coeff=finite_real(data["mu_coeff"], "mu_coeff"), **numbers)
 
 
 def save_model(model: RatioModel, path) -> None:
@@ -160,21 +161,6 @@ def _check_target(gram: GramSystem) -> None:
     if gram.xq is None:
         raise InputError("the Gram system has no target sample to fit; "
                          "assemble it from both xp and xq")
-
-
-def _checked_counts(iteration_counts: Iterable[int]) -> list[int]:
-    counts = list(iteration_counts)
-    if not counts:
-        raise InputError("iteration_counts must be non-empty")
-    # int() alone would take 2.5 as 2 and True as 1
-    if not all(is_number(k) and math.isfinite(k) and k == int(k) >= 1 for k in counts):
-        raise InputError(f"iteration counts must be positive integers, got {counts!r}")
-    return sorted(set(int(k) for k in counts))
-
-
-def _check_lam(lam: float) -> None:
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise InputError(f"lam must be finite and positive, got {lam!r}")
 
 
 def _shifted_solver(gram: GramSystem, lam: float):
@@ -212,6 +198,7 @@ def fit_iterated_lavrentiev(gram: GramSystem, lam: float, iterations: int = 1) -
     """
     _check_target(gram)
     scheme = iterated_lavrentiev(lam, iterations)
+    lam = scheme.lam
     n_lam = gram.n * lam
     if not math.isfinite(n_lam):
         raise InputError(f"the shift n * lam overflows: n={gram.n}, lam={lam!r}")
@@ -252,7 +239,7 @@ def _spectral_model(gram: GramSystem, scheme: RegScheme, spectrum: np.ndarray,
         raise NumericalError("non-finite spectral fit", lam=scheme.lam)
     return RatioModel(kernel=gram.kernel, scheme=scheme, xp_points=gram.xp.points,
                       xq_points=gram.xq.points, alpha=alpha,
-                      mu_coeff=filter_zero_value(scheme), values_at_xp=values)
+                      mu_coeff=filter_value(scheme, 0.0), values_at_xp=values)
 
 
 def fit_spectral(gram: GramSystem, scheme: RegScheme) -> RatioModel:
@@ -265,7 +252,7 @@ def fit_spectral(gram: GramSystem, scheme: RegScheme) -> RatioModel:
     t, basis, rotated, outside = _split_rhs(gram)
     spectrum = np.clip(t, 0.0, None)
     values = (basis @ (filter_value(scheme, spectrum) * rotated / gram.n)
-              + filter_zero_value(scheme) * outside / gram.n)
+              + filter_value(scheme, 0.0) * outside / gram.n)
     return _spectral_model(gram, scheme, spectrum, basis, rotated, outside, values)
 
 
@@ -306,18 +293,13 @@ def fit_iterated_lavrentiev_ladder(gram: GramSystem, lambdas: Iterable[float],
     definite) or when any value is non-finite.
     """
     _check_target(gram)
-    targets = _checked_counts(iteration_counts)
-    lams = tuple(float(lam) for lam in lambdas)
-    if not lams:
-        raise InputError("lambdas must be non-empty")
-    for lam in lams:
-        _check_lam(lam)
+    targets = sorted({whole_number(k, "iteration count") for k in iteration_counts})
+    lams = tuple(positive_real(lam, "lam") for lam in lambdas)
+    if not (lams and targets):
+        raise InputError("lambdas and iteration_counts must be non-empty")
 
     t, basis, rotated, outside = _split_rhs(gram)
-    smallest = min(lams) + float(t[0])
-    if not (smallest > 0.0):
-        raise NumericalError("regularized kernel system is not positive definite",
-                             lam=min(lams), smallest_eigenvalue=smallest)
+    _check_shift(min(lams), t)
     spectrum = np.clip(t, 0.0, None)
     filters = iterated_filter_rows(lams, targets, np.append(spectrum, 0.0))  # g(0) last
     table = (filters[:, :-1] * (rotated / gram.n)) @ basis.T

@@ -28,11 +28,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NumericalError, require_keys
+from .errors import (InputError, NumericalError, finite_real, positive_real,
+                     require_keys, whole_number)
 from .estimator import (RatioModel, evaluate_batch, fit_iterated_lavrentiev,
                         fit_iterated_lavrentiev_ladder)
 from .kernel import KernelSpec, SampleSet, assemble_gram
 from .selection import LambdaGrid, choose_from_values, lambda_mn
+
+# The benchmark's Gaussians: reference N(MU_P, VAR_P), target N(mu_q, VAR_Q).
+MU_P, VAR_P, VAR_Q = 2.0, 5.0, 0.5
 
 _MASK64 = (1 << 64) - 1
 
@@ -62,15 +66,15 @@ def _float_bits(value: float) -> int:
     return int(np.float64(value).view(np.uint64))
 
 
-def true_beta(x, mu_q: float, mu_p: float = 2.0, var_p: float = 5.0,
-              var_q: float = 0.5):
+def true_beta(x, mu_q: float, mu_p: float = MU_P, var_p: float = VAR_P,
+              var_q: float = VAR_Q):
     """Exact density ratio of N(mu_q, var_q) over N(mu_p, var_p).
 
     Vectorized over x.  With the default parameters this reduces to
     sqrt(10) * exp(((x - 2)^2 - 10 (x - mu_q)^2) / 10).
     """
-    if not (var_p > 0.0 and var_q > 0.0):
-        raise InputError(f"variances must be positive, got var_p={var_p!r}, var_q={var_q!r}")
+    mu_q, mu_p = finite_real(mu_q, "mu_q"), finite_real(mu_p, "mu_p")
+    var_p, var_q = positive_real(var_p, "var_p"), positive_real(var_q, "var_q")
     arr = np.asarray(x, dtype=float)
     out = math.sqrt(var_p / var_q) * np.exp(
         (arr - mu_p) ** 2 / (2.0 * var_p) - (arr - mu_q) ** 2 / (2.0 * var_q))
@@ -84,17 +88,15 @@ def sample_normal(mu: float, var: float, count: int, seed: int,
     The generator is numpy's PCG64 seeded directly with ``seed``, so
     identical seeds give identical samples on any platform.
     """
-    if not (var > 0.0):
-        raise InputError(f"var must be positive, got {var!r}")
-    if count < 1:
-        raise InputError(f"count must be at least 1, got {count!r}")
+    mu, var = finite_real(mu, "mu"), positive_real(var, "var")
+    count = whole_number(count, "count")
     rng = np.random.Generator(np.random.PCG64(seed))
     points = mu + math.sqrt(var) * rng.standard_normal(count)
     return SampleSet(points=points.reshape(-1, 1), measure_tag=measure_tag, seed=seed)
 
 
-def msd(model: RatioModel, mu_q: float, mu_p: float = 2.0, var_p: float = 5.0,
-        var_q: float = 0.5) -> float:
+def msd(model: RatioModel, mu_q: float, mu_p: float = MU_P, var_p: float = VAR_P,
+        var_q: float = VAR_Q) -> float:
     """Mean squared deviation from the exact ratio over the reference points."""
     if model.xp_points.shape[1] != 1:
         raise InputError("msd is defined for 1-d studies; model has "
@@ -131,10 +133,10 @@ class SimConfig:
 
     n: int = 100
     m: int = 100
-    mu_p: float = 2.0
-    var_p: float = 5.0
+    mu_p: float = MU_P
+    var_p: float = VAR_P
     mu_q_list: tuple[float, ...] = (2.0, 3.0, 4.0)
-    var_q: float = 0.5
+    var_q: float = VAR_Q
     k_list: tuple[int, ...] = (1, 2, 3, 5, 10)
     replications: int = 20
     grid: LambdaGrid = field(default_factory=LambdaGrid)
@@ -142,18 +144,20 @@ class SimConfig:
     kernel: KernelSpec = field(default_factory=KernelSpec)
 
     def __post_init__(self):
-        if self.n < 2 or self.m < 2:
-            raise InputError(f"sample sizes must be at least 2, got n={self.n}, m={self.m}")
-        if not (self.var_p > 0.0 and self.var_q > 0.0):
-            raise InputError("variances must be positive")
-        if self.replications < 1:
-            raise InputError(f"replications must be at least 1, got {self.replications}")
-        object.__setattr__(self, "mu_q_list", tuple(float(v) for v in self.mu_q_list))
-        object.__setattr__(self, "k_list", tuple(int(k) for k in self.k_list))
+        checked = {
+            "n": whole_number(self.n, "n", minimum=2),
+            "m": whole_number(self.m, "m", minimum=2),
+            "mu_p": finite_real(self.mu_p, "mu_p"),
+            "var_p": positive_real(self.var_p, "var_p"),
+            "mu_q_list": tuple(finite_real(v, "mu_q_list entry") for v in self.mu_q_list),
+            "var_q": positive_real(self.var_q, "var_q"),
+            "k_list": tuple(whole_number(k, "k_list entry") for k in self.k_list),
+            "replications": whole_number(self.replications, "replications"),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         if not self.mu_q_list or not self.k_list:
             raise InputError("mu_q_list and k_list must be non-empty")
-        if min(self.k_list) < 1:
-            raise InputError("iteration counts must be positive")
 
     def to_dict(self) -> dict:
         return {
@@ -274,10 +278,7 @@ def run_study(config: SimConfig, threads: int | None = None,
     optional) additionally records each cell's maximum absolute
     pointwise error over that grid.
     """
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads < 1:
-        raise InputError(f"threads must be at least 1, got {threads!r}")
+    threads = (os.cpu_count() or 1) if threads is None else whole_number(threads, "threads")
     grid_arr = None if probe_grid is None else np.asarray(probe_grid, dtype=float).ravel()
 
     tasks = [(mu_q, rep) for mu_q in config.mu_q_list
@@ -407,8 +408,7 @@ def save_rate_json(record: RateRecord, path) -> None:
 
 def run_rate_study(n_list, eta: float, varsigma: float, iterations: int,
                    replications: int, seed: int, mu_q: float = 2.0,
-                   probe_x: float | None = None, mu_p: float = 2.0,
-                   var_p: float = 5.0, var_q: float = 0.5,
+                   probe_x: float | None = None,
                    kernel: KernelSpec | None = None) -> RateRecord:
     """Empirical error decay along an increasing n grid, m = n per point.
 
@@ -419,44 +419,42 @@ def run_rate_study(n_list, eta: float, varsigma: float, iterations: int,
     log-error against log(n**-0.5) are emitted, not asserted; with a
     single n they are None and the record is marked insufficient.
     """
-    n_seq = [int(n) for n in n_list]
+    n_seq = [whole_number(n, "n_list entry") for n in n_list]
     if not n_seq:
         raise InputError("n_list must be non-empty")
     if any(b <= a for a, b in zip(n_seq, n_seq[1:])):
         raise InputError(f"n_list must be strictly increasing, got {n_seq}")
-    if replications < 1:
-        raise InputError(f"replications must be at least 1, got {replications!r}")
-    if iterations < 1:
-        raise InputError(f"iterations must be at least 1, got {iterations!r}")
+    iterations = whole_number(iterations, "iterations")
+    replications = whole_number(replications, "replications")
+    mu_q = finite_real(mu_q, "mu_q")
+    probe = mu_q if probe_x is None else finite_real(probe_x, "probe_x")
+    lambdas = [lambda_mn(n, n, eta, varsigma) for n in n_seq]
     kernel = KernelSpec() if kernel is None else kernel
-    probe = mu_q if probe_x is None else float(probe_x)
-    truth_at_probe = true_beta(probe, mu_q, mu_p, var_p, var_q)
+    truth_at_probe = true_beta(probe, mu_q)
 
-    lambdas, point_meds, rms_meds = [], [], []
-    for n in n_seq:
-        lam = lambda_mn(n, n, eta, varsigma)
+    point_meds, rms_meds = [], []
+    for n, lam in zip(n_seq, lambdas):
         point_errors, rms_errors = [], []
         for rep in range(replications):
             seed_p = derive_seed(seed, n, rep, 0)
             seed_q = derive_seed(seed, n, rep, 1)
-            xp = sample_normal(mu_p, var_p, n, seed_p, "p")
-            xq = sample_normal(mu_q, var_q, n, seed_q, "q")
+            xp = sample_normal(MU_P, VAR_P, n, seed_p, "p")
+            xq = sample_normal(mu_q, VAR_Q, n, seed_q, "q")
             gram = assemble_gram(kernel, xp, xq)
             model = fit_iterated_lavrentiev(gram, lam, iterations)
             fitted_at_probe = float(evaluate_batch(model, [[probe]])[0])
             point_errors.append(abs(truth_at_probe - fitted_at_probe))
-            truth = true_beta(xp.points[:, 0], mu_q, mu_p, var_p, var_q)
+            truth = true_beta(xp.points[:, 0], mu_q)
             rms_errors.append(float(np.sqrt(np.mean(
                 (truth - model.values_at_xp) ** 2))))
-        lambdas.append(lam)
         point_meds.append(nearest_rank_quantile(sorted(point_errors), 0.5))
         rms_meds.append(nearest_rank_quantile(sorted(rms_errors), 0.5))
 
     insufficient = len(n_seq) < 2
     return RateRecord(
         n_list=tuple(n_seq), eta=float(eta), varsigma=float(varsigma),
-        iterations=int(iterations), replications=int(replications),
-        seed=int(seed), mu_q=float(mu_q), probe_x=probe,
+        iterations=iterations, replications=replications,
+        seed=int(seed), mu_q=mu_q, probe_x=probe,
         lambdas=tuple(lambdas), pointwise_medians=tuple(point_meds),
         rms_medians=tuple(rms_meds),
         pointwise_slope=None if insufficient else fit_log_slope(n_seq, point_meds),

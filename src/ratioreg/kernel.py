@@ -37,13 +37,12 @@ values (8 MB); the same budget sizes the blocks of
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError, is_number, load_json, require_keys
+from .errors import InputError, NumericalError, finite_real, positive_real, require_keys
 
 # Both families are k(x, y) = offset + exp(-|x - y|^2 / (2 * bandwidth^2)).
 KNOWN_FAMILIES = ("gaussian_plus_one", "gaussian")
@@ -83,17 +82,17 @@ class KernelSpec:
         if self.family not in KNOWN_FAMILIES:
             raise InputError(
                 f"unknown kernel family {self.family!r}; expected one of {KNOWN_FAMILIES}")
+        bandwidth = positive_real(self.bandwidth, "bandwidth")
         # the kernel divides by 2 h^2, which must neither overflow nor vanish
-        if not (is_number(self.bandwidth)
-                and 0.0 < 2.0 * self.bandwidth * self.bandwidth < math.inf):
-            raise InputError(f"bandwidth must be finite and positive, with 2 * bandwidth**2 "
-                             f"finite and non-zero, got {self.bandwidth!r}")
+        if not 0.0 < 2.0 * bandwidth * bandwidth < math.inf:
+            raise InputError(f"2 * bandwidth**2 must be finite and non-zero, got "
+                             f"bandwidth={bandwidth!r}")
+        object.__setattr__(self, "bandwidth", bandwidth)
         if self.offset is None:
-            resolved = 1.0 if self.family == "gaussian_plus_one" else 0.0
-            object.__setattr__(self, "offset", resolved)
-        if not (is_number(self.offset) and math.isfinite(self.offset) and self.offset >= 0.0):
-            raise InputError(
-                f"offset must be finite and non-negative, got {self.offset!r}")
+            object.__setattr__(self, "offset", 1.0 if self.family == "gaussian_plus_one" else 0.0)
+        object.__setattr__(self, "offset", finite_real(self.offset, "offset"))
+        if self.offset < 0.0:
+            raise InputError(f"offset must be non-negative, got {self.offset!r}")
         if self.family == "gaussian" and self.offset != 0.0:
             raise InputError("family 'gaussian' has offset fixed at 0")
 
@@ -161,16 +160,6 @@ class SampleSet:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-    def to_dict(self) -> dict:
-        return {"points": self.points.tolist(), "measure_tag": self.measure_tag,
-                "seed": self.seed}
-
-    @staticmethod
-    def from_dict(data: dict) -> "SampleSet":
-        require_keys(data, ("points", "measure_tag"), "sample")
-        return SampleSet(points=data["points"], measure_tag=data["measure_tag"],
-                         seed=data.get("seed"))
 
 
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -261,6 +250,14 @@ def _outside_span(basis: np.ndarray, vectors: np.ndarray, coords: np.ndarray) ->
     outside = vectors - basis @ coords
     outside -= basis @ (basis.T @ outside)
     return outside
+
+
+def _check_shift(lam: float, spectrum: np.ndarray) -> None:
+    """NumericalError unless lam + min(spectrum) > 0: lam I + K/n is positive definite."""
+    smallest = lam + float(spectrum[0])
+    if not (smallest > 0.0):
+        raise NumericalError("regularized kernel system is not positive definite",
+                             lam=lam, smallest_eigenvalue=smallest)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -369,8 +366,7 @@ def assemble_gram(spec: KernelSpec, xp: SampleSet, xq: SampleSet | None = None) 
 
 
 # ---------------------------------------------------------------------------
-# Sample I/O: CSV holds one point per row (plain coordinates, no header);
-# JSON carries the full container including tag and seed.
+# Sample I/O: CSV holds one point per row (plain coordinates, no header).
 
 def save_samples_csv(sample: SampleSet, path) -> None:
     with open(path, "w", newline="") as handle:
@@ -379,7 +375,7 @@ def save_samples_csv(sample: SampleSet, path) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
-def load_samples_csv(path, measure_tag: str, seed: int | None = None) -> SampleSet:
+def load_samples_csv(path, measure_tag: str) -> SampleSet:
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             records = [record for record in csv.reader(handle) if record]
@@ -394,14 +390,4 @@ def load_samples_csv(path, measure_tag: str, seed: int | None = None) -> SampleS
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise InputError(f"inconsistent point dimensions in {path}: {sorted(widths)}")
-    return SampleSet(points=rows, measure_tag=measure_tag, seed=seed)
-
-
-def save_samples_json(sample: SampleSet, path) -> None:
-    with open(path, "w") as handle:
-        json.dump(sample.to_dict(), handle, sort_keys=True, indent=2)
-        handle.write("\n")
-
-
-def load_samples_json(path) -> SampleSet:
-    return SampleSet.from_dict(load_json(path, "sample file"))
+    return SampleSet(points=rows, measure_tag=measure_tag)

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, is_number, require_keys
+from .errors import (InputError, finite_real, positive_real, require_keys,
+                     whole_number)
 
 SCHEME_KINDS = ("iterated_lavrentiev", "spectral_cutoff")
 
@@ -59,12 +60,8 @@ class RegScheme:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS + ("lavrentiev",):
             raise InputError(f"unknown scheme kind {self.kind!r}; expected one of {SCHEME_KINDS}")
-        if not (is_number(self.lam) and math.isfinite(self.lam) and self.lam > 0.0):
-            raise InputError(f"lam must be a positive finite real, got {self.lam!r}")
-        if not (is_number(self.iterations) and math.isfinite(self.iterations)
-                and int(self.iterations) == self.iterations and self.iterations >= 1):
-            raise InputError(f"iterations must be a positive integer, got {self.iterations!r}")
-        object.__setattr__(self, "iterations", int(self.iterations))
+        object.__setattr__(self, "lam", positive_real(self.lam, "lam"))
+        object.__setattr__(self, "iterations", whole_number(self.iterations, "iterations"))
         if self.kind == "lavrentiev":
             if self.iterations != 1:
                 raise InputError("kind 'lavrentiev' means a single iteration; "
@@ -162,9 +159,9 @@ def iterated_filter_rows(lams, counts, t) -> np.ndarray:
     count, so every row has the bits of the single-scheme filter.
     """
     arr, _ = _as_spectrum(t)
-    counts = list(counts)
-    if not counts or counts != sorted(set(counts)) or counts[0] < 1:
-        raise InputError(f"counts must be strictly ascending positive integers, got {counts!r}")
+    counts = [whole_number(count, "counts entry") for count in counts]
+    if not counts or counts != sorted(set(counts)):
+        raise InputError(f"counts must be strictly ascending, got {counts!r}")
     lam = np.asarray(lams, dtype=float)[:, None]
     shifted = lam + arr
     ratio = lam / shifted
@@ -195,13 +192,6 @@ def residual_value(scheme: RegScheme, t):
         return float(out[0]) if scalar else out
     out = (lam / (lam + arr)) ** scheme.iterations
     return float(out[0]) if scalar else out
-
-
-def filter_zero_value(scheme: RegScheme) -> float:
-    """g_lam(0): iterations / lam for the shifted-inversion family, 0 for cutoff."""
-    if scheme.kind == "spectral_cutoff":
-        return 0.0
-    return scheme.iterations / scheme.lam
 
 
 def filter_quotient_value(scheme: RegScheme, t):
@@ -293,13 +283,16 @@ def check_scheme_constants(scheme: RegScheme, t_max: float, grid_size: int = 200
     lower end sits far below the regularization strength because that is
     where the inverse-order bound is approached.
     """
-    if not (t_max > 0.0):
-        raise InputError(f"t_max must be positive, got {t_max!r}")
-    if grid_size < 2:
-        raise InputError(f"grid_size must be at least 2, got {grid_size!r}")
-    s = scheme.qualification if qualification is None else float(qualification)
-    if s < 0.0:
-        raise InputError(f"qualification order must be non-negative, got {s!r}")
+    t_max = positive_real(t_max, "t_max")
+    grid_size = whole_number(grid_size, "grid_size", minimum=2)
+    if qualification is None:
+        s = scheme.qualification
+    elif qualification == math.inf:  # an unbounded claim, trivially satisfied
+        s = math.inf
+    else:
+        s = finite_real(qualification, "qualification order")
+        if s < 0.0:
+            raise InputError(f"qualification order must be non-negative, got {s!r}")
 
     lam = scheme.lam
     lo = min(lam, t_max) * 1e-9
@@ -340,5 +333,5 @@ def check_scheme_constants(scheme: RegScheme, t_max: float, grid_size: int = 200
         checks.append(InequalityCheck(
             name="qualification", margin=float(gaps[worst]), worst_t=float(grid[worst]),
             satisfied=float(gaps[worst]) >= -1e-12 * max(1.0, bound)))
-    return SchemeCheckReport(scheme=scheme, t_max=float(t_max), grid_size=int(grid_size),
+    return SchemeCheckReport(scheme=scheme, t_max=t_max, grid_size=grid_size,
                              qualification=s, checks=tuple(checks))

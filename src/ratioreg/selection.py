@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, require_keys
+from .errors import InputError, finite_real, positive_real, require_keys, whole_number
 from .estimator import RatioModel, fit_iterated_lavrentiev_ladder
 from .kernel import GramSystem
 
@@ -55,13 +55,11 @@ class LambdaGrid:
     values: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.lambda_0) and self.lambda_0 > 0.0):
-            raise InputError(f"lambda_0 must be finite and positive, got {self.lambda_0!r}")
-        if not (0.0 < self.rho < 1.0):
+        object.__setattr__(self, "lambda_0", positive_real(self.lambda_0, "lambda_0"))
+        object.__setattr__(self, "rho", positive_real(self.rho, "rho"))
+        if not self.rho < 1.0:
             raise InputError(f"rho must lie in (0, 1), got {self.rho!r}")
-        if int(self.size) != self.size or self.size < 1:
-            raise InputError(f"size must be a positive integer, got {self.size!r}")
-        object.__setattr__(self, "size", int(self.size))
+        object.__setattr__(self, "size", whole_number(self.size, "size"))
         object.__setattr__(self, "values", tuple(
             self.lambda_0 * self.rho**i for i in range(1, self.size + 1)))
 
@@ -155,10 +153,9 @@ def lambda_mn(m: int, n: int, eta: float, varsigma: float) -> float:
     ``varsigma`` the embedding index in [0, 1/2] (0 is allowed as the
     limiting no-embedding case).
     """
-    if int(m) != m or m < 1 or int(n) != n or n < 1:
-        raise InputError(f"sample sizes must be positive integers, got m={m!r}, n={n!r}")
-    if not (eta > 0.0) or not math.isfinite(eta):
-        raise InputError(f"eta must be a positive finite real, got {eta!r}")
+    m, n = whole_number(m, "m"), whole_number(n, "n")
+    eta = positive_real(eta, "eta")
+    varsigma = finite_real(varsigma, "varsigma")
     if not (0.0 <= varsigma <= 0.5):
         raise InputError(f"varsigma must lie in [0, 1/2], got {varsigma!r}")
     exponent = 1.0 / (eta + 1.0 - varsigma)

@@ -251,7 +251,7 @@ def test_capacity_reports_unbracketed_balance_point(tmp_path, sample_files,
                                                     capsys, monkeypatch):
     _, _, xp_path, _ = sample_files
 
-    def refuse(gram, spectrum, bracket, rel_tol=1e-9, max_iter=200):
+    def refuse(gram, spectrum, bracket):
         raise rr.InputError("bracket does not straddle the balance point")
 
     monkeypatch.setattr(capacity_mod, "_balance_point", refuse)

@@ -1,0 +1,125 @@
+"""The library's input contract: a malformed number raises InputError.
+
+Every entry point checks its strengths, counts, sizes and means through
+the three checkers in ``ratioreg.errors``.  A bool, a string, a
+non-finite value or a fractional count is rejected with InputError, never
+coerced, truncated or let through to fail later as another exception.
+The CLI runs below go through a fresh process, so a warning printed on
+the way would show up on stderr.
+"""
+
+from __future__ import annotations
+
+import fractions
+import json
+import math
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import ratioreg as rr
+from ratioreg.errors import finite_real, positive_real, whole_number
+from ratioreg.regularization import iterated_filter_rows
+
+INF, NAN = math.inf, math.nan
+RATE = {"eta": 1.0, "varsigma": 0.5, "iterations": 1, "replications": 1, "seed": 0}
+
+# (entry point, bad value): a call on the session's small Gram system.
+BAD_CALLS = {
+    # a fractional or boolean count is not truncated
+    "SimConfig k_list 2.5": lambda g: rr.SimConfig(k_list=(1, 2.5)),
+    "SimConfig k_list True": lambda g: rr.SimConfig(k_list=(True,)),
+    "run_rate_study n_list 30.7": lambda g: rr.run_rate_study([30.7, 60], **RATE),
+    "SimConfig n 100.5": lambda g: rr.SimConfig(n=100.5),
+    "SimConfig m 1": lambda g: rr.SimConfig(m=1),
+    "SimConfig replications 1.5": lambda g: rr.SimConfig(replications=1.5),
+    "LambdaGrid size inf": lambda g: rr.LambdaGrid(size=INF),
+    "LambdaGrid size nan": lambda g: rr.LambdaGrid(size=NAN),
+    "LambdaGrid size True": lambda g: rr.LambdaGrid(size=True),
+    "lambda_mn m inf": lambda g: rr.lambda_mn(INF, 10, 1.0, 0.5),
+    "lambda_mn n 10.5": lambda g: rr.lambda_mn(10, 10.5, 1.0, 0.5),
+    "lambda_mn eta True": lambda g: rr.lambda_mn(10, 10, True, 0.5),
+    "lambda_mn varsigma nan": lambda g: rr.lambda_mn(10, 10, 1.0, NAN),
+    # a strength that is a bool or a string
+    "ladder lam True": lambda g: rr.fit_iterated_lavrentiev_ladder(g, [True], [1]),
+    "ladder lam '0.5'": lambda g: rr.fit_iterated_lavrentiev_ladder(g, ["0.5"], [1]),
+    "ladder count 2.5": lambda g: rr.fit_iterated_lavrentiev_ladder(g, [0.5], [2.5]),
+    "ladder count True": lambda g: rr.fit_iterated_lavrentiev_ladder(g, [0.5], [True]),
+    "effective_dimension lam True": lambda g: rr.effective_dimension(g, True),
+    "effective_dimension lam '0.5'": lambda g: rr.effective_dimension(g, "0.5"),
+    "christoffel lam True": lambda g: rr.christoffel(g, True, [0.0]),
+    "n_inf_estimate lam '0.5'": lambda g: rr.n_inf_estimate(g, "0.5", [[0.0]]),
+    "capacity_profile lam True": lambda g: rr.capacity_profile(g, [0.5, True]),
+    "capacity_profile lam '0.5'": lambda g: rr.capacity_profile(g, "0.5"),
+    "find_lambda_star bracket nan": lambda g: rr.find_lambda_star(g, (NAN, 1.0)),
+    "default_probe_grid count 2.5": lambda g: rr.default_probe_grid(g.xp, 2.5),
+    "LambdaGrid lambda_0 True": lambda g: rr.LambdaGrid(lambda_0=True),
+    "LambdaGrid lambda_0 '0.5'": lambda g: rr.LambdaGrid(lambda_0="0.5"),
+    "LambdaGrid rho '0.5'": lambda g: rr.LambdaGrid(rho="0.5"),
+    "fit lam True": lambda g: rr.fit_iterated_lavrentiev(g, True),
+    "fit iterations 2.5": lambda g: rr.fit_iterated_lavrentiev(g, 0.5, 2.5),
+    "model mu_coeff True": lambda g: rr.RatioModel.from_dict(
+        dict(rr.fit_spectral(g, rr.lavrentiev(0.5)).to_dict(), mu_coeff=True)),
+    "RegScheme lam '0.5'": lambda g: rr.RegScheme("iterated_lavrentiev", "0.5"),
+    "RegScheme iterations True": lambda g: rr.RegScheme("iterated_lavrentiev", 0.5, True),
+    "filter rows count 1.5": lambda g: iterated_filter_rows([0.5], [1.5], [0.0]),
+    "check t_max nan": lambda g: rr.check_scheme_constants(rr.lavrentiev(0.5), NAN),
+    "check grid_size 2.5": lambda g: rr.check_scheme_constants(rr.lavrentiev(0.5), 2.0, 2.5),
+    "check qualification nan": lambda g: rr.check_scheme_constants(
+        rr.lavrentiev(0.5), 2.0, qualification=NAN),
+    # means and variances
+    "true_beta mu_q nan": lambda g: rr.true_beta(0.0, NAN),
+    "true_beta var_q True": lambda g: rr.true_beta(0.0, 2.0, var_q=True),
+    "sample_normal mu inf": lambda g: rr.sample_normal(INF, 1.0, 5, 0),
+    "sample_normal count 2.5": lambda g: rr.sample_normal(0.0, 1.0, 2.5, 0),
+    "SimConfig mu_p nan": lambda g: rr.SimConfig(mu_p=NAN),
+    "SimConfig mu_q_list nan": lambda g: rr.SimConfig(mu_q_list=(2.0, NAN)),
+    "SimConfig var_p '5'": lambda g: rr.SimConfig(var_p="5"),
+    "run_rate_study mu_q inf": lambda g: rr.run_rate_study([4, 8], **RATE, mu_q=INF),
+    "run_rate_study iterations 1.5": lambda g: rr.run_rate_study(
+        [4, 8], **dict(RATE, iterations=1.5)),
+    "run_rate_study replications True": lambda g: rr.run_rate_study(
+        [4, 8], **dict(RATE, replications=True)),
+    "run_study threads 1.5": lambda g: rr.run_study(rr.SimConfig(), threads=1.5),
+}
+
+
+@pytest.mark.parametrize("call", BAD_CALLS.values(), ids=BAD_CALLS.keys())
+def test_malformed_number_raises_input_error(small_pair, call):
+    with pytest.raises(rr.InputError):
+        call(small_pair[2])
+
+
+def test_checkers_normalize_what_they_accept():
+    assert whole_number(3.0, "k") == 3 and type(whole_number(np.int64(3), "k")) is int
+    assert whole_number(0, "seed", minimum=0) == 0
+    assert type(positive_real(np.float32(0.5), "lam")) is float
+    assert finite_real(fractions.Fraction(-1, 4), "mu") == -0.25
+    assert positive_real(2**70, "t_max") == 2.0**70
+    for bad in (10**400, 2.5, -1, "3", None, [3]):
+        with pytest.raises(rr.InputError, match="k"):
+            whole_number(bad, "k")
+
+
+SMALL_STUDY = ["--n", "4", "--m", "4", "--mu-q-list", "3", "--k-list", "1",
+               "--replications", "1", "--grid-size", "3", "--threads", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", *SMALL_STUDY, "--mu-p", "nan"],
+    ["simulate", *SMALL_STUDY, "--mu-q-list", "nan"],
+    ["check-schemes", "--qualification", "nan"],
+    ["rates", "--n-list", "4,8", "--replications", "1", "--mu-q", "inf"],
+], ids=["simulate --mu-p nan", "simulate --mu-q-list nan",
+        "check-schemes --qualification nan", "rates --mu-q inf"])
+def test_cli_rejects_non_finite_values(tmp_path, subprocess_env, argv):
+    run = subprocess.run([sys.executable, "-m", "ratioreg", *argv], cwd=tmp_path,
+                         env=subprocess_env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2, run.stdout + run.stderr
+    assert run.stdout == ""
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1, run.stderr
+    assert json.loads(lines[0])["error"] == "validation"
+    assert not (tmp_path / "report.json").exists()

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import tracemalloc
 
@@ -233,12 +232,12 @@ def test_f_bar_entries_bounded(seed, n, m):
 
 
 def test_samples_csv_round_trip(tmp_path, rng):
-    sample = rr.SampleSet(rng.normal(size=(13, 2)), "p", seed=7)
+    sample = rr.SampleSet(rng.normal(size=(13, 2)), "p")
     path = tmp_path / "xp.csv"
     rr.save_samples_csv(sample, path)
-    loaded = rr.load_samples_csv(path, measure_tag="p", seed=7)
+    loaded = rr.load_samples_csv(path, measure_tag="p")
     assert np.array_equal(loaded.points, sample.points)
-    assert loaded.measure_tag == "p" and loaded.seed == 7
+    assert loaded.measure_tag == "p"
 
 
 def test_samples_csv_rejects_bad_content(tmp_path):
@@ -254,15 +253,3 @@ def test_samples_csv_rejects_bad_content(tmp_path):
     empty.write_text("")
     with pytest.raises(rr.InputError):
         rr.load_samples_csv(empty, measure_tag="p")
-
-
-def test_samples_json_round_trip(tmp_path, rng):
-    sample = rr.SampleSet(rng.normal(size=(5, 3)), "q", seed=99)
-    path = tmp_path / "xq.json"
-    rr.save_samples_json(sample, path)
-    loaded = rr.load_samples_json(path)
-    assert np.array_equal(loaded.points, sample.points)
-    assert loaded.measure_tag == "q" and loaded.seed == 99
-    # file is plain JSON with sorted keys
-    raw = json.loads(path.read_text())
-    assert list(raw) == sorted(raw)

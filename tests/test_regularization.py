@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import ratioreg as rr
 from ratioreg.regularization import (SCHEME_KINDS, filter_quotient_value,
-                                     filter_zero_value, iterated_filter_rows,
-                                     iterated_lavrentiev, spectral_cutoff)
+                                     iterated_filter_rows, iterated_lavrentiev,
+                                     spectral_cutoff)
 
 ALL_K = (1, 2, 3, 5, 10)
 LAMBDAS = (0.9, 0.5, 0.2, 0.1, 0.05)
@@ -122,7 +122,7 @@ def test_cutoff_filter_and_residual():
     assert rr.filter_value(scheme, 0.0) == 0.0
     assert rr.residual_value(scheme, 0.4) == 1.0
     assert rr.residual_value(scheme, 0.5) == 0.0
-    assert filter_zero_value(scheme) == 0.0
+    assert rr.filter_value(scheme, 0.0) == 0.0
     assert filter_quotient_value(scheme, 2.0) == 0.25
     assert filter_quotient_value(scheme, 0.1) == 0.0
 
@@ -175,7 +175,7 @@ def test_quotient_matches_naive_at_moderate_t():
     for k in ALL_K:
         scheme = iterated_lavrentiev(0.2, k)
         t = np.array([1e-3, 0.05, 0.3, 1.0, 2.0])
-        naive = (rr.filter_value(scheme, t) - filter_zero_value(scheme)) / t
+        naive = (rr.filter_value(scheme, t) - rr.filter_value(scheme, 0.0)) / t
         stable = filter_quotient_value(scheme, t)
         assert np.abs((stable - naive) / naive).max() <= 1e-12
 
