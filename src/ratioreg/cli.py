@@ -11,6 +11,7 @@ on stderr and map to exit codes: 1 for I/O problems, 2 for validation,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -20,7 +21,8 @@ import numpy as np
 
 from . import capacity as capacity_mod
 from . import estimator, experiment, kernel, regularization, selection
-from .errors import InputError, NumericalError, load_json, positive_real, whole_number
+from .errors import (InputError, NumericalError, load_json, positive_real, save_json,
+                     whole_number)
 
 
 def _fail(kind: str, message: str) -> None:
@@ -146,14 +148,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     points = kernel.load_samples_csv(points_path, measure_tag="p")
     values = estimator.evaluate_batch(model, points.points)
     if options["format"] == "json":
-        with open(out_path, "w") as handle:
-            json.dump({"points": points.points.tolist(), "values": values.tolist()},
-                      handle, sort_keys=True, indent=2)
-            handle.write("\n")
+        save_json({"points": points.points.tolist(), "values": values.tolist()}, out_path)
     else:
-        import csv as csv_mod
         with open(out_path, "w", newline="") as handle:
-            writer = csv_mod.writer(handle, lineterminator="\n")
+            writer = csv.writer(handle, lineterminator="\n")
             writer.writerow([f"x{i}" for i in range(points.dim)] + ["value"])
             for row, value in zip(points.points, values):
                 writer.writerow([repr(float(v)) for v in row] + [repr(float(value))])
@@ -257,9 +255,7 @@ def cmd_check_schemes(args: argparse.Namespace) -> int:
         scheme, t_max=positive_real(options["t_max"], "--t-max"),
         grid_size=options["grid_size"], qualification=options["qualification"])
     if options["out"] is not None:
-        with open(options["out"], "w") as handle:
-            json.dump(report.to_dict(), handle, sort_keys=True, indent=2)
-            handle.write("\n")
+        save_json(report.to_dict(), options["out"])
     for check in report.checks:
         status = "ok       " if check.satisfied else "VIOLATED "
         print(f"{status}{check.name:<14} margin={check.margin!r} at t={check.worst_t!r}")

@@ -1,4 +1,4 @@
-"""Exception types and the input checks shared across the package.
+"""Exception types, input checks and JSON file I/O shared across the package.
 
 Two failure families are distinguished so callers (and the CLI) can map
 them to different exit codes: bad inputs versus numerical breakdown.
@@ -55,7 +55,9 @@ def require_keys(data, keys, what: str) -> None:
 
 def is_number(value) -> bool:
     """True for a real number that is not a bool (JSON true and false are not numbers)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # The exact-type test spares plain floats and ints the slow ABC check.
+    return type(value) in (float, int) or (isinstance(value, numbers.Real)
+                                           and not isinstance(value, bool))
 
 
 def _as_float(value) -> float:
@@ -84,14 +86,17 @@ def positive_real(value, name: str) -> float:
     return number
 
 
-def whole_number(value, name: str, minimum: int = 1) -> int:
+def whole_number(value, name: str, minimum: int | None = 1) -> int:
     """``value`` as an int, if it is an integral real number >= ``minimum`` and not a bool.
 
-    2.0 is taken as 2; 2.5 is rejected, never truncated.
+    2.0 is taken as 2; 2.5 is rejected, never truncated.  ``minimum=None``
+    sets no lower bound.
     """
     number = _as_float(value)
-    if not (math.isfinite(number) and number.is_integer() and number >= minimum):
-        raise InputError(f"{name} must be a whole number of at least {minimum}, got {value!r}")
+    if not (math.isfinite(number) and number.is_integer()
+            and (minimum is None or number >= minimum)):
+        bound = "" if minimum is None else f" of at least {minimum}"
+        raise InputError(f"{name} must be a whole number{bound}, got {value!r}")
     return int(value)
 
 
@@ -106,3 +111,10 @@ def load_json(path, what: str):
             return json.load(handle)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"{what} {path} is not valid UTF-8 JSON: {exc}") from exc
+
+
+def save_json(data, path) -> None:
+    """Write ``data`` to ``path`` as JSON with sorted keys, indented, plus a final newline."""
+    with open(path, "w") as handle:
+        json.dump(data, handle, sort_keys=True, indent=2)
+        handle.write("\n")

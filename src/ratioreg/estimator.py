@@ -59,14 +59,16 @@ eigenvalue 0, so with f_out = f_bar - U U^T f_bar (zero when r = n)
 
 For the iterated scheme the two paths agree in exact arithmetic; the
 second one also covers filters with no iterative form, such as cutoff.
-A ladder of strengths and iteration counts takes all its values from one
-eigensystem and one (L |k| x r) @ (r x n) product.  A single (lam, k) fit
+A ladder of L strengths at one iteration count takes all its values from
+the system's eigensystem and one (L x r) @ (r x n) product; the system
+keeps that eigensystem, so ladders at further counts and spectral fits
+of the same system reuse it.  A single (lam, k) fit
 (``fit``, ``rates``) keeps the Cholesky recursion, whose values match the
 dense solve to the last bits where the estimate crosses zero; only it
 imports scipy.
 
 Memory: the ladder and the spectral fit hold O(n r) floats besides the
-(L |k| x n) table; a Cholesky fit holds n^2, one fresh K shifted and
+(L x n) table; a Cholesky fit holds n^2, one fresh K shifted and
 factored in place.  ``evaluate_batch`` works through row blocks, so it
 holds O(block (n + m)) floats whatever the batch size.  Its values are
 reproducible per batch, not per point: the BLAS product rounds a row by
@@ -75,17 +77,15 @@ its place in the batch.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .errors import (InputError, NumericalError, finite_real, load_json, positive_real,
-                     require_keys, whole_number)
-from .kernel import (GramSystem, KernelSpec, _check_shift, _outside_span, _row_blocks,
-                     kernel_matrix)
+from .errors import (InputError, NumericalError, finite_real, is_number, load_json,
+                     positive_real, require_keys, save_json, whole_number)
+from .kernel import GramSystem, KernelSpec, _check_shift, _row_blocks, kernel_matrix
 from .regularization import (RegScheme, filter_quotient_value, filter_value,
                              iterated_filter_rows, iterated_lavrentiev)
 
@@ -138,19 +138,36 @@ class RatioModel:
     def from_dict(data: dict) -> "RatioModel":
         arrays = ("xp_points", "xq_points", "alpha", "values_at_xp")
         require_keys(data, ("kernel", "scheme", "mu_coeff") + arrays, "model")
-        try:
-            numbers = {key: np.asarray(data[key], dtype=float) for key in arrays}
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"model holds a non-numeric entry: {exc}") from exc
         return RatioModel(kernel=KernelSpec.from_dict(data["kernel"]),
                           scheme=RegScheme.from_dict(data["scheme"]),
-                          mu_coeff=finite_real(data["mu_coeff"], "mu_coeff"), **numbers)
+                          mu_coeff=finite_real(data["mu_coeff"], "mu_coeff"),
+                          **{key: _model_array(data[key], key) for key in arrays})
+
+
+def _model_array(value, key: str) -> np.ndarray:
+    """A model array given as nested lists whose every entry is a finite number.
+
+    A bool or a string is rejected, not converted.  ``is_number`` depends on
+    the type alone, so one entry of each type is checked, which keeps the
+    cost per entry to a type lookup.
+    """
+    level, samples = [value], {}
+    while level:  # one nesting level at a time
+        samples.update((type(entry), entry) for entry in level)
+        level = [item for entry in level if type(entry) is list for item in entry]
+    if not all(is_number(entry) for kind, entry in samples.items() if kind is not list):
+        raise InputError(f"model {key} holds an entry that is not a number")
+    try:
+        array = np.asarray(value, dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise InputError(f"model {key} is not an array of floats: {exc}") from exc
+    if not np.isfinite(array).all():
+        raise InputError(f"model {key} holds a non-finite entry")
+    return array
 
 
 def save_model(model: RatioModel, path) -> None:
-    with open(path, "w") as handle:
-        json.dump(model.to_dict(), handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    save_json(model.to_dict(), path)
 
 
 def load_model(path) -> RatioModel:
@@ -217,24 +234,15 @@ def fit_iterated_lavrentiev(gram: GramSystem, lam: float, iterations: int = 1) -
                       mu_coeff=scheme.iterations / lam, values_at_xp=values)
 
 
-def _split_rhs(gram: GramSystem):
-    """(t, U, U^T f_bar, f_bar - U U^T f_bar) from one eigensystem of K/n."""
-    t, basis = gram.eigensystem()
-    rotated = basis.T @ gram.f_bar
-    return t, basis, rotated, _outside_span(basis, gram.f_bar, rotated)
-
-
-def _spectral_model(gram: GramSystem, scheme: RegScheme, spectrum: np.ndarray,
-                    basis: np.ndarray, rotated: np.ndarray, outside: np.ndarray,
-                    values: np.ndarray) -> RatioModel:
+def _spectral_model(gram: GramSystem, scheme: RegScheme, values: np.ndarray) -> RatioModel:
     """The model of ``scheme`` with the given values at xp, from K/n = U diag(t) U^T.
 
-    ``spectrum`` is t floored at zero, ``basis`` is U, ``rotated`` is
-    U^T f_bar and ``outside`` is f_bar - U U^T f_bar, where t = 0;
-    alpha = (U q_lam(t) U^T f_bar + q_lam(0) outside) / n^2.
+    With t floored at zero and f_out = f_bar - U U^T f_bar, where t = 0,
+    alpha = (U q_lam(t) U^T f_bar + q_lam(0) f_out) / n^2.
     """
-    alpha = (basis @ (filter_quotient_value(scheme, spectrum) * rotated)
-             + filter_quotient_value(scheme, 0.0) * outside) / basis.shape[0]**2
+    t, basis, rotated, outside = gram.split_rhs()
+    quotient = filter_quotient_value(scheme, np.append(np.clip(t, 0.0, None), 0.0))  # q(0) last
+    alpha = (basis @ (quotient[:-1] * rotated) + quotient[-1] * outside) / gram.n**2
     if not (np.isfinite(values).all() and np.isfinite(alpha).all()):
         raise NumericalError("non-finite spectral fit", lam=scheme.lam)
     return RatioModel(kernel=gram.kernel, scheme=scheme, xp_points=gram.xp.points,
@@ -245,72 +253,71 @@ def _spectral_model(gram: GramSystem, scheme: RegScheme, spectrum: np.ndarray,
 def fit_spectral(gram: GramSystem, scheme: RegScheme) -> RatioModel:
     """Fit by applying an arbitrary spectral filter to the kernel spectrum.
 
-    Diagonalizes K/n once; eigenvalues are floored at zero to absorb
-    symmetric-eigensolver noise before the filter is applied.
+    Uses the system's eigensystem of K/n; eigenvalues are floored at zero
+    to absorb symmetric-eigensolver noise before the filter is applied.
     """
     _check_target(gram)
-    t, basis, rotated, outside = _split_rhs(gram)
-    spectrum = np.clip(t, 0.0, None)
-    values = (basis @ (filter_value(scheme, spectrum) * rotated / gram.n)
+    t, basis, rotated, outside = gram.split_rhs()
+    values = (basis @ (filter_value(scheme, np.clip(t, 0.0, None)) * rotated / gram.n)
               + filter_value(scheme, 0.0) * outside / gram.n)
-    return _spectral_model(gram, scheme, spectrum, basis, rotated, outside, values)
+    return _spectral_model(gram, scheme, values)
 
 
 @dataclass(frozen=True)
 class IteratedLadder:
-    """Fitted values of the iterated scheme at every (strength, count) pair.
+    """Fitted values of the iterated scheme with ``iterations`` steps at every strength.
 
-    ``values[k][i]`` holds the fitted values at the reference points for
-    strength ``lambdas[i]`` and k iterations.  ``model(i, k)`` builds the
-    full model at that pair from the same eigensystem of ``gram``
-    (``spectrum`` floored at zero, ``basis`` = U, ``rotated`` = U^T f_bar,
-    ``outside`` = f_bar - U U^T f_bar).
+    ``values[i]`` holds the fitted values at the reference points for
+    strength ``lambdas[i]``.  ``model(i)`` builds the full model there from
+    the eigensystem ``gram`` keeps.
     """
 
     gram: GramSystem
     lambdas: tuple[float, ...]
-    values: dict[int, np.ndarray]
-    spectrum: np.ndarray
-    basis: np.ndarray
-    rotated: np.ndarray
-    outside: np.ndarray
+    iterations: int
+    values: np.ndarray
 
-    def model(self, index: int, iterations: int) -> RatioModel:
-        return _spectral_model(
-            self.gram, iterated_lavrentiev(self.lambdas[index], iterations),
-            self.spectrum, self.basis, self.rotated, self.outside,
-            self.values[iterations][index].copy())
+    def model(self, index: int) -> RatioModel:
+        scheme = iterated_lavrentiev(self.lambdas[index], self.iterations)
+        return _spectral_model(self.gram, scheme, self.values[index].copy())
+
+
+# The ladder's (L x r) @ (r x n) product has at least this many entries.
+# OpenBLAS sends a smaller one to a small-matrix kernel that rounds each
+# row differently (measured on x86-64 with r >= 32), so without padding a
+# row's bits would hang on how many strengths share its ladder.
+_LADDER_MIN_ENTRIES = 1201
 
 
 def fit_iterated_lavrentiev_ladder(gram: GramSystem, lambdas: Iterable[float],
-                                   iteration_counts: Iterable[int]) -> IteratedLadder:
-    """Fit the iterated scheme at every strength and count from one eigensystem.
+                                   iterations: int) -> IteratedLadder:
+    """Fit the iterated scheme with k = ``iterations`` at every strength of a ladder.
 
-    The values of every pair come from one (len(lambdas) |counts| x r) @
-    (r x n) product plus g(0) f_out (module docstring), and agree with
-    ``fit_iterated_lavrentiev`` to rounding.  Raises ``NumericalError``
-    when min(lambdas) + t_min <= 0 (the shifted system is not positive
-    definite) or when any value is non-finite.
+    The values come from the system's eigensystem and one
+    (len(lambdas) x r) @ (r x n) product plus g(0) f_out (module
+    docstring), and agree with ``fit_iterated_lavrentiev`` to rounding.
+    Raises ``NumericalError`` when min(lambdas) + t_min <= 0 (the shifted
+    system is not positive definite) or when any value is non-finite.
     """
     _check_target(gram)
-    targets = sorted({whole_number(k, "iteration count") for k in iteration_counts})
+    iterations = whole_number(iterations, "iteration count")
     lams = tuple(positive_real(lam, "lam") for lam in lambdas)
-    if not (lams and targets):
-        raise InputError("lambdas and iteration_counts must be non-empty")
+    if not lams:
+        raise InputError("lambdas must be non-empty")
 
-    t, basis, rotated, outside = _split_rhs(gram)
+    t, basis, rotated, outside = gram.split_rhs()
     _check_shift(min(lams), t)
-    spectrum = np.clip(t, 0.0, None)
-    filters = iterated_filter_rows(lams, targets, np.append(spectrum, 0.0))  # g(0) last
-    table = (filters[:, :-1] * (rotated / gram.n)) @ basis.T
-    table += np.outer(filters[:, -1], outside / gram.n)
-    if not np.isfinite(table).all():
+    filters = iterated_filter_rows(lams, iterations,
+                                   np.append(np.clip(t, 0.0, None), 0.0))  # g(0) last
+    weights = filters[:, :-1] * (rotated / gram.n)
+    short = -(-_LADDER_MIN_ENTRIES // gram.n) - len(lams)
+    if short > 0:
+        weights = np.vstack([weights, np.zeros((short, len(t)))])
+    values = (weights @ basis.T)[:len(lams)]
+    values += filters[:, -1:] * (outside / gram.n)
+    if not np.isfinite(values).all():
         raise NumericalError("non-finite fitted values on the ladder", lam=min(lams))
-    table = table.reshape(len(targets), len(lams), gram.n)
-    return IteratedLadder(gram=gram, lambdas=lams,
-                          values={k: table[i] for i, k in enumerate(targets)},
-                          spectrum=spectrum, basis=basis, rotated=rotated,
-                          outside=outside)
+    return IteratedLadder(gram=gram, lambdas=lams, iterations=iterations, values=values)
 
 
 def evaluate_batch(model: RatioModel, points) -> np.ndarray:

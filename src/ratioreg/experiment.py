@@ -20,20 +20,18 @@ with any thread count produces byte-identical reports.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import (InputError, NumericalError, finite_real, positive_real,
-                     require_keys, whole_number)
-from .estimator import (RatioModel, evaluate_batch, fit_iterated_lavrentiev,
-                        fit_iterated_lavrentiev_ladder)
+                     require_keys, save_json, whole_number)
+from .estimator import RatioModel, evaluate_batch, fit_iterated_lavrentiev
 from .kernel import KernelSpec, SampleSet, assemble_gram
-from .selection import LambdaGrid, choose_from_values, lambda_mn
+from .selection import LambdaGrid, lambda_mn, quasi_optimality
 
 # The benchmark's Gaussians: reference N(MU_P, VAR_P), target N(mu_q, VAR_Q).
 MU_P, VAR_P, VAR_Q = 2.0, 5.0, 0.5
@@ -90,6 +88,7 @@ def sample_normal(mu: float, var: float, count: int, seed: int,
     """
     mu, var = finite_real(mu, "mu"), positive_real(var, "var")
     count = whole_number(count, "count")
+    seed = whole_number(seed, "seed", minimum=0)  # PCG64 takes no negative seed
     rng = np.random.Generator(np.random.PCG64(seed))
     points = mu + math.sqrt(var) * rng.standard_normal(count)
     return SampleSet(points=points.reshape(-1, 1), measure_tag=measure_tag, seed=seed)
@@ -153,6 +152,8 @@ class SimConfig:
             "var_q": positive_real(self.var_q, "var_q"),
             "k_list": tuple(whole_number(k, "k_list entry") for k in self.k_list),
             "replications": whole_number(self.replications, "replications"),
+            # derive_seed masks it to 64 bits, so a negative seed is valid
+            "seed": whole_number(self.seed, "seed", minimum=None),
         }
         for name, value in checked.items():
             object.__setattr__(self, name, value)
@@ -195,14 +196,6 @@ class CellResult:
     max_pointwise_error: float | None = None
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "mu_q": self.mu_q, "k": self.k, "replication": self.replication,
-            "chosen_lambda": self.chosen_lambda, "chosen_index": self.chosen_index,
-            "msd": self.msd, "max_pointwise_error": self.max_pointwise_error,
-            "error": self.error,
-        }
-
 
 @dataclass(frozen=True)
 class ExperimentReport:
@@ -221,7 +214,7 @@ class ExperimentReport:
     def to_dict(self) -> dict:
         return {
             "config": self.config.to_dict(),
-            "cells": [c.to_dict() for c in self.cells],
+            "cells": [asdict(c) for c in self.cells],
             "box_stats": self.box,
             "failures": self.failures,
             "probe_grid": list(self.probe_grid) if self.probe_grid is not None else None,
@@ -237,13 +230,7 @@ def _run_cell(config: SimConfig, mu_q: float, replication: int,
         xp = sample_normal(config.mu_p, config.var_p, config.n, seed_p, "p")
         xq = sample_normal(mu_q, config.var_q, config.m, seed_q, "q")
         gram = assemble_gram(config.kernel, xp, xq)
-        ladder = fit_iterated_lavrentiev_ladder(gram, config.grid.with_anchor(),
-                                                config.k_list)
-        chosen_models = []
-        for k in config.k_list:
-            _, chosen = choose_from_values(ladder.values[k])
-            # +1 skips the anchor fit
-            chosen_models.append((k, chosen, ladder.model(chosen + 1, k)))
+        traces = [quasi_optimality(gram, k, config.grid) for k in config.k_list]
     except (InputError, NumericalError) as exc:
         message = f"{type(exc).__name__}: {exc}"
         return [CellResult(mu_q=mu_q, k=k, replication=replication,
@@ -255,7 +242,8 @@ def _run_cell(config: SimConfig, mu_q: float, replication: int,
                                config.var_q)
                      if probe_grid is not None else None)
     results = []
-    for k, chosen, model in chosen_models:
+    for k, trace in zip(config.k_list, traces):
+        model = trace.chosen_model
         cell_msd = msd(model, mu_q, config.mu_p, config.var_p, config.var_q)
         max_err = None
         if probe_grid is not None:
@@ -263,7 +251,7 @@ def _run_cell(config: SimConfig, mu_q: float, replication: int,
             max_err = float(np.abs(truth_on_grid - fitted).max())
         results.append(CellResult(
             mu_q=mu_q, k=k, replication=replication,
-            chosen_lambda=config.grid.values[chosen], chosen_index=chosen,
+            chosen_lambda=trace.chosen_lambda, chosen_index=trace.chosen_index,
             msd=cell_msd, max_pointwise_error=max_err))
     return results
 
@@ -294,32 +282,22 @@ def run_study(config: SimConfig, threads: int | None = None,
         (cell for batch in batches for cell in batch),
         key=lambda c: (config.mu_q_list.index(c.mu_q), c.k, c.replication))
 
-    box: dict = {}
-    failures = 0
-    for mu_q in config.mu_q_list:
-        per_k = {}
-        for k in config.k_list:
-            completed = [c.msd for c in cells
-                         if c.mu_q == mu_q and c.k == k and c.error is None]
-            per_k[str(k)] = box_stats(completed) if completed else None
-        box[repr(mu_q)] = per_k
-    failures = sum(1 for c in cells if c.error is not None)
-
-    return ExperimentReport(
-        config=config, cells=tuple(cells), box=box, failures=failures,
+    report = ExperimentReport(
+        config=config, cells=tuple(cells), box={},
+        failures=sum(1 for c in cells if c.error is not None),
         probe_grid=tuple(grid_arr.tolist()) if grid_arr is not None else None)
+    for mu_q in config.mu_q_list:
+        completed = {str(k): report.msd_values(mu_q, k) for k in config.k_list}
+        report.box[repr(mu_q)] = {k: box_stats(values) if values else None
+                                  for k, values in completed.items()}
+    return report
 
 
 # ---------------------------------------------------------------------------
 # Report serialization: JSON (full) + two CSVs for external plotting.
 
-def report_to_json(report: ExperimentReport) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-
-
 def save_report_json(report: ExperimentReport, path) -> None:
-    with open(path, "w") as handle:
-        handle.write(report_to_json(report))
+    save_json(report.to_dict(), path)
 
 
 def save_report_csv(report: ExperimentReport, path) -> None:
@@ -385,25 +363,9 @@ class RateRecord:
     rms_slope: float | None
     insufficient_points: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "n_list": list(self.n_list), "eta": self.eta,
-            "varsigma": self.varsigma, "iterations": self.iterations,
-            "replications": self.replications, "seed": self.seed,
-            "mu_q": self.mu_q, "probe_x": self.probe_x,
-            "lambdas": list(self.lambdas),
-            "pointwise_medians": list(self.pointwise_medians),
-            "rms_medians": list(self.rms_medians),
-            "pointwise_slope": self.pointwise_slope,
-            "rms_slope": self.rms_slope,
-            "insufficient_points": self.insufficient_points,
-        }
-
 
 def save_rate_json(record: RateRecord, path) -> None:
-    with open(path, "w") as handle:
-        json.dump(record.to_dict(), handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    save_json(asdict(record), path)
 
 
 def run_rate_study(n_list, eta: float, varsigma: float, iterations: int,
@@ -426,6 +388,7 @@ def run_rate_study(n_list, eta: float, varsigma: float, iterations: int,
         raise InputError(f"n_list must be strictly increasing, got {n_seq}")
     iterations = whole_number(iterations, "iterations")
     replications = whole_number(replications, "replications")
+    seed = whole_number(seed, "seed", minimum=None)  # masked to 64 bits by derive_seed
     mu_q = finite_real(mu_q, "mu_q")
     probe = mu_q if probe_x is None else finite_real(probe_x, "probe_x")
     lambdas = [lambda_mn(n, n, eta, varsigma) for n in n_seq]
@@ -454,7 +417,7 @@ def run_rate_study(n_list, eta: float, varsigma: float, iterations: int,
     return RateRecord(
         n_list=tuple(n_seq), eta=float(eta), varsigma=float(varsigma),
         iterations=iterations, replications=replications,
-        seed=int(seed), mu_q=mu_q, probe_x=probe,
+        seed=seed, mu_q=mu_q, probe_x=probe,
         lambdas=tuple(lambdas), pointwise_medians=tuple(point_meds),
         rms_medians=tuple(rms_meds),
         pointwise_slope=None if insufficient else fit_log_slope(n_seq, point_meds),

@@ -20,7 +20,10 @@ forms no n x n matrix.  A greedy pivoted Cholesky factor K = F^T F
 column per step until every residual diagonal entry is at most
 ``_PIVOT_TOL`` = 2e-15 times max k(x, x), a truncation at machine
 precision only; a QR of F^T / sqrt(n) and an r x r ``eigh`` give the r
-eigenpairs, and the complement of their span counts as eigenvalue 0.
+eigenpairs, and the complement of their span counts as eigenvalue 0.  The
+system keeps the eigenpairs, and f_bar split over them, once computed, so
+selection, capacity and the spectral fit share one decomposition however
+often they are called.
 Past ``_PIVOT_CAP`` = n/2 steps (high rank, as for widely spread d >= 2
 data) K/n is diagonalized densely: at n = 1600 and d = 3, the worst
 case, that takes 0.67 s against 0.52 s for the dense ``eigh`` alone
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -270,7 +273,8 @@ class GramSystem:
     values are formed when asked.  ``k_matrix``, if set, replaces them by
     any (n, n) matrix, and the system then takes the dense paths: a test's
     reference or fault, built as ``dataclasses.replace(gram, k_matrix=K)``.
-    Immutable after construction.
+    Immutable after construction, apart from the eigensystem it keeps once
+    computed (``split_rhs``); ``dataclasses.replace`` gives a copy without it.
     """
 
     kernel: KernelSpec
@@ -278,6 +282,8 @@ class GramSystem:
     xq: SampleSet | None
     f_bar: np.ndarray
     k_matrix: np.ndarray | None = None
+    _spectral: tuple[np.ndarray, ...] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.xp.measure_tag != "p":
@@ -330,8 +336,23 @@ class GramSystem:
         F^T / sqrt(n) = Q R and R R^T = V diag(t) V^T, U = Q V is (n, r) and
         the complement of span(U) stands for eigenvalue 0.  Past the pivot
         cap, and when ``k_matrix`` is set, K/n is diagonalized densely
-        (r = n).  Each call decomposes afresh; nothing is cached.
+        (r = n).  The arrays are read-only and come from ``split_rhs``.
         """
+        return self.split_rhs()[:2]
+
+    def split_rhs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(t, U, U^T f_bar, f_bar - U U^T f_bar): the eigensystem and f_bar split over it.
+
+        The first call decomposes and the system keeps the four read-only
+        arrays; a failed decomposition is not kept.  No lock is taken:
+        threads that race on one system each decompose, to the same result,
+        and one of them is kept.
+        """
+        if self._spectral is None:
+            object.__setattr__(self, "_spectral", self._decompose())
+        return self._spectral
+
+    def _decompose(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         factor = None
         if self.k_matrix is None:
             factor = _pivoted_cholesky(self.kernel, self.xp.points,
@@ -341,12 +362,18 @@ class GramSystem:
             if factor is None:
                 scaled = self.dense()
                 scaled /= self.n
-                return np.linalg.eigh(scaled)
-            q, r = np.linalg.qr(factor.T / math.sqrt(self.n))
-            t, v = np.linalg.eigh(r @ r.T)
-            return t, q @ v
+                t, u = np.linalg.eigh(scaled)
+            else:
+                q, r = np.linalg.qr(factor.T / math.sqrt(self.n))
+                t, v = np.linalg.eigh(r @ r.T)
+                u = q @ v
         except np.linalg.LinAlgError as exc:
             raise NumericalError("eigendecomposition of the kernel matrix failed") from exc
+        rotated = u.T @ self.f_bar
+        arrays = (t, u, rotated, _outside_span(u, self.f_bar, rotated))
+        for array in arrays:
+            array.setflags(write=False)
+        return arrays
 
 
 def assemble_gram(spec: KernelSpec, xp: SampleSet, xq: SampleSet | None = None) -> GramSystem:

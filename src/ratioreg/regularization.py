@@ -144,38 +144,28 @@ def filter_value(scheme: RegScheme, t):
         keep = arr >= lam
         out[keep] = 1.0 / arr[keep]
         return float(out[0]) if scalar else out
-    out = iterated_filter_rows([lam], [scheme.iterations], arr)[0]
+    out = iterated_filter_rows([lam], scheme.iterations, arr)[0]
     return float(out[0]) if scalar else out
 
 
-def iterated_filter_rows(lams, counts, t) -> np.ndarray:
-    """g_{lam,k}(t) of the iterated scheme at every pair of strength and count.
+def iterated_filter_rows(lams, count, t) -> np.ndarray:
+    """g_{lam,k}(t) of the iterated scheme with k = ``count`` at every strength.
 
-    ``counts`` must be strictly ascending positive integers and ``lams``
-    positive.  Row ``i * len(lams) + j`` of the
-    (len(counts) * len(lams), len(t)) result holds g at ``counts[i]`` and
-    ``lams[j]``.  The geometric sum of ``filter_value`` runs once for all
-    strengths, up to max(counts), and each row is taken as it passes its
-    count, so every row has the bits of the single-scheme filter.
+    ``lams`` must be positive.  Row j of the (len(lams), len(t)) result
+    holds g at ``lams[j]``.  The geometric sum is elementwise, so every row
+    has the bits of ``filter_value`` at its strength.
     """
     arr, _ = _as_spectrum(t)
-    counts = [whole_number(count, "counts entry") for count in counts]
-    if not counts or counts != sorted(set(counts)):
-        raise InputError(f"counts must be strictly ascending, got {counts!r}")
+    count = whole_number(count, "iteration count")
     lam = np.asarray(lams, dtype=float)[:, None]
     shifted = lam + arr
     ratio = lam / shifted
     total = np.zeros(shifted.shape)
     power = np.ones(shifted.shape)
-    rows = []
-    step = 0
-    for count in counts:
-        while step < count:
-            total = total + power
-            power = power * ratio
-            step += 1
-        rows.append(total / shifted)
-    return np.concatenate(rows)
+    for _ in range(count):
+        total = total + power
+        power = power * ratio
+    return total / shifted
 
 
 def residual_value(scheme: RegScheme, t):

@@ -13,11 +13,13 @@ root-mean-square norm on the reference sample,
 and keep the strength whose difference is smallest.  The top of the
 ladder (i = 0) only anchors the first difference and is never chosen;
 ties go to the larger strength.  The rule takes one ``GramSystem``, the
-holder of the kernel and both samples, and all the fits share one
-eigensystem of K/n, r eigenpairs from a pivoted Cholesky factor (see
-``kernel.GramSystem.eigensystem``): the whole ladder costs that factor
-plus one (L |k| x r) @ (r x n) product and O(n r) memory, and never forms
-the n x n kernel matrix (see ``estimator.fit_iterated_lavrentiev_ladder``).
+holder of the kernel and both samples, and all the fits share the
+system's eigensystem of K/n, r eigenpairs from a pivoted Cholesky factor
+(see ``kernel.GramSystem.eigensystem``): the whole ladder costs one
+(L x r) @ (r x n) product and O(n r) memory besides that factor, and
+never forms the n x n kernel matrix (see
+``estimator.fit_iterated_lavrentiev_ladder``).  The system keeps its
+eigensystem, so selecting at several iteration counts factors once.
 
 The a-priori strength for sample sizes (m, n) under a polynomial source
 condition of order eta and an embedding index varsigma is
@@ -79,26 +81,20 @@ class LambdaGrid:
 
 @dataclass(frozen=True)
 class SelectionTrace:
-    """Everything the quasi-optimality rule looked at.
+    """Everything the quasi-optimality rule looked at, and the model it chose.
 
     ``diffs[i]`` is the consecutive difference ending at
-    ``grid.values[i]``; ``chosen_index`` indexes into ``grid.values``.
-    ``models`` (optional) retains the fit at every ladder strength,
-    anchor first.  ``at_boundary`` flags a choice on the first or last
-    rung, where the rule's minimum may lie outside the ladder.
+    ``grid.values[i]``; ``chosen_index`` indexes into ``grid.values``, and
+    ``chosen_model`` is the fit at that strength.  ``at_boundary`` flags a
+    choice on the first or last rung, where the rule's minimum may lie
+    outside the ladder.
     """
 
     grid: LambdaGrid
     diffs: tuple[float, ...]
     chosen_index: int
     chosen_lambda: float
-    models: tuple[RatioModel, ...] | None = None
-
-    @property
-    def chosen_model(self) -> RatioModel | None:
-        if self.models is None:
-            return None
-        return self.models[self.chosen_index + 1]  # skip the anchor
+    chosen_model: RatioModel
 
     @property
     def at_boundary(self) -> bool:
@@ -127,23 +123,21 @@ def choose_from_values(value_vectors) -> tuple[tuple[float, ...], int]:
     return diffs, int(np.argmin(diffs))
 
 
-def quasi_optimality(gram: GramSystem, iterations: int, grid: LambdaGrid | None = None,
-                     keep_models: bool = False) -> SelectionTrace:
+def quasi_optimality(gram: GramSystem, iterations: int,
+                     grid: LambdaGrid | None = None) -> SelectionTrace:
     """Pick the regularization strength by the quasi-optimality rule.
 
     Fits the iterated scheme at every ladder strength (anchor included)
-    from one eigensystem of ``gram`` and minimizes the consecutive
-    difference of fitted value vectors in the root-mean-square norm on
-    the reference sample.
+    from the eigensystem of ``gram``, minimizes the consecutive difference
+    of fitted value vectors in the root-mean-square norm on the reference
+    sample, and builds the model at the chosen strength.
     """
     grid = LambdaGrid() if grid is None else grid
-    ladder = fit_iterated_lavrentiev_ladder(gram, grid.with_anchor(), [iterations])
-    diffs, chosen = choose_from_values(ladder.values[iterations])
-    models = None
-    if keep_models:
-        models = tuple(ladder.model(i, iterations) for i in range(len(ladder.lambdas)))
+    ladder = fit_iterated_lavrentiev_ladder(gram, grid.with_anchor(), iterations)
+    diffs, chosen = choose_from_values(ladder.values)
     return SelectionTrace(grid=grid, diffs=diffs, chosen_index=chosen,
-                          chosen_lambda=grid.values[chosen], models=models)
+                          chosen_lambda=grid.values[chosen],
+                          chosen_model=ladder.model(chosen + 1))  # +1 skips the anchor
 
 
 def lambda_mn(m: int, n: int, eta: float, varsigma: float) -> float:

@@ -204,18 +204,15 @@ def test_spectral_leverage_matches_dense_solve():
 
 
 def test_one_decomposition_per_call(linalg_calls, gram):
-    calls = linalg_calls
+    """Every diagnostic reads the eigensystem the system keeps: one eigh in all."""
+    fresh = dataclasses.replace(gram)
     for lambdas in ([0.5], np.geomspace(0.01, 1.0, 20)):
-        calls.clear()
-        rr.capacity_profile(gram, lambdas)
-        assert calls == ["eigh"]
-    for single in (lambda: rr.christoffel(gram, 0.1, [0.0]),
-                   lambda: rr.effective_dimension(gram, 0.1),
-                   lambda: rr.n_inf_estimate(gram, 0.1, [[0.0]]),
-                   lambda: rr.find_lambda_star(gram)):
-        calls.clear()
-        single()
-        assert calls == ["eigh"]
+        rr.capacity_profile(fresh, lambdas)
+    rr.christoffel(fresh, 0.1, [0.0])
+    rr.effective_dimension(fresh, 0.1)
+    rr.n_inf_estimate(fresh, 0.1, [[0.0]])
+    rr.find_lambda_star(fresh)
+    assert linalg_calls == ["eigh"]
 
 
 def test_indefinite_system_raises_numerical_error():
@@ -240,8 +237,11 @@ def test_failed_eigendecomposition_raises_numerical_error(monkeypatch, gram):
     def broken(matrix):
         raise np.linalg.LinAlgError("did not converge")
 
+    fresh = dataclasses.replace(gram)
     monkeypatch.setattr(np.linalg, "eigh", broken)
     with pytest.raises(rr.NumericalError):
-        rr.capacity_profile(gram, [0.5])
+        rr.capacity_profile(fresh, [0.5])
     with pytest.raises(rr.NumericalError):
-        rr.effective_dimension(gram, 0.5)
+        rr.effective_dimension(fresh, 0.5)
+    monkeypatch.undo()  # a failure is not kept: the system decomposes once eigh works
+    assert rr.effective_dimension(fresh, 0.5) == rr.effective_dimension(gram, 0.5)

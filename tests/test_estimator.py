@@ -82,24 +82,25 @@ def test_two_path_equivalence(small_pair):
 
 
 def test_ladder_agrees_with_cholesky_path(default_kernel):
-    """Every rung and count of the spectral ladder matches the recursion."""
+    """Every rung of the spectral ladder at every count matches the recursion."""
     xp = rr.sample_normal(2.0, 5.0, 200, derive_seed(31, 0), "p")
     xq = rr.sample_normal(3.0, 0.5, 200, derive_seed(31, 1), "q")
     gram = rr.assemble_gram(default_kernel, xp, xq)
     counts = (1, 2, 3, 5, 10)
     lambdas = rr.LambdaGrid().with_anchor()
-    ladder = rr.fit_iterated_lavrentiev_ladder(gram, lambdas, counts)
     probes = np.linspace(-6.0, 10.0, 40).reshape(-1, 1)
-    for index, lam in enumerate(lambdas):
-        for k in counts:
+    for k in counts:
+        ladder = rr.fit_iterated_lavrentiev_ladder(gram, lambdas, k)
+        assert ladder.values.shape == (len(lambdas), gram.n)
+        for index, lam in enumerate(lambdas):
             reference = rr.fit_iterated_lavrentiev(gram, lam, k)
             scale = np.abs(reference.values_at_xp).max()
-            assert np.abs(ladder.values[k][index] - reference.values_at_xp).max() \
+            assert np.abs(ladder.values[index] - reference.values_at_xp).max() \
                 <= 1e-12 * scale
-            model = ladder.model(index, k)
+            model = ladder.model(index)
             assert model.scheme == reference.scheme
             assert model.mu_coeff == reference.mu_coeff
-            assert np.array_equal(model.values_at_xp, ladder.values[k][index])
+            assert np.array_equal(model.values_at_xp, ladder.values[index])
             assert np.abs(model.alpha - reference.alpha).max() \
                 <= 1e-12 * np.abs(reference.alpha).max()
             expected = rr.evaluate_batch(reference, probes)
@@ -107,13 +108,25 @@ def test_ladder_agrees_with_cholesky_path(default_kernel):
                 <= 1e-12 * np.abs(expected).max()
 
 
+def test_ladder_rows_do_not_depend_on_ladder_length(benchmark_pair):
+    """A rung has the same bits alone, in the study's ladder and in a longer one."""
+    gram = benchmark_pair[2]
+    lambdas = rr.LambdaGrid().with_anchor()
+    long = rr.fit_iterated_lavrentiev_ladder(gram, lambdas * 5, 2).values
+    ladder = rr.fit_iterated_lavrentiev_ladder(gram, lambdas, 2).values
+    assert np.array_equal(ladder, long[:len(lambdas)])
+    for index, lam in enumerate(lambdas):
+        alone = rr.fit_iterated_lavrentiev_ladder(gram, [lam], 2).values
+        assert np.array_equal(alone[0], ladder[index])
+
+
 def test_ladder_validation(small_pair):
     gram = small_pair[2]
-    for lambdas, counts in (([], [1]), ([0.5, float("inf")], [1]), ([0.5, 0.0], [1]),
-                            ([0.5], []), ([0.5], [0, 1]), ([0.5], [2.5]), ([0.5], [True]),
-                            ([0.5], [float("nan")])):
+    for lambdas, count in (([], 1), ([0.5, float("inf")], 1), ([0.5, 0.0], 1),
+                           ([0.5], 0), ([0.5], 2.5), ([0.5], True), ([0.5], [1]),
+                           ([0.5], float("nan"))):
         with pytest.raises(rr.InputError):
-            rr.fit_iterated_lavrentiev_ladder(gram, lambdas, counts)
+            rr.fit_iterated_lavrentiev_ladder(gram, lambdas, count)
     with pytest.raises(rr.InputError):  # was a KeyError after a silent k = 2 ladder
         rr.quasi_optimality(gram, 2.5)
 
@@ -233,7 +246,7 @@ def test_system_without_target_sample_cannot_be_fitted(default_kernel, small_pai
     assert ref.xq is None and ref.m is None and np.all(ref.f_bar == 0.0)
     attempts = (lambda: rr.fit_iterated_lavrentiev(ref, 0.3, 2),
                 lambda: rr.fit_spectral(ref, spectral_cutoff(0.1)),
-                lambda: rr.fit_iterated_lavrentiev_ladder(ref, [0.5, 0.1], [1, 2]),
+                lambda: rr.fit_iterated_lavrentiev_ladder(ref, [0.5, 0.1], 2),
                 lambda: rr.quasi_optimality(ref, 2))
     for attempt in attempts:
         with pytest.raises(rr.InputError, match="no target sample"):
@@ -251,20 +264,20 @@ def test_indefinite_system_raises_numerical_error(default_kernel):
     assert info.value.smallest_eigenvalue == pytest.approx(-1.98)
     # the ladder checks min(lambdas) + t_min, with K/n = -I so t_min = -1
     with pytest.raises(rr.NumericalError) as info:
-        rr.fit_iterated_lavrentiev_ladder(bad, [3.0, 0.5], [1])
+        rr.fit_iterated_lavrentiev_ladder(bad, [3.0, 0.5], 1)
     assert info.value.lam == 0.5
     assert info.value.smallest_eigenvalue == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_failed_eigendecomposition_raises_numerical_error(monkeypatch, small_pair):
-    gram = small_pair[2]
+    gram = dataclasses.replace(small_pair[2])
 
     def broken(matrix):
         raise np.linalg.LinAlgError("did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", broken)
     with pytest.raises(rr.NumericalError):
-        rr.fit_iterated_lavrentiev_ladder(gram, [0.5], [1])
+        rr.fit_iterated_lavrentiev_ladder(gram, [0.5], 1)
     with pytest.raises(rr.NumericalError):
         rr.fit_spectral(gram, spectral_cutoff(0.1))
 

@@ -13,7 +13,7 @@ import ratioreg as rr
 from ratioreg import experiment
 from ratioreg.errors import load_json
 from ratioreg.experiment import (box_stats, derive_seed, nearest_rank_quantile,
-                                 report_to_json, save_box_csv, save_report_csv)
+                                 save_box_csv, save_report_csv, save_report_json)
 
 SQRT_10 = 3.1622776601683795
 
@@ -159,13 +159,14 @@ def test_run_study_shape_single_cell():
     assert cell.chosen_lambda in config.grid.values
 
 
-def test_run_study_deterministic_and_thread_independent():
+def test_run_study_deterministic_and_thread_independent(tmp_path):
     config = tiny_config()
-    reports = [rr.run_study(config, threads=t) for t in (1, 2, 4)]
-    blobs = {report_to_json(r) for r in reports}
+    blobs = set()
+    for run, threads in enumerate((1, 2, 4, 2)):
+        path = tmp_path / f"report{run}.json"
+        save_report_json(rr.run_study(config, threads=threads), path)
+        blobs.add(path.read_bytes())
     assert len(blobs) == 1
-    again = report_to_json(rr.run_study(config, threads=2))
-    assert again in blobs
 
 
 def test_run_study_cells_sorted_and_finite():
@@ -195,7 +196,7 @@ def test_run_study_matches_direct_selection(default_kernel):
     xp = rr.sample_normal(2.0, 5.0, 25, derive_seed(11, bits, 0, 0), "p")
     xq = rr.sample_normal(3.0, 0.5, 25, derive_seed(11, bits, 0, 1), "q")
     gram = rr.assemble_gram(default_kernel, xp, xq)
-    trace = rr.quasi_optimality(gram, 2, keep_models=True)
+    trace = rr.quasi_optimality(gram, 2)
     assert cell.chosen_index == trace.chosen_index
     assert cell.chosen_lambda == trace.chosen_lambda
     assert cell.msd == rr.msd(trace.chosen_model, 3.0)
@@ -226,14 +227,14 @@ def test_run_study_median_stability_under_doubling():
 
 
 def test_run_study_isolates_cell_failures(monkeypatch):
-    real = experiment.fit_iterated_lavrentiev_ladder
+    real = experiment.quasi_optimality
 
-    def flaky(gram, lambdas, counts):
+    def flaky(gram, iterations, grid):
         if gram.xp.seed == derive_seed(3, int(np.float64(2.0).view(np.uint64)), 1, 0):
-            raise rr.NumericalError("synthetic breakdown", lam=min(lambdas))
-        return real(gram, lambdas, counts)
+            raise rr.NumericalError("synthetic breakdown", lam=min(grid.values))
+        return real(gram, iterations, grid)
 
-    monkeypatch.setattr(experiment, "fit_iterated_lavrentiev_ladder", flaky)
+    monkeypatch.setattr(experiment, "quasi_optimality", flaky)
     report = rr.run_study(tiny_config(), threads=1)
     failed = [c for c in report.cells if c.error is not None]
     fine = [c for c in report.cells if c.error is None]

@@ -43,10 +43,10 @@ BAD_CALLS = {
     "lambda_mn eta True": lambda g: rr.lambda_mn(10, 10, True, 0.5),
     "lambda_mn varsigma nan": lambda g: rr.lambda_mn(10, 10, 1.0, NAN),
     # a strength that is a bool or a string
-    "ladder lam True": lambda g: rr.fit_iterated_lavrentiev_ladder(g, [True], [1]),
-    "ladder lam '0.5'": lambda g: rr.fit_iterated_lavrentiev_ladder(g, ["0.5"], [1]),
-    "ladder count 2.5": lambda g: rr.fit_iterated_lavrentiev_ladder(g, [0.5], [2.5]),
-    "ladder count True": lambda g: rr.fit_iterated_lavrentiev_ladder(g, [0.5], [True]),
+    "ladder lam True": lambda g: rr.fit_iterated_lavrentiev_ladder(g, [True], 1),
+    "ladder lam '0.5'": lambda g: rr.fit_iterated_lavrentiev_ladder(g, ["0.5"], 1),
+    "ladder count 2.5": lambda g: rr.fit_iterated_lavrentiev_ladder(g, [0.5], 2.5),
+    "ladder count True": lambda g: rr.fit_iterated_lavrentiev_ladder(g, [0.5], True),
     "effective_dimension lam True": lambda g: rr.effective_dimension(g, True),
     "effective_dimension lam '0.5'": lambda g: rr.effective_dimension(g, "0.5"),
     "christoffel lam True": lambda g: rr.christoffel(g, True, [0.0]),
@@ -62,9 +62,13 @@ BAD_CALLS = {
     "fit iterations 2.5": lambda g: rr.fit_iterated_lavrentiev(g, 0.5, 2.5),
     "model mu_coeff True": lambda g: rr.RatioModel.from_dict(
         dict(rr.fit_spectral(g, rr.lavrentiev(0.5)).to_dict(), mu_coeff=True)),
+    "model alpha True": lambda g: rr.RatioModel.from_dict(
+        dict(rr.fit_spectral(g, rr.lavrentiev(0.5)).to_dict(), alpha=[True] * g.n)),
+    "model xp_points '0.5'": lambda g: rr.RatioModel.from_dict(
+        dict(rr.fit_spectral(g, rr.lavrentiev(0.5)).to_dict(), xp_points=[["0.5"]] * g.n)),
     "RegScheme lam '0.5'": lambda g: rr.RegScheme("iterated_lavrentiev", "0.5"),
     "RegScheme iterations True": lambda g: rr.RegScheme("iterated_lavrentiev", 0.5, True),
-    "filter rows count 1.5": lambda g: iterated_filter_rows([0.5], [1.5], [0.0]),
+    "filter rows count 1.5": lambda g: iterated_filter_rows([0.5], 1.5, [0.0]),
     "check t_max nan": lambda g: rr.check_scheme_constants(rr.lavrentiev(0.5), NAN),
     "check grid_size 2.5": lambda g: rr.check_scheme_constants(rr.lavrentiev(0.5), 2.0, 2.5),
     "check qualification nan": lambda g: rr.check_scheme_constants(
@@ -83,6 +87,12 @@ BAD_CALLS = {
     "run_rate_study replications True": lambda g: rr.run_rate_study(
         [4, 8], **dict(RATE, replications=True)),
     "run_study threads 1.5": lambda g: rr.run_study(rr.SimConfig(), threads=1.5),
+    # seeds: whole numbers, non-negative where they reach PCG64 directly
+    "SimConfig seed 1.5": lambda g: rr.SimConfig(seed=1.5),
+    "SimConfig seed True": lambda g: rr.SimConfig(seed=True),
+    "run_rate_study seed 2.5": lambda g: rr.run_rate_study([4, 8], **dict(RATE, seed=2.5)),
+    "sample_normal seed 1.5": lambda g: rr.sample_normal(0.0, 1.0, 5, 1.5),
+    "sample_normal seed -1": lambda g: rr.sample_normal(0.0, 1.0, 5, -1),
 }
 
 
@@ -95,6 +105,9 @@ def test_malformed_number_raises_input_error(small_pair, call):
 def test_checkers_normalize_what_they_accept():
     assert whole_number(3.0, "k") == 3 and type(whole_number(np.int64(3), "k")) is int
     assert whole_number(0, "seed", minimum=0) == 0
+    assert whole_number(-2**70, "seed", minimum=None) == -2**70
+    config = rr.SimConfig(seed=-1.0)  # masked to 64 bits in the seed chain
+    assert config.seed == -1 and type(config.seed) is int
     assert type(positive_real(np.float32(0.5), "lam")) is float
     assert finite_real(fractions.Fraction(-1, 4), "mu") == -0.25
     assert positive_real(2**70, "t_max") == 2.0**70
@@ -123,3 +136,20 @@ def test_cli_rejects_non_finite_values(tmp_path, subprocess_env, argv):
     assert len(lines) == 1, run.stderr
     assert json.loads(lines[0])["error"] == "validation"
     assert not (tmp_path / "report.json").exists()
+
+
+def test_evaluate_rejects_model_entries_that_are_not_numbers(tmp_path, subprocess_env,
+                                                            small_pair):
+    """A model whose alpha holds true and "0.5" exits 2, not evaluated as 1.0 and 0.5."""
+    data = rr.fit_spectral(small_pair[2], rr.lavrentiev(0.5)).to_dict()
+    data["alpha"][:2] = [True, "0.5"]
+    (tmp_path / "model.json").write_text(json.dumps(data))
+    (tmp_path / "points.csv").write_text("0.0\n1.0\n")
+    run = subprocess.run([sys.executable, "-m", "ratioreg", "evaluate", "--model", "model.json",
+                          "--points", "points.csv", "--out", "values.csv"], cwd=tmp_path,
+                         env=subprocess_env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2, run.stdout + run.stderr
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1, run.stderr
+    assert json.loads(lines[0])["error"] == "validation"
+    assert not (tmp_path / "values.csv").exists()

@@ -199,6 +199,20 @@ def test_gram_system_shape_validation(default_kernel):
         dataclasses.replace(gram, xq=rr.SampleSet([0.0], "p"))
 
 
+def test_one_decomposition_per_system(linalg_calls, small_pair):
+    """Selection at three counts, capacity and a spectral fit share one eigh."""
+    gram = dataclasses.replace(small_pair[2])
+    for k in (1, 2, 3):
+        rr.quasi_optimality(gram, k)
+    rr.capacity_profile(gram, [0.5, 0.1])
+    rr.fit_spectral(gram, rr.spectral_cutoff(0.1))
+    assert linalg_calls == ["eigh"]
+    t, basis = gram.eigensystem()
+    for array in (t, basis):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
 def test_reference_gram_matches_assembled(default_kernel, small_pair):
     """Without a target sample the system has the same spectrum and f_bar = 0."""
     xp, _, gram = small_pair

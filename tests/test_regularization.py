@@ -72,28 +72,27 @@ def test_filter_value_single_step_examples():
 
 
 def test_iterated_filter_rows_are_the_single_filters_bitwise():
-    """One pass over k gives every (k, lam) row with the bits of its own filter.
+    """One pass over the strengths gives every row with the bits of its own filter.
 
     The reference is the geometric sum of one scheme, written out here, and
-    ``filter_value`` itself; counts skip values, as in the study's 1, 2, 3, 5, 10.
+    ``filter_value`` itself.
     """
     t = np.concatenate([[0.0, 1e-18], np.geomspace(1e-12, 2.0, 200)])
     lams = rr.LambdaGrid().with_anchor()
-    rows = iterated_filter_rows(lams, ALL_K, t)
-    assert rows.shape == (len(ALL_K) * len(lams), t.size)
-    for i, k in enumerate(ALL_K):
-        for j, lam in enumerate(lams):
+    for k in ALL_K:
+        rows = iterated_filter_rows(lams, k, t)
+        assert rows.shape == (len(lams), t.size)
+        for row, lam in zip(rows, lams):
             shifted = lam + t
             total, power = np.zeros(t.size), np.ones(t.size)
             for _ in range(k):
                 total = total + power
                 power = power * (lam / shifted)
-            row = rows[i * len(lams) + j]
             assert np.array_equal(row, total / shifted)
             assert np.array_equal(row, rr.filter_value(iterated_lavrentiev(lam, k), t))
-    for counts in ([], [2, 1], [1, 1], [0, 1]):
-        with pytest.raises(rr.InputError, match="counts"):
-            iterated_filter_rows(lams, counts, t)
+    for count in (0, 1.5, True, [1, 2]):
+        with pytest.raises(rr.InputError, match="iteration count"):
+            iterated_filter_rows(lams, count, t)
 
 
 def test_filter_value_at_zero_is_analytic_limit():

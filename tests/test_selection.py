@@ -101,21 +101,23 @@ def test_quasi_optimality_deterministic_bytes(small_pair):
     assert (one.chosen_index, one.chosen_lambda) == (two.chosen_index, two.chosen_lambda)
 
 
-def test_quasi_optimality_keep_models(small_pair):
+def test_quasi_optimality_carries_chosen_model(small_pair):
+    """The trace's model is the ladder's fit at the chosen rung, bit for bit."""
     gram = small_pair[2]
-    trace = rr.quasi_optimality(gram, 2, keep_models=True)
-    assert trace.models is not None and len(trace.models) == 10
-    assert trace.chosen_model.scheme.lam == trace.chosen_lambda
-    bare = rr.quasi_optimality(gram, 2)
-    assert bare.models is None and bare.chosen_model is None
+    trace = rr.quasi_optimality(gram, 2)
+    ladder = rr.fit_iterated_lavrentiev_ladder(gram, trace.grid.with_anchor(), 2)
+    want = ladder.model(trace.chosen_index + 1)
+    got = trace.chosen_model
+    assert got.scheme == rr.iterated_lavrentiev(trace.chosen_lambda, 2)
+    assert np.array_equal(got.values_at_xp, want.values_at_xp)
+    assert np.array_equal(got.alpha, want.alpha) and got.mu_coeff == want.mu_coeff
 
 
 def test_quasi_optimality_decomposes_once(linalg_calls, small_pair):
-    gram = small_pair[2]
-    for keep_models in (False, True):
-        linalg_calls.clear()
-        rr.quasi_optimality(gram, 3, keep_models=keep_models)
-        assert linalg_calls == ["eigh"]
+    gram = dataclasses.replace(small_pair[2])
+    for k in (3, 3, 1):
+        rr.quasi_optimality(gram, k)
+    assert linalg_calls == ["eigh"]
 
 
 def test_quasi_optimality_indefinite_system_raises(default_kernel):
@@ -136,7 +138,7 @@ def test_trace_flags_choice_on_ladder_edge():
     flags = []
     for index in range(4):
         trace = rr.SelectionTrace(grid=grid, diffs=(1.0,) * 4, chosen_index=index,
-                                  chosen_lambda=grid.values[index])
+                                  chosen_lambda=grid.values[index], chosen_model=None)
         flags.append(trace.at_boundary)
     assert flags == [True, False, False, True]
 
