@@ -14,7 +14,7 @@ from .capacity import (CapacityProfile, capacity_profile, christoffel,
                        default_probe_grid, effective_dimension,
                        find_lambda_star, n_inf_estimate)
 from .errors import InputError, NumericalError
-from .estimator import (IteratedLadder, RatioModel, evaluate, evaluate_batch,
+from .estimator import (RatioModel, evaluate, evaluate_batch,
                         fit_iterated_lavrentiev, fit_iterated_lavrentiev_ladder,
                         fit_spectral, load_model, save_model)
 from .experiment import (CellResult, ExperimentReport, RateRecord, SimConfig,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityProfile", "CellResult", "ExperimentReport", "GramSystem",
-    "InputError", "IteratedLadder", "KernelSpec", "LambdaGrid", "NumericalError",
+    "InputError", "KernelSpec", "LambdaGrid", "NumericalError",
     "RateRecord", "RatioModel", "RegScheme", "SampleSet", "SchemeCheckReport",
     "SelectionTrace", "SimConfig", "assemble_gram", "capacity_profile",
     "check_scheme_constants", "christoffel", "default_probe_grid",

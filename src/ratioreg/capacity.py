@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, positive_real, whole_number
-from .kernel import (GramSystem, SampleSet, _check_shift, _outside_span, _row_blocks,
-                     kernel_matrix)
+from .kernel import (GramSystem, SampleSet, _as_points, _check_shift, _outside_span,
+                     _row_blocks, kernel_matrix)
 
 # The balance-point bisection stops at this relative bracket width or step count.
 _BISECTION_TOL = 1e-9
@@ -53,9 +53,7 @@ def _n_eff(spectrum: np.ndarray, lam: float) -> float:
 
 
 def _probes(gram: GramSystem, points) -> np.ndarray:
-    probes = np.asarray(points, dtype=float)
-    if probes.ndim == 1:
-        probes = probes.reshape(-1, 1)
+    probes = _as_points(points, name="probe_points")
     if probes.shape[0] == 0:
         raise InputError("probe_points must be non-empty")
     if probes.shape[1] != gram.xp.dim:
@@ -86,7 +84,7 @@ def christoffel(gram: GramSystem, lam: float, x) -> float:
     -1e-10 on unit-scale kernels) can appear through cancellation and
     are returned as computed.
     """
-    probe = _probes(gram, np.reshape(np.asarray(x, dtype=float), (1, -1)))
+    probe = _probes(gram, _as_points(x, name="x").reshape(1, -1))
     return float(_leverages(gram, np.array([positive_real(lam, "lam")]), probe)[1][0, 0])
 
 

@@ -4,9 +4,10 @@ Two failure families are distinguished so callers (and the CLI) can map
 them to different exit codes: bad inputs versus numerical breakdown.
 
 Every number a caller hands in goes through one of three checkers,
-``finite_real``, ``positive_real`` and ``whole_number``.  Each raises
-InputError naming the value and returns it normalized to a float or an
-int; a bool, a string, a non-finite value or (for a count) a fraction is
+``finite_real``, ``positive_real`` and ``whole_number``, and every array
+of numbers through ``finite_array``.  Each raises InputError naming the
+value and returns it normalized to a float, an int or a float array; a
+bool, a string, a non-finite value or (for a count) a fraction is
 rejected, never coerced or truncated.
 """
 
@@ -15,6 +16,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
+
+import numpy as np
 
 
 class InputError(ValueError):
@@ -100,16 +103,42 @@ def whole_number(value, name: str, minimum: int | None = 1) -> int:
     return int(value)
 
 
+def finite_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array, if every entry is a finite real number and not a bool.
+
+    An ndarray is judged by its dtype, and a float64 one is returned as it
+    is.  Nested lists and tuples are judged by one entry of each type
+    (``is_number`` depends on the type alone), so the cost per entry is a
+    type lookup.
+    """
+    level, samples = [value], {}
+    while level:  # one nesting level at a time
+        samples.update(((type(entry), getattr(entry, "dtype", None)), entry)
+                       for entry in level)
+        level = [item for entry in level if type(entry) in (list, tuple) for item in entry]
+    for (kind, dtype), entry in samples.items():
+        if not (kind in (list, tuple) or (is_number(entry) if dtype is None
+                                          else dtype.kind in "fiu")):
+            raise InputError(f"{name} holds an entry that is not a number: {entry!r}")
+    try:
+        array = np.asarray(value, dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise InputError(f"{name} is not an array of floats: {exc}") from exc
+    if not np.isfinite(array).all():
+        raise InputError(f"{name} holds a non-finite entry")
+    return array
+
+
 def load_json(path, what: str):
     """The JSON value in the file at ``path``.
 
-    A file that is not UTF-8 JSON is an InputError; one that cannot be
-    read stays an OSError.
+    A file that is not UTF-8 JSON, or nests too deeply to parse, is an
+    InputError; one that cannot be read stays an OSError.
     """
     try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"{what} {path} is not valid UTF-8 JSON: {exc}") from exc
 
 

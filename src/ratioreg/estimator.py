@@ -52,20 +52,20 @@ vanishes at every reference point) gives
 so alpha = q_lam(K/n) f_bar / n^2, mu = g_lam(0), and the fitted values
 at the reference points are g_lam(K/n) f_bar / n.  ``GramSystem.eigensystem``
 gives r eigenpairs (t, U) and counts the complement of span(U) as
-eigenvalue 0, so with f_out = f_bar - U U^T f_bar (zero when r = n)
+eigenvalue 0, so with f_out = f_bar - U U^T f_bar (zero when r = n) both
+are one filtered sum
 
-    values = (U g_lam(t) U^T f_bar + g_lam(0) f_out) / n,
-    alpha  = (U q_lam(t) U^T f_bar + q_lam(0) f_out) / n^2.
+    (U h(t) U^T f_bar + h(0) f_out) / s,
 
-For the iterated scheme the two paths agree in exact arithmetic; the
-second one also covers filters with no iterative form, such as cutoff.
-A ladder of L strengths at one iteration count takes all its values from
-the system's eigensystem and one (L x r) @ (r x n) product; the system
-keeps that eigensystem, so ladders at further counts and spectral fits
-of the same system reuse it.  A single (lam, k) fit
-(``fit``, ``rates``) keeps the Cholesky recursion, whose values match the
-dense solve to the last bits where the estimate crosses zero; only it
-imports scipy.
+with (h, s) = (g_lam, n) for the values and (q_lam, n^2) for alpha.  One
+routine forms that sum for ``fit_spectral`` and for every strength of a
+ladder at one iteration count, in products of one shape per system, so a
+ladder's row at lam has the bits of ``fit_spectral`` at lam.  The
+iterated scheme's two paths agree in exact arithmetic; the spectral one
+also covers filters with no iterative form, such as cutoff.  A single
+(lam, k) fit (``fit``, ``rates``) keeps the Cholesky recursion, whose
+values match the dense solve to the last bits where the estimate crosses
+zero; only it imports scipy.
 
 Memory: the ladder and the spectral fit hold O(n r) floats besides the
 (L x n) table; a Cholesky fit holds n^2, one fresh K shifted and
@@ -79,13 +79,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable
 
 import numpy as np
 
-from .errors import (InputError, NumericalError, finite_real, is_number, load_json,
+from .errors import (InputError, NumericalError, finite_array, finite_real, load_json,
                      positive_real, require_keys, save_json, whole_number)
-from .kernel import GramSystem, KernelSpec, _check_shift, _row_blocks, kernel_matrix
+from .kernel import GramSystem, KernelSpec, _as_points, _check_shift, _row_blocks, kernel_matrix
 from .regularization import (RegScheme, filter_quotient_value, filter_value,
                              iterated_filter_rows, iterated_lavrentiev)
 
@@ -110,8 +111,11 @@ class RatioModel:
     alpha: np.ndarray
     mu_coeff: float
     values_at_xp: np.ndarray
+    _ARRAYS = ("xp_points", "xq_points", "alpha", "values_at_xp")  # not a field: no annotation
 
     def __post_init__(self):
+        for key in self._ARRAYS:
+            object.__setattr__(self, key, finite_array(getattr(self, key), f"model {key}"))
         if not (self.xp_points.ndim == self.xq_points.ndim == 2
                 and self.xp_points.shape[1] == self.xq_points.shape[1]):
             raise InputError(f"xp_points and xq_points must be (n, d) and (m, d), got "
@@ -136,34 +140,11 @@ class RatioModel:
 
     @staticmethod
     def from_dict(data: dict) -> "RatioModel":
-        arrays = ("xp_points", "xq_points", "alpha", "values_at_xp")
-        require_keys(data, ("kernel", "scheme", "mu_coeff") + arrays, "model")
+        require_keys(data, ("kernel", "scheme", "mu_coeff") + RatioModel._ARRAYS, "model")
         return RatioModel(kernel=KernelSpec.from_dict(data["kernel"]),
                           scheme=RegScheme.from_dict(data["scheme"]),
                           mu_coeff=finite_real(data["mu_coeff"], "mu_coeff"),
-                          **{key: _model_array(data[key], key) for key in arrays})
-
-
-def _model_array(value, key: str) -> np.ndarray:
-    """A model array given as nested lists whose every entry is a finite number.
-
-    A bool or a string is rejected, not converted.  ``is_number`` depends on
-    the type alone, so one entry of each type is checked, which keeps the
-    cost per entry to a type lookup.
-    """
-    level, samples = [value], {}
-    while level:  # one nesting level at a time
-        samples.update((type(entry), entry) for entry in level)
-        level = [item for entry in level if type(entry) is list for item in entry]
-    if not all(is_number(entry) for kind, entry in samples.items() if kind is not list):
-        raise InputError(f"model {key} holds an entry that is not a number")
-    try:
-        array = np.asarray(value, dtype=float)
-    except (ValueError, OverflowError) as exc:
-        raise InputError(f"model {key} is not an array of floats: {exc}") from exc
-    if not np.isfinite(array).all():
-        raise InputError(f"model {key} holds a non-finite entry")
-    return array
+                          **{key: data[key] for key in RatioModel._ARRAYS})
 
 
 def save_model(model: RatioModel, path) -> None:
@@ -234,15 +215,37 @@ def fit_iterated_lavrentiev(gram: GramSystem, lam: float, iterations: int = 1) -
                       mu_coeff=scheme.iterations / lam, values_at_xp=values)
 
 
-def _spectral_model(gram: GramSystem, scheme: RegScheme, values: np.ndarray) -> RatioModel:
-    """The model of ``scheme`` with the given values at xp, from K/n = U diag(t) U^T.
+# ``_filtered`` multiplies in blocks of one height per system, since OpenBLAS
+# rounds a row by its product's shape (x86-64): below this many entries, with
+# r >= 32, in a small-matrix kernel; in a one-row product, as a matrix-vector
+# one; from 12 rows at n >= 193 (not a multiple of 8), by the row's place.  At
+# least 11 rows per block also make the default 10-strength ladder one product.
+_FILTER_MIN_ENTRIES = 1201
 
-    With t floored at zero and f_out = f_bar - U U^T f_bar, where t = 0,
-    alpha = (U q_lam(t) U^T f_bar + q_lam(0) f_out) / n^2.
+
+def _filtered(gram: GramSystem, filter_rows, scale: float) -> np.ndarray:
+    """(U h(t) U^T f_bar + h(0) f_out) / scale for every filter row h.
+
+    ``filter_rows`` maps the spectrum, t floored at zero with the
+    complement's 0 last, to an array of rows h(t); the result has one
+    row of n values per filter row.  Every spectral value and alpha comes
+    from here, so a row has the same bits whichever call computes it.
     """
     t, basis, rotated, outside = gram.split_rhs()
-    quotient = filter_quotient_value(scheme, np.append(np.clip(t, 0.0, None), 0.0))  # q(0) last
-    alpha = (basis @ (quotient[:-1] * rotated) + quotient[-1] * outside) / gram.n**2
+    spectrum = np.zeros(len(t) + 1)  # h(0) last
+    np.maximum(t, 0.0, out=spectrum[:-1])
+    rows = np.atleast_2d(filter_rows(spectrum))
+    height = max(-(-_FILTER_MIN_ENTRIES // gram.n), 11)
+    weights = np.zeros((-(-len(rows) // height), height, len(t)))
+    np.multiply(rows[:, :-1], rotated / scale, out=weights.reshape(-1, len(t))[:len(rows)])
+    out = (weights @ basis.T).reshape(-1, gram.n)[:len(rows)]
+    out += rows[:, -1:] * (outside / scale)
+    return out
+
+
+def _spectral_model(gram: GramSystem, scheme: RegScheme, values: np.ndarray) -> RatioModel:
+    """The model of ``scheme`` with the given values at xp; alpha is q_lam(K/n) f_bar / n^2."""
+    alpha = _filtered(gram, partial(filter_quotient_value, scheme), gram.n**2)[0]
     if not (np.isfinite(values).all() and np.isfinite(alpha).all()):
         raise NumericalError("non-finite spectral fit", lam=scheme.lam)
     return RatioModel(kernel=gram.kernel, scheme=scheme, xp_points=gram.xp.points,
@@ -257,67 +260,31 @@ def fit_spectral(gram: GramSystem, scheme: RegScheme) -> RatioModel:
     to absorb symmetric-eigensolver noise before the filter is applied.
     """
     _check_target(gram)
-    t, basis, rotated, outside = gram.split_rhs()
-    values = (basis @ (filter_value(scheme, np.clip(t, 0.0, None)) * rotated / gram.n)
-              + filter_value(scheme, 0.0) * outside / gram.n)
+    values = _filtered(gram, partial(filter_value, scheme), gram.n)[0]
     return _spectral_model(gram, scheme, values)
 
 
-@dataclass(frozen=True)
-class IteratedLadder:
-    """Fitted values of the iterated scheme with ``iterations`` steps at every strength.
-
-    ``values[i]`` holds the fitted values at the reference points for
-    strength ``lambdas[i]``.  ``model(i)`` builds the full model there from
-    the eigensystem ``gram`` keeps.
-    """
-
-    gram: GramSystem
-    lambdas: tuple[float, ...]
-    iterations: int
-    values: np.ndarray
-
-    def model(self, index: int) -> RatioModel:
-        scheme = iterated_lavrentiev(self.lambdas[index], self.iterations)
-        return _spectral_model(self.gram, scheme, self.values[index].copy())
-
-
-# The ladder's (L x r) @ (r x n) product has at least this many entries.
-# OpenBLAS sends a smaller one to a small-matrix kernel that rounds each
-# row differently (measured on x86-64 with r >= 32), so without padding a
-# row's bits would hang on how many strengths share its ladder.
-_LADDER_MIN_ENTRIES = 1201
-
-
 def fit_iterated_lavrentiev_ladder(gram: GramSystem, lambdas: Iterable[float],
-                                   iterations: int) -> IteratedLadder:
-    """Fit the iterated scheme with k = ``iterations`` at every strength of a ladder.
+                                   iterations: int) -> np.ndarray:
+    """Values at xp of the iterated scheme with k = ``iterations`` at every strength.
 
-    The values come from the system's eigensystem and one
-    (len(lambdas) x r) @ (r x n) product plus g(0) f_out (module
-    docstring), and agree with ``fit_iterated_lavrentiev`` to rounding.
-    Raises ``NumericalError`` when min(lambdas) + t_min <= 0 (the shifted
-    system is not positive definite) or when any value is non-finite.
+    Row i of the (len(lambdas), n) result holds the values at
+    ``lambdas[i]``, with the bits of ``fit_spectral`` at that strength, from
+    the system's eigensystem (module docstring); they agree with
+    ``fit_iterated_lavrentiev`` to rounding.  Raises ``NumericalError``
+    when min(lambdas) + t_min <= 0 (the shifted system is not positive
+    definite) or when any value is non-finite.
     """
     _check_target(gram)
     iterations = whole_number(iterations, "iteration count")
     lams = tuple(positive_real(lam, "lam") for lam in lambdas)
     if not lams:
         raise InputError("lambdas must be non-empty")
-
-    t, basis, rotated, outside = gram.split_rhs()
-    _check_shift(min(lams), t)
-    filters = iterated_filter_rows(lams, iterations,
-                                   np.append(np.clip(t, 0.0, None), 0.0))  # g(0) last
-    weights = filters[:, :-1] * (rotated / gram.n)
-    short = -(-_LADDER_MIN_ENTRIES // gram.n) - len(lams)
-    if short > 0:
-        weights = np.vstack([weights, np.zeros((short, len(t)))])
-    values = (weights @ basis.T)[:len(lams)]
-    values += filters[:, -1:] * (outside / gram.n)
+    _check_shift(min(lams), gram.eigensystem()[0])
+    values = _filtered(gram, partial(iterated_filter_rows, lams, iterations), gram.n)
     if not np.isfinite(values).all():
         raise NumericalError("non-finite fitted values on the ladder", lam=min(lams))
-    return IteratedLadder(gram=gram, lambdas=lams, iterations=iterations, values=values)
+    return values
 
 
 def evaluate_batch(model: RatioModel, points) -> np.ndarray:
@@ -329,11 +296,9 @@ def evaluate_batch(model: RatioModel, points) -> np.ndarray:
     groups, so the values keep the bits of one unblocked product (see
     ``kernel._BLOCK_ROW_MULTIPLE`` for when that holds).
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
+    pts = _as_points(points)
+    if pts.shape[0] == 0:
         return np.zeros(0)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
     if pts.shape[1] != model.xp_points.shape[1]:
         raise InputError(
             f"points have dimension {pts.shape[1]}, model expects "
@@ -349,5 +314,4 @@ def evaluate_batch(model: RatioModel, points) -> np.ndarray:
 
 def evaluate(model: RatioModel, x) -> float:
     """Evaluate the fitted ratio at a single point."""
-    point = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, -1)
-    return float(evaluate_batch(model, point)[0])
+    return float(evaluate_batch(model, _as_points(x, name="x").reshape(1, -1))[0])

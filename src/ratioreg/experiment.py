@@ -30,7 +30,7 @@ import numpy as np
 from .errors import (InputError, NumericalError, finite_real, positive_real,
                      require_keys, save_json, whole_number)
 from .estimator import RatioModel, evaluate_batch, fit_iterated_lavrentiev
-from .kernel import KernelSpec, SampleSet, assemble_gram
+from .kernel import KernelSpec, SampleSet, _as_points, assemble_gram
 from .selection import LambdaGrid, lambda_mn, quasi_optimality
 
 # The benchmark's Gaussians: reference N(MU_P, VAR_P), target N(mu_q, VAR_Q).
@@ -238,7 +238,7 @@ def _run_cell(config: SimConfig, mu_q: float, replication: int,
                            error=message)
                 for k in config.k_list]
 
-    truth_on_grid = (true_beta(probe_grid, mu_q, config.mu_p, config.var_p,
+    truth_on_grid = (true_beta(probe_grid[:, 0], mu_q, config.mu_p, config.var_p,
                                config.var_q)
                      if probe_grid is not None else None)
     results = []
@@ -247,7 +247,7 @@ def _run_cell(config: SimConfig, mu_q: float, replication: int,
         cell_msd = msd(model, mu_q, config.mu_p, config.var_p, config.var_q)
         max_err = None
         if probe_grid is not None:
-            fitted = evaluate_batch(model, probe_grid.reshape(-1, 1))
+            fitted = evaluate_batch(model, probe_grid)
             max_err = float(np.abs(truth_on_grid - fitted).max())
         results.append(CellResult(
             mu_q=mu_q, k=k, replication=replication,
@@ -267,7 +267,9 @@ def run_study(config: SimConfig, threads: int | None = None,
     pointwise error over that grid.
     """
     threads = (os.cpu_count() or 1) if threads is None else whole_number(threads, "threads")
-    grid_arr = None if probe_grid is None else np.asarray(probe_grid, dtype=float).ravel()
+    grid_arr = None if probe_grid is None else _as_points(probe_grid, name="probe_grid")
+    if grid_arr is not None and (grid_arr.size == 0 or grid_arr.shape[1] != 1):
+        raise InputError(f"probe_grid must be a non-empty 1-d grid, got shape {grid_arr.shape}")
 
     tasks = [(mu_q, rep) for mu_q in config.mu_q_list
              for rep in range(config.replications)]
@@ -285,7 +287,7 @@ def run_study(config: SimConfig, threads: int | None = None,
     report = ExperimentReport(
         config=config, cells=tuple(cells), box={},
         failures=sum(1 for c in cells if c.error is not None),
-        probe_grid=tuple(grid_arr.tolist()) if grid_arr is not None else None)
+        probe_grid=tuple(grid_arr[:, 0].tolist()) if grid_arr is not None else None)
     for mu_q in config.mu_q_list:
         completed = {str(k): report.msd_values(mu_q, k) for k in config.k_list}
         report.box[repr(mu_q)] = {k: box_stats(values) if values else None

@@ -45,7 +45,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NumericalError, finite_real, positive_real, require_keys
+from .errors import (InputError, NumericalError, finite_array, finite_real, positive_real,
+                     require_keys)
 
 # Both families are k(x, y) = offset + exp(-|x - y|^2 / (2 * bandwidth^2)).
 KNOWN_FAMILIES = ("gaussian_plus_one", "gaussian")
@@ -120,8 +121,8 @@ class KernelSpec:
 
 
 def _as_points(values, *, name: str = "points") -> np.ndarray:
-    """Coerce to a read-only (n, d) float array; scalars/1-d become a column."""
-    arr = np.array(values, dtype=float)
+    """A read-only (n, d) copy of ``finite_array``; a scalar or 1-d array becomes a column."""
+    arr = np.array(finite_array(values, name))
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     elif arr.ndim == 1:
@@ -130,8 +131,6 @@ def _as_points(values, *, name: str = "points") -> np.ndarray:
         raise InputError(f"{name} must be at most 2-dimensional, got shape {arr.shape}")
     if arr.shape[1] == 0:
         raise InputError(f"{name} must have at least one coordinate")
-    if arr.size and not np.isfinite(arr).all():
-        raise InputError(f"{name} contain non-finite entries")
     arr.setflags(write=False)
     return arr
 
@@ -294,12 +293,12 @@ class GramSystem:
             if self.xp.dim != self.xq.dim:
                 raise InputError(f"sample dimensions differ: {self.xp.dim} vs {self.xq.dim}")
         if self.k_matrix is not None:
-            k = np.asarray(self.k_matrix, dtype=float)
+            k = finite_array(self.k_matrix, "k_matrix")
             if k.shape != (self.n, self.n):
                 raise InputError(f"k_matrix has shape {k.shape}, expected ({self.n}, {self.n})")
             k.setflags(write=False)
             object.__setattr__(self, "k_matrix", k)
-        f = np.asarray(self.f_bar, dtype=float)
+        f = finite_array(self.f_bar, "f_bar")
         if f.shape != (self.n,):
             raise InputError(f"f_bar has shape {f.shape}, expected ({self.n},)")
         f.setflags(write=False)
@@ -417,4 +416,4 @@ def load_samples_csv(path, measure_tag: str) -> SampleSet:
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise InputError(f"inconsistent point dimensions in {path}: {sorted(widths)}")
-    return SampleSet(points=rows, measure_tag=measure_tag)
+    return SampleSet(points=np.array(rows), measure_tag=measure_tag)

@@ -15,11 +15,11 @@ ladder (i = 0) only anchors the first difference and is never chosen;
 ties go to the larger strength.  The rule takes one ``GramSystem``, the
 holder of the kernel and both samples, and all the fits share the
 system's eigensystem of K/n, r eigenpairs from a pivoted Cholesky factor
-(see ``kernel.GramSystem.eigensystem``): the whole ladder costs one
-(L x r) @ (r x n) product and O(n r) memory besides that factor, and
-never forms the n x n kernel matrix (see
-``estimator.fit_iterated_lavrentiev_ladder``).  The system keeps its
-eigensystem, so selecting at several iteration counts factors once.
+(see ``kernel.GramSystem.eigensystem``): the whole ladder costs an
+(L x r) @ (r x n) product and O(n r) memory besides that factor, never
+forms the n x n kernel matrix, and returns the (L, n) values from which
+the chosen model takes its row (``estimator.fit_iterated_lavrentiev_ladder``).
+The system keeps its eigensystem, so selecting at several counts factors once.
 
 The a-priori strength for sample sizes (m, n) under a polynomial source
 condition of order eta and an embedding index varsigma is
@@ -37,8 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, finite_real, positive_real, require_keys, whole_number
-from .estimator import RatioModel, fit_iterated_lavrentiev_ladder
+from .estimator import RatioModel, _spectral_model, fit_iterated_lavrentiev_ladder
 from .kernel import GramSystem
+from .regularization import iterated_lavrentiev
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,8 @@ class SelectionTrace:
 def rms_norm(vector: np.ndarray) -> float:
     """Root-mean-square norm, the (1/n)-weighted Euclidean norm."""
     arr = np.asarray(vector, dtype=float)
+    if arr.size == 0:
+        raise InputError("the root-mean-square norm needs at least one entry")
     return math.sqrt(float(arr @ arr) / arr.size)
 
 
@@ -133,11 +136,12 @@ def quasi_optimality(gram: GramSystem, iterations: int,
     sample, and builds the model at the chosen strength.
     """
     grid = LambdaGrid() if grid is None else grid
-    ladder = fit_iterated_lavrentiev_ladder(gram, grid.with_anchor(), iterations)
-    diffs, chosen = choose_from_values(ladder.values)
+    values = fit_iterated_lavrentiev_ladder(gram, grid.with_anchor(), iterations)
+    diffs, chosen = choose_from_values(values)
+    scheme = iterated_lavrentiev(grid.values[chosen], iterations)
+    model = _spectral_model(gram, scheme, values[chosen + 1])  # +1 skips the anchor
     return SelectionTrace(grid=grid, diffs=diffs, chosen_index=chosen,
-                          chosen_lambda=grid.values[chosen],
-                          chosen_model=ladder.model(chosen + 1))  # +1 skips the anchor
+                          chosen_lambda=grid.values[chosen], chosen_model=model)
 
 
 def lambda_mn(m: int, n: int, eta: float, varsigma: float) -> float:

@@ -207,6 +207,22 @@ def test_malformed_sample_csv(command, content):
     assert_contract(*run_in_temp_dir(prepare, argv_of(command, BASE[command])))
 
 
+@pytest.mark.parametrize("command, path, text", [
+    ("evaluate", MODEL, "[" * 100_000 + "]" * 100_000),
+    ("simulate", "config.json", '{"n": ' + "[" * 100_000 + "]" * 100_000 + "}"),
+], ids=["evaluate --model", "simulate --config"])
+def test_deeply_nested_json_is_bad_input(command, path, text):
+    """A JSON file nested too deeply to parse exits 2, not with a traceback."""
+    def prepare():
+        with open(path, "w") as handle:
+            handle.write(text)
+
+    extra = ["--config", path] if path != MODEL else []
+    code, err = run_in_temp_dir(prepare, argv_of(command, BASE[command]) + extra)
+    assert code == 2, err
+    assert_contract(code, err)
+
+
 @pytest.mark.parametrize("command", sorted(BASE))
 def test_base_command_lines_succeed(command):
     """The fuzzed command lines start from ones that work."""

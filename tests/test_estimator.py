@@ -91,16 +91,16 @@ def test_ladder_agrees_with_cholesky_path(default_kernel):
     probes = np.linspace(-6.0, 10.0, 40).reshape(-1, 1)
     for k in counts:
         ladder = rr.fit_iterated_lavrentiev_ladder(gram, lambdas, k)
-        assert ladder.values.shape == (len(lambdas), gram.n)
+        assert ladder.shape == (len(lambdas), gram.n)
         for index, lam in enumerate(lambdas):
             reference = rr.fit_iterated_lavrentiev(gram, lam, k)
             scale = np.abs(reference.values_at_xp).max()
-            assert np.abs(ladder.values[index] - reference.values_at_xp).max() \
+            assert np.abs(ladder[index] - reference.values_at_xp).max() \
                 <= 1e-12 * scale
-            model = ladder.model(index)
+            model = rr.fit_spectral(gram, iterated_lavrentiev(lam, k))
             assert model.scheme == reference.scheme
             assert model.mu_coeff == reference.mu_coeff
-            assert np.array_equal(model.values_at_xp, ladder.values[index])
+            assert np.array_equal(model.values_at_xp, ladder[index])
             assert np.abs(model.alpha - reference.alpha).max() \
                 <= 1e-12 * np.abs(reference.alpha).max()
             expected = rr.evaluate_batch(reference, probes)
@@ -108,16 +108,25 @@ def test_ladder_agrees_with_cholesky_path(default_kernel):
                 <= 1e-12 * np.abs(expected).max()
 
 
-def test_ladder_rows_do_not_depend_on_ladder_length(benchmark_pair):
-    """A rung has the same bits alone, in the study's ladder and in a longer one."""
-    gram = benchmark_pair[2]
+def test_ladder_rows_do_not_depend_on_ladder_length(default_kernel, benchmark_pair):
+    """A rung has the same bits alone, in the study's ladder, in a longer one
+    and as ``fit_spectral`` at its strength.  n = 233 and 1203 are where a
+    single product over all rungs rounds a long ladder (n >= 193, n not a
+    multiple of 8) or one rung (n > 1200) differently."""
+    grams = [benchmark_pair[2]] + [rr.assemble_gram(
+        default_kernel, rr.sample_normal(2.0, 5.0, n, 63, "p"),
+        rr.sample_normal(3.0, 0.5, 100, 64, "q")) for n in (233, 1203)]
     lambdas = rr.LambdaGrid().with_anchor()
-    long = rr.fit_iterated_lavrentiev_ladder(gram, lambdas * 5, 2).values
-    ladder = rr.fit_iterated_lavrentiev_ladder(gram, lambdas, 2).values
-    assert np.array_equal(ladder, long[:len(lambdas)])
-    for index, lam in enumerate(lambdas):
-        alone = rr.fit_iterated_lavrentiev_ladder(gram, [lam], 2).values
-        assert np.array_equal(alone[0], ladder[index])
+    for gram in grams:
+        long = rr.fit_iterated_lavrentiev_ladder(gram, lambdas * 5, 2)
+        ladder = rr.fit_iterated_lavrentiev_ladder(gram, lambdas, 2)
+        assert np.array_equal(ladder, long[:len(lambdas)])
+        for index, lam in enumerate(lambdas):
+            alone = rr.fit_iterated_lavrentiev_ladder(gram, [lam], 2)
+            assert np.array_equal(alone[0], ladder[index])
+        for index, lam in enumerate(lambdas * 5):
+            spectral = rr.fit_spectral(gram, iterated_lavrentiev(lam, 2))
+            assert np.array_equal(spectral.values_at_xp, long[index])
 
 
 def test_ladder_validation(small_pair):

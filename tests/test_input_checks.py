@@ -10,6 +10,7 @@ the way would show up on stderr.
 
 from __future__ import annotations
 
+import dataclasses
 import fractions
 import json
 import math
@@ -66,6 +67,24 @@ BAD_CALLS = {
         dict(rr.fit_spectral(g, rr.lavrentiev(0.5)).to_dict(), alpha=[True] * g.n)),
     "model xp_points '0.5'": lambda g: rr.RatioModel.from_dict(
         dict(rr.fit_spectral(g, rr.lavrentiev(0.5)).to_dict(), xp_points=[["0.5"]] * g.n)),
+    "RatioModel alpha list True": lambda g: rr.RatioModel(**dict(
+        vars(rr.fit_spectral(g, rr.lavrentiev(0.5))), alpha=[True] * g.n)),
+    # arrays of points: every entry a finite number, judged by dtype or by entry type
+    "SampleSet points [True, '0.5']": lambda g: rr.SampleSet([True, "0.5"], "p"),
+    "SampleSet points bool array": lambda g: rr.SampleSet(np.array([True, False]), "p"),
+    "SampleSet points str array": lambda g: rr.SampleSet(np.array(["0.5"]), "p"),
+    "GramSystem f_bar '0.5'": lambda g: dataclasses.replace(g, f_bar=["0.5"] * g.n),
+    "GramSystem k_matrix nan": lambda g: dataclasses.replace(
+        g, k_matrix=np.full((g.n, g.n), NAN)),
+    "evaluate_batch [[True]]": lambda g: rr.evaluate_batch(
+        rr.fit_spectral(g, rr.lavrentiev(0.5)), [[True]]),
+    "evaluate '0.5'": lambda g: rr.evaluate(rr.fit_spectral(g, rr.lavrentiev(0.5)), "0.5"),
+    "christoffel x True": lambda g: rr.christoffel(g, 0.1, True),
+    "capacity_profile probes ['1']": lambda g: rr.capacity_profile(g, [0.1], ["1"]),
+    "run_study probe_grid ['1']": lambda g: rr.run_study(rr.SimConfig(), probe_grid=["1"]),
+    # empty inputs
+    "run_study probe_grid []": lambda g: rr.run_study(rr.SimConfig(), probe_grid=[]),
+    "rms_norm []": lambda g: rr.rms_norm([]),
     "RegScheme lam '0.5'": lambda g: rr.RegScheme("iterated_lavrentiev", "0.5"),
     "RegScheme iterations True": lambda g: rr.RegScheme("iterated_lavrentiev", 0.5, True),
     "filter rows count 1.5": lambda g: iterated_filter_rows([0.5], 1.5, [0.0]),
@@ -114,6 +133,18 @@ def test_checkers_normalize_what_they_accept():
     for bad in (10**400, 2.5, -1, "3", None, [3]):
         with pytest.raises(rr.InputError, match="k"):
             whole_number(bad, "k")
+
+
+def test_arrays_given_as_lists_or_scalars_are_taken(small_pair):
+    """A model built from Python lists, and a scalar point, are valid input."""
+    model = rr.fit_spectral(small_pair[2], rr.lavrentiev(0.5))
+    fields = {key: value.tolist() if isinstance(value, np.ndarray) else value
+              for key, value in vars(model).items()}
+    rebuilt = rr.RatioModel(**fields)
+    assert np.array_equal(rebuilt.alpha, model.alpha)
+    assert np.array_equal(rebuilt.xq_points, model.xq_points)
+    assert np.array_equal(rr.evaluate_batch(rebuilt, 0.5), [rr.evaluate(model, 0.5)])
+    assert rr.SampleSet((0.5, np.float32(1.5)), "p").points.tolist() == [[0.5], [1.5]]
 
 
 SMALL_STUDY = ["--n", "4", "--m", "4", "--mu-q-list", "3", "--k-list", "1",

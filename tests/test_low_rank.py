@@ -57,10 +57,11 @@ def test_low_rank_matches_dense(dim):
     for k in COUNTS:
         fast = rr.fit_iterated_lavrentiev_ladder(gram, lambdas, k)
         slow = rr.fit_iterated_lavrentiev_ladder(dense, lambdas, k)
-        scale = np.abs(slow.values).max()
-        assert np.abs(fast.values - slow.values).max() <= 1e-12 * scale
+        scale = np.abs(slow).max()
+        assert np.abs(fast - slow).max() <= 1e-12 * scale
         for index in (0, 5, len(lambdas) - 1):
-            got, want = fast.model(index), slow.model(index)
+            scheme = iterated_lavrentiev(lambdas[index], k)
+            got, want = rr.fit_spectral(gram, scheme), rr.fit_spectral(dense, scheme)
             assert got.mu_coeff == want.mu_coeff
             assert np.abs(got.alpha - want.alpha).max() <= 1e-12 * np.abs(want.alpha).max()
     scheme = iterated_lavrentiev(0.3, 2)
@@ -97,8 +98,10 @@ def test_dense_fallback_at_three_dimensions():
     for k in COUNTS:
         fast = rr.fit_iterated_lavrentiev_ladder(gram, [0.5, 0.1], k)
         slow = rr.fit_iterated_lavrentiev_ladder(dense, [0.5, 0.1], k)
-        assert np.array_equal(fast.values, slow.values)
-        assert np.array_equal(fast.model(1).alpha, slow.model(1).alpha)
+        assert np.array_equal(fast, slow)
+        scheme = iterated_lavrentiev(0.1, k)
+        assert np.array_equal(rr.fit_spectral(gram, scheme).alpha,
+                              rr.fit_spectral(dense, scheme).alpha)
 
 
 def test_assembly_and_ladder_memory_is_o_nr(default_kernel):
@@ -139,5 +142,5 @@ def test_default_study_chooses_as_the_dense_ladder():
             for k in config.k_list:
                 ladder = rr.fit_iterated_lavrentiev_ladder(
                     dense, config.grid.with_anchor(), k)
-                flips += chosen[(mu_q, k, rep)] != choose_from_values(ladder.values)[1]
+                flips += chosen[(mu_q, k, rep)] != choose_from_values(ladder)[1]
     assert len(chosen) == 300 and flips == 0

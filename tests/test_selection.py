@@ -102,13 +102,15 @@ def test_quasi_optimality_deterministic_bytes(small_pair):
 
 
 def test_quasi_optimality_carries_chosen_model(small_pair):
-    """The trace's model is the ladder's fit at the chosen rung, bit for bit."""
+    """The trace's model is the ladder's rung and ``fit_spectral`` at the chosen
+    strength, bit for bit."""
     gram = small_pair[2]
     trace = rr.quasi_optimality(gram, 2)
     ladder = rr.fit_iterated_lavrentiev_ladder(gram, trace.grid.with_anchor(), 2)
-    want = ladder.model(trace.chosen_index + 1)
+    want = rr.fit_spectral(gram, rr.iterated_lavrentiev(trace.chosen_lambda, 2))
     got = trace.chosen_model
-    assert got.scheme == rr.iterated_lavrentiev(trace.chosen_lambda, 2)
+    assert got.scheme == want.scheme
+    assert np.array_equal(got.values_at_xp, ladder[trace.chosen_index + 1])
     assert np.array_equal(got.values_at_xp, want.values_at_xp)
     assert np.array_equal(got.alpha, want.alpha) and got.mu_coeff == want.mu_coeff
 
