@@ -33,13 +33,12 @@ probes costs one eigensystem, products over blocks of probes and an
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, positive_real, whole_number
+from .errors import InputError, positive_real, save_csv, whole_number
 from .kernel import (GramSystem, SampleSet, _as_points, _check_shift, _outside_span,
                      _row_blocks, kernel_matrix)
 
@@ -61,8 +60,8 @@ def _probes(gram: GramSystem, points) -> np.ndarray:
     return probes
 
 
-def _leverages(gram: GramSystem, lams: np.ndarray, probes: np.ndarray):
-    """Eigenvalues of K/n and C_lam as a (len(lams), len(probes)) array."""
+def _leverages(gram: GramSystem, lams: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """C_lam as a (len(lams), len(probes)) array."""
     t, u = gram.eigensystem()
     _check_shift(float(lams.min()), t)
     inverse = 1.0 / (lams[:, None] + t)
@@ -74,7 +73,7 @@ def _leverages(gram: GramSystem, lams: np.ndarray, probes: np.ndarray):
         np.square(weights, out=weights)
         quad[:, cols] = inverse @ weights + np.outer(
             1.0 / lams, np.einsum("ip,ip->p", outside, outside))
-    return t, (gram.kernel.diagonal_value() - quad / gram.n) / lams[:, None]
+    return (gram.kernel.diagonal_value() - quad / gram.n) / lams[:, None]
 
 
 def christoffel(gram: GramSystem, lam: float, x) -> float:
@@ -85,7 +84,7 @@ def christoffel(gram: GramSystem, lam: float, x) -> float:
     are returned as computed.
     """
     probe = _probes(gram, _as_points(x, name="x").reshape(1, -1))
-    return float(_leverages(gram, np.array([positive_real(lam, "lam")]), probe)[1][0, 0])
+    return float(_leverages(gram, np.array([positive_real(lam, "lam")]), probe)[0, 0])
 
 
 def effective_dimension(gram: GramSystem, lam: float) -> float:
@@ -94,7 +93,7 @@ def effective_dimension(gram: GramSystem, lam: float) -> float:
     Strictly positive, below n, and decreasing in lam.
     """
     lam = positive_real(lam, "lam")
-    return _n_eff(np.clip(gram.eigensystem()[0], 0.0, None), lam)
+    return _n_eff(gram.spectrum(), lam)
 
 
 def n_inf_estimate(gram: GramSystem, lam: float, probe_points) -> float:
@@ -104,13 +103,19 @@ def n_inf_estimate(gram: GramSystem, lam: float, probe_points) -> float:
     the estimate is never below the in-sample maximum.
     """
     scan = np.vstack([_probes(gram, probe_points), gram.xp.points])
-    return float(_leverages(gram, np.array([positive_real(lam, "lam")]), scan)[1].max())
+    return float(_leverages(gram, np.array([positive_real(lam, "lam")]), scan).max())
 
 
-def _balance_point(gram: GramSystem, spectrum: np.ndarray, bracket) -> float:
-    """Bisection in log(lam) for N(lam)/lam = n over a given spectrum."""
+def find_lambda_star(gram: GramSystem, bracket: tuple[float, float] | None = None) -> float:
+    """Solve N(lam) / lam = n by bisection in log(lam).
+
+    The default bracket is (1e-8, k(x, x)), k(x, x) being the largest
+    diagonal entry of K; the map lam -> N(lam)/lam is strictly decreasing,
+    so the root is unique inside any bracket on which the map straddles n.
+    """
+    spectrum = gram.spectrum()
     if bracket is None:
-        bracket = (1e-8, gram.max_diagonal())
+        bracket = (1e-8, gram.kernel.diagonal_value())
     lo, hi = positive_real(bracket[0], "bracket"), positive_real(bracket[1], "bracket")
     if not lo < hi:
         raise InputError(f"bracket must satisfy 0 < lo < hi < inf, got {bracket!r}")
@@ -128,17 +133,6 @@ def _balance_point(gram: GramSystem, spectrum: np.ndarray, bracket) -> float:
         if hi - lo <= _BISECTION_TOL * mid:
             break
     return math.sqrt(lo * hi)
-
-
-def find_lambda_star(gram: GramSystem, bracket: tuple[float, float] | None = None) -> float:
-    """Solve N(lam) / lam = n by bisection in log(lam).
-
-    The default bracket is (1e-8, max diagonal of K); the map
-    lam -> N(lam)/lam is strictly decreasing, so the root is unique
-    inside any bracket on which the map straddles n.
-    """
-    spectrum = np.clip(gram.eigensystem()[0], 0.0, None)
-    return _balance_point(gram, spectrum, bracket)
 
 
 @dataclass(frozen=True)
@@ -186,11 +180,11 @@ def capacity_profile(gram: GramSystem, lambdas, probe_points=None) -> CapacityPr
     xp = gram.xp
     scan = np.vstack([_probes(gram, default_probe_grid(xp) if probe_points is None
                               else probe_points), xp.points])
-    t, leverages = _leverages(gram, lams, scan)
-    spectrum = np.clip(t, 0.0, None)
+    leverages = _leverages(gram, lams, scan)
+    spectrum = gram.spectrum()
     n_eff = np.array([_n_eff(spectrum, lam) for lam in lams])
     try:
-        star = _balance_point(gram, spectrum, None)
+        star = find_lambda_star(gram)
     except InputError:
         star = None
     return CapacityProfile(lambdas=lams, n_eff=n_eff, n_inf=leverages.max(axis=1),
@@ -198,8 +192,5 @@ def capacity_profile(gram: GramSystem, lambdas, probe_points=None) -> CapacityPr
 
 
 def save_profile_csv(profile: CapacityProfile, path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["lambda", "n_eff", "n_inf"])
-        for lam, ne, ni in zip(profile.lambdas, profile.n_eff, profile.n_inf):
-            writer.writerow([repr(float(lam)), repr(float(ne)), repr(float(ni))])
+    save_csv([["lambda", "n_eff", "n_inf"],
+              *zip(profile.lambdas, profile.n_eff, profile.n_inf)], path)

@@ -11,7 +11,6 @@ on stderr and map to exit codes: 1 for I/O problems, 2 for validation,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -21,35 +20,35 @@ import numpy as np
 
 from . import capacity as capacity_mod
 from . import estimator, experiment, kernel, regularization, selection
-from .errors import (InputError, NumericalError, load_json, positive_real, save_json,
-                     whole_number)
+from .errors import (InputError, NumericalError, load_json, positive_real, save_csv,
+                     save_json, whole_number)
 
 
 def _fail(kind: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
 
 
-def _int_list(value) -> list[int]:
-    if isinstance(value, str):
-        value = [v for v in value.split(",") if v.strip()]
+def _converted(value, convert, what: str):
+    """``convert(value)`` for ``convert`` int or float, as a typed flag takes its argument.
+
+    A JSON boolean is not a number, and a JSON float is not an integer:
+    int() and float() would turn 4.7 into 4 and true into 1 where the flags
+    themselves reject "4.7" and "true".
+    """
+    if isinstance(value, bool) or (convert is int and isinstance(value, float)):
+        kind = "an integer" if convert is int else "a number"
+        raise InputError(f"{what} must be {kind}, got {value!r}")
     try:
-        # a JSON array may hold 2.7 or true, which int() would take as 2 or 1
-        if any(isinstance(v, (bool, float)) for v in value):
-            raise TypeError("not an integer")
-        return [int(v) for v in value]
+        return convert(value)
     except (TypeError, ValueError) as exc:
-        raise InputError(f"expected a comma-separated integer list, got {value!r}") from exc
+        raise InputError(f"{what} has an invalid value {value!r}: {exc}") from exc
 
 
-def _float_list(value) -> list[float]:
+def _number_list(value, convert) -> list:
+    """A comma-separated string or a JSON array, each entry converted by ``_converted``."""
     if isinstance(value, str):
         value = [v for v in value.split(",") if v.strip()]
-    try:
-        if any(isinstance(v, bool) for v in value):
-            raise TypeError("not a number")
-        return [float(v) for v in value]
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"expected a comma-separated number list, got {value!r}") from exc
+    return [_converted(v, convert, f"list entry in {value!r}") for v in value]
 
 
 # Flags that take a comma-separated list, or a JSON array in a config file.
@@ -59,10 +58,8 @@ _LIST_KEYS = ("mu_q_list", "k_list", "n_list")
 def _config_value(key: str, value, convert, default):
     """A config-file value, checked and converted like its flag's argument.
 
-    A typed flag rejects a JSON boolean, and an integer flag a JSON float:
-    int() and float() would turn 4.7 into 4 and true into 1 where the flags
-    themselves reject "4.7" and "true".  An untyped flag takes a string
-    (a list flag also an array), as on the command line.
+    An untyped flag takes a string (a list flag also an array), as on the
+    command line; a typed one goes through ``_converted``.
     """
     if value is None and default is None:
         return None
@@ -72,13 +69,7 @@ def _config_value(key: str, value, convert, default):
             return value
         raise InputError(f"config key {key!r} must be a string without NUL "
                          f"characters, got {value!r}")
-    if isinstance(value, bool) or (convert is int and isinstance(value, float)):
-        kind = "an integer" if convert is int else "a number"
-        raise InputError(f"config key {key!r} must be {kind}, got {value!r}")
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"config key {key!r} has an invalid value {value!r}: {exc}") from exc
+    return _converted(value, convert, f"config key {key!r}")
 
 
 def _merged_options(args: argparse.Namespace) -> dict:
@@ -150,11 +141,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if options["format"] == "json":
         save_json({"points": points.points.tolist(), "values": values.tolist()}, out_path)
     else:
-        with open(out_path, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow([f"x{i}" for i in range(points.dim)] + ["value"])
-            for row, value in zip(points.points, values):
-                writer.writerow([repr(float(v)) for v in row] + [repr(float(value))])
+        save_csv([[f"x{i}" for i in range(points.dim)] + ["value"],
+                  *np.column_stack([points.points, values])], out_path)
     print(f"evaluated {values.size} points to {out_path}")
     return 0
 
@@ -184,9 +172,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = experiment.SimConfig(
         n=options["n"], m=options["m"],
         mu_p=options["mu_p"], var_p=positive_real(options["var_p"], "--var-p"),
-        mu_q_list=tuple(_float_list(options["mu_q_list"])),
+        mu_q_list=tuple(_number_list(options["mu_q_list"], float)),
         var_q=positive_real(options["var_q"], "--var-q"),
-        k_list=tuple(_int_list(options["k_list"])),
+        k_list=tuple(_number_list(options["k_list"], int)),
         replications=options["replications"],
         grid=selection.LambdaGrid(lambda_0=options["lambda_0"], rho=options["rho"],
                                   size=options["grid_size"]),
@@ -208,7 +196,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_rates(args: argparse.Namespace) -> int:
     options = _merged_options(args)
     record = experiment.run_rate_study(
-        n_list=_int_list(options["n_list"]), eta=options["eta"],
+        n_list=_number_list(options["n_list"], int), eta=options["eta"],
         varsigma=options["varsigma"], iterations=options["iterations"],
         replications=options["replications"], seed=options["seed"],
         mu_q=options["mu_q"], probe_x=options["probe_x"],

@@ -1,4 +1,4 @@
-"""Exception types, input checks and JSON file I/O shared across the package.
+"""Exception types, input checks and JSON and CSV file I/O shared across the package.
 
 Two failure families are distinguished so callers (and the CLI) can map
 them to different exit codes: bad inputs versus numerical breakdown.
@@ -13,6 +13,7 @@ rejected, never coerced or truncated.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import numbers
@@ -111,7 +112,8 @@ def finite_array(value, name: str) -> np.ndarray:
     (``is_number`` depends on the type alone), so the cost per entry is a
     type lookup.
     """
-    level, samples = [value], {}
+    numeric = type(value) is np.ndarray and value.dtype.kind in "fiu"
+    level, samples = [] if numeric else [value], {}
     while level:  # one nesting level at a time
         samples.update(((type(entry), getattr(entry, "dtype", None)), entry)
                        for entry in level)
@@ -147,3 +149,15 @@ def save_json(data, path) -> None:
     with open(path, "w") as handle:
         json.dump(data, handle, sort_keys=True, indent=2)
         handle.write("\n")
+
+
+def save_csv(rows, path) -> None:
+    """Write ``rows`` to ``path`` as CSV with "\n" line ends.
+
+    A float is written as its repr and None as an empty field; any other
+    entry, such as a header name or a count, is written as it is.
+    """
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(
+            [repr(float(v)) if isinstance(v, float) else "" if v is None else v for v in row]
+            for row in rows)

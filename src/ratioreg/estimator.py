@@ -183,7 +183,8 @@ def _shifted_solver(gram: GramSystem, lam: float):
         smallest = float(np.linalg.eigvalsh(gram.dense())[0]) + n_lam
         raise NumericalError("shifted kernel system is not positive definite",
                              lam=lam, smallest_eigenvalue=smallest) from exc
-    return lambda rhs: scipy.linalg.cho_solve(factor, rhs)
+    # an overflowed step reaches the caller's finiteness check, not scipy's ValueError
+    return lambda rhs: scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
 
 def fit_iterated_lavrentiev(gram: GramSystem, lam: float, iterations: int = 1) -> RatioModel:
@@ -231,13 +232,12 @@ def _filtered(gram: GramSystem, filter_rows, scale: float) -> np.ndarray:
     row of n values per filter row.  Every spectral value and alpha comes
     from here, so a row has the same bits whichever call computes it.
     """
-    t, basis, rotated, outside = gram.split_rhs()
-    spectrum = np.zeros(len(t) + 1)  # h(0) last
-    np.maximum(t, 0.0, out=spectrum[:-1])
-    rows = np.atleast_2d(filter_rows(spectrum))
+    _, basis, rotated, outside = gram.split_rhs()
+    rows = np.atleast_2d(filter_rows(np.concatenate([gram.spectrum(), [0.0]])))  # h(0) last
     height = max(-(-_FILTER_MIN_ENTRIES // gram.n), 11)
-    weights = np.zeros((-(-len(rows) // height), height, len(t)))
-    np.multiply(rows[:, :-1], rotated / scale, out=weights.reshape(-1, len(t))[:len(rows)])
+    rank = len(rotated)
+    weights = np.zeros((-(-len(rows) // height), height, rank))
+    np.multiply(rows[:, :-1], rotated / scale, out=weights.reshape(-1, rank)[:len(rows)])
     out = (weights @ basis.T).reshape(-1, gram.n)[:len(rows)]
     out += rows[:, -1:] * (outside / scale)
     return out
@@ -256,8 +256,8 @@ def _spectral_model(gram: GramSystem, scheme: RegScheme, values: np.ndarray) -> 
 def fit_spectral(gram: GramSystem, scheme: RegScheme) -> RatioModel:
     """Fit by applying an arbitrary spectral filter to the kernel spectrum.
 
-    Uses the system's eigensystem of K/n; eigenvalues are floored at zero
-    to absorb symmetric-eigensolver noise before the filter is applied.
+    Uses the system's eigensystem of K/n; the filter is applied to the
+    eigenvalues floored at zero (``GramSystem.spectrum``).
     """
     _check_target(gram)
     values = _filtered(gram, partial(filter_value, scheme), gram.n)[0]

@@ -19,7 +19,6 @@ with any thread count produces byte-identical reports.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -27,8 +26,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import (InputError, NumericalError, finite_real, positive_real,
-                     require_keys, save_json, whole_number)
+from .errors import (InputError, NumericalError, finite_array, finite_real, positive_real,
+                     require_keys, save_csv, save_json, whole_number)
 from .estimator import RatioModel, evaluate_batch, fit_iterated_lavrentiev
 from .kernel import KernelSpec, SampleSet, _as_points, assemble_gram
 from .selection import LambdaGrid, lambda_mn, quasi_optimality
@@ -73,7 +72,7 @@ def true_beta(x, mu_q: float, mu_p: float = MU_P, var_p: float = VAR_P,
     """
     mu_q, mu_p = finite_real(mu_q, "mu_q"), finite_real(mu_p, "mu_p")
     var_p, var_q = positive_real(var_p, "var_p"), positive_real(var_q, "var_q")
-    arr = np.asarray(x, dtype=float)
+    arr = finite_array(x, "x")
     out = math.sqrt(var_p / var_q) * np.exp(
         (arr - mu_p) ** 2 / (2.0 * var_p) - (arr - mu_q) ** 2 / (2.0 * var_q))
     return float(out) if out.ndim == 0 else out
@@ -304,28 +303,18 @@ def save_report_json(report: ExperimentReport, path) -> None:
 
 def save_report_csv(report: ExperimentReport, path) -> None:
     """One row per replication cell: mu_q, k, replication, chosen_lambda, msd."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["mu_q", "k", "replication", "chosen_lambda", "msd"])
-        for cell in report.cells:
-            writer.writerow([
-                repr(cell.mu_q), cell.k, cell.replication,
-                "" if cell.chosen_lambda is None else repr(cell.chosen_lambda),
-                "" if cell.msd is None else repr(cell.msd),
-            ])
+    save_csv([["mu_q", "k", "replication", "chosen_lambda", "msd"]]
+             + [[cell.mu_q, cell.k, cell.replication, cell.chosen_lambda, cell.msd]
+                for cell in report.cells], path)
 
 
 def save_box_csv(report: ExperimentReport, path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["mu_q", "k", "min", "q1", "median", "q3", "max"])
-        for mu_q in report.config.mu_q_list:
-            for k in report.config.k_list:
-                stats = report.box[repr(mu_q)][str(k)]
-                if stats is None:
-                    continue
-                writer.writerow([repr(mu_q), k] + [
-                    repr(stats[name]) for name in ("min", "q1", "median", "q3", "max")])
+    """One row per (mu_q, k) with a completed cell: its five box statistics."""
+    names = ("min", "q1", "median", "q3", "max")
+    save_csv([["mu_q", "k", *names]]
+             + [[mu_q, k, *(stats[name] for name in names)]
+                for mu_q in report.config.mu_q_list for k in report.config.k_list
+                if (stats := report.box[repr(mu_q)][str(k)]) is not None], path)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +326,8 @@ def fit_log_slope(n_values, errors) -> float:
     An error sequence c * (n**-0.5)**r comes back as exactly r up to
     floating rounding in the logs.
     """
-    n_arr = np.asarray(n_values, dtype=float)
-    err = np.asarray(errors, dtype=float)
+    n_arr = finite_array(n_values, "n_values")
+    err = finite_array(errors, "errors")
     if n_arr.size != err.size or n_arr.size < 2:
         raise InputError("need at least two (n, error) pairs with matching lengths")
     if (err <= 0.0).any():

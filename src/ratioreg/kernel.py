@@ -23,7 +23,8 @@ precision only; a QR of F^T / sqrt(n) and an r x r ``eigh`` give the r
 eigenpairs, and the complement of their span counts as eigenvalue 0.  The
 system keeps the eigenpairs, and f_bar split over them, once computed, so
 selection, capacity and the spectral fit share one decomposition however
-often they are called.
+often they are called, and they read the eigenvalues floored at zero from
+one accessor, ``GramSystem.spectrum``.
 Past ``_PIVOT_CAP`` = n/2 steps (high rank, as for widely spread d >= 2
 data) K/n is diagonalized densely: at n = 1600 and d = 3, the worst
 case, that takes 0.67 s against 0.52 s for the dense ``eigh`` alone
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (InputError, NumericalError, finite_array, finite_real, positive_real,
-                     require_keys)
+                     require_keys, save_csv)
 
 # Both families are k(x, y) = offset + exp(-|x - y|^2 / (2 * bandwidth^2)).
 KNOWN_FAMILIES = ("gaussian_plus_one", "gaussian")
@@ -269,18 +270,16 @@ class GramSystem:
     It keeps the ``kernel``, the reference sample ``xp``, the target
     sample ``xq`` (None for a capacity-only system) and ``f_bar`` =
     (n/m) * sum_j k(x_i, x'_j); n and m are read off the samples.  Kernel
-    values are formed when asked.  ``k_matrix``, if set, replaces them by
-    any (n, n) matrix, and the system then takes the dense paths: a test's
-    reference or fault, built as ``dataclasses.replace(gram, k_matrix=K)``.
-    Immutable after construction, apart from the eigensystem it keeps once
-    computed (``split_rhs``); ``dataclasses.replace`` gives a copy without it.
+    values are formed when asked, and K/n decomposes one way: the pivoted
+    factor, or the dense ``eigh`` past the pivot cap.  Immutable after
+    construction, apart from the eigensystem it keeps once computed
+    (``split_rhs``); ``dataclasses.replace`` gives a copy without it.
     """
 
     kernel: KernelSpec
     xp: SampleSet
     xq: SampleSet | None
     f_bar: np.ndarray
-    k_matrix: np.ndarray | None = None
     _spectral: tuple[np.ndarray, ...] | None = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -292,12 +291,6 @@ class GramSystem:
                 raise InputError("second sample must carry measure_tag 'q'")
             if self.xp.dim != self.xq.dim:
                 raise InputError(f"sample dimensions differ: {self.xp.dim} vs {self.xq.dim}")
-        if self.k_matrix is not None:
-            k = finite_array(self.k_matrix, "k_matrix")
-            if k.shape != (self.n, self.n):
-                raise InputError(f"k_matrix has shape {k.shape}, expected ({self.n}, {self.n})")
-            k.setflags(write=False)
-            object.__setattr__(self, "k_matrix", k)
         f = finite_array(self.f_bar, "f_bar")
         if f.shape != (self.n,):
             raise InputError(f"f_bar has shape {f.shape}, expected ({self.n},)")
@@ -312,21 +305,12 @@ class GramSystem:
     def m(self) -> int | None:
         return None if self.xq is None else self.xq.n
 
-    def max_diagonal(self) -> float:
-        """max_i k(x_i, x_i): the kernel's closed form, or read off ``k_matrix``."""
-        if self.k_matrix is None:
-            return self.kernel.diagonal_value()
-        return float(self.k_matrix.diagonal().max())
-
     def dense(self) -> np.ndarray:
         """A fresh, writable, Fortran-contiguous K for LAPACK to work on in place.
 
-        An assembled system forms K anew, exactly symmetric, and returns its
-        transpose view; a set ``k_matrix`` is copied.
+        K is formed anew, exactly symmetric, and returned as its transpose view.
         """
-        if self.k_matrix is None:
-            return kernel_matrix(self.kernel, self.xp.points, self.xp.points).T
-        return np.array(self.k_matrix, order="F")
+        return kernel_matrix(self.kernel, self.xp.points, self.xp.points).T
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues t (ascending, unclipped) and orthonormal eigenvectors U of K/n.
@@ -334,10 +318,18 @@ class GramSystem:
         An assembled system factors K = F^T F by pivoted Cholesky; with
         F^T / sqrt(n) = Q R and R R^T = V diag(t) V^T, U = Q V is (n, r) and
         the complement of span(U) stands for eigenvalue 0.  Past the pivot
-        cap, and when ``k_matrix`` is set, K/n is diagonalized densely
-        (r = n).  The arrays are read-only and come from ``split_rhs``.
+        cap K/n is diagonalized densely (r = n).  The arrays are read-only
+        and come from ``split_rhs``.
         """
         return self.split_rhs()[:2]
+
+    def spectrum(self) -> np.ndarray:
+        """The eigenvalues t of K/n floored at zero, which absorbs the eigensolver's rounding.
+
+        The filters, N(lam) and the balance point read this; the shift check
+        and the leverages read the unclipped t.
+        """
+        return np.maximum(self.split_rhs()[0], 0.0)
 
     def split_rhs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(t, U, U^T f_bar, f_bar - U U^T f_bar): the eigensystem and f_bar split over it.
@@ -352,11 +344,9 @@ class GramSystem:
         return self._spectral
 
     def _decompose(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        factor = None
-        if self.k_matrix is None:
-            factor = _pivoted_cholesky(self.kernel, self.xp.points,
-                                       _PIVOT_TOL * self.max_diagonal(),
-                                       int(_PIVOT_CAP * self.n))
+        factor = _pivoted_cholesky(self.kernel, self.xp.points,
+                                   _PIVOT_TOL * self.kernel.diagonal_value(),
+                                   int(_PIVOT_CAP * self.n))
         try:
             if factor is None:
                 scaled = self.dense()
@@ -395,10 +385,7 @@ def assemble_gram(spec: KernelSpec, xp: SampleSet, xq: SampleSet | None = None) 
 # Sample I/O: CSV holds one point per row (plain coordinates, no header).
 
 def save_samples_csv(sample: SampleSet, path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        for row in sample.points:
-            writer.writerow([repr(float(v)) for v in row])
+    save_csv(sample.points, path)
 
 
 def load_samples_csv(path, measure_tag: str) -> SampleSet:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InputError, finite_real, positive_real, require_keys,
+from .errors import (InputError, finite_array, finite_real, positive_real, require_keys,
                      whole_number)
 
 SCHEME_KINDS = ("iterated_lavrentiev", "spectral_cutoff")
@@ -121,7 +121,7 @@ def spectral_cutoff(lam: float) -> RegScheme:
 
 
 def _as_spectrum(t) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(t, dtype=float)
+    arr = finite_array(t, "spectral argument")
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     if arr.size and arr.min() < 0.0:

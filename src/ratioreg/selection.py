@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, finite_real, positive_real, require_keys, whole_number
+from .errors import (InputError, finite_array, finite_real, positive_real, require_keys,
+                     whole_number)
 from .estimator import RatioModel, _spectral_model, fit_iterated_lavrentiev_ladder
 from .kernel import GramSystem
 from .regularization import iterated_lavrentiev
@@ -104,7 +105,11 @@ class SelectionTrace:
 
 def rms_norm(vector: np.ndarray) -> float:
     """Root-mean-square norm, the (1/n)-weighted Euclidean norm."""
-    arr = np.asarray(vector, dtype=float)
+    return _rms(finite_array(vector, "vector"))
+
+
+def _rms(arr: np.ndarray) -> float:
+    """``rms_norm`` of a float array already checked."""
     if arr.size == 0:
         raise InputError("the root-mean-square norm needs at least one entry")
     return math.sqrt(float(arr @ arr) / arr.size)
@@ -118,11 +123,11 @@ def choose_from_values(value_vectors) -> tuple[tuple[float, ...], int]:
     the smallest one.  Ties resolve to the first, i.e. the larger
     strength.  Invariant under common positive rescaling of all vectors.
     """
-    vectors = [np.asarray(v, dtype=float) for v in value_vectors]
-    if len(vectors) < 2:
-        raise InputError("need the anchor fit plus at least one ladder fit")
-    diffs = tuple(rms_norm(vectors[i] - vectors[i - 1])
-                  for i in range(1, len(vectors)))
+    vectors = finite_array(value_vectors, "value vectors")
+    if vectors.ndim != 2 or len(vectors) < 2:
+        raise InputError("need the anchor fit plus at least one ladder fit, "
+                         f"as rows of one array, got shape {vectors.shape}")
+    diffs = tuple(_rms(step) for step in vectors[1:] - vectors[:-1])
     return diffs, int(np.argmin(diffs))
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import os
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 import scipy.linalg
 
 import ratioreg as rr
+from ratioreg import kernel
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -38,6 +40,32 @@ def benchmark_pair(default_kernel):
 @pytest.fixture()
 def rng():
     return np.random.Generator(np.random.PCG64(424242))
+
+
+@pytest.fixture()
+def dense_twin(monkeypatch):
+    """Make a copy of a GramSystem that is decomposed by the dense ``eigh`` of K/n.
+
+    ``dense_twin(gram, k_matrix=None, **changes)`` replaces the ``changes``
+    (``f_bar``, say) and decomposes the copy at once, through the library's
+    own dense fallback: ``kernel._PIVOT_CAP`` is 0 for that call alone.
+    Without ``k_matrix`` the copy is the dense reference for ``gram``.  With
+    it, the copy is a fault: for the rest of the test ``GramSystem.dense``
+    returns a fresh Fortran-order copy of ``k_matrix`` in place of K on the
+    copy, in its decomposition and in the Cholesky fit alike.
+    """
+    def make(gram, k_matrix=None, **changes):
+        twin = dataclasses.replace(gram, **changes)
+        if k_matrix is not None:
+            injected, real = np.array(k_matrix, dtype=float), kernel.GramSystem.dense
+            monkeypatch.setattr(kernel.GramSystem, "dense", lambda self: (
+                np.array(injected, order="F") if self is twin else real(self)))
+        with monkeypatch.context() as scoped:
+            scoped.setattr(kernel, "_PIVOT_CAP", 0)
+            twin.split_rhs()
+        return twin
+
+    return make
 
 
 @pytest.fixture()

@@ -215,12 +215,11 @@ def test_one_decomposition_per_call(linalg_calls, gram):
     assert linalg_calls == ["eigh"]
 
 
-def test_indefinite_system_raises_numerical_error():
+def test_indefinite_system_raises_numerical_error(dense_twin):
     """K/n has eigenvalues 1.5 and -0.5, so lam = 0.1 leaves a negative shift."""
     spec = rr.KernelSpec()
     xp = rr.SampleSet([[0.0], [1.0]], "p")
-    gram = dataclasses.replace(rr.assemble_gram(spec, xp),
-                               k_matrix=np.array([[1.0, 2.0], [2.0, 1.0]]))
+    gram = dense_twin(rr.assemble_gram(spec, xp), k_matrix=np.array([[1.0, 2.0], [2.0, 1.0]]))
     for attempt in (lambda: rr.christoffel(gram, 0.1, [0.0]),
                     lambda: rr.n_inf_estimate(gram, 0.1, [[0.5]]),
                     lambda: rr.capacity_profile(gram, [1.0, 0.1])):

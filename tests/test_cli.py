@@ -44,6 +44,20 @@ def test_fit_writes_loadable_model(tmp_path, sample_files, capsys):
     assert np.array_equal(model.alpha, direct.alpha)
 
 
+def test_fit_numerical_breakdown_exits_3(tmp_path, capsys):
+    """At lam = 1e-300 the shift is lost in K, of numerical rank about 40 at n = 400."""
+    paths = [str(tmp_path / name) for name in ("xp.csv", "xq.csv")]
+    rr.save_samples_csv(rr.sample_normal(2.0, 5.0, 400, 11, "p"), paths[0])
+    rr.save_samples_csv(rr.sample_normal(3.0, 0.5, 400, 12, "q"), paths[1])
+    code = main(["fit", "--xp", paths[0], "--xq", paths[1], "--lam", "1e-300",
+                 "--out", str(tmp_path / "m.json")])
+    assert code == 3
+    payload = read_stderr_error(capsys)
+    assert payload["error"] == "numerical"
+    assert "lambda=1e-300" in payload["message"]
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_fit_requires_lam(sample_files, tmp_path, capsys):
     _, _, xp_path, xq_path = sample_files
     code = main(["fit", "--xp", xp_path, "--xq", xq_path,
@@ -251,10 +265,10 @@ def test_capacity_reports_unbracketed_balance_point(tmp_path, sample_files,
                                                     capsys, monkeypatch):
     _, _, xp_path, _ = sample_files
 
-    def refuse(gram, spectrum, bracket):
+    def refuse(gram, bracket=None):
         raise rr.InputError("bracket does not straddle the balance point")
 
-    monkeypatch.setattr(capacity_mod, "_balance_point", refuse)
+    monkeypatch.setattr(capacity_mod, "find_lambda_star", refuse)
     out = tmp_path / "profile.csv"
     code = main(["capacity", "--xp", xp_path, "--num-lambdas", "4",
                  "--out", str(out)])

@@ -26,7 +26,7 @@ def test_single_step_equals_direct_solve(default_kernel, small_pair):
         assert np.abs(model.values_at_xp - direct).max() <= 1e-12
 
 
-def test_cholesky_fit_factors_one_fresh_matrix(default_kernel):
+def test_cholesky_fit_factors_one_fresh_matrix(default_kernel, dense_twin):
     """The fit factors K in place through its transpose view: the bits of the
     Fortran-order copy a hand-built matrix gets, and one n x n buffer."""
     n = 1200
@@ -40,8 +40,7 @@ def test_cholesky_fit_factors_one_fresh_matrix(default_kernel):
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * n * n * 8
-    copied = dataclasses.replace(
-        gram, k_matrix=rr.kernel_matrix(default_kernel, xp.points, xp.points))
+    copied = dense_twin(gram, k_matrix=rr.kernel_matrix(default_kernel, xp.points, xp.points))
     twin = rr.fit_iterated_lavrentiev(copied, 0.1, 3)
     assert np.array_equal(model.values_at_xp, twin.values_at_xp)
     assert np.array_equal(model.alpha, twin.alpha)
@@ -217,13 +216,11 @@ def test_evaluate_dimension_mismatch(small_pair):
         rr.evaluate(model, [1.0, 2.0])
 
 
-def test_fit_is_linear_in_rhs(default_kernel, small_pair):
+def test_fit_is_linear_in_rhs(small_pair):
     """Scaling f_bar scales values and alpha; the embedding coefficient
     k/lam stays put because the scale rides on the embedding itself."""
-    xp, _, gram = small_pair
-    scaled = dataclasses.replace(
-        gram, k_matrix=rr.kernel_matrix(default_kernel, xp.points, xp.points),
-        f_bar=4.0 * gram.f_bar)
+    gram = small_pair[2]
+    scaled = dataclasses.replace(gram, f_bar=4.0 * gram.f_bar)
     base = rr.fit_iterated_lavrentiev(gram, 0.3, 3)
     double = rr.fit_iterated_lavrentiev(scaled, 0.3, 3)
     assert np.allclose(double.values_at_xp, 4.0 * base.values_at_xp,
@@ -262,10 +259,10 @@ def test_system_without_target_sample_cannot_be_fitted(default_kernel, small_pai
             attempt()
 
 
-def test_indefinite_system_raises_numerical_error(default_kernel):
+def test_indefinite_system_raises_numerical_error(default_kernel, dense_twin):
     gram = rr.assemble_gram(default_kernel, rr.SampleSet([0.0, 1.0], "p"),
                             rr.SampleSet([0.0], "q"))
-    bad = dataclasses.replace(gram, k_matrix=-2.0 * np.eye(2), f_bar=np.ones(2))
+    bad = dense_twin(gram, k_matrix=-2.0 * np.eye(2), f_bar=np.ones(2))
     with pytest.raises(rr.NumericalError) as info:
         rr.fit_iterated_lavrentiev(bad, 0.01, 1)
     assert info.value.lam == 0.01
@@ -276,6 +273,21 @@ def test_indefinite_system_raises_numerical_error(default_kernel):
         rr.fit_iterated_lavrentiev_ladder(bad, [3.0, 0.5], 1)
     assert info.value.lam == 0.5
     assert info.value.smallest_eigenvalue == pytest.approx(-0.5, abs=1e-12)
+
+
+def test_overflowing_fit_raises_numerical_error(default_kernel, dense_twin):
+    """K = 1e-300 I and f_bar = 1e300 overflow every fit to inf, which each path reports."""
+    gram = rr.assemble_gram(default_kernel, rr.SampleSet([0.0, 1.0], "p"),
+                            rr.SampleSet([0.0], "q"))
+    tiny = dense_twin(gram, k_matrix=1e-300 * np.eye(2), f_bar=np.full(2, 1e300))
+    attempts = (lambda: rr.fit_iterated_lavrentiev(tiny, 1e-300, 2),
+                lambda: rr.fit_spectral(tiny, rr.lavrentiev(1e-300)),
+                lambda: rr.fit_iterated_lavrentiev_ladder(tiny, [1e-300], 1))
+    for attempt in attempts:
+        with np.errstate(all="ignore"):
+            with pytest.raises(rr.NumericalError, match="non-finite") as info:
+                attempt()
+        assert info.value.lam == 1e-300
 
 
 def test_failed_eigendecomposition_raises_numerical_error(monkeypatch, small_pair):

@@ -253,7 +253,7 @@ def test_study_cell_decomposes_once(linalg_calls):
     assert linalg_calls == ["eigh", "eigh"]  # two replications
 
 
-def test_run_study_isolates_indefinite_systems(monkeypatch):
+def test_run_study_isolates_indefinite_systems(monkeypatch, dense_twin):
     """A cell whose Gram system is indefinite fails alone, with the diagnosis."""
     real = experiment.assemble_gram
     bad_seed = derive_seed(3, int(np.float64(2.0).view(np.uint64)), 0, 0)
@@ -264,7 +264,7 @@ def test_run_study_isolates_indefinite_systems(monkeypatch):
             return gram
         k_matrix = np.eye(xp.n)
         k_matrix[0, 0] = -float(xp.n)  # K/n has eigenvalue -1
-        return dataclasses.replace(gram, k_matrix=k_matrix)
+        return dense_twin(gram, k_matrix=k_matrix)
 
     monkeypatch.setattr(experiment, "assemble_gram", indefinite)
     report = rr.run_study(tiny_config(), threads=1)

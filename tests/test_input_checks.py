@@ -1,7 +1,8 @@
-"""The library's input contract: a malformed number raises InputError.
+"""The library's input contract: a malformed number or array raises InputError.
 
 Every entry point checks its strengths, counts, sizes and means through
-the three checkers in ``ratioreg.errors``.  A bool, a string, a
+the three checkers in ``ratioreg.errors``, and its arrays through
+``finite_array``.  A bool, a string, a
 non-finite value or a fractional count is rejected with InputError, never
 coerced, truncated or let through to fail later as another exception.
 The CLI runs below go through a fresh process, so a warning printed on
@@ -22,7 +23,9 @@ import pytest
 
 import ratioreg as rr
 from ratioreg.errors import finite_real, positive_real, whole_number
+from ratioreg.experiment import nearest_rank_quantile
 from ratioreg.regularization import iterated_filter_rows
+from ratioreg.selection import choose_from_values
 
 INF, NAN = math.inf, math.nan
 RATE = {"eta": 1.0, "varsigma": 0.5, "iterations": 1, "replications": 1, "seed": 0}
@@ -61,6 +64,11 @@ BAD_CALLS = {
     "LambdaGrid rho '0.5'": lambda g: rr.LambdaGrid(rho="0.5"),
     "fit lam True": lambda g: rr.fit_iterated_lavrentiev(g, True),
     "fit iterations 2.5": lambda g: rr.fit_iterated_lavrentiev(g, 0.5, 2.5),
+    "fit lam 1e308, n lam overflows": lambda g: rr.fit_iterated_lavrentiev(g, 1e308),
+    "KernelSpec bandwidth 1e200, 2h^2 overflows": lambda g: rr.KernelSpec(bandwidth=1e200),
+    "KernelSpec bandwidth 1e-200, 2h^2 vanishes": lambda g: rr.KernelSpec(bandwidth=1e-200),
+    "check qualification 400, lam**s overflows": lambda g: rr.check_scheme_constants(
+        rr.lavrentiev(10.0), 2.0, qualification=400.0),
     "model mu_coeff True": lambda g: rr.RatioModel.from_dict(
         dict(rr.fit_spectral(g, rr.lavrentiev(0.5)).to_dict(), mu_coeff=True)),
     "model alpha True": lambda g: rr.RatioModel.from_dict(
@@ -69,22 +77,38 @@ BAD_CALLS = {
         dict(rr.fit_spectral(g, rr.lavrentiev(0.5)).to_dict(), xp_points=[["0.5"]] * g.n)),
     "RatioModel alpha list True": lambda g: rr.RatioModel(**dict(
         vars(rr.fit_spectral(g, rr.lavrentiev(0.5))), alpha=[True] * g.n)),
+    "RatioModel values_at_xp n + 1": lambda g: rr.RatioModel(**dict(
+        vars(rr.fit_spectral(g, rr.lavrentiev(0.5))), values_at_xp=np.zeros(g.n + 1))),
     # arrays of points: every entry a finite number, judged by dtype or by entry type
     "SampleSet points [True, '0.5']": lambda g: rr.SampleSet([True, "0.5"], "p"),
     "SampleSet points bool array": lambda g: rr.SampleSet(np.array([True, False]), "p"),
     "SampleSet points str array": lambda g: rr.SampleSet(np.array(["0.5"]), "p"),
+    "SampleSet points ragged": lambda g: rr.SampleSet([[0.0], [1.0, 2.0]], "p"),
+    "SampleSet points 10**400": lambda g: rr.SampleSet([10**400], "p"),
+    "SampleSet points 3-d": lambda g: rr.SampleSet(np.zeros((2, 2, 2)), "p"),
     "GramSystem f_bar '0.5'": lambda g: dataclasses.replace(g, f_bar=["0.5"] * g.n),
-    "GramSystem k_matrix nan": lambda g: dataclasses.replace(
-        g, k_matrix=np.full((g.n, g.n), NAN)),
     "evaluate_batch [[True]]": lambda g: rr.evaluate_batch(
         rr.fit_spectral(g, rr.lavrentiev(0.5)), [[True]]),
     "evaluate '0.5'": lambda g: rr.evaluate(rr.fit_spectral(g, rr.lavrentiev(0.5)), "0.5"),
     "christoffel x True": lambda g: rr.christoffel(g, 0.1, True),
     "capacity_profile probes ['1']": lambda g: rr.capacity_profile(g, [0.1], ["1"]),
+    "true_beta x '0.5'": lambda g: rr.true_beta("0.5", 3.0),
+    "true_beta x True": lambda g: rr.true_beta(True, 3.0),
+    "filter_value t '0.5'": lambda g: rr.filter_value(rr.lavrentiev(0.5), "0.5"),
+    "filter_value t nan": lambda g: rr.filter_value(rr.lavrentiev(0.5), NAN),
+    "residual_value t [True]": lambda g: rr.residual_value(rr.lavrentiev(0.5), [True]),
+    "fit_log_slope ['1', '2', '4']": lambda g: rr.fit_log_slope(
+        ["1", "2", "4"], [True, 0.5, 0.25]),
+    "fit_log_slope errors True": lambda g: rr.fit_log_slope([1, 2, 4], [True, 0.5, 0.25]),
+    "rms_norm ['1', True]": lambda g: rr.rms_norm(["1", True]),
+    "choose_from_values [['1'], [True]]": lambda g: choose_from_values([["1"], [True]]),
+    "choose_from_values ragged": lambda g: choose_from_values([[1.0], [1.0, 2.0]]),
     "run_study probe_grid ['1']": lambda g: rr.run_study(rr.SimConfig(), probe_grid=["1"]),
     # empty inputs
     "run_study probe_grid []": lambda g: rr.run_study(rr.SimConfig(), probe_grid=[]),
     "rms_norm []": lambda g: rr.rms_norm([]),
+    "nearest_rank_quantile []": lambda g: nearest_rank_quantile([], 0.5),
+    "SimConfig.from_dict unknown key": lambda g: rr.SimConfig.from_dict({"size": 3}),
     "RegScheme lam '0.5'": lambda g: rr.RegScheme("iterated_lavrentiev", "0.5"),
     "RegScheme iterations True": lambda g: rr.RegScheme("iterated_lavrentiev", 0.5, True),
     "filter rows count 1.5": lambda g: iterated_filter_rows([0.5], 1.5, [0.0]),

@@ -162,7 +162,7 @@ def test_gram_diagonal_is_offset_plus_one(default_kernel, small_pair):
     xp, _, gram = small_pair
     k_matrix = rr.kernel_matrix(default_kernel, xp.points, xp.points)
     assert np.all(k_matrix.diagonal() == default_kernel.offset + 1.0)
-    assert gram.max_diagonal() == default_kernel.offset + 1.0
+    assert default_kernel.diagonal_value() == default_kernel.offset + 1.0
 
 
 def test_gram_frozen_f_bar_example(default_kernel):
@@ -181,6 +181,8 @@ def test_gram_tag_and_dim_validation(default_kernel):
         rr.assemble_gram(default_kernel, xp, rr.SampleSet([0.0], "p"))
     with pytest.raises(rr.InputError):
         rr.assemble_gram(default_kernel, rr.SampleSet([0.0], "q"), xq2)
+    with pytest.raises(rr.InputError, match="first sample"):
+        rr.assemble_gram(default_kernel, rr.SampleSet([0.0], "q"))
     with pytest.raises(rr.InputError):
         rr.assemble_gram(default_kernel, xp, xq2)
 
@@ -190,9 +192,6 @@ def test_gram_system_shape_validation(default_kernel):
     gram = rr.assemble_gram(default_kernel, rr.SampleSet([0.0, 1.0, 2.0], "p"))
     with pytest.raises(rr.InputError):
         dataclasses.replace(gram, f_bar=np.zeros(2))
-    for k_matrix in (np.eye(2), np.eye(4), np.ones((3, 2))):
-        with pytest.raises(rr.InputError):
-            dataclasses.replace(gram, k_matrix=k_matrix)
     with pytest.raises(rr.InputError):
         dataclasses.replace(gram, xq=rr.SampleSet([[0.0, 1.0]], "q"))
     with pytest.raises(rr.InputError):

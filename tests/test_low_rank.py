@@ -1,13 +1,12 @@
 """The low-rank spectral core of an assembled GramSystem against dense references.
 
-Every reference here diagonalizes or solves with the full kernel matrix,
-formed inside the test and set as the ``k_matrix`` of a copy of the system,
-which then always takes the dense path.
+Every reference here is a copy of the system that the ``dense_twin``
+fixture decomposes through the dense fallback, the ``eigh`` of the full
+K/n, so the fits and diagnostics on the copy take the dense path.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -20,11 +19,6 @@ from ratioreg.regularization import iterated_lavrentiev
 from ratioreg.selection import choose_from_values
 
 COUNTS = (1, 2, 3, 5, 10)
-
-
-def _dense_twin(gram):
-    return dataclasses.replace(
-        gram, k_matrix=rr.kernel_matrix(gram.kernel, gram.xp.points, gram.xp.points))
 
 
 def _pair(dim):
@@ -42,15 +36,15 @@ def _pair(dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_low_rank_matches_dense(dim):
+def test_low_rank_matches_dense(dim, dense_twin):
     """Values, alpha, mu and leverage agree with the dense eigendecomposition."""
     spec, xp, xq = _pair(dim)
     gram = rr.assemble_gram(spec, xp, xq)
-    dense = _dense_twin(gram)
+    dense = dense_twin(gram)
     t, basis = gram.eigensystem()
     assert basis.shape == (xp.n, t.size) and t.size < xp.n // 2
     assert np.abs(basis.T @ basis - np.eye(t.size)).max() <= 1e-13
-    top = float(np.linalg.eigvalsh(dense.k_matrix / dense.n)[-1])
+    top = float(np.linalg.eigvalsh(rr.kernel_matrix(spec, xp.points, xp.points) / xp.n)[-1])
     assert t[-1] == pytest.approx(top, rel=1e-13)
 
     lambdas = rr.LambdaGrid().with_anchor()
@@ -76,13 +70,13 @@ def test_low_rank_matches_dense(dim):
     probes = np.random.Generator(np.random.PCG64(3)).normal(size=(50, dim)) * 2.0
     lams = [0.9, 0.1, 0.01, 1e-3]
     got = rr.capacity_profile(reference, lams, probes)
-    want = rr.capacity_profile(_dense_twin(reference), lams, probes)
+    want = rr.capacity_profile(dense_twin(reference), lams, probes)
     np.testing.assert_allclose(got.n_inf, want.n_inf, rtol=1e-12, atol=0)
     np.testing.assert_allclose(got.n_eff, want.n_eff, rtol=1e-12, atol=0)
     assert got.lambda_star == pytest.approx(want.lambda_star, rel=1e-12)
 
 
-def test_dense_fallback_at_three_dimensions():
+def test_dense_fallback_at_three_dimensions(dense_twin):
     """Past the pivot cap the assembled system is the dense one, bit for bit."""
     spec = rr.KernelSpec()
     rng = np.random.Generator(np.random.PCG64(99))
@@ -91,7 +85,7 @@ def test_dense_fallback_at_three_dimensions():
     gram = rr.assemble_gram(spec, xp, xq)
     assert kernel._pivoted_cholesky(spec, xp.points, 0.0, int(kernel._PIVOT_CAP * xp.n)) \
         is None
-    dense = _dense_twin(gram)
+    dense = dense_twin(gram)
     for got, want in zip(gram.eigensystem(), dense.eigensystem()):
         assert got.shape == want.shape and np.array_equal(got, want)
     assert np.all(gram.split_rhs()[3] == 0.0)
@@ -124,7 +118,7 @@ def test_assembly_and_ladder_memory_is_o_nr(default_kernel):
     assert peak < n * n * 8 / 4
 
 
-def test_default_study_chooses_as_the_dense_ladder():
+def test_default_study_chooses_as_the_dense_ladder(dense_twin):
     """No chosen index of the default ``simulate --seed 0`` moves off the dense one."""
     config = rr.SimConfig()
     report = rr.run_study(config, threads=1)
@@ -138,7 +132,7 @@ def test_default_study_chooses_as_the_dense_ladder():
             xq = rr.sample_normal(mu_q, config.var_q, config.m, seed_q, "q")
             gram = rr.assemble_gram(config.kernel, xp, xq)
             assert gram.eigensystem()[0].size < config.n // 2  # the low-rank path
-            dense = _dense_twin(gram)
+            dense = dense_twin(gram)
             for k in config.k_list:
                 ladder = rr.fit_iterated_lavrentiev_ladder(
                     dense, config.grid.with_anchor(), k)

@@ -217,6 +217,13 @@ def test_constants_check_cutoff_holds():
     assert math.isinf(qual.margin)
 
 
+def test_constants_check_takes_an_unbounded_claim():
+    """qualification=inf is an unbounded claim: satisfied, with infinite margin."""
+    report = rr.check_scheme_constants(rr.lavrentiev(0.05), t_max=2.0, qualification=math.inf)
+    assert report.qualification == math.inf and report.all_satisfied
+    assert report.checks[-1].name == "qualification" and report.checks[-1].margin == math.inf
+
+
 def test_constants_check_flags_wrong_qualification():
     """A single shifted inversion cannot carry a qualification-2 claim."""
     report = rr.check_scheme_constants(rr.lavrentiev(0.05), t_max=2.0,

@@ -122,9 +122,9 @@ def test_quasi_optimality_decomposes_once(linalg_calls, small_pair):
     assert linalg_calls == ["eigh"]
 
 
-def test_quasi_optimality_indefinite_system_raises(default_kernel):
+def test_quasi_optimality_indefinite_system_raises(default_kernel, dense_twin):
     """K/n has eigenvalues 1.5 and -0.5; the ladder's bottom 0.1 leaves -0.4."""
-    gram = dataclasses.replace(
+    gram = dense_twin(
         rr.assemble_gram(default_kernel, rr.SampleSet([[0.0], [1.0]], "p"),
                          rr.SampleSet([[0.5]], "q")),
         k_matrix=np.array([[1.0, 2.0], [2.0, 1.0]]), f_bar=np.ones(2))
