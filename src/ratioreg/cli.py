@@ -180,7 +180,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                                   size=options["grid_size"]),
         seed=options["seed"],
         kernel=_kernel_from_options(options))
-    report = experiment.run_study(config, threads=options["threads"])
+    if options["threads"] is not None:
+        whole_number(options["threads"], "--threads")  # checked, then ignored
+    report = experiment.run_study(config)
     out_dir = options["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     experiment.save_report_json(report, os.path.join(out_dir, "report.json"))
@@ -303,7 +305,8 @@ _COMMANDS = {
         "rho": (float, _STUDY.grid.rho, "ladder ratio in (0,1) (default: (1/9)**(1/9))"),
         "grid_size": (int, _STUDY.grid.size, "ladder length below the anchor"),
         "seed": (int, _STUDY.seed, "master seed"),
-        "threads": (int, None, "worker threads (default: all available cores)"),
+        "threads": (int, None, "accepted and ignored, as the study runs in one "
+                               "thread; must be a whole number >= 1"),
         "out_dir": (None, ".", "output directory (default: current directory)"),
         **_KERNEL_FLAGS,
     }),

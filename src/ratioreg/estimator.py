@@ -230,16 +230,19 @@ def _filtered(gram: GramSystem, filter_rows, scale: float) -> np.ndarray:
     ``filter_rows`` maps the spectrum, t floored at zero with the
     complement's 0 last, to an array of rows h(t); the result has one
     row of n values per filter row.  Every spectral value and alpha comes
-    from here, so a row has the same bits whichever call computes it.
+    from here, so a row has the same bits whichever call computes it.  A
+    filter that overflows at a tiny strength gives inf or nan without a
+    warning; the callers' finiteness checks raise NumericalError for it.
     """
     _, basis, rotated, outside = gram.split_rhs()
-    rows = np.atleast_2d(filter_rows(np.concatenate([gram.spectrum(), [0.0]])))  # h(0) last
     height = max(-(-_FILTER_MIN_ENTRIES // gram.n), 11)
     rank = len(rotated)
-    weights = np.zeros((-(-len(rows) // height), height, rank))
-    np.multiply(rows[:, :-1], rotated / scale, out=weights.reshape(-1, rank)[:len(rows)])
-    out = (weights @ basis.T).reshape(-1, gram.n)[:len(rows)]
-    out += rows[:, -1:] * (outside / scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.atleast_2d(filter_rows(np.concatenate([gram.spectrum(), [0.0]])))  # h(0) last
+        weights = np.zeros((-(-len(rows) // height), height, rank))
+        np.multiply(rows[:, :-1], rotated / scale, out=weights.reshape(-1, rank)[:len(rows)])
+        out = (weights @ basis.T).reshape(-1, gram.n)[:len(rows)]
+        out += rows[:, -1:] * (outside / scale)
     return out
 
 

@@ -13,15 +13,13 @@ squared deviation over the reference sample,
 
 Every replication cell derives its own seed from (config.seed, mu_q,
 replication) through a SplitMix64 chain, so cells are independent,
-reproducible in isolation, and independent of execution order — running
-with any thread count produces byte-identical reports.
+reproducible in isolation, and independent of execution order; the
+study runs them one after another in a single thread.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -255,32 +253,21 @@ def _run_cell(config: SimConfig, mu_q: float, replication: int,
     return results
 
 
-def run_study(config: SimConfig, threads: int | None = None,
-              probe_grid=None) -> ExperimentReport:
+def run_study(config: SimConfig, probe_grid=None) -> ExperimentReport:
     """Run the full replication study.
 
-    ``threads`` bounds the worker pool (default: available cores); the
-    result is byte-identical for any value because cells are seeded
-    independently and sorted before aggregation.  ``probe_grid`` (1-d,
+    Cells are seeded independently and sorted before aggregation, so the
+    result depends on the inputs alone.  ``probe_grid`` (1-d,
     optional) additionally records each cell's maximum absolute
     pointwise error over that grid.
     """
-    threads = (os.cpu_count() or 1) if threads is None else whole_number(threads, "threads")
     grid_arr = None if probe_grid is None else _as_points(probe_grid, name="probe_grid")
     if grid_arr is not None and (grid_arr.size == 0 or grid_arr.shape[1] != 1):
         raise InputError(f"probe_grid must be a non-empty 1-d grid, got shape {grid_arr.shape}")
 
-    tasks = [(mu_q, rep) for mu_q in config.mu_q_list
-             for rep in range(config.replications)]
-    if threads == 1:
-        batches = [_run_cell(config, mu_q, rep, grid_arr) for mu_q, rep in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            batches = list(pool.map(
-                lambda task: _run_cell(config, task[0], task[1], grid_arr), tasks))
-
     cells = sorted(
-        (cell for batch in batches for cell in batch),
+        (cell for mu_q in config.mu_q_list for rep in range(config.replications)
+         for cell in _run_cell(config, mu_q, rep, grid_arr)),
         key=lambda c: (config.mu_q_list.index(c.mu_q), c.k, c.replication))
 
     report = ExperimentReport(

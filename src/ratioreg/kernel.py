@@ -42,7 +42,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -280,8 +281,6 @@ class GramSystem:
     xp: SampleSet
     xq: SampleSet | None
     f_bar: np.ndarray
-    _spectral: tuple[np.ndarray, ...] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.xp.measure_tag != "p":
@@ -335,15 +334,12 @@ class GramSystem:
         """(t, U, U^T f_bar, f_bar - U U^T f_bar): the eigensystem and f_bar split over it.
 
         The first call decomposes and the system keeps the four read-only
-        arrays; a failed decomposition is not kept.  No lock is taken:
-        threads that race on one system each decompose, to the same result,
-        and one of them is kept.
+        arrays; a failed decomposition is not kept.
         """
-        if self._spectral is None:
-            object.__setattr__(self, "_spectral", self._decompose())
-        return self._spectral
+        return self._decomposition
 
-    def _decompose(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    @cached_property
+    def _decomposition(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         factor = _pivoted_cholesky(self.kernel, self.xp.points,
                                    _PIVOT_TOL * self.kernel.diagonal_value(),
                                    int(_PIVOT_CAP * self.n))

@@ -79,16 +79,12 @@ class RegScheme:
 
     @property
     def half_order_bound(self) -> float:
-        """Bound c with sqrt(t) |g_lam(t)| <= c / sqrt(lam)."""
-        if self.kind == "spectral_cutoff":
-            return 1.0
+        """Bound c with sqrt(t) |g_lam(t)| <= c / sqrt(lam); 1 for cutoff, which stores k = 1."""
         return math.sqrt(self.iterations)
 
     @property
     def inverse_order_bound(self) -> float:
-        """Bound c with |g_lam(t)| <= c / lam."""
-        if self.kind == "spectral_cutoff":
-            return 1.0
+        """Bound c with |g_lam(t)| <= c / lam; 1 for cutoff, which stores k = 1."""
         return float(self.iterations)
 
     @property

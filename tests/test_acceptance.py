@@ -43,7 +43,7 @@ def criterion(capsys):
 @pytest.fixture(scope="module")
 def full_study():
     start = time.perf_counter()
-    report = rr.run_study(rr.SimConfig(), threads=1)
+    report = rr.run_study(rr.SimConfig())
     return report, time.perf_counter() - start
 
 

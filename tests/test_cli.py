@@ -191,6 +191,33 @@ def test_simulate_byte_deterministic(tmp_path, capsys):
         assert (c / name).read_bytes() == blob
 
 
+@pytest.mark.parametrize("flags, config, code", [
+    (["--threads", "1"], None, 0),
+    (["--threads", "4"], None, 0),
+    (["--threads", "0"], None, 2),
+    (["--threads", "-2"], None, 2),
+    (["--threads", "1.5"], None, 2),
+    (["--threads", "true"], None, 2),
+    ([], {"threads": 2.0}, 2),
+], ids=["1", "4", "0", "-2", "1.5", "true", "config 2.0"])
+def test_simulate_threads_is_checked_then_ignored(tmp_path, capsys, flags, config, code):
+    """A whole --threads >= 1 gives the bytes of a run without it; any other
+    value exits 2 with one JSON line and writes nothing."""
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        flags = ["--config", str(tmp_path / "config.json")]
+    assert run_simulate(tmp_path / "plain") == 0
+    capsys.readouterr()
+    assert run_simulate(tmp_path / "flagged", *flags) == code
+    if code == 0:
+        assert capsys.readouterr().err == ""
+        assert ((tmp_path / "flagged" / "report.json").read_bytes()
+                == (tmp_path / "plain" / "report.json").read_bytes())
+    else:
+        assert read_single_error_line(capsys)["error"] == "validation"
+        assert not (tmp_path / "flagged").exists()
+
+
 def test_simulate_custom_lists(tmp_path, capsys):
     code = main(["simulate", "--n", "20", "--m", "20", "--mu-q-list", "3",
                  "--k-list", "1,5", "--replications", "2", "--seed", "4",
@@ -551,7 +578,8 @@ def test_help_lists_defaults(capsys):
 
 
 # Runs command lines through ``python -m ratioreg`` (``runpy``) in one fresh
-# interpreter, then prints their exit codes and every loaded scipy module.
+# interpreter, then prints their exit codes and every loaded scipy and
+# concurrent module.
 FRESH_RUNS = """
 import json, runpy, sys
 import ratioreg.cli
@@ -562,8 +590,9 @@ for argv in json.loads(sys.argv[1]):
         runpy.run_module("ratioreg", run_name="__main__")
     except SystemExit as exc:
         codes.append(exc.code)
-print(json.dumps({"codes": codes, "scipy": sorted(
-    m for m in sys.modules if m.partition(".")[0] == "scipy")}))
+print(json.dumps({"codes": codes, **{package: sorted(
+    m for m in sys.modules if m.partition(".")[0] == package)
+    for package in ("scipy", "concurrent")}}))
 """
 
 
@@ -574,13 +603,15 @@ def run_fresh(command_lines, env):
 
 
 def test_cli_import_loads_no_scipy(subprocess_env):
-    """Importing the CLI loads no scipy module: only the Cholesky fit needs one."""
-    assert run_fresh([], subprocess_env) == {"codes": [], "scipy": []}
+    """Importing the CLI loads no scipy module, since only the Cholesky fit needs
+    one, and no concurrent module, since the study runs in one thread."""
+    assert run_fresh([], subprocess_env) == {"codes": [], "scipy": [], "concurrent": []}
 
 
 def test_commands_without_cholesky_fit_load_no_scipy(tmp_path, sample_files, small_pair,
                                                      subprocess_env):
-    """--help, capacity, evaluate, simulate and check-schemes never import scipy."""
+    """--help, capacity, evaluate, simulate and check-schemes never import scipy,
+    and none of them imports a concurrent module."""
     _, _, xp_path, _ = sample_files
     xp, _, gram = small_pair
     model_path = str(tmp_path / "model.json")
@@ -593,7 +624,8 @@ def test_commands_without_cholesky_fit_load_no_scipy(tmp_path, sample_files, sma
             ["simulate", "--n", "20", "--m", "20", "--replications", "1",
              "--out-dir", str(tmp_path / "study")],
             ["check-schemes"]]
-    assert run_fresh(runs, subprocess_env) == {"codes": [0] * len(runs), "scipy": []}
+    assert run_fresh(runs, subprocess_env) == {"codes": [0] * len(runs), "scipy": [],
+                                               "concurrent": []}
 
 
 def test_fit_imports_scipy_on_first_use(tmp_path, sample_files, subprocess_env):

@@ -8,8 +8,7 @@ failure) with exactly one JSON line on stderr holding ``error`` and
 
 Sizes stay small so each example runs in milliseconds: the base command
 lines use samples of a few points, and no drawn number exceeds 4 unless
-it is a float (which the integer flags reject), so ``--threads`` never
-asks for more than 4 threads.
+it is a float (which the integer flags reject).
 """
 
 from __future__ import annotations

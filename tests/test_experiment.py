@@ -151,7 +151,7 @@ def test_sim_config_round_trip():
 def test_run_study_shape_single_cell():
     config = rr.SimConfig(n=15, m=15, mu_q_list=(2.0,), k_list=(1,),
                           replications=1, seed=5)
-    report = rr.run_study(config, threads=1)
+    report = rr.run_study(config)
     assert len(report.cells) == 1
     cell = report.cells[0]
     assert cell.error is None
@@ -159,19 +159,19 @@ def test_run_study_shape_single_cell():
     assert cell.chosen_lambda in config.grid.values
 
 
-def test_run_study_deterministic_and_thread_independent(tmp_path):
+def test_run_study_deterministic(tmp_path):
     config = tiny_config()
     blobs = set()
-    for run, threads in enumerate((1, 2, 4, 2)):
+    for run in range(3):
         path = tmp_path / f"report{run}.json"
-        save_report_json(rr.run_study(config, threads=threads), path)
+        save_report_json(rr.run_study(config), path)
         blobs.add(path.read_bytes())
     assert len(blobs) == 1
 
 
 def test_run_study_cells_sorted_and_finite():
     config = tiny_config(mu_q_list=(2.0, 4.0))
-    report = rr.run_study(config, threads=2)
+    report = rr.run_study(config)
     keys = [(c.mu_q, c.k, c.replication) for c in report.cells]
     order = {2.0: 0, 4.0: 1}
     assert keys == sorted(keys, key=lambda t: (order[t[0]], t[1], t[2]))
@@ -180,7 +180,7 @@ def test_run_study_cells_sorted_and_finite():
 
 def test_run_study_box_recomputable():
     config = tiny_config(replications=5)
-    report = rr.run_study(config, threads=1)
+    report = rr.run_study(config)
     for k in config.k_list:
         raw = report.msd_values(2.0, k)
         assert report.box[repr(2.0)][str(k)] == box_stats(raw)
@@ -190,7 +190,7 @@ def test_run_study_matches_direct_selection(default_kernel):
     """A study cell must equal the stand-alone selection pipeline bit for bit."""
     config = rr.SimConfig(n=25, m=25, mu_q_list=(3.0,), k_list=(2,),
                           replications=1, seed=11)
-    report = rr.run_study(config, threads=1)
+    report = rr.run_study(config)
     cell = report.cells[0]
     bits = int(np.float64(3.0).view(np.uint64))
     xp = rr.sample_normal(2.0, 5.0, 25, derive_seed(11, bits, 0, 0), "p")
@@ -203,7 +203,7 @@ def test_run_study_matches_direct_selection(default_kernel):
 
 
 def test_run_study_golden_cells():
-    report = rr.run_study(rr.SimConfig(), threads=None)
+    report = rr.run_study(rr.SimConfig())
     cell2 = [c for c in report.cells
              if c.mu_q == 2.0 and c.k == 3 and c.replication == 0][0]
     assert cell2.msd == pytest.approx(GOLDEN_STUDY_MSD_MUQ2_K3_REP0, rel=1e-9)
@@ -217,8 +217,8 @@ def test_run_study_golden_cells():
 def test_run_study_median_stability_under_doubling():
     """Doubling the replication count (fresh derived seeds for the new
     half) must not move any box median by 50% or more."""
-    r20 = rr.run_study(rr.SimConfig(replications=20), threads=None)
-    r40 = rr.run_study(rr.SimConfig(replications=40), threads=None)
+    r20 = rr.run_study(rr.SimConfig(replications=20))
+    r40 = rr.run_study(rr.SimConfig(replications=40))
     for mu_q in (2.0, 3.0, 4.0):
         for k in (1, 2, 3, 5, 10):
             a = r20.box[repr(mu_q)][str(k)]["median"]
@@ -235,7 +235,7 @@ def test_run_study_isolates_cell_failures(monkeypatch):
         return real(gram, iterations, grid)
 
     monkeypatch.setattr(experiment, "quasi_optimality", flaky)
-    report = rr.run_study(tiny_config(), threads=1)
+    report = rr.run_study(tiny_config())
     failed = [c for c in report.cells if c.error is not None]
     fine = [c for c in report.cells if c.error is None]
     assert len(failed) == 2  # both k values of replication 1
@@ -249,7 +249,7 @@ def test_run_study_isolates_cell_failures(monkeypatch):
 
 def test_study_cell_decomposes_once(linalg_calls):
     """One eigendecomposition per draw covers every strength and every k."""
-    rr.run_study(tiny_config(k_list=(1, 2, 3)), threads=1)
+    rr.run_study(tiny_config(k_list=(1, 2, 3)))
     assert linalg_calls == ["eigh", "eigh"]  # two replications
 
 
@@ -267,7 +267,7 @@ def test_run_study_isolates_indefinite_systems(monkeypatch, dense_twin):
         return dense_twin(gram, k_matrix=k_matrix)
 
     monkeypatch.setattr(experiment, "assemble_gram", indefinite)
-    report = rr.run_study(tiny_config(), threads=1)
+    report = rr.run_study(tiny_config())
     failed = [c for c in report.cells if c.error is not None]
     assert [c.replication for c in failed] == [0, 0]
     bottom = min(tiny_config().grid.values)
@@ -279,7 +279,7 @@ def test_run_study_isolates_indefinite_systems(monkeypatch, dense_twin):
 
 
 def test_report_json_round_trip(tmp_path):
-    report = rr.run_study(tiny_config(), threads=1)
+    report = rr.run_study(tiny_config())
     path = tmp_path / "report.json"
     experiment.save_report_json(report, path)
     raw = load_json(path, "report file")
@@ -291,7 +291,7 @@ def test_report_json_round_trip(tmp_path):
 
 
 def test_report_csv_outputs(tmp_path):
-    report = rr.run_study(tiny_config(), threads=1)
+    report = rr.run_study(tiny_config())
     rep_path = tmp_path / "replications.csv"
     box_path = tmp_path / "box.csv"
     save_report_csv(report, rep_path)
@@ -311,11 +311,11 @@ def test_report_csv_outputs(tmp_path):
 def test_probe_grid_errors_recorded():
     config = tiny_config(k_list=(1,))
     grid = np.linspace(-2.0, 6.0, 21)
-    report = rr.run_study(config, threads=1, probe_grid=grid)
+    report = rr.run_study(config, probe_grid=grid)
     assert report.probe_grid == tuple(grid.tolist())
     assert all(c.max_pointwise_error is not None and c.max_pointwise_error >= 0.0
                for c in report.cells)
-    plain = rr.run_study(config, threads=1)
+    plain = rr.run_study(config)
     assert all(c.max_pointwise_error is None for c in plain.cells)
 
 

@@ -129,7 +129,6 @@ BAD_CALLS = {
         [4, 8], **dict(RATE, iterations=1.5)),
     "run_rate_study replications True": lambda g: rr.run_rate_study(
         [4, 8], **dict(RATE, replications=True)),
-    "run_study threads 1.5": lambda g: rr.run_study(rr.SimConfig(), threads=1.5),
     # seeds: whole numbers, non-negative where they reach PCG64 directly
     "SimConfig seed 1.5": lambda g: rr.SimConfig(seed=1.5),
     "SimConfig seed True": lambda g: rr.SimConfig(seed=True),
@@ -191,6 +190,19 @@ def test_cli_rejects_non_finite_values(tmp_path, subprocess_env, argv):
     assert len(lines) == 1, run.stderr
     assert json.loads(lines[0])["error"] == "validation"
     assert not (tmp_path / "report.json").exists()
+
+
+def test_overflowing_ladder_fails_its_cell_without_warnings(tmp_path, subprocess_env):
+    """A ladder whose filters overflow at lam = 1e-318 records the cell as a
+    NumericalError and prints no numpy RuntimeWarning."""
+    run = subprocess.run([sys.executable, "-m", "ratioreg", "simulate", "--n", "10",
+                          "--m", "10", "--mu-q-list", "3", "--k-list", "1",
+                          "--replications", "1", "--lambda-0", "1e-300", "--rho", "1e-9",
+                          "--grid-size", "2"], cwd=tmp_path, env=subprocess_env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0 and run.stderr == "", run.stderr
+    (cell,) = json.loads((tmp_path / "report.json").read_text())["cells"]
+    assert cell["error"].startswith("NumericalError")
 
 
 def test_evaluate_rejects_model_entries_that_are_not_numbers(tmp_path, subprocess_env,

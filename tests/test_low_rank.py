@@ -121,7 +121,7 @@ def test_assembly_and_ladder_memory_is_o_nr(default_kernel):
 def test_default_study_chooses_as_the_dense_ladder(dense_twin):
     """No chosen index of the default ``simulate --seed 0`` moves off the dense one."""
     config = rr.SimConfig()
-    report = rr.run_study(config, threads=1)
+    report = rr.run_study(config)
     chosen = {(c.mu_q, c.k, c.replication): c.chosen_index for c in report.cells}
     flips = 0
     for mu_q in config.mu_q_list:
