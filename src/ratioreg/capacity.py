@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, positive_real, save_csv, whole_number
+from .errors import InputError, NumericalError, positive_real, save_csv, whole_number
 from .kernel import (GramSystem, SampleSet, _as_points, _check_shift, _outside_span,
                      _row_blocks, kernel_matrix)
 
@@ -61,19 +61,23 @@ def _probes(gram: GramSystem, points) -> np.ndarray:
 
 
 def _leverages(gram: GramSystem, lams: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """C_lam as a (len(lams), len(probes)) array."""
+    """C_lam as a (len(lams), len(probes)) array; NumericalError where 1/lam overflows."""
     t, u = gram.eigensystem()
     _check_shift(float(lams.min()), t)
-    inverse = 1.0 / (lams[:, None] + t)
     quad = np.empty((lams.size, probes.shape[0]))
-    for cols in _row_blocks(probes.shape[0], gram.n):
-        cross = kernel_matrix(gram.kernel, gram.xp.points, probes[cols])
-        weights = u.T @ cross
-        outside = _outside_span(u, cross, weights)
-        np.square(weights, out=weights)
-        quad[:, cols] = inverse @ weights + np.outer(
-            1.0 / lams, np.einsum("ip,ip->p", outside, outside))
-    return (gram.kernel.diagonal_value() - quad / gram.n) / lams[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below, not warned
+        inverse = 1.0 / (lams[:, None] + t)
+        for cols in _row_blocks(probes.shape[0], gram.n):
+            cross = kernel_matrix(gram.kernel, gram.xp.points, probes[cols])
+            weights = u.T @ cross
+            outside = _outside_span(u, cross, weights)
+            np.square(weights, out=weights)
+            quad[:, cols] = inverse @ weights + np.outer(
+                1.0 / lams, np.einsum("ip,ip->p", outside, outside))
+        leverages = (gram.kernel.diagonal_value() - quad / gram.n) / lams[:, None]
+    if not np.isfinite(leverages).all():
+        raise NumericalError("non-finite regularized leverage", lam=float(lams.min()))
+    return leverages
 
 
 def christoffel(gram: GramSystem, lam: float, x) -> float:

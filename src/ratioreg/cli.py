@@ -334,8 +334,8 @@ _COMMANDS = {
         "kind": (None, "iterated_lavrentiev", "scheme kind"),
         "lam": (float, 0.2, "regularization strength"),
         "iterations": (int, 3, "iteration count"),
-        "t_max": (float, 2.0, "right end of the spectral grid (default: 2.0, "
-                              "the diagonal value of the default kernel)"),
+        "t_max": (float, _KERNEL.diagonal_value(), "right end of the spectral grid (default: "
+                  f"{_KERNEL.diagonal_value()}, the diagonal value of the default kernel)"),
         "grid_size": (int, 2000, "log-grid resolution"),
         "qualification": (float, None, "override the qualification order to test a "
                                        "claim (default: the scheme's own)"),

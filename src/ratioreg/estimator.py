@@ -60,7 +60,9 @@ are one filtered sum
 with (h, s) = (g_lam, n) for the values and (q_lam, n^2) for alpha.  One
 routine forms that sum for ``fit_spectral`` and for every strength of a
 ladder at one iteration count, in products of one shape per system, so a
-ladder's row at lam has the bits of ``fit_spectral`` at lam.  The
+ladder's row at lam has the bits of ``fit_spectral`` at lam.  Selection
+reads the ladder alone and builds no model: ``fit_spectral`` and
+``RatioModel.from_dict`` are the only code that builds a spectral one.  The
 iterated scheme's two paths agree in exact arithmetic; the spectral one
 also covers filters with no iterative form, such as cutoff.  A single
 (lam, k) fit (``fit``, ``rates``) keeps the Cholesky recursion, whose
@@ -246,25 +248,21 @@ def _filtered(gram: GramSystem, filter_rows, scale: float) -> np.ndarray:
     return out
 
 
-def _spectral_model(gram: GramSystem, scheme: RegScheme, values: np.ndarray) -> RatioModel:
-    """The model of ``scheme`` with the given values at xp; alpha is q_lam(K/n) f_bar / n^2."""
+def fit_spectral(gram: GramSystem, scheme: RegScheme) -> RatioModel:
+    """Fit by applying an arbitrary spectral filter to the kernel spectrum.
+
+    Uses the system's eigensystem of K/n; the filter is applied to the
+    eigenvalues floored at zero (``GramSystem.spectrum``).  The values at
+    xp are g_lam(K/n) f_bar / n and alpha is q_lam(K/n) f_bar / n^2.
+    """
+    _check_target(gram)
+    values = _filtered(gram, partial(filter_value, scheme), gram.n)[0]
     alpha = _filtered(gram, partial(filter_quotient_value, scheme), gram.n**2)[0]
     if not (np.isfinite(values).all() and np.isfinite(alpha).all()):
         raise NumericalError("non-finite spectral fit", lam=scheme.lam)
     return RatioModel(kernel=gram.kernel, scheme=scheme, xp_points=gram.xp.points,
                       xq_points=gram.xq.points, alpha=alpha,
                       mu_coeff=filter_value(scheme, 0.0), values_at_xp=values)
-
-
-def fit_spectral(gram: GramSystem, scheme: RegScheme) -> RatioModel:
-    """Fit by applying an arbitrary spectral filter to the kernel spectrum.
-
-    Uses the system's eigensystem of K/n; the filter is applied to the
-    eigenvalues floored at zero (``GramSystem.spectrum``).
-    """
-    _check_target(gram)
-    values = _filtered(gram, partial(filter_value, scheme), gram.n)[0]
-    return _spectral_model(gram, scheme, values)
 
 
 def fit_iterated_lavrentiev_ladder(gram: GramSystem, lambdas: Iterable[float],

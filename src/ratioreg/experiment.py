@@ -26,8 +26,9 @@ import numpy as np
 
 from .errors import (InputError, NumericalError, finite_array, finite_real, positive_real,
                      require_keys, save_csv, save_json, whole_number)
-from .estimator import RatioModel, evaluate_batch, fit_iterated_lavrentiev
+from .estimator import evaluate_batch, fit_iterated_lavrentiev, fit_spectral
 from .kernel import KernelSpec, SampleSet, _as_points, assemble_gram
+from .regularization import iterated_lavrentiev
 from .selection import LambdaGrid, lambda_mn, quasi_optimality
 
 # The benchmark's Gaussians: reference N(MU_P, VAR_P), target N(mu_q, VAR_Q).
@@ -91,14 +92,15 @@ def sample_normal(mu: float, var: float, count: int, seed: int,
     return SampleSet(points=points.reshape(-1, 1), measure_tag=measure_tag, seed=seed)
 
 
-def msd(model: RatioModel, mu_q: float, mu_p: float = MU_P, var_p: float = VAR_P,
+def msd(points, values, mu_q: float, mu_p: float = MU_P, var_p: float = VAR_P,
         var_q: float = VAR_Q) -> float:
-    """Mean squared deviation from the exact ratio over the reference points."""
-    if model.xp_points.shape[1] != 1:
-        raise InputError("msd is defined for 1-d studies; model has "
-                         f"dimension {model.xp_points.shape[1]}")
-    truth = true_beta(model.xp_points[:, 0], mu_q, mu_p, var_p, var_q)
-    return float(np.mean((truth - model.values_at_xp) ** 2))
+    """Mean squared deviation of fitted ``values`` from the exact ratio at (n, 1) ``points``."""
+    pts, fitted = finite_array(points, "points"), finite_array(values, "values")
+    if pts.ndim != 2 or pts.shape[1] != 1 or fitted.shape != pts.shape[:1] or not fitted.size:
+        raise InputError("msd takes n >= 1 points of a 1-d study as (n, 1) and n values, "
+                         f"got shapes {pts.shape} and {fitted.shape}")
+    truth = true_beta(pts[:, 0], mu_q, mu_p, var_p, var_q)
+    return float(np.mean((truth - fitted) ** 2))
 
 
 def nearest_rank_quantile(sorted_values, fraction: float) -> float:
@@ -228,6 +230,10 @@ def _run_cell(config: SimConfig, mu_q: float, replication: int,
         xq = sample_normal(mu_q, config.var_q, config.m, seed_q, "q")
         gram = assemble_gram(config.kernel, xp, xq)
         traces = [quasi_optimality(gram, k, config.grid) for k in config.k_list]
+        # msd reads the ladder's row; only the probe grid needs a model's expansion
+        models = [None if probe_grid is None
+                  else fit_spectral(gram, iterated_lavrentiev(trace.chosen_lambda, k))
+                  for k, trace in zip(config.k_list, traces)]
     except (InputError, NumericalError) as exc:
         message = f"{type(exc).__name__}: {exc}"
         return [CellResult(mu_q=mu_q, k=k, replication=replication,
@@ -235,22 +241,14 @@ def _run_cell(config: SimConfig, mu_q: float, replication: int,
                            error=message)
                 for k in config.k_list]
 
-    truth_on_grid = (true_beta(probe_grid[:, 0], mu_q, config.mu_p, config.var_p,
-                               config.var_q)
-                     if probe_grid is not None else None)
-    results = []
-    for k, trace in zip(config.k_list, traces):
-        model = trace.chosen_model
-        cell_msd = msd(model, mu_q, config.mu_p, config.var_p, config.var_q)
-        max_err = None
-        if probe_grid is not None:
-            fitted = evaluate_batch(model, probe_grid)
-            max_err = float(np.abs(truth_on_grid - fitted).max())
-        results.append(CellResult(
-            mu_q=mu_q, k=k, replication=replication,
-            chosen_lambda=trace.chosen_lambda, chosen_index=trace.chosen_index,
-            msd=cell_msd, max_pointwise_error=max_err))
-    return results
+    ratio = (mu_q, config.mu_p, config.var_p, config.var_q)
+    truth_on_grid = None if probe_grid is None else true_beta(probe_grid[:, 0], *ratio)
+    return [CellResult(mu_q=mu_q, k=k, replication=replication,
+                       chosen_lambda=trace.chosen_lambda, chosen_index=trace.chosen_index,
+                       msd=msd(xp.points, trace.chosen_values, *ratio),
+                       max_pointwise_error=None if model is None else float(
+                           np.abs(truth_on_grid - evaluate_batch(model, probe_grid)).max()))
+            for k, trace, model in zip(config.k_list, traces, models)]
 
 
 def run_study(config: SimConfig, probe_grid=None) -> ExperimentReport:
@@ -385,9 +383,7 @@ def run_rate_study(n_list, eta: float, varsigma: float, iterations: int,
             model = fit_iterated_lavrentiev(gram, lam, iterations)
             fitted_at_probe = float(evaluate_batch(model, [[probe]])[0])
             point_errors.append(abs(truth_at_probe - fitted_at_probe))
-            truth = true_beta(xp.points[:, 0], mu_q)
-            rms_errors.append(float(np.sqrt(np.mean(
-                (truth - model.values_at_xp) ** 2))))
+            rms_errors.append(math.sqrt(msd(xp.points, model.values_at_xp, mu_q)))
         point_meds.append(nearest_rank_quantile(sorted(point_errors), 0.5))
         rms_meds.append(nearest_rank_quantile(sorted(rms_errors), 0.5))
 

@@ -17,9 +17,11 @@ holder of the kernel and both samples, and all the fits share the
 system's eigensystem of K/n, r eigenpairs from a pivoted Cholesky factor
 (see ``kernel.GramSystem.eigensystem``): the whole ladder costs an
 (L x r) @ (r x n) product and O(n r) memory besides that factor, never
-forms the n x n kernel matrix, and returns the (L, n) values from which
-the chosen model takes its row (``estimator.fit_iterated_lavrentiev_ladder``).
-The system keeps its eigensystem, so selecting at several counts factors once.
+forms the n x n kernel matrix, and returns the (L, n) values
+(``estimator.fit_iterated_lavrentiev_ladder``).  The trace keeps the row
+at the chosen strength and builds no model; ``estimator.fit_spectral`` at
+that strength gives one whose values have the row's bits.  The system
+keeps its eigensystem, so selecting at several counts factors once.
 
 The a-priori strength for sample sizes (m, n) under a polynomial source
 condition of order eta and an embedding index varsigma is
@@ -38,9 +40,8 @@ import numpy as np
 
 from .errors import (InputError, finite_array, finite_real, positive_real, require_keys,
                      whole_number)
-from .estimator import RatioModel, _spectral_model, fit_iterated_lavrentiev_ladder
+from .estimator import fit_iterated_lavrentiev_ladder
 from .kernel import GramSystem
-from .regularization import iterated_lavrentiev
 
 
 @dataclass(frozen=True)
@@ -83,20 +84,21 @@ class LambdaGrid:
 
 @dataclass(frozen=True)
 class SelectionTrace:
-    """Everything the quasi-optimality rule looked at, and the model it chose.
+    """Everything the quasi-optimality rule looked at, and what it chose.
 
     ``diffs[i]`` is the consecutive difference ending at
     ``grid.values[i]``; ``chosen_index`` indexes into ``grid.values``, and
-    ``chosen_model`` is the fit at that strength.  ``at_boundary`` flags a
-    choice on the first or last rung, where the rule's minimum may lie
-    outside the ladder.
+    ``chosen_values`` is the ladder's row at that strength, the fitted
+    values at the reference points.  ``at_boundary`` flags a choice on
+    the first or last rung, where the rule's minimum may lie outside the
+    ladder.
     """
 
     grid: LambdaGrid
     diffs: tuple[float, ...]
     chosen_index: int
     chosen_lambda: float
-    chosen_model: RatioModel
+    chosen_values: np.ndarray
 
     @property
     def at_boundary(self) -> bool:
@@ -138,15 +140,14 @@ def quasi_optimality(gram: GramSystem, iterations: int,
     Fits the iterated scheme at every ladder strength (anchor included)
     from the eigensystem of ``gram``, minimizes the consecutive difference
     of fitted value vectors in the root-mean-square norm on the reference
-    sample, and builds the model at the chosen strength.
+    sample, and keeps the values at the chosen strength.
     """
     grid = LambdaGrid() if grid is None else grid
     values = fit_iterated_lavrentiev_ladder(gram, grid.with_anchor(), iterations)
     diffs, chosen = choose_from_values(values)
-    scheme = iterated_lavrentiev(grid.values[chosen], iterations)
-    model = _spectral_model(gram, scheme, values[chosen + 1])  # +1 skips the anchor
     return SelectionTrace(grid=grid, diffs=diffs, chosen_index=chosen,
-                          chosen_lambda=grid.values[chosen], chosen_model=model)
+                          chosen_lambda=grid.values[chosen],
+                          chosen_values=values[chosen + 1])  # +1 skips the anchor
 
 
 def lambda_mn(m: int, n: int, eta: float, varsigma: float) -> float:

@@ -467,7 +467,8 @@ def test_config_file_holding_a_list_rejected(tmp_path, capsys):
 
 
 def test_evaluate_rejects_model_without_scheme(tmp_path, fitted_model, capsys):
-    data = json.loads(open(fitted_model).read())
+    with open(fitted_model) as handle:
+        data = json.load(handle)
     del data["scheme"]
     broken = tmp_path / "no_scheme.json"
     broken.write_text(json.dumps(data))

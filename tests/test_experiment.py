@@ -88,34 +88,25 @@ def test_derive_seed_is_stable_and_sensitive():
     assert derive_seed(5) != derive_seed(5, 0)
 
 
-def test_msd_zero_for_exact_values(default_kernel, small_pair):
-    xp, xq, gram = small_pair
+def test_msd_zero_for_exact_values(small_pair):
+    xp = small_pair[0]
     truth = rr.true_beta(xp.points[:, 0], 3.0)
-    model = rr.RatioModel(kernel=default_kernel, scheme=rr.lavrentiev(0.1),
-                          xp_points=xp.points, xq_points=xq.points,
-                          alpha=np.zeros(gram.n), mu_coeff=0.0,
-                          values_at_xp=truth)
-    assert rr.msd(model, 3.0) == 0.0
+    assert rr.msd(xp.points, truth, 3.0) == 0.0
 
 
-def test_msd_constant_offset_squares(default_kernel, small_pair):
-    xp, xq, gram = small_pair
+def test_msd_constant_offset_squares(small_pair):
+    xp = small_pair[0]
     truth = rr.true_beta(xp.points[:, 0], 3.0)
-    model = rr.RatioModel(kernel=default_kernel, scheme=rr.lavrentiev(0.1),
-                          xp_points=xp.points, xq_points=xq.points,
-                          alpha=np.zeros(gram.n), mu_coeff=0.0,
-                          values_at_xp=truth + 0.5)
-    assert rr.msd(model, 3.0) == pytest.approx(0.25, rel=1e-12)
+    assert rr.msd(xp.points, truth + 0.5, 3.0) == pytest.approx(0.25, rel=1e-12)
 
 
-def test_msd_requires_1d(default_kernel):
-    pts = np.zeros((4, 2))
-    model = rr.RatioModel(kernel=default_kernel, scheme=rr.lavrentiev(0.1),
-                          xp_points=pts, xq_points=pts,
-                          alpha=np.zeros(4), mu_coeff=0.0,
-                          values_at_xp=np.zeros(4))
-    with pytest.raises(rr.InputError):
-        rr.msd(model, 2.0)
+def test_msd_requires_1d():
+    """msd takes the (n, 1) points of a 1-d study, n >= 1, and one number per point."""
+    for points, values in [(np.zeros((4, 2)), np.zeros(4)), (np.zeros(4), np.zeros(4)),
+                           (np.zeros((4, 1)), np.zeros(3)), (np.zeros((0, 1)), np.zeros(0)),
+                           (np.zeros((2, 1)), [0.0, True])]:
+        with pytest.raises(rr.InputError):
+            rr.msd(points, values, 2.0)
 
 
 def test_nearest_rank_quantiles():
@@ -199,7 +190,7 @@ def test_run_study_matches_direct_selection(default_kernel):
     trace = rr.quasi_optimality(gram, 2)
     assert cell.chosen_index == trace.chosen_index
     assert cell.chosen_lambda == trace.chosen_lambda
-    assert cell.msd == rr.msd(trace.chosen_model, 3.0)
+    assert cell.msd == rr.msd(xp.points, trace.chosen_values, 3.0)
 
 
 def test_run_study_golden_cells():
@@ -317,6 +308,20 @@ def test_probe_grid_errors_recorded():
                for c in report.cells)
     plain = rr.run_study(config)
     assert all(c.max_pointwise_error is None for c in plain.cells)
+
+
+def test_run_study_builds_no_model_without_a_probe_grid(monkeypatch):
+    """Selection and msd read the ladder's values alone: without a probe grid the
+    study neither builds a model nor filters for its expansion."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the study built a model")
+
+    for module in (rr.estimator, rr.selection, experiment):
+        for name in ("RatioModel", "filter_quotient_value"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    report = rr.run_study(tiny_config())
+    assert report.failures == 0 and all(c.msd is not None for c in report.cells)
 
 
 def test_fit_log_slope_recovers_exact_exponent():

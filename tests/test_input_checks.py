@@ -205,6 +205,22 @@ def test_overflowing_ladder_fails_its_cell_without_warnings(tmp_path, subprocess
     assert cell["error"].startswith("NumericalError")
 
 
+def test_overflowing_capacity_exits_3_without_warnings(tmp_path, subprocess_env):
+    """Strengths near 1e-300 overflow 1/lam in the leverage: exit 3 with one JSON
+    line, no numpy RuntimeWarning and no profile CSV, not a -inf n_inf."""
+    rr.save_samples_csv(rr.sample_normal(2.0, 5.0, 300, seed=0), tmp_path / "xp.csv")
+    run = subprocess.run([sys.executable, "-m", "ratioreg", "capacity", "--xp", "xp.csv",
+                          "--lambda-min", "1e-300", "--lambda-max", "1e-299",
+                          "--out", "profile.csv"], cwd=tmp_path, env=subprocess_env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 3, run.stdout + run.stderr
+    assert run.stdout == ""
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1, run.stderr
+    assert json.loads(lines[0])["error"] == "numerical"
+    assert not (tmp_path / "profile.csv").exists()
+
+
 def test_evaluate_rejects_model_entries_that_are_not_numbers(tmp_path, subprocess_env,
                                                             small_pair):
     """A model whose alpha holds true and "0.5" exits 2, not evaluated as 1.0 and 0.5."""

@@ -83,7 +83,8 @@ def test_quasi_optimality_golden(benchmark_pair):
     assert trace.chosen_lambda == pytest.approx(GOLDEN_CHOSEN_LAMBDA, rel=1e-12)
     assert len(trace.diffs) == 9
     refit = rr.fit_iterated_lavrentiev(gram, trace.chosen_lambda, 3)
-    assert rr.msd(refit, 3.0) == pytest.approx(GOLDEN_REFIT_MSD, rel=1e-9)
+    assert rr.msd(gram.xp.points, refit.values_at_xp, 3.0) == pytest.approx(
+        GOLDEN_REFIT_MSD, rel=1e-9)
 
 
 def test_quasi_optimality_chosen_lambda_is_grid_value(small_pair):
@@ -101,18 +102,15 @@ def test_quasi_optimality_deterministic_bytes(small_pair):
     assert (one.chosen_index, one.chosen_lambda) == (two.chosen_index, two.chosen_lambda)
 
 
-def test_quasi_optimality_carries_chosen_model(small_pair):
-    """The trace's model is the ladder's rung and ``fit_spectral`` at the chosen
-    strength, bit for bit."""
+def test_quasi_optimality_carries_chosen_values(small_pair):
+    """The trace's values are the ladder's rung and the values of ``fit_spectral``
+    at the chosen strength, bit for bit."""
     gram = small_pair[2]
     trace = rr.quasi_optimality(gram, 2)
     ladder = rr.fit_iterated_lavrentiev_ladder(gram, trace.grid.with_anchor(), 2)
     want = rr.fit_spectral(gram, rr.iterated_lavrentiev(trace.chosen_lambda, 2))
-    got = trace.chosen_model
-    assert got.scheme == want.scheme
-    assert np.array_equal(got.values_at_xp, ladder[trace.chosen_index + 1])
-    assert np.array_equal(got.values_at_xp, want.values_at_xp)
-    assert np.array_equal(got.alpha, want.alpha) and got.mu_coeff == want.mu_coeff
+    assert np.array_equal(trace.chosen_values, ladder[trace.chosen_index + 1])
+    assert np.array_equal(trace.chosen_values, want.values_at_xp)
 
 
 def test_quasi_optimality_decomposes_once(linalg_calls, small_pair):
@@ -140,7 +138,7 @@ def test_trace_flags_choice_on_ladder_edge():
     flags = []
     for index in range(4):
         trace = rr.SelectionTrace(grid=grid, diffs=(1.0,) * 4, chosen_index=index,
-                                  chosen_lambda=grid.values[index], chosen_model=None)
+                                  chosen_lambda=grid.values[index], chosen_values=None)
         flags.append(trace.at_boundary)
     assert flags == [True, False, False, True]
 
