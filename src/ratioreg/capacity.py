@@ -83,9 +83,11 @@ def _leverages(gram: GramSystem, lams: np.ndarray, probes: np.ndarray) -> np.nda
 def christoffel(gram: GramSystem, lam: float, x) -> float:
     """Regularized leverage C_lam(x) of a single point.
 
-    Non-negative in exact arithmetic; tiny negative values (above about
-    -1e-10 on unit-scale kernels) can appear through cancellation and
-    are returned as computed.
+    Non-negative in exact arithmetic.  At the strengths the tests check
+    (lam >= 0.01) computed values stay above -1e-10.  Far below the pivot
+    truncation level of ``GramSystem.eigensystem`` the truncation error
+    over lam takes over, and values are returned as computed: they can be
+    large and negative (ROADMAP item 3).
     """
     probe = _probes(gram, _as_points(x, name="x").reshape(1, -1))
     return float(_leverages(gram, np.array([positive_real(lam, "lam")]), probe)[0, 0])
@@ -98,16 +100,6 @@ def effective_dimension(gram: GramSystem, lam: float) -> float:
     """
     lam = positive_real(lam, "lam")
     return _n_eff(gram.spectrum(), lam)
-
-
-def n_inf_estimate(gram: GramSystem, lam: float, probe_points) -> float:
-    """Sup-norm capacity estimate: max regularized leverage over probes.
-
-    The reference points themselves are always included in the scan, so
-    the estimate is never below the in-sample maximum.
-    """
-    scan = np.vstack([_probes(gram, probe_points), gram.xp.points])
-    return float(_leverages(gram, np.array([positive_real(lam, "lam")]), scan).max())
 
 
 def find_lambda_star(gram: GramSystem, bracket: tuple[float, float] | None = None) -> float:

@@ -236,7 +236,7 @@ def _filtered(gram: GramSystem, filter_rows, scale: float) -> np.ndarray:
     filter that overflows at a tiny strength gives inf or nan without a
     warning; the callers' finiteness checks raise NumericalError for it.
     """
-    _, basis, rotated, outside = gram.split_rhs()
+    _, basis, rotated, outside = gram.split_rhs
     height = max(-(-_FILTER_MIN_ENTRIES // gram.n), 11)
     rank = len(rotated)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -311,8 +311,3 @@ def evaluate_batch(model: RatioModel, points) -> np.ndarray:
         k_target = kernel_matrix(model.kernel, pts[rows], model.xq_points)
         values[rows] = k_ref @ model.alpha + model.mu_coeff * k_target.mean(axis=1)
     return values
-
-
-def evaluate(model: RatioModel, x) -> float:
-    """Evaluate the fitted ratio at a single point."""
-    return float(evaluate_batch(model, _as_points(x, name="x").reshape(1, -1))[0])

@@ -89,7 +89,7 @@ def sample_normal(mu: float, var: float, count: int, seed: int,
     seed = whole_number(seed, "seed", minimum=0)  # PCG64 takes no negative seed
     rng = np.random.Generator(np.random.PCG64(seed))
     points = mu + math.sqrt(var) * rng.standard_normal(count)
-    return SampleSet(points=points.reshape(-1, 1), measure_tag=measure_tag, seed=seed)
+    return SampleSet(points=points.reshape(-1, 1), measure_tag=measure_tag)
 
 
 def msd(points, values, mu_q: float, mu_p: float = MU_P, var_p: float = VAR_P,

@@ -148,7 +148,6 @@ class SampleSet:
 
     points: np.ndarray
     measure_tag: str
-    seed: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "points", _as_points(self.points))
@@ -300,10 +299,6 @@ class GramSystem:
     def n(self) -> int:
         return self.xp.n
 
-    @property
-    def m(self) -> int | None:
-        return None if self.xq is None else self.xq.n
-
     def dense(self) -> np.ndarray:
         """A fresh, writable, Fortran-contiguous K for LAPACK to work on in place.
 
@@ -320,7 +315,7 @@ class GramSystem:
         cap K/n is diagonalized densely (r = n).  The arrays are read-only
         and come from ``split_rhs``.
         """
-        return self.split_rhs()[:2]
+        return self.split_rhs[:2]
 
     def spectrum(self) -> np.ndarray:
         """The eigenvalues t of K/n floored at zero, which absorbs the eigensolver's rounding.
@@ -328,18 +323,15 @@ class GramSystem:
         The filters, N(lam) and the balance point read this; the shift check
         and the leverages read the unclipped t.
         """
-        return np.maximum(self.split_rhs()[0], 0.0)
+        return np.maximum(self.split_rhs[0], 0.0)
 
+    @cached_property
     def split_rhs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(t, U, U^T f_bar, f_bar - U U^T f_bar): the eigensystem and f_bar split over it.
 
-        The first call decomposes and the system keeps the four read-only
+        The first read decomposes and the system keeps the four read-only
         arrays; a failed decomposition is not kept.
         """
-        return self._decomposition
-
-    @cached_property
-    def _decomposition(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         factor = _pivoted_cholesky(self.kernel, self.xp.points,
                                    _PIVOT_TOL * self.kernel.diagonal_value(),
                                    int(_PIVOT_CAP * self.n))

@@ -104,10 +104,6 @@ class RegScheme:
                          iterations=data.get("k", 1))
 
 
-def lavrentiev(lam: float) -> RegScheme:
-    return iterated_lavrentiev(lam, 1)
-
-
 def iterated_lavrentiev(lam: float, iterations: int) -> RegScheme:
     return RegScheme(kind="iterated_lavrentiev", lam=lam, iterations=iterations)
 
@@ -125,6 +121,30 @@ def _as_spectrum(t) -> tuple[np.ndarray, bool]:
     return arr, scalar
 
 
+def _geometric_sum(lams, t: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_r weights[r] * rho**r, lam + t) with rho = lam / (lam + t), one row per strength.
+
+    The one power loop of the iterated scheme: weights 1 give g, k - r give q.
+    """
+    lam = np.asarray(lams, dtype=float)[:, None]
+    shifted = lam + t
+    ratio = lam / shifted
+    total = np.zeros(shifted.shape)
+    power = np.ones(shifted.shape)
+    for weight in weights:
+        total = total + weight * power
+        power = power * ratio
+    return total, shifted
+
+
+def _cutoff(t: np.ndarray, lam: float, order: int) -> np.ndarray:
+    """t**-order where t >= lam and 0 below: the cutoff's g (order 1) and q (order 2)."""
+    out = np.zeros(t.shape)
+    keep = t >= lam
+    out[keep] = 1.0 / t[keep] ** order
+    return out
+
+
 def filter_value(scheme: RegScheme, t):
     """Evaluate g_lam at t (scalar or array, t >= 0).
 
@@ -134,13 +154,8 @@ def filter_value(scheme: RegScheme, t):
     exactly iterations / lam.
     """
     arr, scalar = _as_spectrum(t)
-    lam = scheme.lam
-    if scheme.kind == "spectral_cutoff":
-        out = np.zeros(arr.shape)
-        keep = arr >= lam
-        out[keep] = 1.0 / arr[keep]
-        return float(out[0]) if scalar else out
-    out = iterated_filter_rows([lam], scheme.iterations, arr)[0]
+    out = (_cutoff(arr, scheme.lam, 1) if scheme.kind == "spectral_cutoff"
+           else iterated_filter_rows([scheme.lam], scheme.iterations, arr)[0])
     return float(out[0]) if scalar else out
 
 
@@ -152,15 +167,7 @@ def iterated_filter_rows(lams, count, t) -> np.ndarray:
     has the bits of ``filter_value`` at its strength.
     """
     arr, _ = _as_spectrum(t)
-    count = whole_number(count, "iteration count")
-    lam = np.asarray(lams, dtype=float)[:, None]
-    shifted = lam + arr
-    ratio = lam / shifted
-    total = np.zeros(shifted.shape)
-    power = np.ones(shifted.shape)
-    for _ in range(count):
-        total = total + power
-        power = power * ratio
+    total, shifted = _geometric_sum(lams, arr, [1] * whole_number(count, "iteration count"))
     return total / shifted
 
 
@@ -173,10 +180,8 @@ def residual_value(scheme: RegScheme, t):
     """
     arr, scalar = _as_spectrum(t)
     lam = scheme.lam
-    if scheme.kind == "spectral_cutoff":
-        out = np.where(arr >= lam, 0.0, 1.0)
-        return float(out[0]) if scalar else out
-    out = (lam / (lam + arr)) ** scheme.iterations
+    out = (np.where(arr >= lam, 0.0, 1.0) if scheme.kind == "spectral_cutoff"
+           else (lam / (lam + arr)) ** scheme.iterations)
     return float(out[0]) if scalar else out
 
 
@@ -195,19 +200,10 @@ def filter_quotient_value(scheme: RegScheme, t):
     arr, scalar = _as_spectrum(t)
     lam = scheme.lam
     if scheme.kind == "spectral_cutoff":
-        out = np.zeros(arr.shape)
-        keep = arr >= lam
-        out[keep] = 1.0 / np.square(arr[keep])
-        return float(out[0]) if scalar else out
-    shifted = lam + arr
-    ratio = lam / shifted
-    k = scheme.iterations
-    total = np.zeros(arr.shape)
-    power = np.ones(arr.shape)
-    for r in range(k):
-        total = total + (k - r) * power
-        power = power * ratio
-    out = -total / (lam * shifted)
+        out = _cutoff(arr, lam, 2)
+    else:
+        total, shifted = _geometric_sum([lam], arr, range(scheme.iterations, 0, -1))
+        out = -total[0] / (lam * shifted[0])
     return float(out[0]) if scalar else out
 
 

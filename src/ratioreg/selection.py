@@ -105,13 +105,8 @@ class SelectionTrace:
         return self.chosen_index in (0, self.grid.size - 1)
 
 
-def rms_norm(vector: np.ndarray) -> float:
-    """Root-mean-square norm, the (1/n)-weighted Euclidean norm."""
-    return _rms(finite_array(vector, "vector"))
-
-
 def _rms(arr: np.ndarray) -> float:
-    """``rms_norm`` of a float array already checked."""
+    """Root-mean-square norm, the (1/n)-weighted Euclidean norm, of a checked float array."""
     if arr.size == 0:
         raise InputError("the root-mean-square norm needs at least one entry")
     return math.sqrt(float(arr @ arr) / arr.size)

@@ -62,7 +62,7 @@ def dense_twin(monkeypatch):
                 np.array(injected, order="F") if self is twin else real(self)))
         with monkeypatch.context() as scoped:
             scoped.setattr(kernel, "_PIVOT_CAP", 0)
-            twin.split_rhs()
+            twin.split_rhs
         return twin
 
     return make

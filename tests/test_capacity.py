@@ -60,7 +60,7 @@ def test_leverage_non_negative(gram):
 def test_sup_estimate_dominates_mean(gram):
     probes = np.linspace(-6.0, 10.0, 50).reshape(-1, 1)
     for lam in (0.5, 0.1):
-        sup = rr.n_inf_estimate(gram, lam, probes)
+        sup = rr.capacity_profile(gram, [lam], probes).n_inf[0]
         assert sup >= rr.effective_dimension(gram, lam)
 
 
@@ -69,7 +69,7 @@ def test_sup_estimate_includes_sample_points(gram):
     lam = 0.2
     at_samples = max(rr.christoffel(gram, lam, x) for x in xp.points)
     # probe set far away from the data: the in-sample scan still counts
-    sup = rr.n_inf_estimate(gram, lam, [[100.0]])
+    sup = rr.capacity_profile(gram, [lam], [[100.0]]).n_inf[0]
     assert sup >= at_samples
 
 
@@ -103,7 +103,7 @@ def test_capacity_validation(gram):
     with pytest.raises(rr.InputError):
         rr.effective_dimension(gram, -1.0)
     with pytest.raises(rr.InputError):
-        rr.n_inf_estimate(gram, 0.1, np.zeros((0, 1)))
+        rr.capacity_profile(gram, [0.1], np.zeros((0, 1)))
     with pytest.raises(rr.InputError):
         rr.christoffel(gram, 0.1, [0.0, 1.0])
     with pytest.raises(rr.InputError):
@@ -111,7 +111,7 @@ def test_capacity_validation(gram):
     with pytest.raises(rr.InputError):
         rr.effective_dimension(gram, [0.1, 0.2])
     with pytest.raises(rr.InputError):
-        rr.n_inf_estimate(gram, [0.1, 0.2], [[0.0]])
+        rr.capacity_profile(gram, [[0.1, 0.2]], [[0.0]])
 
 
 def test_profile_tabulates_decreasing(gram):
@@ -166,7 +166,7 @@ def test_non_finite_strengths_rejected(gram, lam):
     with pytest.raises(rr.InputError):
         rr.effective_dimension(gram, lam)
     with pytest.raises(rr.InputError):
-        rr.n_inf_estimate(gram, lam, [[0.0]])
+        rr.capacity_profile(gram, lam, [[0.0]])
     with pytest.raises(rr.InputError):
         rr.capacity_profile(gram, [0.5, lam])
     with pytest.raises(rr.InputError):
@@ -210,7 +210,6 @@ def test_one_decomposition_per_call(linalg_calls, gram):
         rr.capacity_profile(fresh, lambdas)
     rr.christoffel(fresh, 0.1, [0.0])
     rr.effective_dimension(fresh, 0.1)
-    rr.n_inf_estimate(fresh, 0.1, [[0.0]])
     rr.find_lambda_star(fresh)
     assert linalg_calls == ["eigh"]
 
@@ -221,7 +220,6 @@ def test_indefinite_system_raises_numerical_error(dense_twin):
     xp = rr.SampleSet([[0.0], [1.0]], "p")
     gram = dense_twin(rr.assemble_gram(spec, xp), k_matrix=np.array([[1.0, 2.0], [2.0, 1.0]]))
     for attempt in (lambda: rr.christoffel(gram, 0.1, [0.0]),
-                    lambda: rr.n_inf_estimate(gram, 0.1, [[0.5]]),
                     lambda: rr.capacity_profile(gram, [1.0, 0.1])):
         with pytest.raises(rr.NumericalError) as info:
             attempt()

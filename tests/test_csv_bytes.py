@@ -67,7 +67,7 @@ def test_csv_outputs_are_pinned_byte_for_byte(tmp_path):
 
     # k(x, x) = 2 and k(x, y) = 1 + exp(-5000.125) = 1 exactly, so beta is
     # 0.3 * 2 + 0.1 * 2 at the origin and 0.3 + 0.1 far from it
-    model = rr.RatioModel(kernel=rr.KernelSpec(), scheme=rr.lavrentiev(0.5),
+    model = rr.RatioModel(kernel=rr.KernelSpec(), scheme=rr.iterated_lavrentiev(0.5, 1),
                           xp_points=[[0.0, 0.0]], xq_points=[[0.0, 0.0]], alpha=[0.3],
                           mu_coeff=0.1, values_at_xp=[0.8])
     rr.save_model(model, tmp_path / "model.json")

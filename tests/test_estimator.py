@@ -152,7 +152,7 @@ def test_evaluate_batch_matches_pointwise(small_pair):
     model = rr.fit_iterated_lavrentiev(gram, 0.2, 2)
     points = np.array([[-1.0], [2.5], [7.0]])
     batch = rr.evaluate_batch(model, points)
-    singles = np.array([rr.evaluate(model, x) for x in points])
+    singles = np.array([rr.evaluate_batch(model, [x])[0] for x in points])
     # batched and one-row BLAS products can round differently in the last ulp
     np.testing.assert_allclose(batch, singles, rtol=1e-14)
 
@@ -186,7 +186,7 @@ def test_evaluate_batch_blocks_are_bitwise(model_400):
     # A one-point product sums the n terms in another order than the BLAS row
     # groups of a batch, so each side is within (n - 1) eps sum|k_i alpha_i|.
     edges = sorted({i for rows in blocks for i in (rows.start, rows.stop - 1)})
-    singles = np.array([rr.evaluate(model, points[i]) for i in edges])
+    singles = np.array([rr.evaluate_batch(model, points[i:i + 1])[0] for i in edges])
     bound = 2 * 400 * np.finfo(float).eps * (k_ref[edges] @ np.abs(model.alpha))
     assert np.all(np.abs(singles - batch[edges]) <= bound)
 
@@ -213,7 +213,7 @@ def test_evaluate_dimension_mismatch(small_pair):
     gram = small_pair[2]
     model = rr.fit_iterated_lavrentiev(gram, 0.2, 2)
     with pytest.raises(rr.InputError):
-        rr.evaluate(model, [1.0, 2.0])
+        rr.evaluate_batch(model, [[1.0, 2.0]])
 
 
 def test_fit_is_linear_in_rhs(small_pair):
@@ -249,7 +249,7 @@ def test_system_without_target_sample_cannot_be_fitted(default_kernel, small_pai
     """The capacity-only system has no xq: every fit raises one InputError."""
     xp = small_pair[0]
     ref = rr.assemble_gram(default_kernel, xp)
-    assert ref.xq is None and ref.m is None and np.all(ref.f_bar == 0.0)
+    assert ref.xq is None and np.all(ref.f_bar == 0.0)
     attempts = (lambda: rr.fit_iterated_lavrentiev(ref, 0.3, 2),
                 lambda: rr.fit_spectral(ref, spectral_cutoff(0.1)),
                 lambda: rr.fit_iterated_lavrentiev_ladder(ref, [0.5, 0.1], 2),
@@ -281,7 +281,7 @@ def test_overflowing_fit_raises_numerical_error(default_kernel, dense_twin):
                             rr.SampleSet([0.0], "q"))
     tiny = dense_twin(gram, k_matrix=1e-300 * np.eye(2), f_bar=np.full(2, 1e300))
     attempts = (lambda: rr.fit_iterated_lavrentiev(tiny, 1e-300, 2),
-                lambda: rr.fit_spectral(tiny, rr.lavrentiev(1e-300)),
+                lambda: rr.fit_spectral(tiny, rr.iterated_lavrentiev(1e-300, 1)),
                 lambda: rr.fit_iterated_lavrentiev_ladder(tiny, [1e-300], 1))
     for attempt in attempts:
         with np.errstate(all="ignore"):
@@ -311,26 +311,26 @@ def test_cutoff_above_spectrum_gives_zero_function(default_kernel, small_pair):
     assert np.all(model.values_at_xp == 0.0)
     assert np.all(model.alpha == 0.0)
     assert model.mu_coeff == 0.0
-    assert rr.evaluate(model, 2.0) == 0.0
+    assert rr.evaluate_batch(model, [2.0])[0] == 0.0
 
 
 def test_cutoff_fit_is_finite_and_sane(small_pair):
     gram = small_pair[2]
     model = rr.fit_spectral(gram, spectral_cutoff(0.1))
     assert np.isfinite(model.values_at_xp).all()
-    assert np.isfinite(rr.evaluate(model, 2.0))
+    assert np.isfinite(rr.evaluate_batch(model, [2.0])[0])
 
 
 def test_forced_embedding_only_model(default_kernel, small_pair):
     """alpha = 0, mu = 1 evaluates to the mean kernel value against X_q."""
     xp, xq, gram = small_pair
     model = rr.RatioModel(
-        kernel=default_kernel, scheme=rr.lavrentiev(0.5),
+        kernel=default_kernel, scheme=rr.iterated_lavrentiev(0.5, 1),
         xp_points=xp.points, xq_points=xq.points,
         alpha=np.zeros(gram.n), mu_coeff=1.0, values_at_xp=gram.f_bar / gram.n)
     x = 1.7
     expected = np.mean([1.0 + math.exp(-(x - y) ** 2 / 2.0) for y in xq.points[:, 0]])
-    assert rr.evaluate(model, x) == pytest.approx(expected, rel=1e-14)
+    assert rr.evaluate_batch(model, [x])[0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_model_json_round_trip(tmp_path, small_pair):
@@ -366,7 +366,7 @@ def test_ratio_model_shape_validation(default_kernel, small_pair):
     with pytest.raises(rr.InputError):
         rr.RatioModel.from_dict(flat)
     with pytest.raises(rr.InputError):
-        rr.RatioModel(kernel=default_kernel, scheme=rr.lavrentiev(0.5),
+        rr.RatioModel(kernel=default_kernel, scheme=rr.iterated_lavrentiev(0.5, 1),
                       xp_points=xp.points, xq_points=xq.points,
                       alpha=np.zeros(gram.n + 1), mu_coeff=1.0,
                       values_at_xp=np.zeros(gram.n))

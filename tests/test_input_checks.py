@@ -29,6 +29,7 @@ from ratioreg.selection import choose_from_values
 
 INF, NAN = math.inf, math.nan
 RATE = {"eta": 1.0, "varsigma": 0.5, "iterations": 1, "replications": 1, "seed": 0}
+SINGLE = rr.iterated_lavrentiev(0.5, 1)  # one shifted inversion
 
 # (entry point, bad value): a call on the session's small Gram system.
 BAD_CALLS = {
@@ -54,7 +55,6 @@ BAD_CALLS = {
     "effective_dimension lam True": lambda g: rr.effective_dimension(g, True),
     "effective_dimension lam '0.5'": lambda g: rr.effective_dimension(g, "0.5"),
     "christoffel lam True": lambda g: rr.christoffel(g, True, [0.0]),
-    "n_inf_estimate lam '0.5'": lambda g: rr.n_inf_estimate(g, "0.5", [[0.0]]),
     "capacity_profile lam True": lambda g: rr.capacity_profile(g, [0.5, True]),
     "capacity_profile lam '0.5'": lambda g: rr.capacity_profile(g, "0.5"),
     "find_lambda_star bracket nan": lambda g: rr.find_lambda_star(g, (NAN, 1.0)),
@@ -68,17 +68,17 @@ BAD_CALLS = {
     "KernelSpec bandwidth 1e200, 2h^2 overflows": lambda g: rr.KernelSpec(bandwidth=1e200),
     "KernelSpec bandwidth 1e-200, 2h^2 vanishes": lambda g: rr.KernelSpec(bandwidth=1e-200),
     "check qualification 400, lam**s overflows": lambda g: rr.check_scheme_constants(
-        rr.lavrentiev(10.0), 2.0, qualification=400.0),
+        rr.iterated_lavrentiev(10.0, 1), 2.0, qualification=400.0),
     "model mu_coeff True": lambda g: rr.RatioModel.from_dict(
-        dict(rr.fit_spectral(g, rr.lavrentiev(0.5)).to_dict(), mu_coeff=True)),
+        dict(rr.fit_spectral(g, SINGLE).to_dict(), mu_coeff=True)),
     "model alpha True": lambda g: rr.RatioModel.from_dict(
-        dict(rr.fit_spectral(g, rr.lavrentiev(0.5)).to_dict(), alpha=[True] * g.n)),
+        dict(rr.fit_spectral(g, SINGLE).to_dict(), alpha=[True] * g.n)),
     "model xp_points '0.5'": lambda g: rr.RatioModel.from_dict(
-        dict(rr.fit_spectral(g, rr.lavrentiev(0.5)).to_dict(), xp_points=[["0.5"]] * g.n)),
+        dict(rr.fit_spectral(g, SINGLE).to_dict(), xp_points=[["0.5"]] * g.n)),
     "RatioModel alpha list True": lambda g: rr.RatioModel(**dict(
-        vars(rr.fit_spectral(g, rr.lavrentiev(0.5))), alpha=[True] * g.n)),
+        vars(rr.fit_spectral(g, SINGLE)), alpha=[True] * g.n)),
     "RatioModel values_at_xp n + 1": lambda g: rr.RatioModel(**dict(
-        vars(rr.fit_spectral(g, rr.lavrentiev(0.5))), values_at_xp=np.zeros(g.n + 1))),
+        vars(rr.fit_spectral(g, SINGLE)), values_at_xp=np.zeros(g.n + 1))),
     # arrays of points: every entry a finite number, judged by dtype or by entry type
     "SampleSet points [True, '0.5']": lambda g: rr.SampleSet([True, "0.5"], "p"),
     "SampleSet points bool array": lambda g: rr.SampleSet(np.array([True, False]), "p"),
@@ -88,34 +88,33 @@ BAD_CALLS = {
     "SampleSet points 3-d": lambda g: rr.SampleSet(np.zeros((2, 2, 2)), "p"),
     "GramSystem f_bar '0.5'": lambda g: dataclasses.replace(g, f_bar=["0.5"] * g.n),
     "evaluate_batch [[True]]": lambda g: rr.evaluate_batch(
-        rr.fit_spectral(g, rr.lavrentiev(0.5)), [[True]]),
-    "evaluate '0.5'": lambda g: rr.evaluate(rr.fit_spectral(g, rr.lavrentiev(0.5)), "0.5"),
+        rr.fit_spectral(g, SINGLE), [[True]]),
+    "evaluate_batch '0.5'": lambda g: rr.evaluate_batch(rr.fit_spectral(g, SINGLE), "0.5"),
     "christoffel x True": lambda g: rr.christoffel(g, 0.1, True),
     "capacity_profile probes ['1']": lambda g: rr.capacity_profile(g, [0.1], ["1"]),
     "true_beta x '0.5'": lambda g: rr.true_beta("0.5", 3.0),
     "true_beta x True": lambda g: rr.true_beta(True, 3.0),
-    "filter_value t '0.5'": lambda g: rr.filter_value(rr.lavrentiev(0.5), "0.5"),
-    "filter_value t nan": lambda g: rr.filter_value(rr.lavrentiev(0.5), NAN),
-    "residual_value t [True]": lambda g: rr.residual_value(rr.lavrentiev(0.5), [True]),
+    "filter_value t '0.5'": lambda g: rr.filter_value(SINGLE, "0.5"),
+    "filter_value t nan": lambda g: rr.filter_value(SINGLE, NAN),
+    "residual_value t [True]": lambda g: rr.residual_value(SINGLE, [True]),
     "fit_log_slope ['1', '2', '4']": lambda g: rr.fit_log_slope(
         ["1", "2", "4"], [True, 0.5, 0.25]),
     "fit_log_slope errors True": lambda g: rr.fit_log_slope([1, 2, 4], [True, 0.5, 0.25]),
-    "rms_norm ['1', True]": lambda g: rr.rms_norm(["1", True]),
     "choose_from_values [['1'], [True]]": lambda g: choose_from_values([["1"], [True]]),
     "choose_from_values ragged": lambda g: choose_from_values([[1.0], [1.0, 2.0]]),
     "run_study probe_grid ['1']": lambda g: rr.run_study(rr.SimConfig(), probe_grid=["1"]),
     # empty inputs
     "run_study probe_grid []": lambda g: rr.run_study(rr.SimConfig(), probe_grid=[]),
-    "rms_norm []": lambda g: rr.rms_norm([]),
+    "choose_from_values [[], []]": lambda g: choose_from_values([[], []]),
     "nearest_rank_quantile []": lambda g: nearest_rank_quantile([], 0.5),
     "SimConfig.from_dict unknown key": lambda g: rr.SimConfig.from_dict({"size": 3}),
     "RegScheme lam '0.5'": lambda g: rr.RegScheme("iterated_lavrentiev", "0.5"),
     "RegScheme iterations True": lambda g: rr.RegScheme("iterated_lavrentiev", 0.5, True),
     "filter rows count 1.5": lambda g: iterated_filter_rows([0.5], 1.5, [0.0]),
-    "check t_max nan": lambda g: rr.check_scheme_constants(rr.lavrentiev(0.5), NAN),
-    "check grid_size 2.5": lambda g: rr.check_scheme_constants(rr.lavrentiev(0.5), 2.0, 2.5),
+    "check t_max nan": lambda g: rr.check_scheme_constants(SINGLE, NAN),
+    "check grid_size 2.5": lambda g: rr.check_scheme_constants(SINGLE, 2.0, 2.5),
     "check qualification nan": lambda g: rr.check_scheme_constants(
-        rr.lavrentiev(0.5), 2.0, qualification=NAN),
+        SINGLE, 2.0, qualification=NAN),
     # means and variances
     "true_beta mu_q nan": lambda g: rr.true_beta(0.0, NAN),
     "true_beta var_q True": lambda g: rr.true_beta(0.0, 2.0, var_q=True),
@@ -160,13 +159,13 @@ def test_checkers_normalize_what_they_accept():
 
 def test_arrays_given_as_lists_or_scalars_are_taken(small_pair):
     """A model built from Python lists, and a scalar point, are valid input."""
-    model = rr.fit_spectral(small_pair[2], rr.lavrentiev(0.5))
+    model = rr.fit_spectral(small_pair[2], SINGLE)
     fields = {key: value.tolist() if isinstance(value, np.ndarray) else value
               for key, value in vars(model).items()}
     rebuilt = rr.RatioModel(**fields)
     assert np.array_equal(rebuilt.alpha, model.alpha)
     assert np.array_equal(rebuilt.xq_points, model.xq_points)
-    assert np.array_equal(rr.evaluate_batch(rebuilt, 0.5), [rr.evaluate(model, 0.5)])
+    assert np.array_equal(rr.evaluate_batch(rebuilt, 0.5), rr.evaluate_batch(model, [[0.5]]))
     assert rr.SampleSet((0.5, np.float32(1.5)), "p").points.tolist() == [[0.5], [1.5]]
 
 
@@ -224,7 +223,7 @@ def test_overflowing_capacity_exits_3_without_warnings(tmp_path, subprocess_env)
 def test_evaluate_rejects_model_entries_that_are_not_numbers(tmp_path, subprocess_env,
                                                             small_pair):
     """A model whose alpha holds true and "0.5" exits 2, not evaluated as 1.0 and 0.5."""
-    data = rr.fit_spectral(small_pair[2], rr.lavrentiev(0.5)).to_dict()
+    data = rr.fit_spectral(small_pair[2], SINGLE).to_dict()
     data["alpha"][:2] = [True, "0.5"]
     (tmp_path / "model.json").write_text(json.dumps(data))
     (tmp_path / "points.csv").write_text("0.0\n1.0\n")

@@ -219,7 +219,7 @@ def test_reference_gram_matches_assembled(default_kernel, small_pair):
     for got, want in zip(ref.eigensystem(), gram.eigensystem()):
         assert np.array_equal(got, want)
     assert np.all(ref.f_bar == 0.0)
-    assert (ref.n, ref.m) == (xp.n, None)
+    assert (ref.n, ref.xq) == (xp.n, None)
 
 
 @settings(max_examples=25, deadline=None)

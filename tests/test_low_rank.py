@@ -88,7 +88,7 @@ def test_dense_fallback_at_three_dimensions(dense_twin):
     dense = dense_twin(gram)
     for got, want in zip(gram.eigensystem(), dense.eigensystem()):
         assert got.shape == want.shape and np.array_equal(got, want)
-    assert np.all(gram.split_rhs()[3] == 0.0)
+    assert np.all(gram.split_rhs[3] == 0.0)
     for k in COUNTS:
         fast = rr.fit_iterated_lavrentiev_ladder(gram, [0.5, 0.1], k)
         slow = rr.fit_iterated_lavrentiev_ladder(dense, [0.5, 0.1], k)

@@ -40,7 +40,6 @@ def test_lavrentiev_is_an_input_alias():
     """The single step is stored, compared and written as iterated_lavrentiev, k = 1."""
     assert SCHEME_KINDS == ("iterated_lavrentiev", "spectral_cutoff")
     single = iterated_lavrentiev(0.3, 1)
-    assert rr.lavrentiev(0.3) == single
     assert rr.RegScheme(kind="lavrentiev", lam=0.3) == single
     assert rr.RegScheme.from_dict({"kind": "lavrentiev", "lambda": 0.3}) == single
     assert single.to_dict()["kind"] == "iterated_lavrentiev"
@@ -93,6 +92,34 @@ def test_iterated_filter_rows_are_the_single_filters_bitwise():
     for count in (0, 1.5, True, [1, 2]):
         with pytest.raises(rr.InputError, match="iteration count"):
             iterated_filter_rows(lams, count, t)
+
+
+def test_quotient_and_cutoff_filters_are_bitwise():
+    """q of the iterated scheme, and the cutoff's g and q, keep the bits of their loops.
+
+    The references are the weighted geometric sum (weights k - r) and the
+    cutoff's two branches, written out here.
+    """
+    t = np.concatenate([[0.0, 1e-18], np.geomspace(1e-12, 2.0, 200)])
+    lams = rr.LambdaGrid().with_anchor()
+    for k in ALL_K:
+        for lam in lams:
+            shifted = lam + t
+            total, power = np.zeros(t.size), np.ones(t.size)
+            for r in range(k):
+                total = total + (k - r) * power
+                power = power * (lam / shifted)
+            quotient = filter_quotient_value(iterated_lavrentiev(lam, k), t)
+            assert np.array_equal(quotient, -total / (lam * shifted))
+    for lam in lams:
+        keep = t >= lam
+        g, q = np.zeros(t.size), np.zeros(t.size)
+        g[keep] = 1.0 / t[keep]
+        q[keep] = 1.0 / np.square(t[keep])
+        assert np.array_equal(rr.filter_value(spectral_cutoff(lam), t), g)
+        assert np.array_equal(filter_quotient_value(spectral_cutoff(lam), t), q)
+        assert rr.filter_value(spectral_cutoff(lam), 2.0) == 0.5
+        assert filter_quotient_value(spectral_cutoff(lam), 2.0) == 0.25
 
 
 def test_filter_value_at_zero_is_analytic_limit():
@@ -199,13 +226,13 @@ def test_constants_check_iterated_holds():
 def test_constants_check_holds_at_huge_t_max(t_max):
     """t**s |r| is formed without overflow, so a true claim still holds."""
     with np.errstate(over="raise", invalid="raise"):
-        for scheme in (iterated_lavrentiev(0.2, 3), rr.lavrentiev(0.05),
+        for scheme in (iterated_lavrentiev(0.2, 3), iterated_lavrentiev(0.05, 1),
                        spectral_cutoff(0.3)):
             report = rr.check_scheme_constants(scheme, t_max=t_max)
             assert report.all_satisfied
             assert all(math.isfinite(c.margin) or c.margin == math.inf
                        for c in report.checks)
-        wrong = rr.check_scheme_constants(rr.lavrentiev(0.05), t_max=t_max,
+        wrong = rr.check_scheme_constants(iterated_lavrentiev(0.05, 1), t_max=t_max,
                                           qualification=2.0)
     assert not wrong.all_satisfied
 
@@ -219,14 +246,15 @@ def test_constants_check_cutoff_holds():
 
 def test_constants_check_takes_an_unbounded_claim():
     """qualification=inf is an unbounded claim: satisfied, with infinite margin."""
-    report = rr.check_scheme_constants(rr.lavrentiev(0.05), t_max=2.0, qualification=math.inf)
+    report = rr.check_scheme_constants(iterated_lavrentiev(0.05, 1), t_max=2.0,
+                                       qualification=math.inf)
     assert report.qualification == math.inf and report.all_satisfied
     assert report.checks[-1].name == "qualification" and report.checks[-1].margin == math.inf
 
 
 def test_constants_check_flags_wrong_qualification():
     """A single shifted inversion cannot carry a qualification-2 claim."""
-    report = rr.check_scheme_constants(rr.lavrentiev(0.05), t_max=2.0,
+    report = rr.check_scheme_constants(iterated_lavrentiev(0.05, 1), t_max=2.0,
                                        qualification=2.0)
     qual = [c for c in report.checks if c.name == "qualification"][0]
     assert not qual.satisfied
@@ -244,11 +272,11 @@ def test_constants_check_cutoff_finite_override():
 
 def test_constants_check_validation():
     with pytest.raises(rr.InputError):
-        rr.check_scheme_constants(rr.lavrentiev(0.1), t_max=0.0)
+        rr.check_scheme_constants(iterated_lavrentiev(0.1, 1), t_max=0.0)
     with pytest.raises(rr.InputError):
-        rr.check_scheme_constants(rr.lavrentiev(0.1), t_max=1.0, grid_size=1)
+        rr.check_scheme_constants(iterated_lavrentiev(0.1, 1), t_max=1.0, grid_size=1)
     with pytest.raises(rr.InputError):
-        rr.check_scheme_constants(rr.lavrentiev(0.1), t_max=1.0, qualification=-1.0)
+        rr.check_scheme_constants(iterated_lavrentiev(0.1, 1), t_max=1.0, qualification=-1.0)
 
 
 def test_check_report_serializable():

@@ -44,8 +44,8 @@ def test_grid_round_trip():
 
 
 def test_rms_norm_is_inverse_size_weighted():
-    assert rr.rms_norm(np.array([3.0, 4.0])) == pytest.approx(
-        math.sqrt(25.0 / 2.0), rel=1e-15)
+    diffs, _ = choose_from_values([[0.0, 0.0], [3.0, 4.0]])
+    assert diffs[0] == pytest.approx(math.sqrt(25.0 / 2.0), rel=1e-15)
 
 
 def test_choose_from_values_picks_smallest_step():
