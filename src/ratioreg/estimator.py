@@ -180,7 +180,9 @@ def _shifted_solver(gram: GramSystem, lam: float):
     a_matrix = gram.dense()
     a_matrix.flat[::gram.n + 1] += n_lam
     try:
-        factor = scipy.linalg.cho_factor(a_matrix, lower=True, overwrite_a=True)
+        # no inf/nan scan: K lies in [offset, offset + 1] and the caller checks k(x, x) + n lam
+        factor = scipy.linalg.cho_factor(a_matrix, lower=True, overwrite_a=True,
+                                         check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         smallest = float(np.linalg.eigvalsh(gram.dense())[0]) + n_lam
         raise NumericalError("shifted kernel system is not positive definite",
@@ -201,8 +203,8 @@ def fit_iterated_lavrentiev(gram: GramSystem, lam: float, iterations: int = 1) -
     scheme = iterated_lavrentiev(lam, iterations)
     lam = scheme.lam
     n_lam = gram.n * lam
-    if not math.isfinite(n_lam):
-        raise InputError(f"the shift n * lam overflows: n={gram.n}, lam={lam!r}")
+    if not math.isfinite(gram.kernel.diagonal_value() + n_lam):
+        raise InputError(f"the shifted diagonal overflows: n={gram.n}, lam={lam!r}")
 
     solve = _shifted_solver(gram, lam)
     values = np.zeros(gram.n)
@@ -291,11 +293,10 @@ def fit_iterated_lavrentiev_ladder(gram: GramSystem, lambdas: Iterable[float],
 def evaluate_batch(model: RatioModel, points) -> np.ndarray:
     """Evaluate the fitted ratio at many points at once.
 
-    Works through row blocks of about ``kernel._BLOCK_ELEMENTS`` kernel
-    values, so memory stays O(block (n + m)) for any batch size.  Each
-    block uses the unblocked formula on rows aligned to the BLAS row
-    groups, so the values keep the bits of one unblocked product (see
-    ``kernel._BLOCK_ROW_MULTIPLE`` for when that holds).
+    Works through blocks of at least 64 rows and otherwise of about 2^17 kernel values
+    (1 MB, ``kernel._BLOCK_ELEMENTS``) against the n + m model points, so memory stays
+    O(block (n + m)) for any batch size.  Rows aligned to the BLAS row groups keep the
+    bits of one unblocked product (``kernel._BLOCK_ROW_MULTIPLE``).
     """
     pts = _as_points(points)
     if pts.shape[0] == 0:
@@ -305,8 +306,7 @@ def evaluate_batch(model: RatioModel, points) -> np.ndarray:
             f"points have dimension {pts.shape[1]}, model expects "
             f"{model.xp_points.shape[1]}")
     values = np.empty(pts.shape[0])
-    width = model.xp_points.shape[0] + model.xq_points.shape[0]
-    for rows in _row_blocks(pts.shape[0], width):
+    for rows in _row_blocks(pts.shape[0], len(model.xp_points) + len(model.xq_points)):
         k_ref = kernel_matrix(model.kernel, pts[rows], model.xp_points)
         k_target = kernel_matrix(model.kernel, pts[rows], model.xq_points)
         values[rows] = k_ref @ model.alpha + model.mu_coeff * k_target.mean(axis=1)

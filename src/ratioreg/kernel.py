@@ -33,9 +33,9 @@ case, that takes 0.67 s against 0.52 s for the dense ``eigh`` alone
 Memory: the eigensystem takes O(n r) floats; ``assemble_gram`` holds one
 row block of the n x m cross kernel, whose row sums give f_bar, and no
 n x n matrix.  Only ``GramSystem.dense`` forms K, for the Cholesky fit
-and the dense fallback.  A block holds about ``_BLOCK_ELEMENTS`` kernel
-values (8 MB); the same budget sizes the blocks of
-``estimator.evaluate_batch`` and of the capacity probes.
+and the dense fallback.  A block holds about ``_BLOCK_ELEMENTS`` = 2^17
+kernel values (1 MB), and at least 64 rows; the same budget sizes the
+blocks of ``estimator.evaluate_batch`` and of the capacity probes.
 """
 
 from __future__ import annotations
@@ -53,8 +53,9 @@ from .errors import (InputError, NumericalError, finite_array, finite_real, posi
 # Both families are k(x, y) = offset + exp(-|x - y|^2 / (2 * bandwidth^2)).
 KNOWN_FAMILIES = ("gaussian_plus_one", "gaussian")
 
-# Kernel values in one row block of a blocked computation (8 MB of float64).
-_BLOCK_ELEMENTS = 1 << 20
+# 2^17 kernel values (1 MB, half a 2 MB L2) per row block bound the memory of the few
+# block-shaped arrays a loop holds.  Past width 1024 the 64-row floor below binds instead.
+_BLOCK_ELEMENTS = 1 << 17
 # Block heights are a multiple of this.  A BLAS matrix-vector product
 # takes rows in small fixed groups and rounds a row by its place in its
 # group, so aligned blocks round like one product over the whole batch
@@ -182,16 +183,17 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _kernel_values(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``kernel_matrix`` on checked (n, d) arrays of equal d."""
-    out = np.subtract.outer(a[:, 0], b[:, 0])
-    np.square(out, out=out)
-    if a.shape[1] > 1:
-        column = np.empty_like(out)
-        for k in range(1, a.shape[1]):
-            np.subtract.outer(a[:, k], b[:, k], out=column)
-            np.square(column, out=column)
-            out += column
-    out /= -(2.0 * spec.bandwidth**2)
+    """``kernel_matrix`` on checked (n, d) arrays of equal d; overflowed |x - y|^2 gives offset."""
+    with np.errstate(over="ignore"):
+        out = np.subtract.outer(a[:, 0], b[:, 0])
+        np.square(out, out=out)
+        if a.shape[1] > 1:
+            column = np.empty_like(out)
+            for k in range(1, a.shape[1]):
+                np.subtract.outer(a[:, k], b[:, k], out=column)
+                np.square(column, out=column)
+                out += column
+        out /= -(2.0 * spec.bandwidth**2)
     np.exp(out, out=out)
     out += spec.offset
     return out
@@ -203,8 +205,7 @@ def _row_blocks(count: int, width: int):
     A block has at least ``_BLOCK_ROW_MULTIPLE`` rows and otherwise at most
     ``_BLOCK_ELEMENTS`` values.
     """
-    rows = _BLOCK_ELEMENTS // width // _BLOCK_ROW_MULTIPLE * _BLOCK_ROW_MULTIPLE
-    rows = max(rows, _BLOCK_ROW_MULTIPLE)
+    rows = max(_BLOCK_ELEMENTS // width // _BLOCK_ROW_MULTIPLE, 1) * _BLOCK_ROW_MULTIPLE
     for start in range(0, count, rows):
         yield slice(start, min(start + rows, count))
 

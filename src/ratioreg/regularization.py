@@ -121,6 +121,10 @@ def _as_spectrum(t) -> tuple[np.ndarray, bool]:
     return arr, scalar
 
 
+def _as_given(out: np.ndarray, scalar: bool):
+    return float(out[0]) if scalar else out
+
+
 def _geometric_sum(lams, t: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
     """(sum_r weights[r] * rho**r, lam + t) with rho = lam / (lam + t), one row per strength.
 
@@ -154,9 +158,8 @@ def filter_value(scheme: RegScheme, t):
     exactly iterations / lam.
     """
     arr, scalar = _as_spectrum(t)
-    out = (_cutoff(arr, scheme.lam, 1) if scheme.kind == "spectral_cutoff"
-           else iterated_filter_rows([scheme.lam], scheme.iterations, arr)[0])
-    return float(out[0]) if scalar else out
+    return _as_given(_cutoff(arr, scheme.lam, 1) if scheme.kind == "spectral_cutoff"
+                     else iterated_filter_rows([scheme.lam], scheme.iterations, arr)[0], scalar)
 
 
 def iterated_filter_rows(lams, count, t) -> np.ndarray:
@@ -179,10 +182,8 @@ def residual_value(scheme: RegScheme, t):
     full relative accuracy where the residual is tiny.
     """
     arr, scalar = _as_spectrum(t)
-    lam = scheme.lam
-    out = (np.where(arr >= lam, 0.0, 1.0) if scheme.kind == "spectral_cutoff"
-           else (lam / (lam + arr)) ** scheme.iterations)
-    return float(out[0]) if scalar else out
+    return _as_given(np.where(arr >= scheme.lam, 0.0, 1.0) if scheme.kind == "spectral_cutoff"
+                     else (scheme.lam / (scheme.lam + arr)) ** scheme.iterations, scalar)
 
 
 def filter_quotient_value(scheme: RegScheme, t):
@@ -200,11 +201,9 @@ def filter_quotient_value(scheme: RegScheme, t):
     arr, scalar = _as_spectrum(t)
     lam = scheme.lam
     if scheme.kind == "spectral_cutoff":
-        out = _cutoff(arr, lam, 2)
-    else:
-        total, shifted = _geometric_sum([lam], arr, range(scheme.iterations, 0, -1))
-        out = -total[0] / (lam * shifted[0])
-    return float(out[0]) if scalar else out
+        return _as_given(_cutoff(arr, lam, 2), scalar)
+    total, shifted = _geometric_sum([lam], arr, range(scheme.iterations, 0, -1))
+    return _as_given(-total[0] / (lam * shifted[0]), scalar)
 
 
 @dataclass(frozen=True)

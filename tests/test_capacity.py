@@ -3,11 +3,13 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ratioreg as rr
+from ratioreg import kernel
 from ratioreg.capacity import save_profile_csv
 from ratioreg.kernel import kernel_matrix
 
@@ -201,6 +203,21 @@ def test_spectral_leverage_matches_dense_solve():
         points = scan[::12]
         single = [rr.christoffel(gram, lam, x) for x in points]
         assert np.max(np.abs(single - reference[::12])) <= 1e-12 * scale
+
+
+def test_profile_memory_is_four_floor_blocks_and_o_nr():
+    """At n = 1600 the 1,800-column scan runs in 64-row blocks of the probe kernel:
+    the profile holds four arrays of a block's shape plus eight n x r arrays."""
+    n = 1600
+    gram = rr.assemble_gram(rr.KernelSpec(), rr.sample_normal(2.0, 5.0, n, 17, "p"))
+    tracemalloc.start()
+    try:
+        rr.capacity_profile(gram, np.geomspace(0.01, 1.0, 20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = kernel._BLOCK_ROW_MULTIPLE * n * 8
+    assert peak < 4 * block + 8 * n * gram.eigensystem()[0].size * 8
 
 
 def test_one_decomposition_per_call(linalg_calls, gram):

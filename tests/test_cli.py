@@ -647,3 +647,22 @@ def test_module_entry_point(tmp_path, subprocess_env):
         capture_output=True, text=True, cwd=tmp_path, env=subprocess_env)
     assert result.returncode == 0
     assert "all_satisfied: true" in result.stdout
+
+
+def test_capacity_and_simulate_bytes_do_not_depend_on_blas_threads(tmp_path, subprocess_env):
+    """``capacity`` on 1,600 points and an n = m = 400 study write the same bytes under
+    1 and 2 BLAS threads, as README "Reproducibility" states."""
+    rr.save_samples_csv(rr.sample_normal(2.0, 5.0, 1600, 23, "p"), tmp_path / "xp.csv")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        env = {**subprocess_env, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        printed = [subprocess.run([sys.executable, "-m", "ratioreg", *argv], cwd=out,
+                                  env=env, capture_output=True, check=True).stdout
+                   for argv in (["capacity", "--xp", "../xp.csv", "--out", "p.csv"],
+                                ["simulate", "--n", "400", "--m", "400", "--replications",
+                                 "2"])]
+        outputs.append([*printed, *((out / name).read_bytes() for name in (
+            "p.csv", "report.json", "replications.csv", "box_stats.csv"))])
+    assert outputs[0] == outputs[1]

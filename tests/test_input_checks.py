@@ -65,6 +65,9 @@ BAD_CALLS = {
     "fit lam True": lambda g: rr.fit_iterated_lavrentiev(g, True),
     "fit iterations 2.5": lambda g: rr.fit_iterated_lavrentiev(g, 0.5, 2.5),
     "fit lam 1e308, n lam overflows": lambda g: rr.fit_iterated_lavrentiev(g, 1e308),
+    "fit offset 1e308, k(x, x) + n lam overflows": lambda g: rr.fit_iterated_lavrentiev(
+        rr.assemble_gram(rr.KernelSpec(offset=1e308), rr.SampleSet([0.0], "p"),
+                         rr.SampleSet([0.5], "q")), 1.5e308),
     "KernelSpec bandwidth 1e200, 2h^2 overflows": lambda g: rr.KernelSpec(bandwidth=1e200),
     "KernelSpec bandwidth 1e-200, 2h^2 vanishes": lambda g: rr.KernelSpec(bandwidth=1e-200),
     "check qualification 400, lam**s overflows": lambda g: rr.check_scheme_constants(

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ratioreg as rr
+from ratioreg import kernel
 from ratioreg.kernel import _row_blocks
 
 # k(x, y) = 1 + exp(-(x-y)^2 / 2) at squared distance 2 -> 1 + e^{-1}
@@ -142,6 +143,46 @@ def test_f_bar_from_row_blocks_is_bitwise(default_kernel, rng):
     gram = rr.assemble_gram(default_kernel, xp, xq)
     cross = rr.kernel_matrix(default_kernel, xp.points, xq.points)
     assert np.array_equal(gram.f_bar, (xp.n / xq.n) * cross.sum(axis=1))
+
+
+def test_results_do_not_depend_on_the_block_budget(default_kernel, monkeypatch):
+    """f_bar, a 3,072-point evaluation and a capacity profile have the same bits at
+    the 64-row floor (budget 1), at the default budget and in one block (2^30)."""
+    xp = rr.sample_normal(2.0, 5.0, 1000, 61, "p")
+    xq = rr.sample_normal(3.0, 0.5, 400, 62, "q")
+    grid = np.linspace(-8.0, 12.0, 3072).reshape(-1, 1)
+    results = []
+    for budget in (1, kernel._BLOCK_ELEMENTS, 1 << 30):
+        with monkeypatch.context() as scoped:
+            scoped.setattr(kernel, "_BLOCK_ELEMENTS", budget)
+            gram = rr.assemble_gram(default_kernel, xp, xq)
+            small = rr.assemble_gram(default_kernel, rr.SampleSet(xp.points[:400], "p"), xq)
+            model = rr.fit_iterated_lavrentiev(small, 0.1, 3)
+            reference = rr.assemble_gram(default_kernel, rr.SampleSet(xp.points[:300], "p"))
+            profile = rr.capacity_profile(reference, np.geomspace(0.01, 1.0, 20))
+            heights = {rows.stop - rows.start for rows in _row_blocks(3072, 800)}
+            results.append((heights, gram.f_bar, rr.evaluate_batch(model, grid),
+                            profile.n_eff, profile.n_inf, profile.lambda_star))
+    assert len({max(r[0]) for r in results}) == 3  # three blockings of the grid
+    for other in results[1:]:
+        for got, want in zip(other[1:], results[0][1:]):
+            assert np.array_equal(got, want)
+
+
+def test_dense_kernel_is_finite_at_extreme_inputs():
+    """Every K entry lies in [offset, offset + 1] for any finite points, without a warning:
+    a squared distance that overflows gives exp(-inf) = 0, the limit."""
+    points = [[1e300, -1e300], [-1e300, 1e300], [0.0, 0.0], [1e300, 1e300]]
+    for spec in (rr.KernelSpec(), rr.KernelSpec(bandwidth=1e-150),
+                 rr.KernelSpec(family="gaussian", bandwidth=1e150)):
+        for dim in (1, 2):
+            sample = rr.SampleSet(np.array(points)[:, :dim], "p")
+            dense = rr.assemble_gram(spec, sample, rr.SampleSet([[0.5] * dim], "q")).dense()
+            assert np.isfinite(dense).all()
+            assert np.all((dense >= spec.offset) & (dense <= spec.offset + 1.0))
+    gram = rr.assemble_gram(rr.KernelSpec(bandwidth=1e-150), rr.SampleSet(points, "p"),
+                            rr.SampleSet([[0.0, 0.0]], "q"))
+    assert np.isfinite(rr.fit_iterated_lavrentiev(gram, 0.1, 2).values_at_xp).all()
 
 
 def test_assemble_gram_memory_is_bounded(default_kernel, rng):
