@@ -102,19 +102,15 @@ def effective_dimension(gram: GramSystem, lam: float) -> float:
     return _n_eff(gram.spectrum(), lam)
 
 
-def find_lambda_star(gram: GramSystem, bracket: tuple[float, float] | None = None) -> float:
-    """Solve N(lam) / lam = n by bisection in log(lam).
+def find_lambda_star(gram: GramSystem) -> float:
+    """Solve N(lam) / lam = n by bisection in log(lam) on (1e-8, k(x, x)).
 
-    The default bracket is (1e-8, k(x, x)), k(x, x) being the largest
-    diagonal entry of K; the map lam -> N(lam)/lam is strictly decreasing,
-    so the root is unique inside any bracket on which the map straddles n.
+    k(x, x) is the largest diagonal entry of K; the map lam -> N(lam)/lam
+    is strictly decreasing, so the root is unique when the map straddles n
+    on that bracket, and InputError says so when it does not.
     """
     spectrum = gram.spectrum()
-    if bracket is None:
-        bracket = (1e-8, gram.kernel.diagonal_value())
-    lo, hi = positive_real(bracket[0], "bracket"), positive_real(bracket[1], "bracket")
-    if not lo < hi:
-        raise InputError(f"bracket must satisfy 0 < lo < hi < inf, got {bracket!r}")
+    lo, hi = 1e-8, gram.kernel.diagonal_value()
     r_lo, r_hi = _n_eff(spectrum, lo) / lo, _n_eff(spectrum, hi) / hi
     if not (r_lo > gram.n > r_hi):
         raise InputError("bracket does not straddle the balance point: "
@@ -150,9 +146,13 @@ def default_probe_grid(xp: SampleSet, count: int = 200) -> np.ndarray:
     count = whole_number(count, "count")
     low = xp.points.min(axis=0)
     high = xp.points.max(axis=0)
-    center = (low + high) / 2.0
-    half = np.maximum((high - low) / 2.0, 1e-8) * 1.2
-    low, high = center - half, center + half
+    # halved before adding: the same bits, and an overflow only past the float range
+    with np.errstate(over="ignore"):
+        center = low / 2.0 + high / 2.0
+        half = np.maximum(high / 2.0 - low / 2.0, 1e-8) * 1.2
+        low, high = center - half, center + half
+        if not np.isfinite(high - low).all():
+            raise InputError("the probe box (the sample's bounding box inflated 20%) overflows")
     if xp.dim == 1:
         return np.linspace(low[0], high[0], count).reshape(-1, 1)
     per_axis = max(2, math.ceil(count ** (1.0 / xp.dim)))
@@ -165,8 +165,9 @@ def capacity_profile(gram: GramSystem, lambdas, probe_points=None) -> CapacityPr
     """Tabulate N(lam), the sup-capacity estimate, and the balance point.
 
     ``lambdas`` must be finite and positive; it is sorted into decreasing
-    order.  ``lambda_star`` is None when the default bracket does not
-    straddle the balance point (tiny samples), rather than an error.
+    order.  ``lambda_star`` is None, not an error, when N(lam)/lam does not
+    straddle n on (1e-8, k(x, x)).  As the spectrum sums to k(x, x), N/lam < 1
+    at the top and N(1e-8) >= k(x, x) / (k(x, x) + 1e-8): that takes n > ~1e8.
     """
     single = isinstance(lambdas, str) or not np.iterable(lambdas)
     values = [lambdas] if single else list(lambdas)

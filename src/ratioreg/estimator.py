@@ -102,8 +102,8 @@ class RatioModel:
         beta(x) = sum_i alpha[i] * k(x, x_i) + mu_coeff * (1/m) * sum_j k(x, x'_j)
 
     over the stored reference points x_i and target points x'_j.
-    ``values_at_xp`` caches beta at the reference points, which is what
-    the error metrics and the lambda selector consume.
+    ``values_at_xp`` caches beta at the reference points, which the rate
+    study's error metric reads; the lambda selector reads ladder rows instead.
     """
 
     kernel: KernelSpec
@@ -212,11 +212,13 @@ def fit_iterated_lavrentiev(gram: GramSystem, lam: float, iterations: int = 1) -
     for _ in range(scheme.iterations):
         values = solve(n_lam * values + gram.f_bar)
         alpha_accum += values
-    if not np.isfinite(values).all():
+    with np.errstate(over="ignore"):  # raised below, not warned
+        alpha = -alpha_accum / n_lam
+    if not (np.isfinite(values).all() and np.isfinite(alpha).all()):
         raise NumericalError(
-            f"non-finite fitted values after {scheme.iterations} iterations", lam=lam)
+            f"non-finite fitted values or alpha after {scheme.iterations} iterations", lam=lam)
     return RatioModel(kernel=gram.kernel, scheme=scheme, xp_points=gram.xp.points,
-                      xq_points=gram.xq.points, alpha=-alpha_accum / n_lam,
+                      xq_points=gram.xq.points, alpha=alpha,
                       mu_coeff=scheme.iterations / lam, values_at_xp=values)
 
 
@@ -309,5 +311,8 @@ def evaluate_batch(model: RatioModel, points) -> np.ndarray:
     for rows in _row_blocks(pts.shape[0], len(model.xp_points) + len(model.xq_points)):
         k_ref = kernel_matrix(model.kernel, pts[rows], model.xp_points)
         k_target = kernel_matrix(model.kernel, pts[rows], model.xq_points)
-        values[rows] = k_ref @ model.alpha + model.mu_coeff * k_target.mean(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # raised below, not warned
+            values[rows] = k_ref @ model.alpha + model.mu_coeff * k_target.mean(axis=1)
+    if not np.isfinite(values).all():
+        raise NumericalError("non-finite evaluated value", lam=model.scheme.lam)
     return values

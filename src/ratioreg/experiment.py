@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import (InputError, NumericalError, finite_array, finite_real, positive_real,
-                     require_keys, save_csv, save_json, whole_number)
+                     save_csv, save_json, whole_number)
 from .estimator import evaluate_batch, fit_iterated_lavrentiev, fit_spectral
 from .kernel import KernelSpec, SampleSet, _as_points, assemble_gram
 from .regularization import iterated_lavrentiev
@@ -66,14 +66,20 @@ def true_beta(x, mu_q: float, mu_p: float = MU_P, var_p: float = VAR_P,
               var_q: float = VAR_Q):
     """Exact density ratio of N(mu_q, var_q) over N(mu_p, var_p).
 
-    Vectorized over x.  With the default parameters this reduces to
+    Vectorized over x; InputError where it is not finite in floating point.
+    With the default parameters this reduces to
     sqrt(10) * exp(((x - 2)^2 - 10 (x - mu_q)^2) / 10).
     """
     mu_q, mu_p = finite_real(mu_q, "mu_q"), finite_real(mu_p, "mu_p")
     var_p, var_q = positive_real(var_p, "var_p"), positive_real(var_q, "var_q")
     arr = finite_array(x, "x")
-    out = math.sqrt(var_p / var_q) * np.exp(
-        (arr - mu_p) ** 2 / (2.0 * var_p) - (arr - mu_q) ** 2 / (2.0 * var_q))
+    # an overflowed square gives exp(-inf) = 0, or a non-finite ratio that is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = math.sqrt(var_p / var_q) * np.exp(
+            (arr - mu_p) ** 2 / (2.0 * var_p) - (arr - mu_q) ** 2 / (2.0 * var_q))
+    if not np.isfinite(out).all():
+        raise InputError(f"the exact ratio is not finite in floating point: mu_q={mu_q!r}, "
+                         f"mu_p={mu_p!r}, var_p={var_p!r}, var_q={var_q!r}")
     return float(out) if out.ndim == 0 else out
 
 
@@ -167,19 +173,6 @@ class SimConfig:
             "grid": self.grid.to_dict(), "seed": self.seed,
             "kernel": self.kernel.to_dict(),
         }
-
-    @staticmethod
-    def from_dict(data: dict) -> "SimConfig":
-        require_keys(data, (), "study config")
-        unknown = sorted(set(data) - set(SimConfig.__dataclass_fields__))
-        if unknown:
-            raise InputError(f"study config has unknown keys {unknown}")
-        fields = dict(data)
-        if "grid" in fields:
-            fields["grid"] = LambdaGrid.from_dict(fields["grid"])
-        if "kernel" in fields:
-            fields["kernel"] = KernelSpec.from_dict(fields["kernel"])
-        return SimConfig(**fields)
 
 
 @dataclass(frozen=True)

@@ -364,9 +364,10 @@ def assemble_gram(spec: KernelSpec, xp: SampleSet, xq: SampleSet | None = None) 
     """
     f_bar = np.zeros(xp.n)
     if xq is not None:
-        for rows in _row_blocks(xp.n, xq.n):
-            f_bar[rows] = kernel_matrix(spec, xp.points[rows], xq.points).sum(axis=1)
-        f_bar *= xp.n / xq.n
+        with np.errstate(over="ignore"):  # an overflowed f_bar is refused by GramSystem
+            for rows in _row_blocks(xp.n, xq.n):
+                f_bar[rows] = kernel_matrix(spec, xp.points[rows], xq.points).sum(axis=1)
+            f_bar *= xp.n / xq.n
     return GramSystem(kernel=spec, xp=xp, xq=xq, f_bar=f_bar)
 
 

@@ -262,7 +262,8 @@ def check_scheme_constants(scheme: RegScheme, t_max: float, grid_size: int = 200
 
     The grid spans [min(lam, t_max) * 1e-9, t_max] logarithmically: the
     lower end sits far below the regularization strength because that is
-    where the inverse-order bound is approached.
+    where the inverse-order bound is approached.  InputError if that end
+    underflows to 0, or if k / lam, lam + t_max or lam**s overflows.
     """
     t_max = positive_real(t_max, "t_max")
     grid_size = whole_number(grid_size, "grid_size", minimum=2)
@@ -277,9 +278,30 @@ def check_scheme_constants(scheme: RegScheme, t_max: float, grid_size: int = 200
 
     lam = scheme.lam
     lo = min(lam, t_max) * 1e-9
+    if lo == 0.0:
+        raise InputError(f"min(lam, t_max) * 1e-9 underflows to 0: lam={lam!r}, t_max={t_max!r}")
+    if math.isinf(scheme.inverse_order_bound / lam) or math.isinf(lam + t_max):
+        raise InputError(f"k / lam or lam + t_max overflows: k={scheme.iterations}, "
+                         f"lam={lam!r}, t_max={t_max!r}")
+    try:
+        bound = math.inf if math.isinf(s) else lam**s
+    except OverflowError as exc:
+        raise InputError(f"lam**s overflows: lam={lam!r}, s={s!r}") from exc
     grid = np.geomspace(lo, t_max, grid_size)
     g = filter_value(scheme, grid)
     r = residual_value(scheme, grid)
+    if math.isinf(s):  # an unbounded order holds at every t
+        t_s_r = np.zeros(grid_size)
+    else:
+        # t**s |r| in log space: t**s overflows once t_max**s passes the
+        # float range, and (lam / (lam + t))**k underflows before that
+        if scheme.kind == "spectral_cutoff":
+            log_r = np.where(grid >= lam, -np.inf, 0.0)
+        else:
+            log_r = -scheme.iterations * np.logaddexp(0.0, np.log(grid) - math.log(lam))
+        with np.errstate(over="ignore", invalid="ignore"):
+            t_s_r = np.exp(s * np.log(grid) + log_r)
+        t_s_r[log_r == -np.inf] = 0.0  # r = 0 makes the term 0 at any order, not inf - inf
 
     def scan(name: str, values: np.ndarray, bound: float) -> InequalityCheck:
         gaps = bound - values
@@ -288,31 +310,12 @@ def check_scheme_constants(scheme: RegScheme, t_max: float, grid_size: int = 200
         return InequalityCheck(name=name, margin=margin, worst_t=float(grid[worst]),
                                satisfied=margin >= -1e-12 * max(1.0, abs(bound)))
 
-    checks = [
+    checks = (
         scan("residual_sup", np.abs(r), scheme.residual_bound),
         scan("half_order", np.sqrt(grid) * np.abs(g),
              scheme.half_order_bound / math.sqrt(lam)),
         scan("inverse_order", np.abs(g), scheme.inverse_order_bound / lam),
-    ]
-    if math.isinf(s):
-        checks.append(InequalityCheck(name="qualification", margin=math.inf,
-                                      worst_t=float(grid[0]), satisfied=True))
-    else:
-        try:
-            bound = lam**s
-        except OverflowError as exc:
-            raise InputError(f"lam**s overflows: lam={lam!r}, s={s!r}") from exc
-        # t**s |r| in log space: t**s overflows once t_max**s passes the
-        # float range, and (lam / (lam + t))**k underflows before that
-        if scheme.kind == "spectral_cutoff":
-            log_r = np.where(grid >= lam, -np.inf, 0.0)
-        else:
-            log_r = -scheme.iterations * np.logaddexp(0.0, np.log(grid) - math.log(lam))
-        with np.errstate(over="ignore"):
-            gaps = bound - np.exp(s * np.log(grid) + log_r)
-        worst = int(np.argmin(gaps))
-        checks.append(InequalityCheck(
-            name="qualification", margin=float(gaps[worst]), worst_t=float(grid[worst]),
-            satisfied=float(gaps[worst]) >= -1e-12 * max(1.0, bound)))
+        scan("qualification", t_s_r, bound),
+    )
     return SchemeCheckReport(scheme=scheme, t_max=t_max, grid_size=grid_size,
-                             qualification=s, checks=tuple(checks))
+                             qualification=s, checks=checks)

@@ -38,8 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (InputError, finite_array, finite_real, positive_real, require_keys,
-                     whole_number)
+from .errors import InputError, finite_array, finite_real, positive_real, whole_number
 from .estimator import fit_iterated_lavrentiev_ladder
 from .kernel import GramSystem
 
@@ -74,12 +73,6 @@ class LambdaGrid:
 
     def to_dict(self) -> dict:
         return {"lambda_0": self.lambda_0, "rho": self.rho, "size": self.size}
-
-    @staticmethod
-    def from_dict(data: dict) -> "LambdaGrid":
-        require_keys(data, ("lambda_0", "rho", "size"), "grid")
-        return LambdaGrid(lambda_0=data["lambda_0"], rho=data["rho"],
-                          size=data["size"])
 
 
 @dataclass(frozen=True)

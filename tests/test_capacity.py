@@ -90,13 +90,18 @@ def test_lambda_star_balances_ratio(gram):
     assert abs(rr.effective_dimension(gram, star) / star - gram.n) <= 1e-4 * gram.n
 
 
-def test_lambda_star_bad_bracket_reports_endpoints(gram):
-    with pytest.raises(rr.InputError) as info:
-        rr.find_lambda_star(gram, bracket=(1.0, 2.0))
+def test_lambda_star_bad_bracket_reports_endpoints(gram, dense_twin):
+    """A spectrum of 1e-30 / n keeps N(lam)/lam below n on all of (1e-8, k(x, x)).
+
+    No real kernel gets there below n of about 1e8 (``capacity_profile``),
+    so the fault is injected as K = 1e-30 I.
+    """
+    faint = dense_twin(gram, k_matrix=1e-30 * np.eye(gram.n))
+    with pytest.raises(rr.InputError, match="does not straddle") as info:
+        rr.find_lambda_star(faint)
     message = str(info.value)
-    assert "1.0" in message and "2.0" in message and str(gram.n) in message
-    with pytest.raises(rr.InputError):
-        rr.find_lambda_star(gram, bracket=(2.0, 1.0))
+    assert "lo=1e-08" in message and "hi=2.0" in message and f"n={gram.n}" in message
+    assert rr.capacity_profile(faint, [0.5]).lambda_star is None
 
 
 def test_capacity_validation(gram):
@@ -171,8 +176,6 @@ def test_non_finite_strengths_rejected(gram, lam):
         rr.capacity_profile(gram, lam, [[0.0]])
     with pytest.raises(rr.InputError):
         rr.capacity_profile(gram, [0.5, lam])
-    with pytest.raises(rr.InputError):
-        rr.find_lambda_star(gram, bracket=(1e-3, lam))
 
 
 def _dense_leverage(gram, spec, xp, lam, points):

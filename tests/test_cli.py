@@ -292,7 +292,7 @@ def test_capacity_reports_unbracketed_balance_point(tmp_path, sample_files,
                                                     capsys, monkeypatch):
     _, _, xp_path, _ = sample_files
 
-    def refuse(gram, bracket=None):
+    def refuse(gram):
         raise rr.InputError("bracket does not straddle the balance point")
 
     monkeypatch.setattr(capacity_mod, "find_lambda_star", refuse)

@@ -63,7 +63,7 @@ WORDS = st.sampled_from(
 # and no "-" (argparse would read "-h" as a flag).
 TEXT = st.text(st.characters(blacklist_categories=("Nd", "Cs"), blacklist_characters="-"),
                max_size=6)
-NUMBERS = st.sampled_from([0, 1, 2, 4, -1, 0.0, 0.5, -0.5, 2.5, 1e-300, 1e308,
+NUMBERS = st.sampled_from([0, 1, 2, 4, -1, 0.0, 0.5, -0.5, 2.5, 1e-300, 5e-324, 1e308, 1.7e308,
                            math.inf, -math.inf, math.nan])
 SCALARS = st.one_of(st.none(), st.booleans(), NUMBERS, WORDS, TEXT)
 JSON_VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=3),

@@ -140,11 +140,6 @@ def test_sim_config_validation():
         rr.SimConfig(k_list=(0,))
 
 
-def test_sim_config_round_trip():
-    config = tiny_config()
-    assert rr.SimConfig.from_dict(config.to_dict()) == config
-
-
 def test_run_study_shape_single_cell():
     config = rr.SimConfig(n=15, m=15, mu_q_list=(2.0,), k_list=(1,),
                           replications=1, seed=5)
@@ -284,8 +279,8 @@ def test_report_json_round_trip(tmp_path):
     assert raw["config"]["n"] == 20
     assert len(raw["cells"]) == 4
     assert raw["failures"] == 0
-    rebuilt = rr.SimConfig.from_dict(raw["config"])
-    assert rebuilt == report.config
+    assert raw["config"] == report.config.to_dict()
+    assert set(raw["config"]) == {f.name for f in dataclasses.fields(rr.SimConfig)}
 
 
 def test_report_csv_outputs(tmp_path):

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 import ratioreg as rr
+from ratioreg.cli import main
 from ratioreg.errors import finite_real, positive_real, whole_number
 from ratioreg.experiment import nearest_rank_quantile
 from ratioreg.regularization import iterated_filter_rows
@@ -57,7 +58,6 @@ BAD_CALLS = {
     "christoffel lam True": lambda g: rr.christoffel(g, True, [0.0]),
     "capacity_profile lam True": lambda g: rr.capacity_profile(g, [0.5, True]),
     "capacity_profile lam '0.5'": lambda g: rr.capacity_profile(g, "0.5"),
-    "find_lambda_star bracket nan": lambda g: rr.find_lambda_star(g, (NAN, 1.0)),
     "default_probe_grid count 2.5": lambda g: rr.default_probe_grid(g.xp, 2.5),
     "LambdaGrid lambda_0 True": lambda g: rr.LambdaGrid(lambda_0=True),
     "LambdaGrid lambda_0 '0.5'": lambda g: rr.LambdaGrid(lambda_0="0.5"),
@@ -110,7 +110,6 @@ BAD_CALLS = {
     "run_study probe_grid []": lambda g: rr.run_study(rr.SimConfig(), probe_grid=[]),
     "choose_from_values [[], []]": lambda g: choose_from_values([[], []]),
     "nearest_rank_quantile []": lambda g: nearest_rank_quantile([], 0.5),
-    "SimConfig.from_dict unknown key": lambda g: rr.SimConfig.from_dict({"size": 3}),
     "RegScheme lam '0.5'": lambda g: rr.RegScheme("iterated_lavrentiev", "0.5"),
     "RegScheme iterations True": lambda g: rr.RegScheme("iterated_lavrentiev", 0.5, True),
     "filter rows count 1.5": lambda g: iterated_filter_rows([0.5], 1.5, [0.0]),
@@ -221,6 +220,58 @@ def test_overflowing_capacity_exits_3_without_warnings(tmp_path, subprocess_env)
     assert len(lines) == 1, run.stderr
     assert json.loads(lines[0])["error"] == "numerical"
     assert not (tmp_path / "profile.csv").exists()
+
+
+FIT = ["fit", "--xp", "xp.csv", "--xq", "xq.csv", "--out", "out"]
+# Inputs whose arithmetic overflows on the way to a checked error or to a right
+# value: (argv, exit code, text that stdout holds).
+OVERFLOWS = {
+    "check-schemes --t-max 1e-320": (["check-schemes", "--t-max", "1e-320"], 2, ""),
+    "check-schemes --lam 5e-324": (["check-schemes", "--lam", "5e-324"], 2, ""),
+    "check-schemes --lam 1e-310": (["check-schemes", "--lam", "1e-310"], 2, ""),
+    "check-schemes lam + t_max 2e308": (["check-schemes", "--lam", "1e308", "--t-max", "1e308",
+                                         "--iterations", "1", "--qualification", "0"], 2, ""),
+    "fit --offset 1.7e308": ([*FIT, "--lam", "0.3", "--offset", "1.7e308"], 2, ""),
+    "fit --lam 5e-324": ([*FIT, "--lam", "5e-324"], 3, ""),
+    "simulate --offset 1e308": (["simulate", *SMALL_STUDY, "--offset", "1e308"], 0, ""),
+    "simulate --mu-q-list 1e308": (["simulate", *SMALL_STUDY, "--mu-q-list", "1e308"], 0,
+                                   "1e+308  0."),
+    "simulate --var-p 1.7e308": (["simulate", *SMALL_STUDY, "--var-p", "1.7e308"], 2, ""),
+    "rates --probe-x 1.7e308": (["rates", "--n-list", "4,8", "--replications", "1",
+                                 "--probe-x", "1.7e308"], 2, ""),
+    "capacity on one point at 1e308": (["capacity", "--xp", "far.csv", "--out", "out"], 0,
+                                       "lambda_star"),
+    "capacity on points at -1e308 and 1e308": (["capacity", "--xp", "wide.csv", "--out",
+                                                "out"], 2, ""),
+    "evaluate alpha and mu_coeff 1.7e308": (["evaluate", "--model", "huge.json", "--points",
+                                             "xp.csv", "--out", "out"], 3, ""),
+}
+
+
+@pytest.mark.parametrize("argv, code, shown", OVERFLOWS.values(), ids=OVERFLOWS.keys())
+def test_overflow_exits_cleanly_without_warnings(tmp_path, monkeypatch, capsys,
+                                                 argv, code, shown):
+    """In process, where a numpy warning is an error: exit 0 with nothing on stderr,
+    or exit 2 or 3 with one JSON line and no output file."""
+    monkeypatch.chdir(tmp_path)
+    xp, xq = rr.sample_normal(2.0, 5.0, 6, 1, "p"), rr.sample_normal(3.0, 0.5, 5, 2, "q")
+    rr.save_samples_csv(xp, "xp.csv")
+    rr.save_samples_csv(xq, "xq.csv")
+    gram = rr.assemble_gram(rr.KernelSpec(), xp, xq)
+    huge = dict(rr.fit_spectral(gram, SINGLE).to_dict(), alpha=[1.7e308] * gram.n,
+                mu_coeff=1.7e308)
+    (tmp_path / "huge.json").write_text(json.dumps(huge))
+    (tmp_path / "far.csv").write_text("1e308\n")
+    (tmp_path / "wide.csv").write_text("-1e308\n1e308\n")
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert shown in out
+    if code == 0:
+        assert err == ""
+    else:
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == {2: "validation", 3: "numerical"}[code]
+        assert not (tmp_path / "out").exists()
 
 
 def test_evaluate_rejects_model_entries_that_are_not_numbers(tmp_path, subprocess_env,

@@ -264,10 +264,65 @@ def test_constants_check_flags_wrong_qualification():
 
 
 def test_constants_check_cutoff_finite_override():
-    # cutoff satisfies any finite qualification as well
-    report = rr.check_scheme_constants(spectral_cutoff(0.3), t_max=2.0,
-                                       qualification=4.0)
-    assert report.all_satisfied
+    """Cutoff satisfies any finite qualification as well: where r = 0, t**s r is 0
+    even where t**s overflows, not the nan of -inf + inf in log space."""
+    for s, t_max in ((4.0, 2.0), (1e308, 10.0)):
+        report = rr.check_scheme_constants(spectral_cutoff(0.3), t_max=t_max,
+                                           qualification=s)
+        assert report.all_satisfied and report.checks[-1].margin >= 0.0
+
+
+_CHECK_NAMES = ("residual_sup", "half_order", "inverse_order", "qualification")
+
+
+def _checks(*rows):
+    """A report dict's "checks" from (margin, worst_t, satisfied) rows in check order."""
+    return [{"name": name, "margin": margin, "worst_t": worst_t, "satisfied": satisfied}
+            for name, (margin, worst_t, satisfied) in zip(_CHECK_NAMES, rows)]
+
+
+_T0 = 2.0000000000000003e-10  # the grid's lower end min(0.2, t_max) * 1e-9
+# (scheme, t_max, qualification) -> (report.to_dict(), qualification margin), as
+# computed when the qualification check was written out beside the scan
+GOLDEN_CHECKS = [
+    ((iterated_lavrentiev(0.2, 3), 2.0, None), ({
+        "scheme": {"kind": "iterated_lavrentiev", "k": 3, "lambda": 0.2}, "t_max": 2.0,
+        "grid_size": 2000, "qualification": 3.0, "all_satisfied": True,
+        "checks": _checks((2.9999999151542056e-09, _T0, True),
+                          (1.6256487707197342, 0.07768275923324847, True),
+                          (3.000000070585429e-08, _T0, True),
+                          (0.00198948159278737, 2.0, True))}, 0.00198948159278737)),
+    ((rr.RegScheme("lavrentiev", 0.2), 2.0, 2.0), ({
+        "scheme": {"kind": "iterated_lavrentiev", "k": 1, "lambda": 0.2}, "t_max": 2.0,
+        "grid_size": 2000, "qualification": 2.0, "all_satisfied": False,
+        "checks": _checks((9.999999717180685e-10, _T0, True),
+                          (1.1180341741759456, 0.19976975893302354, True),
+                          (5.000000413701855e-09, _T0, True),
+                          (-0.3236363636363637, 2.0, False))}, -0.3236363636363637)),
+    ((spectral_cutoff(0.2), 2.0, None), ({
+        "scheme": {"kind": "spectral_cutoff", "k": 1, "lambda": 0.2}, "t_max": 2.0,
+        "grid_size": 2000, "qualification": None, "all_satisfied": True,
+        "checks": _checks((0.0, _T0, True),
+                          (0.011560465818255317, 0.2020841475875477, True),
+                          (0.05156633047242831, 0.2020841475875477, True),
+                          (None, _T0, True))}, math.inf)),
+    ((iterated_lavrentiev(0.2, 3), 1e308, 5.0), ({
+        "scheme": {"kind": "iterated_lavrentiev", "k": 3, "lambda": 0.2}, "t_max": 1e308,
+        "grid_size": 2000, "qualification": 5.0, "all_satisfied": False,
+        "checks": _checks((2.9999999151542056e-09, _T0, True),
+                          (1.6257656229031352, 0.07641757773547878, True),
+                          (3.000000070585429e-08, _T0, True),
+                          (None, 1.8590006973843754e+155, False))}, -math.inf)),
+]
+
+
+@pytest.mark.parametrize("case, golden", GOLDEN_CHECKS,
+                         ids=["default", "lavrentiev s=2", "cutoff", "t_max 1e308 s=5"])
+def test_constants_check_golden_reports(case, golden):
+    """Every check, the qualification one included, keeps its recorded bits."""
+    scheme, t_max, s = case
+    report = rr.check_scheme_constants(scheme, t_max=t_max, qualification=s)
+    assert (report.to_dict(), report.checks[-1].margin) == golden
 
 
 def test_constants_check_validation():
