@@ -1,11 +1,13 @@
 """Command-line surface: fit and evaluate models, run the study and sweeps.
 
 One binary with subcommands.  Every subcommand accepts --config pointing
-at a JSON file whose keys are the flag names (underscored); explicit
-flags override the file, the file overrides built-in defaults.  Errors,
-a malformed command line included, leave one machine-readable JSON line
-on stderr and map to exit codes: 1 for I/O problems, 2 for validation,
-3 for numerical breakdown.
+at a JSON object whose keys are the flag names (underscored).  The file
+is read as flags placed ahead of the command line's own, so explicit
+flags win and a bad value gets the message of the same bad flag; a list
+flag also takes a JSON array, and null leaves a flag that has no default
+unset.  Errors, a malformed command line included, leave one
+machine-readable JSON line on stderr and map to exit codes: 1 for I/O
+problems, 2 for validation, 3 for numerical breakdown.
 """
 
 from __future__ import annotations
@@ -20,82 +22,52 @@ import numpy as np
 
 from . import capacity as capacity_mod
 from . import estimator, experiment, kernel, regularization, selection
-from .errors import (InputError, NumericalError, load_json, positive_real, save_csv,
-                     save_json, whole_number)
+from .errors import (InputError, NumericalError, load_json, positive_real, require_keys,
+                     save_csv, save_json, whole_number)
 
 
 def _fail(kind: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
 
 
-def _converted(value, convert, what: str):
-    """``convert(value)`` for ``convert`` int or float, as a typed flag takes its argument.
+def _list_of(convert):
+    """An argparse type: comma-separated text as a list of ``convert`` values."""
+    def parse(text: str) -> list:
+        return [convert(v) for v in text.split(",") if v.strip()]
+    parse.__name__ = f"{convert.__name__} list"  # argparse names the type in its errors
+    return parse
 
-    A JSON boolean is not a number, and a JSON float is not an integer:
-    int() and float() would turn 4.7 into 4 and true into 1 where the flags
-    themselves reject "4.7" and "true".
+
+_INTS, _FLOATS = _list_of(int), _list_of(float)
+
+
+def _config_flags(path: str, flags: dict) -> list[str]:
+    """The JSON object in the config file at ``path`` as "--flag=text" arguments.
+
+    A text flag takes a string without NUL, a list flag also an array
+    (joined with ","); a typed flag gets the JSON text of its value for
+    its type to convert, as on the command line.  ``null`` leaves a flag
+    that has no default unset.
     """
-    if isinstance(value, bool) or (convert is int and isinstance(value, float)):
-        kind = "an integer" if convert is int else "a number"
-        raise InputError(f"{what} must be {kind}, got {value!r}")
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{what} has an invalid value {value!r}: {exc}") from exc
-
-
-def _number_list(value, convert) -> list:
-    """A comma-separated string or a JSON array, each entry converted by ``_converted``."""
-    if isinstance(value, str):
-        value = [v for v in value.split(",") if v.strip()]
-    return [_converted(v, convert, f"list entry in {value!r}") for v in value]
-
-
-# Flags that take a comma-separated list, or a JSON array in a config file.
-_LIST_KEYS = ("mu_q_list", "k_list", "n_list")
-
-
-def _config_value(key: str, value, convert, default):
-    """A config-file value, checked and converted like its flag's argument.
-
-    An untyped flag takes a string (a list flag also an array), as on the
-    command line; a typed one goes through ``_converted``.
-    """
-    if value is None and default is None:
-        return None
-    if convert is None:
-        if (isinstance(value, str) and "\0" not in value) or (
-                key in _LIST_KEYS and isinstance(value, list)):
-            return value
-        raise InputError(f"config key {key!r} must be a string without NUL "
-                         f"characters, got {value!r}")
-    return _converted(value, convert, f"config key {key!r}")
-
-
-def _merged_options(args: argparse.Namespace) -> dict:
-    """The command's defaults <- config file <- explicit flags (flags win)."""
-    flags = _COMMANDS[args.command][2]
-    defaults = {dest: default for dest, (_, default, _) in flags.items()}
-    merged = dict(defaults)
-    passed = vars(args)
-    for key, value in passed.items():
-        if isinstance(value, str) and "\0" in value:
-            raise InputError(f"--{key.replace('_', '-')} must not contain NUL characters")
-    config_path = passed.get("config")
-    if config_path:
-        loaded = load_json(config_path, "config file")
-        if not isinstance(loaded, dict):
-            raise InputError(f"config file {config_path} must hold a JSON object, "
-                             f"got {type(loaded).__name__}")
-        for key, value in loaded.items():
-            key = key.replace("-", "_")
-            if key not in defaults:
-                raise InputError(f"unknown config key {key!r} for this command")
-            merged[key] = _config_value(key, value, flags[key][0], defaults[key])
-    for key, value in passed.items():
-        if key in defaults:
-            merged[key] = value
-    return merged
+    loaded = load_json(path, "config file")
+    require_keys(loaded, (), f"config file {path}")
+    argv = []
+    for key, value in loaded.items():
+        key = key.replace("-", "_")
+        if key not in flags:
+            raise InputError(f"unknown config key {key!r} for this command")
+        kind, default, _ = flags[key]
+        if value is None and default is None:
+            continue
+        listed = kind in (_INTS, _FLOATS)
+        if listed and isinstance(value, list):
+            value = ",".join(v if isinstance(v, str) else json.dumps(v) for v in value)
+        elif (kind is None or listed) and not (isinstance(value, str) and "\0" not in value):
+            raise InputError(f"config key {key!r} must be a string without NUL "
+                             f"characters, got {value!r}")
+        text = value if isinstance(value, str) else json.dumps(value)
+        argv.append(f"--{key.replace('_', '-')}={text}")
+    return argv
 
 
 def _require(options: dict, key: str) -> object:
@@ -112,8 +84,7 @@ def _kernel_from_options(options: dict) -> kernel.KernelSpec:
 # ---------------------------------------------------------------------------
 # Subcommand handlers.  Each returns the process exit code.
 
-def cmd_fit(args: argparse.Namespace) -> int:
-    options = _merged_options(args)
+def cmd_fit(options: dict) -> int:
     xp_path = _require(options, "xp")
     xq_path = _require(options, "xq")
     out_path = _require(options, "out")
@@ -128,8 +99,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    options = _merged_options(args)
+def cmd_evaluate(options: dict) -> int:
     model_path = _require(options, "model")
     points_path = _require(options, "points")
     out_path = _require(options, "out")
@@ -167,14 +137,13 @@ def _median_table(report: experiment.ExperimentReport) -> str:
     return "\n".join(lines)
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    options = _merged_options(args)
+def cmd_simulate(options: dict) -> int:
     config = experiment.SimConfig(
         n=options["n"], m=options["m"],
         mu_p=options["mu_p"], var_p=positive_real(options["var_p"], "--var-p"),
-        mu_q_list=tuple(_number_list(options["mu_q_list"], float)),
+        mu_q_list=tuple(options["mu_q_list"]),
         var_q=positive_real(options["var_q"], "--var-q"),
-        k_list=tuple(_number_list(options["k_list"], int)),
+        k_list=tuple(options["k_list"]),
         replications=options["replications"],
         grid=selection.LambdaGrid(lambda_0=options["lambda_0"], rho=options["rho"],
                                   size=options["grid_size"]),
@@ -195,10 +164,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_rates(args: argparse.Namespace) -> int:
-    options = _merged_options(args)
+def cmd_rates(options: dict) -> int:
     record = experiment.run_rate_study(
-        n_list=_number_list(options["n_list"], int), eta=options["eta"],
+        n_list=options["n_list"], eta=options["eta"],
         varsigma=options["varsigma"], iterations=options["iterations"],
         replications=options["replications"], seed=options["seed"],
         mu_q=options["mu_q"], probe_x=options["probe_x"],
@@ -213,8 +181,7 @@ def cmd_rates(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_capacity(args: argparse.Namespace) -> int:
-    options = _merged_options(args)
+def cmd_capacity(options: dict) -> int:
     xp_path = _require(options, "xp")
     out_path = _require(options, "out")
     lo = positive_real(options["lambda_min"], "--lambda-min")
@@ -236,8 +203,7 @@ def cmd_capacity(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_check_schemes(args: argparse.Namespace) -> int:
-    options = _merged_options(args)
+def cmd_check_schemes(options: dict) -> int:
     scheme = regularization.RegScheme(
         kind=options["kind"], lam=positive_real(options["lam"], "--lam"),
         iterations=options["iterations"] if options["kind"] != "spectral_cutoff" else 1)
@@ -296,10 +262,10 @@ _COMMANDS = {
         "m": (int, _STUDY.m, "target sample size"),
         "mu_p": (float, _STUDY.mu_p, "reference mean"),
         "var_p": (float, _STUDY.var_p, "reference variance"),
-        "mu_q_list": (None, ",".join(f"{v:g}" for v in _STUDY.mu_q_list),
+        "mu_q_list": (_FLOATS, ",".join(f"{v:g}" for v in _STUDY.mu_q_list),
                       "comma-separated target means"),
         "var_q": (float, _STUDY.var_q, "target variance"),
-        "k_list": (None, ",".join(map(str, _STUDY.k_list)), "comma-separated iteration counts"),
+        "k_list": (_INTS, ",".join(map(str, _STUDY.k_list)), "comma-separated iteration counts"),
         "replications": (int, _STUDY.replications, "replications per cell"),
         "lambda_0": (float, _STUDY.grid.lambda_0, "top of the strength ladder"),
         "rho": (float, _STUDY.grid.rho, "ladder ratio in (0,1) (default: (1/9)**(1/9))"),
@@ -311,7 +277,7 @@ _COMMANDS = {
         **_KERNEL_FLAGS,
     }),
     "rates": (cmd_rates, "empirical convergence-rate sweep", {
-        "n_list": (None, "50,100,200,400", "increasing sample sizes"),
+        "n_list": (_INTS, "50,100,200,400", "increasing sample sizes"),
         "eta": (float, 1.0, "source-condition order"),
         "varsigma": (float, 0.5, "embedding index in [0, 0.5]"),
         "iterations": (int, 10, "iteration count"),
@@ -357,15 +323,31 @@ def build_parser() -> argparse.ArgumentParser:
             if default is not None and "(default" not in text:
                 text += f" (default: {default})"
             sub.add_argument("--" + dest.replace("_", "-"), dest=dest, type=kind,
-                             default=argparse.SUPPRESS, help=text)
+                             default=default, help=text)
         sub.set_defaults(handler=handler)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The parsed command line, a --config file read as flags ahead of its own."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for key, value in vars(args).items():
+        if isinstance(value, str) and "\0" in value:
+            raise InputError(f"--{key.replace('_', '-')} must not contain NUL characters")
+    if args.config is None:
+        return args
+    # the command line's flags come last, and argparse keeps a flag's last value
+    after = argv.index(args.command) + 1
+    return parser.parse_args(argv[:after] + _config_flags(
+        args.config, _COMMANDS[args.command][2]) + argv[after:])
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.handler(args)
+        # in a function of its own, the parser (about 50 KB) is not live while the handler runs
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        return args.handler(vars(args))
     except InputError as exc:
         _fail("validation", str(exc))
         return 2

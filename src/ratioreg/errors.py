@@ -134,14 +134,15 @@ def finite_array(value, name: str) -> np.ndarray:
 def load_json(path, what: str):
     """The JSON value in the file at ``path``.
 
-    A file that is not UTF-8 JSON, or nests too deeply to parse, is an
-    InputError; one that cannot be read stays an OSError.
+    A file that is not UTF-8 JSON, or that nests too deeply or holds an
+    integer too long to parse, is an InputError; one that cannot be read
+    stays an OSError.
     """
-    try:
-        with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8") as handle:
+        try:
             return json.load(handle)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise InputError(f"{what} {path} is not valid UTF-8 JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # undecodable UTF-8 and JSON included
+            raise InputError(f"{what} {path} is not valid UTF-8 JSON: {exc}") from exc
 
 
 def save_json(data, path) -> None:

@@ -125,13 +125,22 @@ def _as_given(out: np.ndarray, scalar: bool):
     return float(out[0]) if scalar else out
 
 
+def _shifted(lams, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, lam + t), one row per strength; InputError where lam + t passes the float range."""
+    lam = np.asarray(lams, dtype=float)[:, None]
+    with np.errstate(over="ignore"):  # raised below, not warned
+        shifted = lam + t
+    if np.isinf(shifted).any():
+        raise InputError(f"lam + t overflows: lam {float(lam.max())!r}, t {float(t.max())!r}")
+    return lam, shifted
+
+
 def _geometric_sum(lams, t: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
     """(sum_r weights[r] * rho**r, lam + t) with rho = lam / (lam + t), one row per strength.
 
     The one power loop of the iterated scheme: weights 1 give g, k - r give q.
     """
-    lam = np.asarray(lams, dtype=float)[:, None]
-    shifted = lam + t
+    lam, shifted = _shifted(lams, t)
     ratio = lam / shifted
     total = np.zeros(shifted.shape)
     power = np.ones(shifted.shape)
@@ -182,8 +191,10 @@ def residual_value(scheme: RegScheme, t):
     full relative accuracy where the residual is tiny.
     """
     arr, scalar = _as_spectrum(t)
-    return _as_given(np.where(arr >= scheme.lam, 0.0, 1.0) if scheme.kind == "spectral_cutoff"
-                     else (scheme.lam / (scheme.lam + arr)) ** scheme.iterations, scalar)
+    if scheme.kind == "spectral_cutoff":
+        return _as_given(np.where(arr >= scheme.lam, 0.0, 1.0), scalar)
+    lam, shifted = _shifted([scheme.lam], arr)
+    return _as_given((lam / shifted)[0] ** scheme.iterations, scalar)
 
 
 def filter_quotient_value(scheme: RegScheme, t):

@@ -8,7 +8,7 @@ import pytest
 
 import ratioreg as rr
 from ratioreg import capacity as capacity_mod
-from ratioreg.cli import main
+from ratioreg.cli import _COMMANDS, build_parser, main
 
 
 @pytest.fixture()
@@ -440,20 +440,31 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys):
     assert code == 2
     payload = read_single_error_line(capsys)
     assert payload["error"] == "validation"
-    assert "'n'" in payload["message"] and "abc" in payload["message"]
+    assert "--n" in payload["message"] and "int value: 'abc'" in payload["message"]
 
 
 @pytest.mark.parametrize("key, value, kind", [("n", 4.7, "integer"), ("n", 4.0, "integer"),
                                              ("n", True, "integer"), ("rho", True, "number")])
 def test_config_number_flag_rejects_truncation_and_bool(tmp_path, capsys, key, value, kind):
+    """A config value gets the message of the same flag on the command line."""
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"n": 20, "m": 20, "replications": 1, key: value}))
     code = main(["simulate", "--config", str(config), "--out-dir", str(tmp_path)])
     assert code == 2
     payload = read_single_error_line(capsys)
     assert payload["error"] == "validation"
-    assert f"'{key}'" in payload["message"] and kind in payload["message"]
+    convert = {"integer": "int", "number": "float"}[kind]
+    assert payload["message"].endswith(
+        f"argument --{key}: invalid {convert} value: '{json.dumps(value)}'")
     assert not (tmp_path / "report.json").exists()
+
+
+def test_config_integer_past_float_range_rejected(tmp_path, capsys):
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({"lam": 10**400}))
+    assert main(["check-schemes", "--config", str(config)]) == 2
+    payload = read_single_error_line(capsys)
+    assert payload["error"] == "validation" and "--lam" in payload["message"]
 
 
 def test_config_file_holding_a_list_rejected(tmp_path, capsys):
@@ -572,10 +583,23 @@ def test_malformed_command_line_is_one_json_line(capsys, argv):
 
 
 def test_help_lists_defaults(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["simulate", "--help"])
-    assert excinfo.value.code == 0
-    assert "(default:" in capsys.readouterr().out
+    """For every subcommand, each default of the flag table is shown by --help
+    (or the flag's help names its default itself) and is the value the parser
+    supplies."""
+    for command, (_, _, flags) in _COMMANDS.items():
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        shown = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+        parsed = vars(build_parser().parse_args([command]))
+        for dest, (kind, default, text) in flags.items():
+            if default is None:
+                assert parsed[dest] is None
+                continue
+            assert (" ".join(text.split()) if "(default" in text
+                    else f"(default: {default})") in shown, (command, dest)
+            assert parsed[dest] == (kind(default) if kind and isinstance(default, str)
+                                    else default), (command, dest)
 
 
 # Runs command lines through ``python -m ratioreg`` (``runpy``) in one fresh

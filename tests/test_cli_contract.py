@@ -8,7 +8,8 @@ failure) with exactly one JSON line on stderr holding ``error`` and
 
 Sizes stay small so each example runs in milliseconds: the base command
 lines use samples of a few points, and no drawn number exceeds 4 unless
-it is a float (which the integer flags reject).
+it is a float (which the integer flags reject) or 10**400, an integer past
+the float range, which every integer flag rejects at once.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ WORDS = st.sampled_from(
 TEXT = st.text(st.characters(blacklist_categories=("Nd", "Cs"), blacklist_characters="-"),
                max_size=6)
 NUMBERS = st.sampled_from([0, 1, 2, 4, -1, 0.0, 0.5, -0.5, 2.5, 1e-300, 5e-324, 1e308, 1.7e308,
-                           math.inf, -math.inf, math.nan])
+                           10**400, math.inf, -math.inf, math.nan])
 SCALARS = st.one_of(st.none(), st.booleans(), NUMBERS, WORDS, TEXT)
 JSON_VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=3),
                         st.dictionaries(WORDS, SCALARS, max_size=2))
@@ -209,9 +210,13 @@ def test_malformed_sample_csv(command, content):
 @pytest.mark.parametrize("command, path, text", [
     ("evaluate", MODEL, "[" * 100_000 + "]" * 100_000),
     ("simulate", "config.json", '{"n": ' + "[" * 100_000 + "]" * 100_000 + "}"),
-], ids=["evaluate --model", "simulate --config"])
-def test_deeply_nested_json_is_bad_input(command, path, text):
-    """A JSON file nested too deeply to parse exits 2, not with a traceback."""
+    ("evaluate", MODEL, "1" * 5_000),
+    ("check-schemes", "config.json", '{"lam": ' + "1" * 5_000 + "}"),
+], ids=["evaluate --model", "simulate --config",
+        "evaluate --model long integer", "check-schemes --config long integer"])
+def test_unparseable_json_is_bad_input(command, path, text):
+    """A JSON file nested too deeply, or holding an integer too long, to parse
+    exits 2, not with a traceback."""
     def prepare():
         with open(path, "w") as handle:
             handle.write(text)

@@ -158,6 +158,19 @@ def test_negative_spectrum_rejected():
         rr.filter_value(iterated_lavrentiev(0.1, 1), -0.5)
 
 
+def test_overflowing_shift_rejected():
+    """lam + t past the float range is refused, without a warning (the suite
+    makes warnings errors); the largest finite shifts keep the plain formulas."""
+    scheme = iterated_lavrentiev(1e308, 1)
+    for function in (rr.filter_value, rr.residual_value, filter_quotient_value):
+        with pytest.raises(rr.InputError, match="lam \\+ t overflows"):
+            function(scheme, [0.0, 1e308])
+    with pytest.raises(rr.InputError, match="lam \\+ t overflows"):
+        iterated_filter_rows([0.5, 1e308], 2, [1e308])
+    assert rr.filter_value(scheme, 7e307) == 1.0 / (1e308 + 7e307)
+    assert rr.residual_value(scheme, 7e307) == 1e308 / (1e308 + 7e307)
+
+
 @pytest.mark.parametrize("k", ALL_K)
 @pytest.mark.parametrize("lam", LAMBDAS)
 def test_filter_residual_identity(k, lam):
