@@ -5,10 +5,11 @@ them to different exit codes: bad inputs versus numerical breakdown.
 
 Every number a caller hands in goes through one of three checkers,
 ``finite_real``, ``positive_real`` and ``whole_number``, and every array
-of numbers through ``finite_array``.  Each raises InputError naming the
-value and returns it normalized to a float, an int or a float array; a
-bool, a string, a non-finite value or (for a count) a fraction is
-rejected, never coerced or truncated.
+of numbers through ``finite_array``; an iteration count is a whole
+number of at most ``MAX_ITERATIONS`` (``iteration_count``).  Each raises
+InputError naming the value and returns it normalized to a float, an int
+or a float array; a bool, a string, a non-finite value or (for a count) a
+fraction is rejected, never coerced or truncated.
 """
 
 from __future__ import annotations
@@ -102,6 +103,20 @@ def whole_number(value, name: str, minimum: int | None = 1) -> int:
         bound = "" if minimum is None else f" of at least {minimum}"
         raise InputError(f"{name} must be a whole number{bound}, got {value!r}")
     return int(value)
+
+
+# The most steps the iterated scheme takes, 100 times the study's largest k.  It
+# keeps the k-step loops short and the filters' k-entry weight lists small.
+MAX_ITERATIONS = 1000
+
+
+def iteration_count(value, name: str) -> int:
+    """``value`` as a step count k of the iterated scheme, 1 <= k <= ``MAX_ITERATIONS``."""
+    count = whole_number(value, name)
+    if count > MAX_ITERATIONS:
+        raise InputError(f"{name} must be a whole number of at least 1 and at most "
+                         f"{MAX_ITERATIONS}, got {value!r}")
+    return count
 
 
 def finite_array(value, name: str) -> np.ndarray:

@@ -70,11 +70,11 @@ values match the dense solve to the last bits where the estimate crosses
 zero; only it imports scipy.
 
 Memory: the ladder and the spectral fit hold O(n r) floats besides the
-(L x n) table; a Cholesky fit holds n^2, one fresh K shifted and
-factored in place.  ``evaluate_batch`` works through row blocks, so it
-holds O(block (n + m)) floats whatever the batch size.  Its values are
-reproducible per batch, not per point: the BLAS product rounds a row by
-its place in the batch.
+(L x n) table; a Cholesky fit holds n(n+1)/2, the shifted K formed in
+rectangular full packed storage and factored in place.  ``evaluate_batch``
+works through row blocks, so it holds O(block (n + m)) floats whatever the
+batch size.  It sums each row without BLAS, so a point's value is the same
+in any batch and at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import (InputError, NumericalError, finite_array, finite_real, load_json,
-                     positive_real, require_keys, save_json, whole_number)
+from .errors import (InputError, NumericalError, finite_array, finite_real, iteration_count,
+                     load_json, positive_real, require_keys, save_json)
 from .kernel import GramSystem, KernelSpec, _as_points, _check_shift, _row_blocks, kernel_matrix
 from .regularization import (RegScheme, filter_quotient_value, filter_value,
                              iterated_filter_rows, iterated_lavrentiev)
@@ -166,29 +166,27 @@ def _check_target(gram: GramSystem) -> None:
 def _shifted_solver(gram: GramSystem, lam: float):
     """Solver for (n lam I + K) v = rhs from one Cholesky factor.
 
-    The shift goes onto the diagonal of a fresh Fortran-order K
-    (``GramSystem.dense``), which LAPACK then factors in place: the only
-    n x n allocation.  A failed factorization leaves that buffer partly
-    overwritten, so the reported smallest eigenvalue comes from a new K.
+    The shifted system is formed in rectangular full packed storage
+    (``GramSystem.packed``, n(n+1)/2 floats), which LAPACK's ``dpftrf``
+    factors in place: the only allocation of order n^2.  A failed
+    factorization leaves that buffer partly overwritten, so the reported
+    smallest eigenvalue comes from a new dense K.
 
     scipy is imported here, on the only path that uses it, so that every
     other command starts without loading it.
     """
     import scipy.linalg
 
-    n_lam = gram.n * lam
-    a_matrix = gram.dense()
-    a_matrix.flat[::gram.n + 1] += n_lam
-    try:
-        # no inf/nan scan: K lies in [offset, offset + 1] and the caller checks k(x, x) + n lam
-        factor = scipy.linalg.cho_factor(a_matrix, lower=True, overwrite_a=True,
-                                         check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+    lapack, n_lam = scipy.linalg.lapack, gram.n * lam
+    # no inf/nan scan: K lies in [offset, offset + 1] and the caller checks k(x, x) + n lam
+    factor, info = lapack.dpftrf(gram.n, gram.packed(n_lam).ravel(order="F"),
+                                 transr="N", uplo="L", overwrite_a=1)
+    if info > 0:
         smallest = float(np.linalg.eigvalsh(gram.dense())[0]) + n_lam
         raise NumericalError("shifted kernel system is not positive definite",
-                             lam=lam, smallest_eigenvalue=smallest) from exc
-    # an overflowed step reaches the caller's finiteness check, not scipy's ValueError
-    return lambda rhs: scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+                             lam=lam, smallest_eigenvalue=smallest)
+    # an overflowed step gives inf or nan, which the caller's finiteness check reports
+    return lambda rhs: lapack.dpftrs(gram.n, factor, rhs, transr="N", uplo="L")[0]
 
 
 def fit_iterated_lavrentiev(gram: GramSystem, lam: float, iterations: int = 1) -> RatioModel:
@@ -281,7 +279,7 @@ def fit_iterated_lavrentiev_ladder(gram: GramSystem, lambdas: Iterable[float],
     definite) or when any value is non-finite.
     """
     _check_target(gram)
-    iterations = whole_number(iterations, "iteration count")
+    iterations = iteration_count(iterations, "iteration count")
     lams = tuple(positive_real(lam, "lam") for lam in lambdas)
     if not lams:
         raise InputError("lambdas must be non-empty")
@@ -297,8 +295,9 @@ def evaluate_batch(model: RatioModel, points) -> np.ndarray:
 
     Works through blocks of at least 64 rows and otherwise of about 2^17 kernel values
     (1 MB, ``kernel._BLOCK_ELEMENTS``) against the n + m model points, so memory stays
-    O(block (n + m)) for any batch size.  Rows aligned to the BLAS row groups keep the
-    bits of one unblocked product (``kernel._BLOCK_ROW_MULTIPLE``).
+    O(block (n + m)) for any batch size.  Each row is reduced on its own, by numpy's
+    pairwise sum and not a BLAS product, so a point's value has the same bits in any
+    batch, block or BLAS thread count.
     """
     pts = _as_points(points)
     if pts.shape[0] == 0:
@@ -312,7 +311,8 @@ def evaluate_batch(model: RatioModel, points) -> np.ndarray:
         k_ref = kernel_matrix(model.kernel, pts[rows], model.xp_points)
         k_target = kernel_matrix(model.kernel, pts[rows], model.xq_points)
         with np.errstate(over="ignore", invalid="ignore"):  # raised below, not warned
-            values[rows] = k_ref @ model.alpha + model.mu_coeff * k_target.mean(axis=1)
+            k_ref *= model.alpha
+            values[rows] = k_ref.sum(axis=1) + model.mu_coeff * k_target.mean(axis=1)
     if not np.isfinite(values).all():
         raise NumericalError("non-finite evaluated value", lam=model.scheme.lam)
     return values

@@ -24,8 +24,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import (InputError, NumericalError, finite_array, finite_real, positive_real,
-                     save_csv, save_json, whole_number)
+from .errors import (InputError, NumericalError, finite_array, finite_real, iteration_count,
+                     positive_real, save_csv, save_json, whole_number)
 from .estimator import evaluate_batch, fit_iterated_lavrentiev, fit_spectral
 from .kernel import KernelSpec, SampleSet, _as_points, assemble_gram
 from .regularization import iterated_lavrentiev
@@ -155,7 +155,7 @@ class SimConfig:
             "var_p": positive_real(self.var_p, "var_p"),
             "mu_q_list": tuple(finite_real(v, "mu_q_list entry") for v in self.mu_q_list),
             "var_q": positive_real(self.var_q, "var_q"),
-            "k_list": tuple(whole_number(k, "k_list entry") for k in self.k_list),
+            "k_list": tuple(iteration_count(k, "k_list entry") for k in self.k_list),
             "replications": whole_number(self.replications, "replications"),
             # derive_seed masks it to 64 bits, so a negative seed is valid
             "seed": whole_number(self.seed, "seed", minimum=None),
@@ -355,7 +355,7 @@ def run_rate_study(n_list, eta: float, varsigma: float, iterations: int,
         raise InputError("n_list must be non-empty")
     if any(b <= a for a, b in zip(n_seq, n_seq[1:])):
         raise InputError(f"n_list must be strictly increasing, got {n_seq}")
-    iterations = whole_number(iterations, "iterations")
+    iterations = iteration_count(iterations, "iterations")
     replications = whole_number(replications, "replications")
     seed = whole_number(seed, "seed", minimum=None)  # masked to 64 bits by derive_seed
     mu_q = finite_real(mu_q, "mu_q")

@@ -32,10 +32,13 @@ case, that takes 0.67 s against 0.52 s for the dense ``eigh`` alone
 
 Memory: the eigensystem takes O(n r) floats; ``assemble_gram`` holds one
 row block of the n x m cross kernel, whose row sums give f_bar, and no
-n x n matrix.  Only ``GramSystem.dense`` forms K, for the Cholesky fit
-and the dense fallback.  A block holds about ``_BLOCK_ELEMENTS`` = 2^17
-kernel values (1 MB), and at least 64 rows; the same budget sizes the
-blocks of ``estimator.evaluate_batch`` and of the capacity probes.
+n x n matrix.  ``GramSystem.packed`` forms K + shift I for the Cholesky
+fit in n(n+1)/2 floats (rectangular full packed storage, Gustavson,
+Wasniewski, Dongarra & Langou, ACM TOMS 2010); only ``GramSystem.dense``
+forms the n x n K, for the dense fallback.  A block holds about
+``_BLOCK_ELEMENTS`` = 2^17 kernel values (1 MB), and at least 64 rows;
+the same budget sizes the blocks of ``packed``, of
+``estimator.evaluate_batch`` and of the capacity probes.
 """
 
 from __future__ import annotations
@@ -56,10 +59,8 @@ KNOWN_FAMILIES = ("gaussian_plus_one", "gaussian")
 # 2^17 kernel values (1 MB, half a 2 MB L2) per row block bound the memory of the few
 # block-shaped arrays a loop holds.  Past width 1024 the 64-row floor below binds instead.
 _BLOCK_ELEMENTS = 1 << 17
-# Block heights are a multiple of this.  A BLAS matrix-vector product
-# takes rows in small fixed groups and rounds a row by its place in its
-# group, so aligned blocks round like one product over the whole batch
-# wherever that product splits its rows over threads on aligned rows too.
+# Block heights are a multiple of this, which keeps a block aligned to the
+# small fixed row and column groups that a BLAS product works through.
 _BLOCK_ROW_MULTIPLE = 64
 
 
@@ -306,6 +307,37 @@ class GramSystem:
         K is formed anew, exactly symmetric, and returned as its transpose view.
         """
         return kernel_matrix(self.kernel, self.xp.points, self.xp.points).T
+
+    def packed(self, shift: float) -> np.ndarray:
+        """K + shift I in LAPACK's rectangular full packed format (TRANSR='N', UPLO='L').
+
+        With k = ceil(n/2) and e = 1 - n mod 2 the result is a fresh
+        Fortran-order (n + e, k) array of n(n+1)/2 floats: rows e.. hold
+        K[:, :k] on and below its diagonal, and the top-right triangle the
+        upper triangle of K[k:, k:].  It is built as its transpose, whose
+        row j is K[k - 1 + e + j, k:k + j + e] followed by K[j, j:], one row
+        block at a time: n(n+1)/2 kernel values with the bits of ``dense``,
+        plus two block-sized triangles per block that are not kept.  No
+        n x n array is formed.
+        """
+        n = self.n
+        k, e = -(-n // 2), 1 - n % 2
+        points = self.xp.points
+        packed_t = np.empty((k, n + e))
+        for rows in _row_blocks(k, n + e):
+            lo, hi = rows.start, rows.stop
+            # K[j, lo:j] lands in columns e + lo .. e + j - 1 of row j, which
+            # the masked copy below gives their trailing values
+            packed_t[rows, e + lo:] = _kernel_values(self.kernel, points[rows], points[lo:])
+            width = hi - 1 + e
+            trailing = _kernel_values(self.kernel, points[k - 1 + e + lo:k - 1 + e + hi],
+                                      points[k:k + width])
+            np.copyto(packed_t[rows, :width], trailing,
+                      where=np.tri(hi - lo, width, lo + e - 1, dtype=bool))
+        diagonal = np.arange(k)
+        packed_t[diagonal, diagonal + e] += shift
+        packed_t[diagonal[1 - e:], diagonal[1 - e:] + e - 1] += shift
+        return packed_t.T
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues t (ascending, unclipped) and orthonormal eigenvectors U of K/n.

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InputError, finite_array, finite_real, positive_real, require_keys,
-                     whole_number)
+from .errors import (InputError, finite_array, finite_real, iteration_count, positive_real,
+                     require_keys, whole_number)
 
 SCHEME_KINDS = ("iterated_lavrentiev", "spectral_cutoff")
 
@@ -61,7 +61,7 @@ class RegScheme:
         if self.kind not in SCHEME_KINDS + ("lavrentiev",):
             raise InputError(f"unknown scheme kind {self.kind!r}; expected one of {SCHEME_KINDS}")
         object.__setattr__(self, "lam", positive_real(self.lam, "lam"))
-        object.__setattr__(self, "iterations", whole_number(self.iterations, "iterations"))
+        object.__setattr__(self, "iterations", iteration_count(self.iterations, "iterations"))
         if self.kind == "lavrentiev":
             if self.iterations != 1:
                 raise InputError("kind 'lavrentiev' means a single iteration; "
@@ -179,7 +179,7 @@ def iterated_filter_rows(lams, count, t) -> np.ndarray:
     has the bits of ``filter_value`` at its strength.
     """
     arr, _ = _as_spectrum(t)
-    total, shifted = _geometric_sum(lams, arr, [1] * whole_number(count, "iteration count"))
+    total, shifted = _geometric_sum(lams, arr, [1] * iteration_count(count, "iteration count"))
     return total / shifted
 
 
@@ -214,7 +214,8 @@ def filter_quotient_value(scheme: RegScheme, t):
     if scheme.kind == "spectral_cutoff":
         return _as_given(_cutoff(arr, lam, 2), scalar)
     total, shifted = _geometric_sum([lam], arr, range(scheme.iterations, 0, -1))
-    return _as_given(-total[0] / (lam * shifted[0]), scalar)
+    with np.errstate(over="ignore"):  # lam (lam + t) = inf only where |q| < k^2 * 1e-308
+        return _as_given(-total[0] / (lam * shifted[0]), scalar)
 
 
 @dataclass(frozen=True)

@@ -50,16 +50,27 @@ def dense_twin(monkeypatch):
     (``f_bar``, say) and decomposes the copy at once, through the library's
     own dense fallback: ``kernel._PIVOT_CAP`` is 0 for that call alone.
     Without ``k_matrix`` the copy is the dense reference for ``gram``.  With
-    it, the copy is a fault: for the rest of the test ``GramSystem.dense``
-    returns a fresh Fortran-order copy of ``k_matrix`` in place of K on the
-    copy, in its decomposition and in the Cholesky fit alike.
+    it, the copy is a fault: for the rest of the test ``k_matrix`` stands in
+    for K on the copy, in its decomposition and in the Cholesky fit alike.
+    ``GramSystem.dense`` returns a fresh Fortran-order copy of it, and
+    ``GramSystem.packed`` that copy shifted and packed by LAPACK's ``dtrttf``.
     """
     def make(gram, k_matrix=None, **changes):
         twin = dataclasses.replace(gram, **changes)
         if k_matrix is not None:
-            injected, real = np.array(k_matrix, dtype=float), kernel.GramSystem.dense
+            injected = np.array(k_matrix, dtype=float)
+            real_dense, real_packed = kernel.GramSystem.dense, kernel.GramSystem.packed
+
+            def packed(self, shift):
+                if self is not twin:
+                    return real_packed(self, shift)
+                rfp, _ = scipy.linalg.lapack.dtrttf(self.dense() + shift * np.eye(self.n),
+                                                    transr="N", uplo="L")
+                return rfp.reshape(-1, -(-self.n // 2), order="F")
+
             monkeypatch.setattr(kernel.GramSystem, "dense", lambda self: (
-                np.array(injected, order="F") if self is twin else real(self)))
+                np.array(injected, order="F") if self is twin else real_dense(self)))
+            monkeypatch.setattr(kernel.GramSystem, "packed", packed)
         with monkeypatch.context() as scoped:
             scoped.setattr(kernel, "_PIVOT_CAP", 0)
             twin.split_rhs
@@ -70,10 +81,10 @@ def dense_twin(monkeypatch):
 
 @pytest.fixture()
 def linalg_calls(monkeypatch) -> list[str]:
-    """Names of the dense decompositions and solves called, in order."""
+    """Names of the dense decompositions, packed Cholesky factors and solves called, in order."""
     calls: list[str] = []
     for module, names in ((np.linalg, ("eigh", "eigvalsh")),
-                          (scipy.linalg, ("cho_factor", "cho_solve"))):
+                          (scipy.linalg.lapack, ("dpftrf", "dpftrs"))):
         for name in names:
             original = getattr(module, name)
 

@@ -23,7 +23,8 @@ import pytest
 
 import ratioreg as rr
 from ratioreg.cli import main
-from ratioreg.errors import finite_real, positive_real, whole_number
+from ratioreg.errors import (MAX_ITERATIONS, finite_real, iteration_count, positive_real,
+                             whole_number)
 from ratioreg.experiment import nearest_rank_quantile
 from ratioreg.regularization import iterated_filter_rows
 from ratioreg.selection import choose_from_values
@@ -130,6 +131,13 @@ BAD_CALLS = {
         [4, 8], **dict(RATE, iterations=1.5)),
     "run_rate_study replications True": lambda g: rr.run_rate_study(
         [4, 8], **dict(RATE, replications=True)),
+    # an iteration count above MAX_ITERATIONS
+    "RegScheme iterations 1001": lambda g: rr.RegScheme("iterated_lavrentiev", 0.5, 1001),
+    "fit iterations 1001": lambda g: rr.fit_iterated_lavrentiev(g, 0.5, 1001),
+    "ladder count 1001": lambda g: rr.fit_iterated_lavrentiev_ladder(g, [0.5], 1001),
+    "SimConfig k_list 1001": lambda g: rr.SimConfig(k_list=(1, 1001)),
+    "run_rate_study iterations 1001": lambda g: rr.run_rate_study(
+        [4, 8], **dict(RATE, iterations=1001)),
     # seeds: whole numbers, non-negative where they reach PCG64 directly
     "SimConfig seed 1.5": lambda g: rr.SimConfig(seed=1.5),
     "SimConfig seed True": lambda g: rr.SimConfig(seed=True),
@@ -157,6 +165,9 @@ def test_checkers_normalize_what_they_accept():
     for bad in (10**400, 2.5, -1, "3", None, [3]):
         with pytest.raises(rr.InputError, match="k"):
             whole_number(bad, "k")
+    assert iteration_count(float(MAX_ITERATIONS), "k") == MAX_ITERATIONS
+    with pytest.raises(rr.InputError, match=f"at least 1 and at most {MAX_ITERATIONS}"):
+        iteration_count(MAX_ITERATIONS + 1, "k")
 
 
 def test_arrays_given_as_lists_or_scalars_are_taken(small_pair):
@@ -191,6 +202,31 @@ def test_cli_rejects_non_finite_values(tmp_path, subprocess_env, argv):
     assert len(lines) == 1, run.stderr
     assert json.loads(lines[0])["error"] == "validation"
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["fit", "--xp", "xp.csv", "--xq", "xq.csv", "--lam", "0.3", "--out", "out",
+      "--iterations", "1" + "0" * 30], None),
+    (["rates", "--n-list", "4,8", "--replications", "1", "--iterations", "1" + "0" * 30], None),
+    (["check-schemes", "--iterations", "1" + "0" * 20, "--out", "out"], None),
+    (["check-schemes", "--out", "out", "--config", "config.json"], {"iterations": 1001}),
+    (["simulate", *SMALL_STUDY, "--k-list", "1,1001"], None),
+], ids=["fit", "rates", "check-schemes", "check-schemes config", "simulate --k-list"])
+def test_cli_rejects_iteration_counts_above_the_maximum(tmp_path, subprocess_env, argv,
+                                                        config):
+    """A count above MAX_ITERATIONS exits 2 with one JSON line at once, not after
+    looping k times or in an OverflowError or MemoryError traceback."""
+    rr.save_samples_csv(rr.sample_normal(2.0, 5.0, 6, 1, "p"), tmp_path / "xp.csv")
+    rr.save_samples_csv(rr.sample_normal(3.0, 0.5, 5, 2, "q"), tmp_path / "xq.csv")
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    run = subprocess.run([sys.executable, "-m", "ratioreg", *argv], cwd=tmp_path,
+                         env=subprocess_env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2, run.stdout + run.stderr
+    assert run.stdout == ""
+    (line,) = run.stderr.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "validation" and f"at most {MAX_ITERATIONS}" in error["message"]
+    assert not (tmp_path / "out").exists() and not (tmp_path / "report.json").exists()
 
 
 def test_overflowing_ladder_fails_its_cell_without_warnings(tmp_path, subprocess_env):

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -167,6 +168,22 @@ def test_results_do_not_depend_on_the_block_budget(default_kernel, monkeypatch):
     for other in results[1:]:
         for got, want in zip(other[1:], results[0][1:]):
             assert np.array_equal(got, want)
+
+
+def test_packed_is_lapack_packing_of_the_shifted_dense_kernel(default_kernel, monkeypatch):
+    """``packed(s)`` has the bits of ``dtrttf`` on dense() + s I, at odd and even n,
+    in one row block and in 64-row blocks (budget 1)."""
+    for budget in (kernel._BLOCK_ELEMENTS, 1):
+        monkeypatch.setattr(kernel, "_BLOCK_ELEMENTS", budget)
+        for n in (1, 2, 7, 64, 65, 193):
+            xp = rr.sample_normal(2.0, 5.0, n, 71, "p")
+            gram = rr.assemble_gram(default_kernel, xp, rr.SampleSet([0.0], "q"))
+            packed = gram.packed(0.3 * n)
+            assert packed.shape == (n + 1 - n % 2, (n + 1) // 2)
+            assert packed.flags.f_contiguous
+            want, info = scipy.linalg.lapack.dtrttf(gram.dense() + 0.3 * n * np.eye(n),
+                                                    transr="N", uplo="L")
+            assert info == 0 and np.array_equal(packed.ravel(order="F"), want)
 
 
 def test_dense_kernel_is_finite_at_extreme_inputs():

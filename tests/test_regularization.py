@@ -227,6 +227,14 @@ def test_quotient_limit_at_zero():
             assert filter_quotient_value(scheme, 0.0) == pytest.approx(expected, rel=1e-14)
 
 
+def test_quotient_at_huge_strength_is_minus_zero_without_a_warning():
+    """lam (lam + t) overflows at lam = 1e308, where |q| is below 1e-307: the
+    quotient is -0.0, and no overflow warning leaks (warnings are errors here)."""
+    for t in (0.0, 7e307):
+        value = filter_quotient_value(iterated_lavrentiev(1e308, 1), t)
+        assert value == 0.0 and math.copysign(1.0, value) == -1.0
+
+
 def test_constants_check_iterated_holds():
     report = rr.check_scheme_constants(iterated_lavrentiev(0.2, 3), t_max=2.0)
     assert report.all_satisfied
