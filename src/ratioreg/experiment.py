@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (InputError, NumericalError, finite_array, finite_real, iteration_count,
                      positive_real, save_csv, save_json, whole_number)
 from .estimator import evaluate_batch, fit_iterated_lavrentiev, fit_spectral
-from .kernel import KernelSpec, SampleSet, _as_points, assemble_gram
+from .kernel import GramSystem, KernelSpec, SampleSet, _as_points, assemble_gram
 from .regularization import iterated_lavrentiev
 from .selection import LambdaGrid, lambda_mn, quasi_optimality
 
@@ -213,15 +213,18 @@ class ExperimentReport:
         }
 
 
+def _draw_gram(kernel: KernelSpec, key: tuple[int, ...], p: tuple, q: tuple) -> GramSystem:
+    """Gram system of draws p and q, each (mean, variance, count), seeded from key + (0 or 1)."""
+    xp = sample_normal(*p, derive_seed(*key, 0), "p")
+    return assemble_gram(kernel, xp, sample_normal(*q, derive_seed(*key, 1), "q"))
+
+
 def _run_cell(config: SimConfig, mu_q: float, replication: int,
               probe_grid: np.ndarray | None) -> list[CellResult]:
     """All k values for one (mu_q, replication) draw; isolated failures."""
-    seed_p = derive_seed(config.seed, _float_bits(mu_q), replication, 0)
-    seed_q = derive_seed(config.seed, _float_bits(mu_q), replication, 1)
     try:
-        xp = sample_normal(config.mu_p, config.var_p, config.n, seed_p, "p")
-        xq = sample_normal(mu_q, config.var_q, config.m, seed_q, "q")
-        gram = assemble_gram(config.kernel, xp, xq)
+        gram = _draw_gram(config.kernel, (config.seed, _float_bits(mu_q), replication),
+                          (config.mu_p, config.var_p, config.n), (mu_q, config.var_q, config.m))
         traces = [quasi_optimality(gram, k, config.grid) for k in config.k_list]
         # msd reads the ladder's row; only the probe grid needs a model's expansion
         models = [None if probe_grid is None
@@ -238,7 +241,7 @@ def _run_cell(config: SimConfig, mu_q: float, replication: int,
     truth_on_grid = None if probe_grid is None else true_beta(probe_grid[:, 0], *ratio)
     return [CellResult(mu_q=mu_q, k=k, replication=replication,
                        chosen_lambda=trace.chosen_lambda, chosen_index=trace.chosen_index,
-                       msd=msd(xp.points, trace.chosen_values, *ratio),
+                       msd=msd(gram.xp.points, trace.chosen_values, *ratio),
                        max_pointwise_error=None if model is None else float(
                            np.abs(truth_on_grid - evaluate_batch(model, probe_grid)).max()))
             for k, trace, model in zip(config.k_list, traces, models)]
@@ -368,15 +371,11 @@ def run_rate_study(n_list, eta: float, varsigma: float, iterations: int,
     for n, lam in zip(n_seq, lambdas):
         point_errors, rms_errors = [], []
         for rep in range(replications):
-            seed_p = derive_seed(seed, n, rep, 0)
-            seed_q = derive_seed(seed, n, rep, 1)
-            xp = sample_normal(MU_P, VAR_P, n, seed_p, "p")
-            xq = sample_normal(mu_q, VAR_Q, n, seed_q, "q")
-            gram = assemble_gram(kernel, xp, xq)
+            gram = _draw_gram(kernel, (seed, n, rep), (MU_P, VAR_P, n), (mu_q, VAR_Q, n))
             model = fit_iterated_lavrentiev(gram, lam, iterations)
             fitted_at_probe = float(evaluate_batch(model, [[probe]])[0])
             point_errors.append(abs(truth_at_probe - fitted_at_probe))
-            rms_errors.append(math.sqrt(msd(xp.points, model.values_at_xp, mu_q)))
+            rms_errors.append(math.sqrt(msd(gram.xp.points, model.values_at_xp, mu_q)))
         point_meds.append(nearest_rank_quantile(sorted(point_errors), 0.5))
         rms_meds.append(nearest_rank_quantile(sorted(rms_errors), 0.5))
 

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 import ratioreg as rr
-from ratioreg import kernel
+from ratioreg import estimator, kernel
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -81,10 +81,14 @@ def dense_twin(monkeypatch):
 
 @pytest.fixture()
 def linalg_calls(monkeypatch) -> list[str]:
-    """Names of the dense decompositions, packed Cholesky factors and solves called, in order."""
+    """Names of the dense decompositions, packed Cholesky factors and solves called, in order.
+
+    The LAPACK routines are wrapped on the module the fit takes them from,
+    ``estimator._lapack()``.
+    """
     calls: list[str] = []
     for module, names in ((np.linalg, ("eigh", "eigvalsh")),
-                          (scipy.linalg.lapack, ("dpftrf", "dpftrs"))):
+                          (estimator._lapack(), ("dpftrf", "dpftrs"))):
         for name in names:
             original = getattr(module, name)
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -56,6 +57,31 @@ def test_fit_numerical_breakdown_exits_3(tmp_path, capsys):
     assert payload["error"] == "numerical"
     assert "lambda=1e-300" in payload["message"]
     assert not (tmp_path / "m.json").exists()
+
+
+def test_failing_fit_peaks_no_higher_than_a_successful_one(tmp_path, subprocess_env):
+    """At n = m = 3200 and lam = 1e-18 the packed factor fails, and the fit forms no
+    n x n array to report it: the process exits 3 with one JSON line and peaks
+    (``os.wait4``) no higher than a fit at lam = 0.1 on the same samples."""
+    rr.save_samples_csv(rr.sample_normal(2.0, 5.0, 3200, 31, "p"), tmp_path / "xp.csv")
+    rr.save_samples_csv(rr.sample_normal(3.0, 0.5, 3200, 32, "q"), tmp_path / "xq.csv")
+    runs = {}
+    for lam in ("0.1", "1e-18"):
+        with open(tmp_path / f"{lam}.err", "w+") as err:
+            child = subprocess.Popen(
+                [sys.executable, "-m", "ratioreg", "fit", "--xp", "xp.csv", "--xq", "xq.csv",
+                 "--lam", lam, "--iterations", "3", "--out", f"{lam}.json"],
+                cwd=tmp_path, env=subprocess_env, stdout=subprocess.DEVNULL, stderr=err)
+            _, status, usage = os.wait4(child.pid, 0)
+            child.returncode = os.waitstatus_to_exitcode(status)
+            err.seek(0)
+            runs[lam] = child.returncode, usage.ru_maxrss, err.read().splitlines()
+    assert runs["0.1"][0] == 0 and runs["1e-18"][0] == 3
+    assert runs["1e-18"][1] <= runs["0.1"][1]
+    (line,) = runs["1e-18"][2]
+    payload = json.loads(line)
+    assert payload["error"] == "numerical" and "lambda=1e-18" in payload["message"]
+    assert not (tmp_path / "1e-18.json").exists()
 
 
 def test_fit_requires_lam(sample_files, tmp_path, capsys):
@@ -654,12 +680,14 @@ def test_commands_without_cholesky_fit_load_no_scipy(tmp_path, sample_files, sma
 
 
 def test_fit_imports_scipy_on_first_use(tmp_path, sample_files, subprocess_env):
-    """A fresh ``fit`` process loads scipy itself and writes the in-process model."""
+    """A fresh ``fit`` process loads scipy itself, but not the scipy.linalg package
+    (its LAPACK module is loaded alone), and writes the in-process model."""
     xp, xq, xp_path, xq_path = sample_files
     out = str(tmp_path / "model.json")
     got = run_fresh([["fit", "--xp", xp_path, "--xq", xq_path, "--lam", "0.3",
                       "--iterations", "2", "--out", out]], subprocess_env)
-    assert got["codes"] == [0] and "scipy.linalg" in got["scipy"]
+    assert got["codes"] == [0] and "scipy" in got["scipy"]
+    assert not [name for name in got["scipy"] if name.startswith("scipy.linalg")]
     spec = rr.KernelSpec()
     direct = rr.fit_iterated_lavrentiev(rr.assemble_gram(spec, xp, xq), 0.3, 2)
     assert np.array_equal(rr.load_model(out).alpha, direct.alpha)

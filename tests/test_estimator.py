@@ -3,6 +3,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -54,6 +56,50 @@ def test_cholesky_fit_factors_one_fresh_matrix(default_kernel, dense_twin):
     twin = rr.fit_iterated_lavrentiev(copied, 0.1, 3)
     assert np.array_equal(model.values_at_xp, twin.values_at_xp)
     assert np.array_equal(model.alpha, twin.alpha)
+
+
+# Fits the session pair in a fresh interpreter, where ``estimator._lapack`` has
+# found nothing yet, then imports scipy.linalg.  With argument "hide" no file of
+# the _flapack extension can be found, since no extension suffix is tried.
+FRESH_FIT = """
+import importlib.machinery, json, sys
+import ratioreg as rr
+from ratioreg import estimator
+if sys.argv[1] == "hide":
+    importlib.machinery.EXTENSION_SUFFIXES = []
+model = rr.fit_iterated_lavrentiev(rr.assemble_gram(
+    rr.KernelSpec(), rr.sample_normal(2.0, 5.0, 30, 101, "p"),
+    rr.sample_normal(3.0, 0.5, 25, 202, "q")), 0.2, 3)
+loaded = sorted(m for m in sys.modules if m.startswith("scipy.linalg"))
+import scipy.linalg
+print(json.dumps({"module": estimator._lapack().__name__, "loaded": loaded,
+                  "bound": hasattr(scipy.linalg, "_flapack"),
+                  "same": scipy.linalg.lapack.dpftrf is estimator._lapack().dpftrf,
+                  "alpha": model.alpha.tolist(), "values": model.values_at_xp.tolist()}))
+"""
+
+
+def fresh_fit(hide: bool, env, gram) -> dict:
+    """What FRESH_FIT reports, once its fit is checked to have the bits of this process's."""
+    result = subprocess.run([sys.executable, "-c", FRESH_FIT, "hide" if hide else "find"],
+                            capture_output=True, text=True, env=env, check=True)
+    got = json.loads(result.stdout)
+    model = rr.fit_iterated_lavrentiev(gram, 0.2, 3)
+    assert got.pop("alpha") == model.alpha.tolist()
+    assert got.pop("values") == model.values_at_xp.tolist()
+    return got
+
+
+def test_fit_loads_lapack_alone_and_scipy_linalg_still_imports(small_pair, subprocess_env):
+    """The fit loads only scipy.linalg._flapack; a later ``import scipy.linalg``
+    binds that module on the package and shares its routines with the fit."""
+    assert fresh_fit(False, subprocess_env, small_pair[2]) == {
+        "module": "scipy.linalg._flapack", "loaded": [], "bound": True, "same": True}
+
+
+def test_fit_without_a_flapack_file_falls_back_to_scipy_linalg(small_pair, subprocess_env):
+    got = fresh_fit(True, subprocess_env, small_pair[2])
+    assert got["module"] == "scipy.linalg.lapack" and "scipy.linalg" in got["loaded"]
 
 
 def test_iteration_telescopes(default_kernel, small_pair):
@@ -266,11 +312,15 @@ def test_indefinite_system_raises_numerical_error(default_kernel, dense_twin):
     gram = rr.assemble_gram(default_kernel, rr.SampleSet([0.0, 1.0], "p"),
                             rr.SampleSet([0.0], "q"))
     bad = dense_twin(gram, k_matrix=-2.0 * np.eye(2), f_bar=np.ones(2))
-    with pytest.raises(rr.NumericalError) as info:
+    # K + n lam I = -1.98 I: dpftrf stops at its first leading minor, and no
+    # eigenvalue is estimated, since that would take a dense K
+    with pytest.raises(rr.NumericalError, match="leading minor of order 1 of 2 ") as info:
         rr.fit_iterated_lavrentiev(bad, 0.01, 1)
     assert info.value.lam == 0.01
-    # eigenvalues of K + n lam I = -2 + 2 * 0.01, read from K, not the factored buffer
-    assert info.value.smallest_eigenvalue == pytest.approx(-1.98)
+    assert info.value.smallest_eigenvalue is None
+    late = dense_twin(gram, k_matrix=[[1.0, 2.0], [2.0, 1.0]], f_bar=np.ones(2))
+    with pytest.raises(rr.NumericalError, match="leading minor of order 2 of 2 "):
+        rr.fit_iterated_lavrentiev(late, 0.01, 1)
     # the ladder checks min(lambdas) + t_min, with K/n = -I so t_min = -1
     with pytest.raises(rr.NumericalError) as info:
         rr.fit_iterated_lavrentiev_ladder(bad, [3.0, 0.5], 1)
