@@ -62,7 +62,7 @@ def _probes(gram: GramSystem, points) -> np.ndarray:
 
 def _leverages(gram: GramSystem, lams: np.ndarray, probes: np.ndarray) -> np.ndarray:
     """C_lam as a (len(lams), len(probes)) array; NumericalError where 1/lam overflows."""
-    t, u = gram.eigensystem()
+    t, u = gram.eigensystem[:2]
     _check_shift(float(lams.min()), t)
     quad = np.empty((lams.size, probes.shape[0]))
     with np.errstate(over="ignore", invalid="ignore"):  # raised below, not warned
@@ -140,8 +140,8 @@ class CapacityProfile:
 def default_probe_grid(xp: SampleSet, count: int = 200) -> np.ndarray:
     """Probe points: a uniform grid over the sample's bounding box, inflated 20%.
 
-    In one dimension this is a plain linspace; in d dimensions the grid
-    takes ceil(count**(1/d)) points per axis.
+    The grid takes max(2, ceil(count**(1/d))) points per axis: in one dimension a
+    linspace of ``count`` points, or of the box's two ends for a count of 1.
     """
     count = whole_number(count, "count")
     low = xp.points.min(axis=0)
@@ -153,8 +153,6 @@ def default_probe_grid(xp: SampleSet, count: int = 200) -> np.ndarray:
         low, high = center - half, center + half
         if not np.isfinite(high - low).all():
             raise InputError("the probe box (the sample's bounding box inflated 20%) overflows")
-    if xp.dim == 1:
-        return np.linspace(low[0], high[0], count).reshape(-1, 1)
     per_axis = max(2, math.ceil(count ** (1.0 / xp.dim)))
     axes = [np.linspace(low[d], high[d], per_axis) for d in range(xp.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")

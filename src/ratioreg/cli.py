@@ -204,9 +204,8 @@ def cmd_capacity(options: dict) -> int:
 
 
 def cmd_check_schemes(options: dict) -> int:
-    scheme = regularization.RegScheme(
-        kind=options["kind"], lam=positive_real(options["lam"], "--lam"),
-        iterations=options["iterations"] if options["kind"] != "spectral_cutoff" else 1)
+    scheme = regularization.RegScheme(options["kind"], positive_real(options["lam"], "--lam"),
+                                      options["iterations"])
     report = regularization.check_scheme_constants(
         scheme, t_max=positive_real(options["t_max"], "--t-max"),
         grid_size=options["grid_size"], qualification=options["qualification"])

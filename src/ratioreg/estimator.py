@@ -196,30 +196,6 @@ def _lapack():
     return lapack
 
 
-def _shifted_solver(gram: GramSystem, lam: float):
-    """Solver for (n lam I + K) v = rhs from one Cholesky factor.
-
-    The shifted system is formed in rectangular full packed storage
-    (``GramSystem.packed``, n(n+1)/2 floats), which LAPACK's ``dpftrf``
-    factors in place: the only allocation of order n^2.  A failed
-    factorization reports lam and the order of the first leading minor that
-    is not positive definite, which ``dpftrf`` returns; it forms no n x n
-    array.
-
-    ``dpftrf`` and ``dpftrs`` come from ``_lapack``, on the only path that
-    uses scipy, so that every other command starts without loading it.
-    """
-    lapack, n_lam = _lapack(), gram.n * lam
-    # no inf/nan scan: K lies in [offset, offset + 1] and the caller checks k(x, x) + n lam
-    factor, info = lapack.dpftrf(gram.n, gram.packed(n_lam).ravel(order="F"),
-                                 transr="N", uplo="L", overwrite_a=1)
-    if info > 0:
-        raise NumericalError("regularized kernel system is not positive definite "
-                             f"at its leading minor of order {info} of {gram.n}", lam=lam)
-    # an overflowed step gives inf or nan, which the caller's finiteness check reports
-    return lambda rhs: lapack.dpftrs(gram.n, factor, rhs, transr="N", uplo="L")[0]
-
-
 def fit_iterated_lavrentiev(gram: GramSystem, lam: float, iterations: int = 1) -> RatioModel:
     """Fit by k shifted inversions of the empirical covariance.
 
@@ -227,6 +203,14 @@ def fit_iterated_lavrentiev(gram: GramSystem, lam: float, iterations: int = 1) -
     larger k raises the scheme's qualification, which lowers the
     achievable bias for smooth ratios at the same lam.  All k steps share
     one Cholesky factor of (n lam I + K).
+
+    The shifted system is formed in rectangular full packed storage (``GramSystem.packed``,
+    n(n+1)/2 floats), which LAPACK's ``dpftrf`` factors in place: the only allocation of
+    order n^2.  A failed factorization reports lam and the order of the first leading
+    minor that is not positive definite, which ``dpftrf`` returns; it forms no n x n
+    array.  That order depends on the BLAS thread count: 64 at one OpenBLAS thread and
+    61 at two for n = m = 3200 and lam = 1e-18 (``sample_normal`` seeds 21, 22; x86-64).
+    ``dpftrf`` and ``dpftrs`` come from ``_lapack`` (module docstring).
     """
     _check_target(gram)
     scheme = iterated_lavrentiev(lam, iterations)
@@ -235,11 +219,19 @@ def fit_iterated_lavrentiev(gram: GramSystem, lam: float, iterations: int = 1) -
     if not math.isfinite(gram.kernel.diagonal_value() + n_lam):
         raise InputError(f"the shifted diagonal overflows: n={gram.n}, lam={lam!r}")
 
-    solve = _shifted_solver(gram, lam)
+    lapack = _lapack()
+    # no inf/nan scan: K lies in [offset, offset + 1] and k(x, x) + n lam is checked above
+    factor, info = lapack.dpftrf(gram.n, gram.packed(n_lam).ravel(order="F"),
+                                 transr="N", uplo="L", overwrite_a=1)
+    if info > 0:
+        raise NumericalError("regularized kernel system is not positive definite "
+                             f"at its leading minor of order {info} of {gram.n}", lam=lam)
     values = np.zeros(gram.n)
     alpha_accum = np.zeros(gram.n)
     for _ in range(scheme.iterations):
-        values = solve(n_lam * values + gram.f_bar)
+        # an overflowed step gives inf or nan, which the finiteness check below reports
+        values = lapack.dpftrs(gram.n, factor, n_lam * values + gram.f_bar,
+                               transr="N", uplo="L")[0]
         alpha_accum += values
     with np.errstate(over="ignore"):  # raised below, not warned
         alpha = -alpha_accum / n_lam
@@ -269,7 +261,7 @@ def _filtered(gram: GramSystem, filter_rows, scale: float) -> np.ndarray:
     filter that overflows at a tiny strength gives inf or nan without a
     warning; the callers' finiteness checks raise NumericalError for it.
     """
-    _, basis, rotated, outside = gram.split_rhs
+    _, basis, rotated, outside = gram.eigensystem
     height = max(-(-_FILTER_MIN_ENTRIES // gram.n), 11)
     rank = len(rotated)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -314,7 +306,7 @@ def fit_iterated_lavrentiev_ladder(gram: GramSystem, lambdas: Iterable[float],
     lams = tuple(positive_real(lam, "lam") for lam in lambdas)
     if not lams:
         raise InputError("lambdas must be non-empty")
-    _check_shift(min(lams), gram.eigensystem()[0])
+    _check_shift(min(lams), gram.eigensystem[0])
     values = _filtered(gram, partial(iterated_filter_rows, lams, iterations), gram.n)
     if not np.isfinite(values).all():
         raise NumericalError("non-finite fitted values on the ladder", lam=min(lams))
@@ -331,8 +323,6 @@ def evaluate_batch(model: RatioModel, points) -> np.ndarray:
     batch, block or BLAS thread count.
     """
     pts = _as_points(points)
-    if pts.shape[0] == 0:
-        return np.zeros(0)
     if pts.shape[1] != model.xp_points.shape[1]:
         raise InputError(
             f"points have dimension {pts.shape[1]}, model expects "

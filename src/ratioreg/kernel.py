@@ -275,7 +275,7 @@ class GramSystem:
     values are formed when asked, and K/n decomposes one way: the pivoted
     factor, or the dense ``eigh`` past the pivot cap.  Immutable after
     construction, apart from the eigensystem it keeps once computed
-    (``split_rhs``); ``dataclasses.replace`` gives a copy without it.
+    (``eigensystem``); ``dataclasses.replace`` gives a copy without it.
     """
 
     kernel: KernelSpec
@@ -339,31 +339,23 @@ class GramSystem:
         packed_t[diagonal[1 - e:], diagonal[1 - e:] + e - 1] += shift
         return packed_t.T
 
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues t (ascending, unclipped) and orthonormal eigenvectors U of K/n.
-
-        An assembled system factors K = F^T F by pivoted Cholesky; with
-        F^T / sqrt(n) = Q R and R R^T = V diag(t) V^T, U = Q V is (n, r) and
-        the complement of span(U) stands for eigenvalue 0.  Past the pivot
-        cap K/n is diagonalized densely (r = n).  The arrays are read-only
-        and come from ``split_rhs``.
-        """
-        return self.split_rhs[:2]
-
     def spectrum(self) -> np.ndarray:
         """The eigenvalues t of K/n floored at zero, which absorbs the eigensolver's rounding.
 
         The filters, N(lam) and the balance point read this; the shift check
         and the leverages read the unclipped t.
         """
-        return np.maximum(self.split_rhs[0], 0.0)
+        return np.maximum(self.eigensystem[0], 0.0)
 
     @cached_property
-    def split_rhs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(t, U, U^T f_bar, f_bar - U U^T f_bar): the eigensystem and f_bar split over it.
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(t, U, U^T f_bar, f_bar - U U^T f_bar): eigenpairs of K/n and f_bar split over U.
 
-        The first read decomposes and the system keeps the four read-only
-        arrays; a failed decomposition is not kept.
+        t is ascending and unclipped, U orthonormal and (n, r): with K = F^T F
+        the pivoted Cholesky factor, F^T / sqrt(n) = Q R and R R^T = V diag(t) V^T
+        give U = Q V, and the complement of span(U) stands for eigenvalue 0.  Past
+        the pivot cap K/n is diagonalized densely (r = n).  The first read
+        decomposes and keeps the four read-only arrays; a failed one is not kept.
         """
         factor = _pivoted_cholesky(self.kernel, self.xp.points,
                                    _PIVOT_TOL * self.kernel.diagonal_value(),

@@ -48,9 +48,9 @@ class RegScheme:
     ``kind`` is one of ``"iterated_lavrentiev"`` (k shifted inversions)
     or ``"spectral_cutoff"``.  ``lam`` must be positive.  ``iterations``
     is the step count k of the iterated scheme; for ``"spectral_cutoff"``
-    it is ignored and stored as 1.  ``"lavrentiev"`` (a single shifted
-    inversion) is accepted as input for ``"iterated_lavrentiev"`` with
-    k = 1 and stored under that name.
+    it is checked as any count is, then stored as 1.  ``"lavrentiev"`` (a
+    single shifted inversion) is accepted as input for
+    ``"iterated_lavrentiev"`` with k = 1 and stored under that name.
     """
 
     kind: str

@@ -73,7 +73,7 @@ def dense_twin(monkeypatch):
             monkeypatch.setattr(kernel.GramSystem, "packed", packed)
         with monkeypatch.context() as scoped:
             scoped.setattr(kernel, "_PIVOT_CAP", 0)
-            twin.split_rhs
+            twin.eigensystem
         return twin
 
     return make

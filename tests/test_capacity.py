@@ -159,6 +159,25 @@ def test_default_probe_grid_covers_inflated_box():
     assert grid.max() == pytest.approx(11.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("count", [2, 50, 200, 201])
+def test_default_probe_grid_is_a_linspace_in_one_dimension(count):
+    """At d = 1 the grid has the bits of a linspace over the box inflated 20%."""
+    points = rr.sample_normal(2.0, 5.0, 5, 3, "p").points
+    low, high = points.min(), points.max()
+    half = (high / 2.0 - low / 2.0) * 1.2
+    center = low / 2.0 + high / 2.0
+    want = np.linspace(center - half, center + half, count).reshape(-1, 1)
+    grid = rr.default_probe_grid(rr.SampleSet(points, "p"), count)
+    assert grid.dtype == want.dtype and grid.shape == want.shape
+    assert grid.tobytes() == want.tobytes()
+
+
+def test_default_probe_grid_of_one_point_spans_the_box():
+    """A count of 1 gives the box's two ends, in one dimension as in every other."""
+    xp = rr.SampleSet(np.array([[0.0], [10.0]]), "p")
+    assert rr.default_probe_grid(xp, count=1).ravel().tolist() == [-1.0, 11.0]
+
+
 def test_default_probe_grid_multidimensional():
     xp = rr.SampleSet(np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 1.0]]), "p")
     grid = rr.default_probe_grid(xp, count=200)
@@ -220,7 +239,7 @@ def test_profile_memory_is_four_floor_blocks_and_o_nr():
     finally:
         tracemalloc.stop()
     block = kernel._BLOCK_ROW_MULTIPLE * n * 8
-    assert peak < 4 * block + 8 * n * gram.eigensystem()[0].size * 8
+    assert peak < 4 * block + 8 * n * gram.eigensystem[0].size * 8
 
 
 def test_one_decomposition_per_call(linalg_calls, gram):

@@ -256,6 +256,8 @@ def test_evaluate_batch_empty(small_pair):
     gram = small_pair[2]
     model = rr.fit_iterated_lavrentiev(gram, 0.2, 2)
     assert rr.evaluate_batch(model, np.zeros((0, 1))).shape == (0,)
+    with pytest.raises(rr.InputError, match="dimension 2"):
+        rr.evaluate_batch(model, np.zeros((0, 2)))
 
 
 def test_evaluate_dimension_mismatch(small_pair):

@@ -210,8 +210,11 @@ def test_cli_rejects_non_finite_values(tmp_path, subprocess_env, argv):
     (["rates", "--n-list", "4,8", "--replications", "1", "--iterations", "1" + "0" * 30], None),
     (["check-schemes", "--iterations", "1" + "0" * 20, "--out", "out"], None),
     (["check-schemes", "--out", "out", "--config", "config.json"], {"iterations": 1001}),
+    (["check-schemes", "--kind", "spectral_cutoff", "--iterations", "1001", "--out", "out"],
+     None),
     (["simulate", *SMALL_STUDY, "--k-list", "1,1001"], None),
-], ids=["fit", "rates", "check-schemes", "check-schemes config", "simulate --k-list"])
+], ids=["fit", "rates", "check-schemes", "check-schemes config", "check-schemes cutoff",
+        "simulate --k-list"])
 def test_cli_rejects_iteration_counts_above_the_maximum(tmp_path, subprocess_env, argv,
                                                         config):
     """A count above MAX_ITERATIONS exits 2 with one JSON line at once, not after

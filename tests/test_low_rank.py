@@ -41,7 +41,7 @@ def test_low_rank_matches_dense(dim, dense_twin):
     spec, xp, xq = _pair(dim)
     gram = rr.assemble_gram(spec, xp, xq)
     dense = dense_twin(gram)
-    t, basis = gram.eigensystem()
+    t, basis = gram.eigensystem[:2]
     assert basis.shape == (xp.n, t.size) and t.size < xp.n // 2
     assert np.abs(basis.T @ basis - np.eye(t.size)).max() <= 1e-13
     top = float(np.linalg.eigvalsh(rr.kernel_matrix(spec, xp.points, xp.points) / xp.n)[-1])
@@ -86,9 +86,9 @@ def test_dense_fallback_at_three_dimensions(dense_twin):
     assert kernel._pivoted_cholesky(spec, xp.points, 0.0, int(kernel._PIVOT_CAP * xp.n)) \
         is None
     dense = dense_twin(gram)
-    for got, want in zip(gram.eigensystem(), dense.eigensystem()):
+    for got, want in zip(gram.eigensystem[:2], dense.eigensystem[:2]):
         assert got.shape == want.shape and np.array_equal(got, want)
-    assert np.all(gram.split_rhs[3] == 0.0)
+    assert np.all(gram.eigensystem[3] == 0.0)
     for k in COUNTS:
         fast = rr.fit_iterated_lavrentiev_ladder(gram, [0.5, 0.1], k)
         slow = rr.fit_iterated_lavrentiev_ladder(dense, [0.5, 0.1], k)
@@ -111,7 +111,7 @@ def test_assembly_and_ladder_memory_is_o_nr(default_kernel):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    rank = gram.eigensystem()[0].size
+    rank = gram.eigensystem[0].size
     assert rank < 64
     # one row block of the cross kernel plus eight n x r arrays
     rows = next(kernel._row_blocks(n, n))
@@ -132,7 +132,7 @@ def test_default_study_chooses_as_the_dense_ladder(dense_twin):
             xp = rr.sample_normal(config.mu_p, config.var_p, config.n, seed_p, "p")
             xq = rr.sample_normal(mu_q, config.var_q, config.m, seed_q, "q")
             gram = rr.assemble_gram(config.kernel, xp, xq)
-            assert gram.eigensystem()[0].size < config.n // 2  # the low-rank path
+            assert gram.eigensystem[0].size < config.n // 2  # the low-rank path
             dense = dense_twin(gram)
             for k in config.k_list:
                 ladder = rr.fit_iterated_lavrentiev_ladder(
