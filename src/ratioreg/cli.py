@@ -316,8 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
     for name, (handler, summary, flags) in _COMMANDS.items():
         sub = commands.add_parser(name, help=summary)
-        sub.add_argument("--config", help="JSON file supplying flag values"
-                         + (" (flags override)" if name == "fit" else ""))
+        sub.add_argument("--config", help="JSON file supplying flag values (flags override)")
         for dest, (kind, default, text) in flags.items():
             if default is not None and "(default" not in text:
                 text += f" (default: {default})"

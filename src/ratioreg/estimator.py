@@ -86,7 +86,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache, partial
 from typing import Iterable
 
@@ -137,7 +137,7 @@ class RatioModel:
 
     def to_dict(self) -> dict:
         return {
-            "kernel": self.kernel.to_dict(),
+            "kernel": asdict(self.kernel),
             "scheme": self.scheme.to_dict(),
             "xp_points": self.xp_points.tolist(),
             "xq_points": self.xq_points.tolist(),

@@ -165,15 +165,6 @@ class SimConfig:
         if not self.mu_q_list or not self.k_list:
             raise InputError("mu_q_list and k_list must be non-empty")
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "m": self.m, "mu_p": self.mu_p, "var_p": self.var_p,
-            "mu_q_list": list(self.mu_q_list), "var_q": self.var_q,
-            "k_list": list(self.k_list), "replications": self.replications,
-            "grid": self.grid.to_dict(), "seed": self.seed,
-            "kernel": self.kernel.to_dict(),
-        }
-
 
 @dataclass(frozen=True)
 class CellResult:
@@ -199,13 +190,9 @@ class ExperimentReport:
     failures: int
     probe_grid: tuple[float, ...] | None = None
 
-    def msd_values(self, mu_q: float, k: int) -> list[float]:
-        return [c.msd for c in self.cells
-                if c.mu_q == mu_q and c.k == k and c.error is None]
-
     def to_dict(self) -> dict:
         return {
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "cells": [asdict(c) for c in self.cells],
             "box_stats": self.box,
             "failures": self.failures,
@@ -264,15 +251,16 @@ def run_study(config: SimConfig, probe_grid=None) -> ExperimentReport:
          for cell in _run_cell(config, mu_q, rep, grid_arr)),
         key=lambda c: (config.mu_q_list.index(c.mu_q), c.k, c.replication))
 
-    report = ExperimentReport(
-        config=config, cells=tuple(cells), box={},
+    completed = {(mu_q, k): [] for mu_q in config.mu_q_list for k in config.k_list}
+    for c in cells:
+        if c.error is None:
+            completed[c.mu_q, c.k].append(c.msd)
+    return ExperimentReport(
+        config=config, cells=tuple(cells),
+        box={repr(mu_q): {str(k): box_stats(completed[mu_q, k]) if completed[mu_q, k] else None
+                          for k in config.k_list} for mu_q in config.mu_q_list},
         failures=sum(1 for c in cells if c.error is not None),
         probe_grid=tuple(grid_arr[:, 0].tolist()) if grid_arr is not None else None)
-    for mu_q in config.mu_q_list:
-        completed = {str(k): report.msd_values(mu_q, k) for k in config.k_list}
-        report.box[repr(mu_q)] = {k: box_stats(values) if values else None
-                                  for k, values in completed.items()}
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -113,10 +113,6 @@ class KernelSpec:
         """
         return self.offset + 1.0
 
-    def to_dict(self) -> dict:
-        return {"family": self.family, "bandwidth": self.bandwidth,
-                "offset": self.offset}
-
     @staticmethod
     def from_dict(data: dict) -> "KernelSpec":
         require_keys(data, ("family", "bandwidth", "offset"), "kernel")
@@ -302,9 +298,11 @@ class GramSystem:
         return self.xp.n
 
     def dense(self) -> np.ndarray:
-        """A fresh, writable, Fortran-contiguous K for LAPACK to work on in place.
+        """A fresh, writable, Fortran-contiguous K for the dense ``eigh`` fallback.
 
         K is formed anew, exactly symmetric, and returned as its transpose view.
+        The fallback scales it in place and ``eigh`` copies it; the test seam
+        ``dense_twin`` is the only other reader.
         """
         return kernel_matrix(self.kernel, self.xp.points, self.xp.points).T
 

@@ -34,7 +34,8 @@ the balance point of the corresponding bias and variance terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +57,6 @@ class LambdaGrid:
     lambda_0: float = 0.9
     rho: float = (1.0 / 9.0) ** (1.0 / 9.0)
     size: int = 9
-    values: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lambda_0", positive_real(self.lambda_0, "lambda_0"))
@@ -64,15 +64,14 @@ class LambdaGrid:
         if not self.rho < 1.0:
             raise InputError(f"rho must lie in (0, 1), got {self.rho!r}")
         object.__setattr__(self, "size", whole_number(self.size, "size"))
-        object.__setattr__(self, "values", tuple(
-            self.lambda_0 * self.rho**i for i in range(1, self.size + 1)))
+
+    @cached_property
+    def values(self) -> tuple[float, ...]:
+        return tuple(self.lambda_0 * self.rho**i for i in range(1, self.size + 1))
 
     def with_anchor(self) -> tuple[float, ...]:
         """The full ladder including the anchor lam_0 at the front."""
         return (self.lambda_0,) + self.values
-
-    def to_dict(self) -> dict:
-        return {"lambda_0": self.lambda_0, "rho": self.rho, "size": self.size}
 
 
 @dataclass(frozen=True)

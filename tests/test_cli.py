@@ -628,6 +628,16 @@ def test_help_lists_defaults(capsys):
                                     else default), (command, dest)
 
 
+def test_every_config_help_says_flags_override(capsys):
+    """Every subcommand reads its config file as flags ahead of its command line."""
+    for command in _COMMANDS:
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        shown = " ".join(capsys.readouterr().out.split())
+        assert "--config CONFIG JSON file supplying flag values (flags override)" in shown, command
+
+
 # Runs command lines through ``python -m ratioreg`` (``runpy``) in one fresh
 # interpreter, then prints their exit codes and every loaded scipy and
 # concurrent module.

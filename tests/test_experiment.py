@@ -174,7 +174,7 @@ def test_run_study_box_recomputable():
     config = tiny_config(replications=5)
     report = rr.run_study(config)
     for k in config.k_list:
-        raw = report.msd_values(2.0, k)
+        raw = [c.msd for c in report.cells if c.mu_q == 2.0 and c.k == k and c.error is None]
         assert report.box[repr(2.0)][str(k)] == box_stats(raw)
 
 
@@ -279,8 +279,30 @@ def test_report_json_round_trip(tmp_path):
     assert raw["config"]["n"] == 20
     assert len(raw["cells"]) == 4
     assert raw["failures"] == 0
-    assert raw["config"] == report.config.to_dict()
+    assert rr.SimConfig(**dict(raw["config"], grid=rr.LambdaGrid(**raw["config"]["grid"]),
+                               kernel=rr.KernelSpec.from_dict(raw["config"]["kernel"]))
+                        ) == report.config
     assert set(raw["config"]) == {f.name for f in dataclasses.fields(rr.SimConfig)}
+
+
+def test_report_config_holds_every_field_and_no_derived_ladder(tmp_path):
+    """report.json's config is the config's fields, nested records included,
+    so a field added later cannot be left out; the ladder is derived, not a field."""
+    grid = rr.LambdaGrid(lambda_0=0.8, rho=0.6, size=5)
+    report = rr.run_study(tiny_config(grid=grid, replications=1, k_list=(1,)))
+    path = tmp_path / "report.json"
+    save_report_json(report, path)
+    raw = load_json(path, "report file")["config"]
+
+    def names(record):
+        return {f.name for f in dataclasses.fields(record)}
+
+    assert set(raw) == names(rr.SimConfig)
+    assert set(raw["grid"]) == names(rr.LambdaGrid)
+    assert set(raw["kernel"]) == names(rr.KernelSpec)
+    assert "values" not in names(rr.LambdaGrid)
+    assert raw["grid"] == {"lambda_0": 0.8, "rho": 0.6, "size": 5}
+    assert grid.values == tuple(0.8 * 0.6**i for i in range(1, 6))
 
 
 def test_report_csv_outputs(tmp_path):

@@ -95,7 +95,7 @@ def test_kernel_spec_validation():
 
 
 def test_kernel_spec_round_trip(default_kernel):
-    assert rr.KernelSpec.from_dict(default_kernel.to_dict()) == default_kernel
+    assert rr.KernelSpec.from_dict(dataclasses.asdict(default_kernel)) == default_kernel
 
 
 def test_sample_set_promotes_1d():

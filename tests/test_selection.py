@@ -40,7 +40,7 @@ def test_grid_validation():
 
 def test_grid_round_trip():
     grid = rr.LambdaGrid(lambda_0=0.5, rho=0.7, size=4)
-    assert rr.LambdaGrid(**grid.to_dict()) == grid  # report.json records the whole ladder
+    assert rr.LambdaGrid(**dataclasses.asdict(grid)) == grid  # report.json records the whole ladder
 
 
 def test_rms_norm_is_inverse_size_weighted():
