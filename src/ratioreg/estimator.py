@@ -32,9 +32,9 @@ recursion
     (n lam I + K) v_l = n lam v_{l-1} + f_bar,
 
 with K the kernel matrix over the reference sample and f_bar from the
-Gram system.  One symmetric factorization of (n lam I + K) is shared by
-all k steps, so iterating costs k triangular solves, not k
-factorizations.
+Gram system.  The k steps solve with the system's eigensystem (below),
+which needs no factorization of its own, and are then refined against K
+itself (``fit_iterated_lavrentiev``).
 
 Every fit takes one ``kernel.GramSystem``, the one holder of the kernel,
 both samples and f_bar, and copies the kernel and the sample points into
@@ -65,36 +65,30 @@ reads the ladder alone and builds no model: ``fit_spectral`` and
 ``RatioModel.from_dict`` are the only code that builds a spectral one.  The
 iterated scheme's two paths agree in exact arithmetic; the spectral one
 also covers filters with no iterative form, such as cutoff.  A single
-(lam, k) fit (``fit``, ``rates``) keeps the Cholesky recursion, whose
-values match the dense solve to the last bits where the estimate crosses
-zero; only it imports scipy, and of scipy it loads only the compiled LAPACK
-module ``scipy.linalg._flapack`` (``_lapack``): about 0.02 s and 4 MB, where
-``import scipy.linalg`` takes about 0.3 s and 29 MB.
+(lam, k) fit (``fit``, ``rates``) runs the recursion itself, so its
+values are corrected against K and not only against the truncated
+spectrum.
 
-Memory: the ladder and the spectral fit hold O(n r) floats besides the
-(L x n) table; a Cholesky fit holds n(n+1)/2, the shifted K formed in
-rectangular full packed storage and factored in place.  ``evaluate_batch``
-works through row blocks, so it holds O(block (n + m)) floats whatever the
-batch size.  It sums each row without BLAS, so a point's value is the same
+Memory: the ladder and both fits hold O(n r) floats besides the (L x n)
+table or the k iterates, and the refinement two blocks of kernel values.
+``evaluate_batch`` works through row blocks, so it holds O(block (n + m))
+floats whatever the batch size.  It sums each row without BLAS, so a point's value is the same
 in any batch and at any BLAS thread count.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 from dataclasses import asdict, dataclass
-from functools import cache, partial
+from functools import partial
 from typing import Iterable
 
 import numpy as np
 
 from .errors import (InputError, NumericalError, finite_array, finite_real, iteration_count,
                      load_json, positive_real, require_keys, save_json)
-from .kernel import GramSystem, KernelSpec, _as_points, _check_shift, _row_blocks, kernel_matrix
+from .kernel import (GramSystem, KernelSpec, _as_points, _check_shift, _outside_span, _row_blocks,
+                     kernel_matrix)
 from .regularization import (RegScheme, filter_quotient_value, filter_value,
                              iterated_filter_rows, iterated_lavrentiev)
 
@@ -169,31 +163,15 @@ def _check_target(gram: GramSystem) -> None:
                          "assemble it from both xp and xq")
 
 
-@cache
-def _lapack():
-    """scipy's compiled LAPACK module ``scipy.linalg._flapack``, found once per process.
-
-    The module that scipy.linalg loaded is reused; else it is loaded from its file and
-    its ``sys.modules`` entry removed, since a later ``import scipy.linalg`` would not
-    bind that entry on the package (without it, it shares the cached functions).  With
-    no such file, ``scipy.linalg.lapack`` serves.
-    """
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    import scipy
-
-    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(folder, "_flapack" + suffix)
-        if os.path.isfile(path):
-            spec = importlib.util.spec_from_file_location(name, path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            sys.modules.pop(name, None)
-            return module
-    from scipy.linalg import lapack
-    return lapack
+# The refinement stops after a correction of at most _REFINE_STOP k kappa eps times
+# the largest value, k kappa eps being what k solves can attain, with kappa = 1 + t_max
+# / lam bounding the condition number of lam I + K/n.  First corrections measured up to
+# 11 k kappa eps, and the next ones up to 3 kappa eps, the rounding of the residuals
+# (n = 400 to 3200, d = 1 to 3 with rank 49 to n, lam = 0.1 to 1e-9, k = 1 to 10): one
+# pass each.  So a correction no smaller than the one before it (the iterates count as
+# the first), or no stop after _REFINE_PASSES passes, raises NumericalError.
+_REFINE_STOP = 32.0
+_REFINE_PASSES = 4
 
 
 def fit_iterated_lavrentiev(gram: GramSystem, lam: float, iterations: int = 1) -> RatioModel:
@@ -201,16 +179,16 @@ def fit_iterated_lavrentiev(gram: GramSystem, lam: float, iterations: int = 1) -
 
     k = 1 is the classical least-squares importance-fitting estimate;
     larger k raises the scheme's qualification, which lowers the
-    achievable bias for smooth ratios at the same lam.  All k steps share
-    one Cholesky factor of (n lam I + K).
+    achievable bias for smooth ratios at the same lam.
 
-    The shifted system is formed in rectangular full packed storage (``GramSystem.packed``,
-    n(n+1)/2 floats), which LAPACK's ``dpftrf`` factors in place: the only allocation of
-    order n^2.  A failed factorization reports lam and the order of the first leading
-    minor that is not positive definite, which ``dpftrf`` returns; it forms no n x n
-    array.  That order depends on the BLAS thread count: 64 at one OpenBLAS thread and
-    61 at two for n = m = 3200 and lam = 1e-18 (``sample_normal`` seeds 21, 22; x86-64).
-    ``dpftrf`` and ``dpftrs`` come from ``_lapack`` (module docstring).
+    The k steps first solve with the system's eigensystem, S(b) = U diag(1 / (n lam +
+    n t)) U^T b + (b - U U^T b) / (n lam), which leaves out the pivot truncation of K.
+    Iterative refinement against K restores it (Wilkinson; Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 12): one pass of ``GramSystem.dot`` gives
+    every residual r_j = f_bar + n lam v_{j-1} - (n lam I + K) v_j, and the corrections
+    d_j = S(r_j + n lam d_{j-1}) are added in order.  The pass holds two blocks of
+    kernel values and no n x n array, and sums without BLAS, so the values have the
+    same bits at any BLAS thread count.  lam is checked as the ladder checks it.
     """
     _check_target(gram)
     scheme = iterated_lavrentiev(lam, iterations)
@@ -218,29 +196,46 @@ def fit_iterated_lavrentiev(gram: GramSystem, lam: float, iterations: int = 1) -
     n_lam = gram.n * lam
     if not math.isfinite(gram.kernel.diagonal_value() + n_lam):
         raise InputError(f"the shifted diagonal overflows: n={gram.n}, lam={lam!r}")
+    t, basis, _, _ = gram.eigensystem
+    _check_shift(lam, t)
+    gains = 1.0 / (n_lam + gram.n * t)
 
-    lapack = _lapack()
-    # no inf/nan scan: K lies in [offset, offset + 1] and k(x, x) + n lam is checked above
-    factor, info = lapack.dpftrf(gram.n, gram.packed(n_lam).ravel(order="F"),
-                                 transr="N", uplo="L", overwrite_a=1)
-    if info > 0:
-        raise NumericalError("regularized kernel system is not positive definite "
-                             f"at its leading minor of order {info} of {gram.n}", lam=lam)
-    values = np.zeros(gram.n)
-    alpha_accum = np.zeros(gram.n)
-    for _ in range(scheme.iterations):
-        # an overflowed step gives inf or nan, which the finiteness check below reports
-        values = lapack.dpftrs(gram.n, factor, n_lam * values + gram.f_bar,
-                               transr="N", uplo="L")[0]
-        alpha_accum += values
-    with np.errstate(over="ignore"):  # raised below, not warned
-        alpha = -alpha_accum / n_lam
+    def steps(rhs: np.ndarray) -> np.ndarray:
+        """x_j = S(rhs_j + n lam x_{j-1}) for every row j, from x_0 = 0."""
+        out = np.zeros((len(rhs) + 1, gram.n))
+        for j, row in enumerate(rhs, start=1):
+            b = row + n_lam * out[j - 1]
+            coords = basis.T @ b
+            out[j] = basis @ (gains * coords) + _outside_span(basis, b, coords) / n_lam
+        return out
+
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below, not warned
+        stop = _REFINE_STOP * scheme.iterations * np.finfo(float).eps * (1.0 + t[-1] / lam)
+        values = steps(np.broadcast_to(gram.f_bar, (scheme.iterations, gram.n)))
+        previous = np.abs(values).max()  # the iterates are the first correction, from 0
+        for _ in range(_REFINE_PASSES):
+            residuals = gram.f_bar + n_lam * (values[:-1] - values[1:]) - gram.dot(values[1:])
+            corrections = steps(residuals)
+            size = np.abs(corrections).max()
+            if not (size < previous or size == 0.0):
+                problem = "stopped shrinking" if math.isfinite(size) else "is non-finite"
+                raise NumericalError(f"the refinement's correction {problem} ({size:.3g} "
+                                     f"after {previous:.3g})", lam=lam)
+            values += corrections
+            if size <= stop * np.abs(values).max():
+                break
+            previous = size
+        else:
+            raise NumericalError(
+                f"iterative refinement did not converge in {_REFINE_PASSES} passes", lam=lam)
+        values = values[1:]
+        alpha = -values.sum(axis=0) / n_lam
     if not (np.isfinite(values).all() and np.isfinite(alpha).all()):
         raise NumericalError(
             f"non-finite fitted values or alpha after {scheme.iterations} iterations", lam=lam)
     return RatioModel(kernel=gram.kernel, scheme=scheme, xp_points=gram.xp.points,
                       xq_points=gram.xq.points, alpha=alpha,
-                      mu_coeff=scheme.iterations / lam, values_at_xp=values)
+                      mu_coeff=scheme.iterations / lam, values_at_xp=values[-1])
 
 
 # ``_filtered`` multiplies in blocks of one height per system, since OpenBLAS
@@ -278,9 +273,11 @@ def fit_spectral(gram: GramSystem, scheme: RegScheme) -> RatioModel:
 
     Uses the system's eigensystem of K/n; the filter is applied to the
     eigenvalues floored at zero (``GramSystem.spectrum``).  The values at
-    xp are g_lam(K/n) f_bar / n and alpha is q_lam(K/n) f_bar / n^2.
+    xp are g_lam(K/n) f_bar / n and alpha is q_lam(K/n) f_bar / n^2.  lam
+    is checked as the ladder checks it.
     """
     _check_target(gram)
+    _check_shift(scheme.lam, gram.eigensystem[0])
     values = _filtered(gram, partial(filter_value, scheme), gram.n)[0]
     alpha = _filtered(gram, partial(filter_quotient_value, scheme), gram.n**2)[0]
     if not (np.isfinite(values).all() and np.isfinite(alpha).all()):

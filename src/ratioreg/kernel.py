@@ -12,7 +12,7 @@ that acts as the right-hand side of every estimator in the package.  The
 fits, the selection rule and the capacity diagnostics take the system
 alone, so they cannot be handed a kernel or a sample it was not built from.
 
-Selection, capacity and the spectral fit filter the spectrum of K/n,
+Selection, capacity and both fits work from the spectrum of K/n,
 which for the Gaussian kernels decays geometrically: on 1-d samples K
 has numerical rank 35-50 from n = 400 to 3200.  So ``eigensystem``
 forms no n x n matrix.  A greedy pivoted Cholesky factor K = F^T F
@@ -22,8 +22,8 @@ column per step until every residual diagonal entry is at most
 precision only; a QR of F^T / sqrt(n) and an r x r ``eigh`` give the r
 eigenpairs, and the complement of their span counts as eigenvalue 0.  The
 system keeps the eigenpairs, and f_bar split over them, once computed, so
-selection, capacity and the spectral fit share one decomposition however
-often they are called, and they read the eigenvalues floored at zero from
+selection, capacity and both fits share one decomposition however often
+they are called; the filters read the eigenvalues floored at zero from
 one accessor, ``GramSystem.spectrum``.
 Past ``_PIVOT_CAP`` = n/2 steps (high rank, as for widely spread d >= 2
 data) K/n is diagonalized densely: at n = 1600 and d = 3, the worst
@@ -32,13 +32,11 @@ case, that takes 0.67 s against 0.52 s for the dense ``eigh`` alone
 
 Memory: the eigensystem takes O(n r) floats; ``assemble_gram`` holds one
 row block of the n x m cross kernel, whose row sums give f_bar, and no
-n x n matrix.  ``GramSystem.packed`` forms K + shift I for the Cholesky
-fit in n(n+1)/2 floats (rectangular full packed storage, Gustavson,
-Wasniewski, Dongarra & Langou, ACM TOMS 2010); only ``GramSystem.dense``
-forms the n x n K, for the dense fallback.  A block holds about
-``_BLOCK_ELEMENTS`` = 2^17 kernel values (1 MB), and at least 64 rows;
-the same budget sizes the blocks of ``packed``, of
-``estimator.evaluate_batch`` and of the capacity probes.
+n x n matrix.  ``GramSystem.dot`` multiplies K into a few vectors one row
+block at a time; only ``GramSystem.dense`` forms the n x n K, for the
+dense fallback.  A block holds about ``_BLOCK_ELEMENTS`` = 2^17 kernel
+values (1 MB), and at least 64 rows; the same budget sizes the blocks of
+``dot``, of ``estimator.evaluate_batch`` and of the capacity probes.
 """
 
 from __future__ import annotations
@@ -306,36 +304,23 @@ class GramSystem:
         """
         return kernel_matrix(self.kernel, self.xp.points, self.xp.points).T
 
-    def packed(self, shift: float) -> np.ndarray:
-        """K + shift I in LAPACK's rectangular full packed format (TRANSR='N', UPLO='L').
+    def dot(self, vectors: np.ndarray) -> np.ndarray:
+        """K v for every row v of the (c, n) ``vectors``, one row block of K at a time.
 
-        With k = ceil(n/2) and e = 1 - n mod 2 the result is a fresh
-        Fortran-order (n + e, k) array of n(n+1)/2 floats: rows e.. hold
-        K[:, :k] on and below its diagonal, and the top-right triangle the
-        upper triangle of K[k:, k:].  It is built as its transpose, whose
-        row j is K[k - 1 + e + j, k:k + j + e] followed by K[j, j:], one row
-        block at a time: n(n+1)/2 kernel values with the bits of ``dense``,
-        plus two block-sized triangles per block that are not kept.  No
-        n x n array is formed.
+        Each entry is a row of kernel values times v, reduced by numpy's pairwise
+        sum and not a BLAS product, so it has the same bits at any block height and
+        BLAS thread count.  Holds two blocks of kernel values and no n x n array;
+        the fit's refinement is the only caller, and ``dense_twin`` patches it.
         """
-        n = self.n
-        k, e = -(-n // 2), 1 - n % 2
         points = self.xp.points
-        packed_t = np.empty((k, n + e))
-        for rows in _row_blocks(k, n + e):
-            lo, hi = rows.start, rows.stop
-            # K[j, lo:j] lands in columns e + lo .. e + j - 1 of row j, which
-            # the masked copy below gives their trailing values
-            packed_t[rows, e + lo:] = _kernel_values(self.kernel, points[rows], points[lo:])
-            width = hi - 1 + e
-            trailing = _kernel_values(self.kernel, points[k - 1 + e + lo:k - 1 + e + hi],
-                                      points[k:k + width])
-            np.copyto(packed_t[rows, :width], trailing,
-                      where=np.tri(hi - lo, width, lo + e - 1, dtype=bool))
-        diagonal = np.arange(k)
-        packed_t[diagonal, diagonal + e] += shift
-        packed_t[diagonal[1 - e:], diagonal[1 - e:] + e - 1] += shift
-        return packed_t.T
+        out = np.empty_like(vectors)
+        for rows in _row_blocks(self.n, self.n):
+            block = _kernel_values(self.kernel, points[rows], points)
+            product = np.empty_like(block)
+            for vector, entries in zip(vectors, out):
+                np.multiply(block, vector, out=product)
+                product.sum(axis=1, out=entries[rows])
+        return out
 
     def spectrum(self) -> np.ndarray:
         """The eigenvalues t of K/n floored at zero, which absorbs the eigensolver's rounding.

@@ -6,10 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import ratioreg as rr
-from ratioreg import estimator, kernel
+from ratioreg import kernel
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -51,26 +50,19 @@ def dense_twin(monkeypatch):
     own dense fallback: ``kernel._PIVOT_CAP`` is 0 for that call alone.
     Without ``k_matrix`` the copy is the dense reference for ``gram``.  With
     it, the copy is a fault: for the rest of the test ``k_matrix`` stands in
-    for K on the copy, in its decomposition and in the Cholesky fit alike.
+    for K on the copy, in its decomposition and in the fit's refinement alike.
     ``GramSystem.dense`` returns a fresh Fortran-order copy of it, and
-    ``GramSystem.packed`` that copy shifted and packed by LAPACK's ``dtrttf``.
+    ``GramSystem.dot`` multiplies by it.
     """
     def make(gram, k_matrix=None, **changes):
         twin = dataclasses.replace(gram, **changes)
         if k_matrix is not None:
             injected = np.array(k_matrix, dtype=float)
-            real_dense, real_packed = kernel.GramSystem.dense, kernel.GramSystem.packed
-
-            def packed(self, shift):
-                if self is not twin:
-                    return real_packed(self, shift)
-                rfp, _ = scipy.linalg.lapack.dtrttf(self.dense() + shift * np.eye(self.n),
-                                                    transr="N", uplo="L")
-                return rfp.reshape(-1, -(-self.n // 2), order="F")
-
+            real_dense, real_dot = kernel.GramSystem.dense, kernel.GramSystem.dot
             monkeypatch.setattr(kernel.GramSystem, "dense", lambda self: (
                 np.array(injected, order="F") if self is twin else real_dense(self)))
-            monkeypatch.setattr(kernel.GramSystem, "packed", packed)
+            monkeypatch.setattr(kernel.GramSystem, "dot", lambda self, vectors: (
+                vectors @ injected.T if self is twin else real_dot(self, vectors)))
         with monkeypatch.context() as scoped:
             scoped.setattr(kernel, "_PIVOT_CAP", 0)
             twin.eigensystem
@@ -81,14 +73,9 @@ def dense_twin(monkeypatch):
 
 @pytest.fixture()
 def linalg_calls(monkeypatch) -> list[str]:
-    """Names of the dense decompositions, packed Cholesky factors and solves called, in order.
-
-    The LAPACK routines are wrapped on the module the fit takes them from,
-    ``estimator._lapack()``.
-    """
+    """Names of the dense decompositions and passes over K (``dot``) called, in order."""
     calls: list[str] = []
-    for module, names in ((np.linalg, ("eigh", "eigvalsh")),
-                          (estimator._lapack(), ("dpftrf", "dpftrs"))):
+    for module, names in ((np.linalg, ("eigh", "eigvalsh")), (kernel.GramSystem, ("dot",))):
         for name in names:
             original = getattr(module, name)
 

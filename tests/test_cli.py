@@ -60,9 +60,9 @@ def test_fit_numerical_breakdown_exits_3(tmp_path, capsys):
 
 
 def test_failing_fit_peaks_no_higher_than_a_successful_one(tmp_path, subprocess_env):
-    """At n = m = 3200 and lam = 1e-18 the packed factor fails, and the fit forms no
-    n x n array to report it: the process exits 3 with one JSON line and peaks
-    (``os.wait4``) no higher than a fit at lam = 0.1 on the same samples."""
+    """At n = m = 3200 and lam = 1e-18 the refinement's correction stops shrinking, and
+    the fit forms no n x n array to report it: the process exits 3 with one JSON line
+    and peaks (``os.wait4``) no higher than a fit at lam = 0.1 on the same samples."""
     rr.save_samples_csv(rr.sample_normal(2.0, 5.0, 3200, 31, "p"), tmp_path / "xp.csv")
     rr.save_samples_csv(rr.sample_normal(3.0, 0.5, 3200, 32, "q"), tmp_path / "xq.csv")
     runs = {}
@@ -640,9 +640,16 @@ def test_every_config_help_says_flags_override(capsys):
 
 # Runs command lines through ``python -m ratioreg`` (``runpy``) in one fresh
 # interpreter, then prints their exit codes and every loaded scipy and
-# concurrent module.
+# concurrent module.  With argument "block", a ``sys.meta_path`` finder
+# refuses every scipy module first, as if scipy were not installed.
 FRESH_RUNS = """
-import json, runpy, sys
+import importlib.abc, json, runpy, sys
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+if sys.argv[2] == "block":
+    sys.meta_path.insert(0, NoScipy())
 import ratioreg.cli
 codes = []
 for argv in json.loads(sys.argv[1]):
@@ -657,50 +664,48 @@ print(json.dumps({"codes": codes, **{package: sorted(
 """
 
 
-def run_fresh(command_lines, env):
-    result = subprocess.run([sys.executable, "-c", FRESH_RUNS, json.dumps(command_lines)],
+def run_fresh(command_lines, env, block_scipy=False):
+    result = subprocess.run([sys.executable, "-c", FRESH_RUNS, json.dumps(command_lines),
+                             "block" if block_scipy else "allow"],
                             capture_output=True, text=True, env=env, check=True)
     return json.loads(result.stdout.strip().splitlines()[-1])
 
 
-def test_cli_import_loads_no_scipy(subprocess_env):
-    """Importing the CLI loads no scipy module, since only the Cholesky fit needs
-    one, and no concurrent module, since the study runs in one thread."""
-    assert run_fresh([], subprocess_env) == {"codes": [], "scipy": [], "concurrent": []}
-
-
-def test_commands_without_cholesky_fit_load_no_scipy(tmp_path, sample_files, small_pair,
-                                                     subprocess_env):
-    """--help, capacity, evaluate, simulate and check-schemes never import scipy,
-    and none of them imports a concurrent module."""
-    _, _, xp_path, _ = sample_files
-    xp, _, gram = small_pair
+@pytest.fixture()
+def every_subcommand(tmp_path, sample_files, small_pair):
+    """One command line per subcommand, and --help, on small inputs in ``tmp_path``."""
+    _, _, xp_path, xq_path = sample_files
     model_path = str(tmp_path / "model.json")
-    rr.save_model(rr.fit_spectral(gram, rr.iterated_lavrentiev(0.2, 3)), model_path)
-    runs = [["--help"],
-            ["capacity", "--xp", xp_path, "--num-lambdas", "4",
-             "--out", str(tmp_path / "profile.csv")],
+    rr.save_model(rr.fit_spectral(small_pair[2], rr.iterated_lavrentiev(0.2, 3)), model_path)
+    return [["--help"],
+            ["fit", "--xp", xp_path, "--xq", xq_path, "--lam", "0.3", "--iterations", "2",
+             "--out", str(tmp_path / "fitted.json")],
             ["evaluate", "--model", model_path, "--points", xp_path,
              "--out", str(tmp_path / "values.csv")],
             ["simulate", "--n", "20", "--m", "20", "--replications", "1",
              "--out-dir", str(tmp_path / "study")],
+            ["rates", "--n-list", "20,40", "--replications", "1",
+             "--out", str(tmp_path / "rates.json")],
+            ["capacity", "--xp", xp_path, "--num-lambdas", "4",
+             "--out", str(tmp_path / "profile.csv")],
             ["check-schemes"]]
-    assert run_fresh(runs, subprocess_env) == {"codes": [0] * len(runs), "scipy": [],
-                                               "concurrent": []}
 
 
-def test_fit_imports_scipy_on_first_use(tmp_path, sample_files, subprocess_env):
-    """A fresh ``fit`` process loads scipy itself, but not the scipy.linalg package
-    (its LAPACK module is loaded alone), and writes the in-process model."""
-    xp, xq, xp_path, xq_path = sample_files
-    out = str(tmp_path / "model.json")
-    got = run_fresh([["fit", "--xp", xp_path, "--xq", xq_path, "--lam", "0.3",
-                      "--iterations", "2", "--out", out]], subprocess_env)
-    assert got["codes"] == [0] and "scipy" in got["scipy"]
-    assert not [name for name in got["scipy"] if name.startswith("scipy.linalg")]
-    spec = rr.KernelSpec()
-    direct = rr.fit_iterated_lavrentiev(rr.assemble_gram(spec, xp, xq), 0.3, 2)
-    assert np.array_equal(rr.load_model(out).alpha, direct.alpha)
+def test_no_subcommand_loads_scipy(every_subcommand, sample_files, tmp_path, subprocess_env):
+    """Importing the CLI and running every subcommand, fit and rates included, loads no
+    scipy module, and no concurrent module, since the study runs in one thread.  The
+    fitted model has the bits of the in-process fit."""
+    assert run_fresh([], subprocess_env) == {"codes": [], "scipy": [], "concurrent": []}
+    assert run_fresh(every_subcommand, subprocess_env) == {
+        "codes": [0] * len(every_subcommand), "scipy": [], "concurrent": []}
+    xp, xq, _, _ = sample_files
+    direct = rr.fit_iterated_lavrentiev(rr.assemble_gram(rr.KernelSpec(), xp, xq), 0.3, 2)
+    assert np.array_equal(rr.load_model(tmp_path / "fitted.json").alpha, direct.alpha)
+
+
+def test_every_subcommand_runs_with_scipy_blocked(every_subcommand, subprocess_env):
+    got = run_fresh(every_subcommand, subprocess_env, block_scipy=True)
+    assert got["codes"] == [0] * len(every_subcommand) and got["scipy"] == []
 
 
 def test_module_entry_point(tmp_path, subprocess_env):
@@ -727,4 +732,23 @@ def test_capacity_and_simulate_bytes_do_not_depend_on_blas_threads(tmp_path, sub
                                  "2"])]
         outputs.append([*printed, *((out / name).read_bytes() for name in (
             "p.csv", "report.json", "replications.csv", "box_stats.csv"))])
+    assert outputs[0] == outputs[1]
+
+
+def test_fit_and_rates_bytes_do_not_depend_on_blas_threads(tmp_path, subprocess_env):
+    """A ``fit`` at n = m = 1000 and a ``rates`` sweep write the same bytes under 1 and
+    2 BLAS threads, as README "Reproducibility" states."""
+    rr.save_samples_csv(rr.sample_normal(2.0, 5.0, 1000, 51, "p"), tmp_path / "xp.csv")
+    rr.save_samples_csv(rr.sample_normal(3.0, 0.5, 1000, 52, "q"), tmp_path / "xq.csv")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**subprocess_env, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        for argv in (["fit", "--xp", "xp.csv", "--xq", "xq.csv", "--lam", "0.1",
+                      "--iterations", "3", "--out", f"model{threads}.json"],
+                     ["rates", "--n-list", "50,100,200,400", "--replications", "5",
+                      "--out", f"rates{threads}.json"]):
+            subprocess.run([sys.executable, "-m", "ratioreg", *argv], cwd=tmp_path, env=env,
+                           capture_output=True, check=True)
+        outputs.append([(tmp_path / f"{name}{threads}.json").read_bytes()
+                        for name in ("model", "rates")])
     assert outputs[0] == outputs[1]

@@ -3,8 +3,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -12,14 +10,15 @@ import pytest
 import scipy.linalg
 
 import ratioreg as rr
+from ratioreg import kernel
 from ratioreg.experiment import derive_seed
 from ratioreg.kernel import _row_blocks
 from ratioreg.regularization import iterated_lavrentiev, spectral_cutoff
 
 
 def test_single_step_equals_direct_solve(default_kernel, small_pair):
-    """One shifted inversion is exactly the (n lam I + K)^{-1} f_bar solve, at
-    even n (the session pair's 30) and at odd n, where the packed layout differs."""
+    """One shifted inversion is exactly the (n lam I + K)^{-1} f_bar solve, at n from
+    1 (the dense fallback) to 31."""
     xq = small_pair[1]
     for n in (1, 2, 30, 31):
         xp = rr.sample_normal(2.0, 5.0, n, 101, "p")
@@ -31,16 +30,29 @@ def test_single_step_equals_direct_solve(default_kernel, small_pair):
             assert np.abs(model.values_at_xp - direct).max() <= 1e-12
 
 
-def test_fit_factors_once_and_solves_once_per_step(linalg_calls, small_pair):
-    for k in (1, 3, 10):
+def bench_case_gram(default_kernel) -> rr.GramSystem:
+    """The inputs of the benchmark's ``fit-evaluate`` case 1: n = m = 3200."""
+    draws = [mean + math.sqrt(var) * np.random.default_rng([1, stream]).standard_normal(3200)
+             for stream, mean, var in ((1, 2.0, 5.0), (2, 3.0, 0.5))]
+    return rr.assemble_gram(default_kernel, rr.SampleSet(draws[0], "p"),
+                            rr.SampleSet(draws[1], "q"))
+
+
+def test_fit_decomposes_once_and_passes_over_k_at_most_twice(linalg_calls, default_kernel):
+    """On the benchmark's fit (lam = 0.1, k = 3) the refinement stops after at most two
+    passes over K, and the fit decomposes nothing of its own: it reads the eigensystem
+    that the system keeps."""
+    gram = bench_case_gram(default_kernel)
+    gram.eigensystem
+    for k in (1, 3):
         linalg_calls.clear()
-        rr.fit_iterated_lavrentiev(small_pair[2], 0.2, k)
-        assert linalg_calls == ["dpftrf"] + ["dpftrs"] * k
+        rr.fit_iterated_lavrentiev(gram, 0.1, k)
+        assert 1 <= linalg_calls.count("dot") <= 2 and "eigh" not in linalg_calls
 
 
-def test_cholesky_fit_factors_one_fresh_matrix(default_kernel, dense_twin):
-    """The fit factors the packed K + n lam I in place: the bits of LAPACK's own
-    packing of a hand-built K, and one buffer of n(n+1)/2 floats, not n^2."""
+def test_fit_holds_the_eigensystem_and_a_block(default_kernel, monkeypatch):
+    """The fit holds O(n r) floats and two blocks of kernel values, and its pass over K
+    has the bits of the row sums of a hand-built K, whatever the block height."""
     n = 1200
     xp = rr.sample_normal(2.0, 5.0, n, 41, "p")
     xq = rr.sample_normal(3.0, 0.5, n, 42, "q")
@@ -51,55 +63,14 @@ def test_cholesky_fit_factors_one_fresh_matrix(default_kernel, dense_twin):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.75 * n * n * 8
-    copied = dense_twin(gram, k_matrix=rr.kernel_matrix(default_kernel, xp.points, xp.points))
-    twin = rr.fit_iterated_lavrentiev(copied, 0.1, 3)
+    block = kernel._BLOCK_ROW_MULTIPLE * n * 8
+    assert peak < 4 * block + 8 * n * gram.eigensystem[0].size * 8
+    k_matrix = rr.kernel_matrix(default_kernel, xp.points, xp.points)
+    monkeypatch.setattr(kernel.GramSystem, "dot", lambda self, vectors: np.array(
+        [(k_matrix * vector).sum(axis=1) for vector in vectors]))
+    twin = rr.fit_iterated_lavrentiev(gram, 0.1, 3)
     assert np.array_equal(model.values_at_xp, twin.values_at_xp)
     assert np.array_equal(model.alpha, twin.alpha)
-
-
-# Fits the session pair in a fresh interpreter, where ``estimator._lapack`` has
-# found nothing yet, then imports scipy.linalg.  With argument "hide" no file of
-# the _flapack extension can be found, since no extension suffix is tried.
-FRESH_FIT = """
-import importlib.machinery, json, sys
-import ratioreg as rr
-from ratioreg import estimator
-if sys.argv[1] == "hide":
-    importlib.machinery.EXTENSION_SUFFIXES = []
-model = rr.fit_iterated_lavrentiev(rr.assemble_gram(
-    rr.KernelSpec(), rr.sample_normal(2.0, 5.0, 30, 101, "p"),
-    rr.sample_normal(3.0, 0.5, 25, 202, "q")), 0.2, 3)
-loaded = sorted(m for m in sys.modules if m.startswith("scipy.linalg"))
-import scipy.linalg
-print(json.dumps({"module": estimator._lapack().__name__, "loaded": loaded,
-                  "bound": hasattr(scipy.linalg, "_flapack"),
-                  "same": scipy.linalg.lapack.dpftrf is estimator._lapack().dpftrf,
-                  "alpha": model.alpha.tolist(), "values": model.values_at_xp.tolist()}))
-"""
-
-
-def fresh_fit(hide: bool, env, gram) -> dict:
-    """What FRESH_FIT reports, once its fit is checked to have the bits of this process's."""
-    result = subprocess.run([sys.executable, "-c", FRESH_FIT, "hide" if hide else "find"],
-                            capture_output=True, text=True, env=env, check=True)
-    got = json.loads(result.stdout)
-    model = rr.fit_iterated_lavrentiev(gram, 0.2, 3)
-    assert got.pop("alpha") == model.alpha.tolist()
-    assert got.pop("values") == model.values_at_xp.tolist()
-    return got
-
-
-def test_fit_loads_lapack_alone_and_scipy_linalg_still_imports(small_pair, subprocess_env):
-    """The fit loads only scipy.linalg._flapack; a later ``import scipy.linalg``
-    binds that module on the package and shares its routines with the fit."""
-    assert fresh_fit(False, subprocess_env, small_pair[2]) == {
-        "module": "scipy.linalg._flapack", "loaded": [], "bound": True, "same": True}
-
-
-def test_fit_without_a_flapack_file_falls_back_to_scipy_linalg(small_pair, subprocess_env):
-    got = fresh_fit(True, subprocess_env, small_pair[2])
-    assert got["module"] == "scipy.linalg.lapack" and "scipy.linalg" in got["loaded"]
 
 
 def test_iteration_telescopes(default_kernel, small_pair):
@@ -311,23 +282,25 @@ def test_system_without_target_sample_cannot_be_fitted(default_kernel, small_pai
 
 
 def test_indefinite_system_raises_numerical_error(default_kernel, dense_twin):
+    """Every path refuses the same lam on an indefinite K, with the same estimate
+    lam + t_min of the smallest eigenvalue of lam I + K/n."""
     gram = rr.assemble_gram(default_kernel, rr.SampleSet([0.0, 1.0], "p"),
                             rr.SampleSet([0.0], "q"))
-    bad = dense_twin(gram, k_matrix=-2.0 * np.eye(2), f_bar=np.ones(2))
-    # K + n lam I = -1.98 I: dpftrf stops at its first leading minor, and no
-    # eigenvalue is estimated, since that would take a dense K
-    with pytest.raises(rr.NumericalError, match="leading minor of order 1 of 2 ") as info:
-        rr.fit_iterated_lavrentiev(bad, 0.01, 1)
-    assert info.value.lam == 0.01
-    assert info.value.smallest_eigenvalue is None
-    late = dense_twin(gram, k_matrix=[[1.0, 2.0], [2.0, 1.0]], f_bar=np.ones(2))
-    with pytest.raises(rr.NumericalError, match="leading minor of order 2 of 2 "):
-        rr.fit_iterated_lavrentiev(late, 0.01, 1)
-    # the ladder checks min(lambdas) + t_min, with K/n = -I so t_min = -1
-    with pytest.raises(rr.NumericalError) as info:
-        rr.fit_iterated_lavrentiev_ladder(bad, [3.0, 0.5], 1)
-    assert info.value.lam == 0.5
-    assert info.value.smallest_eigenvalue == pytest.approx(-0.5, abs=1e-12)
+    # K/n = -I, so t_min = -1; then K/n with eigenvalues 1.5 and -0.5
+    for k_matrix, lam, want in ((-2.0 * np.eye(2), 0.5, -0.5),
+                                ([[1.0, 2.0], [2.0, 1.0]], 0.1, -0.4)):
+        bad = dense_twin(gram, k_matrix=k_matrix, f_bar=np.ones(2))
+        smallest = lam + bad.eigensystem[0][0]
+        attempts = (lambda: rr.fit_iterated_lavrentiev(bad, lam, 1),
+                    lambda: rr.fit_iterated_lavrentiev_ladder(bad, [3.0, lam], 1),
+                    lambda: rr.fit_spectral(bad, rr.iterated_lavrentiev(lam, 1)),
+                    lambda: rr.capacity_profile(bad, [3.0, lam]))
+        for attempt in attempts:
+            with pytest.raises(rr.NumericalError, match="not positive definite") as info:
+                attempt()
+            assert info.value.lam == lam
+            assert info.value.smallest_eigenvalue == smallest
+        assert smallest == pytest.approx(want, abs=1e-12)
 
 
 def test_overflowing_fit_raises_numerical_error(default_kernel, dense_twin):

@@ -98,6 +98,29 @@ def test_dense_fallback_at_three_dimensions(dense_twin):
                               rr.fit_spectral(dense, scheme).alpha)
 
 
+@pytest.mark.parametrize("dim, spread, n", [(2, 1.0, 600), (3, 5.0, 400)])
+def test_fit_on_high_rank_samples_matches_a_dense_solve(dim, spread, n):
+    """A d = 2 sample of rank 216 and a d = 3 one past the pivot cap: the refined fit
+    agrees with the recursion solved by ``np.linalg.solve`` on the dense K."""
+    spec = rr.KernelSpec()
+    rng = np.random.default_rng(5)
+    xp = rr.SampleSet(rng.normal(0.0, spread, (n, dim)), "p")
+    xq = rr.SampleSet(rng.normal(1.0, 1.0, (n, dim)), "q")
+    gram = rr.assemble_gram(spec, xp, xq)
+    rank = gram.eigensystem[0].size
+    assert rank == n if dim == 3 else 100 <= rank < kernel._PIVOT_CAP * n
+    k_matrix = rr.kernel_matrix(spec, xp.points, xp.points)
+    for lam in (0.1, 1e-3):
+        shifted = n * lam * np.eye(n) + k_matrix
+        values, alpha = np.zeros(n), np.zeros(n)
+        for _ in range(3):
+            values = np.linalg.solve(shifted, n * lam * values + gram.f_bar)
+            alpha -= values / (n * lam)
+        model = rr.fit_iterated_lavrentiev(gram, lam, 3)
+        for got, want in ((model.values_at_xp, values), (model.alpha, alpha)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_assembly_and_ladder_memory_is_o_nr(default_kernel):
     """At n = m = 3200: O(n r) floats plus one cross-kernel block, not n^2."""
     n = 3200
