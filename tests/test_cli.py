@@ -691,16 +691,30 @@ def every_subcommand(tmp_path, sample_files, small_pair):
             ["check-schemes"]]
 
 
-def test_no_subcommand_loads_scipy(every_subcommand, sample_files, tmp_path, subprocess_env):
-    """Importing the CLI and running every subcommand, fit and rates included, loads no
-    scipy module, and no concurrent module, since the study runs in one thread.  The
-    fitted model has the bits of the in-process fit."""
+def test_cli_import_loads_no_scipy(subprocess_env):
+    """Importing the CLI loads no scipy module, and no concurrent module, since the
+    study runs in one thread."""
     assert run_fresh([], subprocess_env) == {"codes": [], "scipy": [], "concurrent": []}
+
+
+def test_commands_without_cholesky_fit_load_no_scipy(every_subcommand, subprocess_env):
+    """No subcommand runs a Cholesky fit, so none loads a scipy module: --help and all
+    six subcommands, fit and rates included, run in one interpreter without one, and
+    without a concurrent module."""
     assert run_fresh(every_subcommand, subprocess_env) == {
         "codes": [0] * len(every_subcommand), "scipy": [], "concurrent": []}
-    xp, xq, _, _ = sample_files
+
+
+def test_fit_imports_scipy_on_first_use(tmp_path, sample_files, subprocess_env):
+    """The first fit in a fresh interpreter imports no scipy module either (it needs no
+    LAPACK beyond numpy's), and the ``fit`` command writes the in-process model."""
+    xp, xq, xp_path, xq_path = sample_files
+    out = str(tmp_path / "model.json")
+    got = run_fresh([["fit", "--xp", xp_path, "--xq", xq_path, "--lam", "0.3",
+                      "--iterations", "2", "--out", out]], subprocess_env)
+    assert got == {"codes": [0], "scipy": [], "concurrent": []}
     direct = rr.fit_iterated_lavrentiev(rr.assemble_gram(rr.KernelSpec(), xp, xq), 0.3, 2)
-    assert np.array_equal(rr.load_model(tmp_path / "fitted.json").alpha, direct.alpha)
+    assert np.array_equal(rr.load_model(out).alpha, direct.alpha)
 
 
 def test_every_subcommand_runs_with_scipy_blocked(every_subcommand, subprocess_env):
