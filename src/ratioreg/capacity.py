@@ -87,7 +87,8 @@ def christoffel(gram: GramSystem, lam: float, x) -> float:
     (lam >= 0.01) computed values stay above -1e-10.  Far below the pivot
     truncation level of ``GramSystem.eigensystem`` the truncation error
     over lam takes over, and values are returned as computed: they can be
-    large and negative (ROADMAP item 3).
+    large and negative (ROADMAP item 3).  ``capacity_profile`` refuses a
+    strength whose supremum n_inf comes out negative.
     """
     probe = _probes(gram, _as_points(x, name="x").reshape(1, -1))
     return float(_leverages(gram, np.array([positive_real(lam, "lam")]), probe)[0, 0])
@@ -166,6 +167,8 @@ def capacity_profile(gram: GramSystem, lambdas, probe_points=None) -> CapacityPr
     order.  ``lambda_star`` is None, not an error, when N(lam)/lam does not
     straddle n on (1e-8, k(x, x)).  As the spectrum sums to k(x, x), N/lam < 1
     at the top and N(1e-8) >= k(x, x) / (k(x, x) + 1e-8): that takes n > ~1e8.
+    A negative n_inf, which the pivot truncation gives far below its level,
+    raises NumericalError naming the largest such strength.
     """
     single = isinstance(lambdas, str) or not np.iterable(lambdas)
     values = [lambdas] if single else list(lambdas)
@@ -182,8 +185,12 @@ def capacity_profile(gram: GramSystem, lambdas, probe_points=None) -> CapacityPr
         star = find_lambda_star(gram)
     except InputError:
         star = None
-    return CapacityProfile(lambdas=lams, n_eff=n_eff, n_inf=leverages.max(axis=1),
-                           lambda_star=star)
+    n_inf = leverages.max(axis=1)
+    if (n_inf < 0.0).any():  # a supremum of leverages, which are non-negative
+        lam = float(lams[np.argmax(n_inf < 0.0)])
+        raise NumericalError("negative sup-norm capacity: the strength is below what the "
+                             "truncated eigensystem resolves", lam=lam)
+    return CapacityProfile(lambdas=lams, n_eff=n_eff, n_inf=n_inf, lambda_star=star)
 
 
 def save_profile_csv(profile: CapacityProfile, path) -> None:

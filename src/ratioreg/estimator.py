@@ -71,9 +71,11 @@ spectrum.
 
 Memory: the ladder and both fits hold O(n r) floats besides the (L x n)
 table or the k iterates, and the refinement two blocks of kernel values.
-``evaluate_batch`` works through row blocks, so it holds O(block (n + m))
-floats whatever the batch size.  It sums each row without BLAS, so a point's value is the same
-in any batch and at any BLAS thread count.
+``evaluate_batch`` works through row blocks, so it holds
+O(block (n + m)) floats whatever the batch size.  Both run on up to one
+thread per core, whose workers share one block budget.  Each sums every row
+on its own without BLAS, so a point's value is the same in any batch and at
+any BLAS thread count or core count.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ import numpy as np
 
 from .errors import (InputError, NumericalError, finite_array, finite_real, iteration_count,
                      load_json, positive_real, require_keys, save_json)
-from .kernel import (GramSystem, KernelSpec, _as_points, _check_shift, _outside_span, _row_blocks,
+from .kernel import (GramSystem, KernelSpec, _as_points, _check_shift, _outside_span, _split_rows,
                      kernel_matrix)
 from .regularization import (RegScheme, filter_quotient_value, filter_value,
                              iterated_filter_rows, iterated_lavrentiev)
@@ -187,8 +189,9 @@ def fit_iterated_lavrentiev(gram: GramSystem, lam: float, iterations: int = 1) -
     Stability of Numerical Algorithms, ch. 12): one pass of ``GramSystem.dot`` gives
     every residual r_j = f_bar + n lam v_{j-1} - (n lam I + K) v_j, and the corrections
     d_j = S(r_j + n lam d_{j-1}) are added in order.  The pass holds two blocks of
-    kernel values and no n x n array, and sums without BLAS, so the values have the
-    same bits at any BLAS thread count.  lam is checked as the ladder checks it.
+    kernel values and no n x n array, and sums without BLAS, so the values have
+    the same bits at any BLAS thread count or core count.  lam is checked as the
+    ladder checks it.
     """
     _check_target(gram)
     scheme = iterated_lavrentiev(lam, iterations)
@@ -314,10 +317,11 @@ def evaluate_batch(model: RatioModel, points) -> np.ndarray:
     """Evaluate the fitted ratio at many points at once.
 
     Works through blocks of at least 64 rows and otherwise of about 2^17 kernel values
-    (1 MB, ``kernel._BLOCK_ELEMENTS``) against the n + m model points, so memory stays
-    O(block (n + m)) for any batch size.  Each row is reduced on its own, by numpy's
-    pairwise sum and not a BLAS product, so a point's value has the same bits in any
-    batch, block or BLAS thread count.
+    (1 MB, ``kernel._BLOCK_ELEMENTS``) against the n + m model points, on up to one
+    thread per core that share that budget, so memory stays O(block (n + m)) for any
+    batch size.  Each row is reduced on its own, by numpy's pairwise sum and not a
+    BLAS product, so a point's value has the same bits in any batch, block, core count
+    or BLAS thread count.
     """
     pts = _as_points(points)
     if pts.shape[1] != model.xp_points.shape[1]:
@@ -325,12 +329,16 @@ def evaluate_batch(model: RatioModel, points) -> np.ndarray:
             f"points have dimension {pts.shape[1]}, model expects "
             f"{model.xp_points.shape[1]}")
     values = np.empty(pts.shape[0])
-    for rows in _row_blocks(pts.shape[0], len(model.xp_points) + len(model.xq_points)):
-        k_ref = kernel_matrix(model.kernel, pts[rows], model.xp_points)
-        k_target = kernel_matrix(model.kernel, pts[rows], model.xq_points)
+
+    def work(rows, blocks):
+        k_ref = kernel_matrix(model.kernel, pts[rows], model.xp_points, out=blocks[0])
+        k_target = kernel_matrix(model.kernel, pts[rows], model.xq_points, out=blocks[1])
         with np.errstate(over="ignore", invalid="ignore"):  # raised below, not warned
             k_ref *= model.alpha
             values[rows] = k_ref.sum(axis=1) + model.mu_coeff * k_target.mean(axis=1)
+
+    n, m = len(model.xp_points), len(model.xq_points)
+    _split_rows(pts.shape[0], n + m, (n, m), work)
     if not np.isfinite(values).all():
         raise NumericalError("non-finite evaluated value", lam=model.scheme.lam)
     return values

@@ -30,19 +30,27 @@ data) K/n is diagonalized densely: at n = 1600 and d = 3, the worst
 case, that takes 0.67 s against 0.52 s for the dense ``eigh`` alone
 (2 BLAS threads).
 
-Memory: the eigensystem takes O(n r) floats; ``assemble_gram`` holds one
-row block of the n x m cross kernel, whose row sums give f_bar, and no
-n x n matrix.  ``GramSystem.dot`` multiplies K into a few vectors one row
-block at a time; only ``GramSystem.dense`` forms the n x n K, for the
-dense fallback.  A block holds about ``_BLOCK_ELEMENTS`` = 2^17 kernel
-values (1 MB), and at least 64 rows; the same budget sizes the blocks of
-``dot``, of ``estimator.evaluate_batch`` and of the capacity probes.
+Memory: the eigensystem takes O(n r) floats; ``assemble_gram`` sums row
+blocks of the n x m cross kernel into f_bar and holds no n x n matrix.
+``GramSystem.dot`` multiplies K into a few vectors one row block at a time;
+only ``GramSystem.dense`` forms the n x n K, for the dense fallback.  A
+block holds about ``_BLOCK_ELEMENTS`` = 2^17 kernel values (1 MB), and at
+least 64 rows; the same budget sizes the blocks of f_bar, of ``dot``
+(which also holds their products with a vector), of
+``estimator.evaluate_batch`` and of the capacity probes.  The first three
+sum each row on its own, without BLAS, on up to one thread per core
+(``_split_rows``): the workers share one block budget, each reusing its own
+arrays, and no output bit depends on the core count.  The capacity probes
+stay on the calling thread, as their BLAS products round by block shape.
 """
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -161,12 +169,14 @@ class SampleSet:
         return self.points.shape[1]
 
 
-def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray, *,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """All pairwise kernel values between the rows of ``a`` and ``b``.
 
-    Returns an (len(a), len(b)) array.  The squared distances accumulate
-    one coordinate at a time in the output, which is finished in place, so
-    the call allocates the output plus, for d > 1, one array of the same
+    Returns an (len(a), len(b)) array, written into ``out`` when one of that
+    shape is given (C-contiguous).  The squared distances accumulate one
+    coordinate at a time in the output, which is finished in place, so the
+    call allocates at most the output plus, for d > 1, one array of the same
     shape.  The result is exactly symmetric when ``a`` is ``b``.
     """
     a = _as_points(a, name="left points")
@@ -174,13 +184,14 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[1]:
         raise InputError(
             f"point dimensions differ: {a.shape[1]} vs {b.shape[1]}")
-    return _kernel_values(spec, a, b)
+    return _kernel_values(spec, a, b, out=out)
 
 
-def _kernel_values(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _kernel_values(spec: KernelSpec, a: np.ndarray, b: np.ndarray, *,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """``kernel_matrix`` on checked (n, d) arrays of equal d; overflowed |x - y|^2 gives offset."""
     with np.errstate(over="ignore"):
-        out = np.subtract.outer(a[:, 0], b[:, 0])
+        out = np.subtract.outer(a[:, 0], b[:, 0], out=out)
         np.square(out, out=out)
         if a.shape[1] > 1:
             column = np.empty_like(out)
@@ -194,15 +205,66 @@ def _kernel_values(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return out
 
 
-def _row_blocks(count: int, width: int):
-    """Slices over ``count`` rows of ``width`` kernel values, one block each.
+def _block_height(width: int) -> int:
+    """Rows of one block: at least ``_BLOCK_ROW_MULTIPLE``, otherwise at most
+    ``_BLOCK_ELEMENTS`` values of ``width``."""
+    return max(_BLOCK_ELEMENTS // width // _BLOCK_ROW_MULTIPLE, 1) * _BLOCK_ROW_MULTIPLE
 
-    A block has at least ``_BLOCK_ROW_MULTIPLE`` rows and otherwise at most
-    ``_BLOCK_ELEMENTS`` values.
-    """
-    rows = max(_BLOCK_ELEMENTS // width // _BLOCK_ROW_MULTIPLE, 1) * _BLOCK_ROW_MULTIPLE
+
+def _row_blocks(count: int, width: int):
+    """Slices over ``count`` rows of ``width`` kernel values, one block each."""
+    rows = _block_height(width)
     for start in range(0, count, rows):
         yield slice(start, min(start + rows, count))
+
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _split_rows(count: int, width: int, arrays: tuple[int, ...], work) -> None:
+    """Call ``work(rows, blocks)`` over row blocks that cover ``range(count)``.
+
+    A row holds ``width`` kernel values, which size the blocks as in
+    ``_row_blocks``; ``blocks`` holds one C-contiguous (rows, w) float array
+    per w in ``arrays``, to be overwritten.  Up to one worker per core takes
+    every worker-count-th block, of the serial height over the worker count:
+    together they hold one serial block.  Each allocates its arrays once and
+    hands a short last block their leading rows.  Under two budgets of
+    kernel values the caller runs alone.  ``work`` must give a row the same
+    bits at any height.  Threads run in a copy of the caller's context,
+    which carries ``np.errstate``; the first worker error is raised in the
+    caller.
+    """
+    if count == 0:
+        return
+    workers = 1 if count * width < 2 * _BLOCK_ELEMENTS else min(_cores(), count)
+    height = min(max(_block_height(width) // workers, 1), count)
+    errors = []
+
+    def worker(first: int) -> None:
+        try:
+            buffers = [np.empty((height, w)) for w in arrays]
+            for start in range(first * height, count, workers * height):
+                if errors:
+                    return
+                rows = slice(start, min(start + height, count))
+                work(rows, [buffer[:rows.stop - start] for buffer in buffers])
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(worker, index))
+               for index in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    worker(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 # Pivoting stops at residual diagonal <= _PIVOT_TOL * max k(x, x), about ten
@@ -308,18 +370,22 @@ class GramSystem:
         """K v for every row v of the (c, n) ``vectors``, one row block of K at a time.
 
         Each entry is a row of kernel values times v, reduced by numpy's pairwise
-        sum and not a BLAS product, so it has the same bits at any block height and
-        BLAS thread count.  Holds two blocks of kernel values and no n x n array;
-        the fit's refinement is the only caller, and ``dense_twin`` patches it.
+        sum and not a BLAS product, so it has the same bits at any block height,
+        core count and BLAS thread count.  The workers of ``_split_rows`` hold one
+        block of kernel values and one of products between them, and no n x n
+        array; the fit's refinement is the only caller, and ``dense_twin`` patches it.
         """
         points = self.xp.points
         out = np.empty_like(vectors)
-        for rows in _row_blocks(self.n, self.n):
-            block = _kernel_values(self.kernel, points[rows], points)
-            product = np.empty_like(block)
+
+        def work(rows, blocks):
+            block, product = blocks
+            _kernel_values(self.kernel, points[rows], points, out=block)
             for vector, entries in zip(vectors, out):
                 np.multiply(block, vector, out=product)
                 product.sum(axis=1, out=entries[rows])
+
+        _split_rows(self.n, self.n, (self.n, self.n), work)
         return out
 
     def spectrum(self) -> np.ndarray:
@@ -371,9 +437,12 @@ def assemble_gram(spec: KernelSpec, xp: SampleSet, xq: SampleSet | None = None) 
     """
     f_bar = np.zeros(xp.n)
     if xq is not None:
+        def work(rows, blocks):
+            kernel_matrix(spec, xp.points[rows], xq.points, out=blocks[0]).sum(
+                axis=1, out=f_bar[rows])
+
         with np.errstate(over="ignore"):  # an overflowed f_bar is refused by GramSystem
-            for rows in _row_blocks(xp.n, xq.n):
-                f_bar[rows] = kernel_matrix(spec, xp.points[rows], xq.points).sum(axis=1)
+            _split_rows(xp.n, xq.n, (xq.n,), work)
             f_bar *= xp.n / xq.n
     return GramSystem(kernel=spec, xp=xp, xq=xq, f_bar=f_bar)
 

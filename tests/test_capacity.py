@@ -94,14 +94,18 @@ def test_lambda_star_bad_bracket_reports_endpoints(gram, dense_twin):
     """A spectrum of 1e-30 / n keeps N(lam)/lam below n on all of (1e-8, k(x, x)).
 
     No real kernel gets there below n of about 1e8 (``capacity_profile``),
-    so the fault is injected as K = 1e-30 I.
+    so the fault is injected as K = 1e-30 I.  The probes still read the real
+    kernel, |k_x|^2 <= 4 n, so C_lam = (2 - |k_x|^2 / (n lam)) / lam can be negative
+    below lam = 2, and the profile refuses it there.
     """
     faint = dense_twin(gram, k_matrix=1e-30 * np.eye(gram.n))
     with pytest.raises(rr.InputError, match="does not straddle") as info:
         rr.find_lambda_star(faint)
     message = str(info.value)
     assert "lo=1e-08" in message and "hi=2.0" in message and f"n={gram.n}" in message
-    assert rr.capacity_profile(faint, [0.5]).lambda_star is None
+    with pytest.raises(rr.NumericalError, match="negative sup-norm capacity"):
+        rr.capacity_profile(faint, [0.5])
+    assert rr.capacity_profile(faint, [2.0]).lambda_star is None
 
 
 def test_capacity_validation(gram):

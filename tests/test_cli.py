@@ -331,6 +331,21 @@ def test_capacity_reports_unbracketed_balance_point(tmp_path, sample_files,
     assert "warning" in summary
 
 
+def test_capacity_refuses_a_negative_sup_capacity(tmp_path, capsys):
+    """Far below the pivot truncation level the computed n_inf, a supremum of
+    non-negative leverages, comes out negative: ``capacity`` exits 3, names the
+    largest such strength and writes no profile."""
+    points = 2.0 + np.sqrt(5.0) * np.random.default_rng(0).standard_normal(300)
+    rr.save_samples_csv(rr.SampleSet(points, "p"), tmp_path / "xp.csv")
+    out = tmp_path / "p.csv"
+    code = main(["capacity", "--xp", str(tmp_path / "xp.csv"), "--lambda-min", "1e-21",
+                 "--lambda-max", "1e-20", "--num-lambdas", "3", "--out", str(out)])
+    assert code == 3
+    payload = read_stderr_error(capsys)
+    assert payload["error"] == "numerical" and "lambda=1e-20" in payload["message"]
+    assert not out.exists()
+
+
 def test_capacity_validates_bounds(tmp_path, sample_files, capsys):
     _, _, xp_path, _ = sample_files
     code = main(["capacity", "--xp", xp_path, "--lambda-min", "2.0",

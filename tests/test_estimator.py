@@ -223,6 +223,37 @@ def test_evaluate_batch_memory_is_bounded(model_400):
     assert peak < 20000 * 400 * 8
 
 
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_workers_share_one_block_budget(default_kernel, monkeypatch, cores):
+    """At n = m = 3200, ``evaluate_batch`` on 20,000 points and K times 3 vectors peak
+    below one serial block of 64 rows of the block arrays' width (kernel values, and for
+    ``dot`` their products with a vector), plus their inputs and outputs, plus two arrays
+    of the centres per worker (the checked copy that ``kernel_matrix`` makes, and numpy's
+    outer product takes another)."""
+    monkeypatch.setattr(kernel.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    n = 3200
+    xp = rr.sample_normal(2.0, 5.0, n, 17, "p")
+    xq = rr.sample_normal(3.0, 0.5, n, 18, "q")
+    gram = rr.assemble_gram(default_kernel, xp, xq)
+    model = rr.fit_iterated_lavrentiev(gram, 0.1, 3)
+    points = np.linspace(-8.0, 12.0, 20000).reshape(-1, 1)
+    vectors = np.random.default_rng(19).normal(size=(3, n))
+    bounds = {  # floats: one block, the inputs' copies and outputs, the workers' centres
+        "evaluate": kernel._block_height(2 * n) * 2 * n + 2 * len(points) + cores * 2 * 2 * n,
+        "dot": kernel._block_height(n) * 2 * n + 2 * vectors.size + cores * 2 * n,
+    }
+    assert kernel._block_height(n) == kernel._block_height(2 * n) == 64
+    for name, call in (("evaluate", lambda: rr.evaluate_batch(model, points)),
+                       ("dot", lambda: gram.dot(vectors))):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * bounds[name], name
+
+
 def test_evaluate_batch_empty(small_pair):
     gram = small_pair[2]
     model = rr.fit_iterated_lavrentiev(gram, 0.2, 2)

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +170,90 @@ def test_results_do_not_depend_on_the_block_budget(default_kernel, monkeypatch):
     for other in results[1:]:
         for got, want in zip(other[1:], results[0][1:]):
             assert np.array_equal(got, want)
+
+
+def _cores(monkeypatch, count: int) -> None:
+    """Let the row-block workers see ``count`` cores."""
+    monkeypatch.setattr(kernel.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.fixture()
+def fast_switching():
+    """Switch threads every 10 us during the test, to expose a lost or misplaced row."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    yield
+    sys.setswitchinterval(interval)
+
+
+def test_results_do_not_depend_on_the_core_count(default_kernel, monkeypatch, fast_switching):
+    """f_bar, K times 3 vectors, a fit and a 3,072-point evaluation have the same bits on
+    1, 2 and 3 cores, at the 64-row floor (budget 1), the default budget and in one
+    block (2^30); an empty batch stays empty.  The workers are really threads."""
+    xp = rr.sample_normal(2.0, 5.0, 1000, 61, "p")
+    xq = rr.sample_normal(3.0, 0.5, 400, 62, "q")
+    grid = np.linspace(-8.0, 12.0, 3072).reshape(-1, 1)
+    vectors = np.random.default_rng(63).normal(size=(3, xp.n))
+    real_values = kernel._kernel_values
+    results = []
+    for cores in (1, 2, 3):
+        for budget in (1, kernel._BLOCK_ELEMENTS, 1 << 30):
+            threads = set()
+
+            def spy(*args, **kwargs):
+                threads.add(threading.get_ident())
+                return real_values(*args, **kwargs)
+
+            with monkeypatch.context() as scoped:
+                _cores(scoped, cores)
+                scoped.setattr(kernel, "_BLOCK_ELEMENTS", budget)
+                scoped.setattr(kernel, "_kernel_values", spy)
+                gram = rr.assemble_gram(default_kernel, xp, xq)
+                small = rr.assemble_gram(default_kernel, rr.SampleSet(xp.points[:400], "p"), xq)
+                model = rr.fit_iterated_lavrentiev(small, 0.1, 3)
+                results.append((gram.f_bar, gram.dot(vectors), model.values_at_xp,
+                                rr.evaluate_batch(model, grid)))
+                assert rr.evaluate_batch(model, np.zeros((0, 1))).shape == (0,)
+            # a thread's ident can be reused by a later call's thread, never within one
+            assert (len(threads) >= cores if budget < 1 << 30 else len(threads) == 1)
+    for other in results[1:]:
+        for got, want in zip(other, results[0]):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_workers_inherit_the_callers_error_state(monkeypatch, cores):
+    """K v overflows only in row 100, which a thread computes: 2 K[100, 100] v[100] with
+    v[100] = 1e308.  Under over="raise" the caller gets FloatingPointError; under
+    over="ignore" nothing warns and the entry is inf."""
+    _cores(monkeypatch, cores)
+    points = np.arange(1024.0) * 100.0  # K = 1 off the diagonal and 2 on it
+    gram = rr.assemble_gram(rr.KernelSpec(), rr.SampleSet(points, "p"))
+    height = kernel._block_height(gram.n) // cores
+    assert gram.n * gram.n >= 2 * kernel._BLOCK_ELEMENTS  # the work is split
+    assert (100 // height) % cores != 0  # row 100 is not in one of the caller's blocks
+    vectors = np.zeros((1, gram.n))
+    vectors[0, 100] = 1e308
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        gram.dot(vectors)
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        product = gram.dot(vectors)
+    assert np.isinf(product[0, 100]) and np.isfinite(np.delete(product[0], 100)).all()
+
+
+def test_worker_errors_reach_the_caller_with_their_type(monkeypatch):
+    """An InputError raised in a thread's block is raised in the caller as InputError,
+    which the CLI maps to exit code 2."""
+    _cores(monkeypatch, 2)
+    second = kernel._block_height(2048) // 2  # the first row of the thread's first block
+
+    def work(rows, blocks):
+        if rows.start == second:
+            raise rr.InputError(f"block at row {rows.start}")
+
+    with pytest.raises(rr.InputError, match=f"block at row {second}$"):
+        kernel._split_rows(1000, 2048, (2048,), work)
 
 
 def test_dense_kernel_is_finite_at_extreme_inputs():
