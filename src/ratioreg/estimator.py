@@ -71,11 +71,11 @@ spectrum.
 
 Memory: the ladder and both fits hold O(n r) floats besides the (L x n)
 table or the k iterates, and the refinement two blocks of kernel values.
-``evaluate_batch`` works through row blocks, so it holds
-O(block (n + m)) floats whatever the batch size.  Both run on up to one
-thread per core, whose workers share one block budget.  Each sums every row
-on its own without BLAS, so a point's value is the same in any batch and at
-any BLAS thread count or core count.
+``evaluate_batch`` makes two passes of ``kernel.kernel_sums``, over blocks
+of n and then of m kernel values a row, so it holds one block whatever the
+batch size.  Both run on up to one thread per core, whose workers share one
+block budget.  Each sums every row on its own without BLAS, so a point's
+value is the same in any batch and at any BLAS thread count or core count.
 """
 
 from __future__ import annotations
@@ -89,8 +89,7 @@ import numpy as np
 
 from .errors import (InputError, NumericalError, finite_array, finite_real, iteration_count,
                      load_json, positive_real, require_keys, save_json)
-from .kernel import (GramSystem, KernelSpec, _as_points, _check_shift, _outside_span, _split_rows,
-                     kernel_matrix)
+from .kernel import GramSystem, KernelSpec, _as_points, _check_shift, _outside_span, kernel_sums
 from .regularization import (RegScheme, filter_quotient_value, filter_value,
                              iterated_filter_rows, iterated_lavrentiev)
 
@@ -123,6 +122,9 @@ class RatioModel:
         if not (self.xp_points.ndim == self.xq_points.ndim == 2
                 and self.xp_points.shape[1] == self.xq_points.shape[1]):
             raise InputError(f"xp_points and xq_points must be (n, d) and (m, d), got "
+                             f"{self.xp_points.shape} and {self.xq_points.shape}")
+        if 0 in self.xp_points.shape + self.xq_points.shape:
+            raise InputError(f"xp_points and xq_points need n, m, d >= 1, got "
                              f"{self.xp_points.shape} and {self.xq_points.shape}")
         n = self.xp_points.shape[0]
         if self.alpha.shape != (n,):
@@ -316,10 +318,10 @@ def fit_iterated_lavrentiev_ladder(gram: GramSystem, lambdas: Iterable[float],
 def evaluate_batch(model: RatioModel, points) -> np.ndarray:
     """Evaluate the fitted ratio at many points at once.
 
-    Works through blocks of at least 64 rows and otherwise of about 2^17 kernel values
-    (1 MB, ``kernel._BLOCK_ELEMENTS``) against the n + m model points, on up to one
-    thread per core that share that budget, so memory stays O(block (n + m)) for any
-    batch size.  Each row is reduced on its own, by numpy's pairwise sum and not a
+    Two passes of ``kernel.kernel_sums``, alpha-weighted against the n reference points
+    and plain against the m target points, each holding one block of at least 64 rows
+    and otherwise of about 2^17 kernel values (1 MB) on up to one thread per core, for
+    any batch size.  Each row is reduced on its own, by numpy's pairwise sum and not a
     BLAS product, so a point's value has the same bits in any batch, block, core count
     or BLAS thread count.
     """
@@ -328,17 +330,10 @@ def evaluate_batch(model: RatioModel, points) -> np.ndarray:
         raise InputError(
             f"points have dimension {pts.shape[1]}, model expects "
             f"{model.xp_points.shape[1]}")
-    values = np.empty(pts.shape[0])
-
-    def work(rows, blocks):
-        k_ref = kernel_matrix(model.kernel, pts[rows], model.xp_points, out=blocks[0])
-        k_target = kernel_matrix(model.kernel, pts[rows], model.xq_points, out=blocks[1])
-        with np.errstate(over="ignore", invalid="ignore"):  # raised below, not warned
-            k_ref *= model.alpha
-            values[rows] = k_ref.sum(axis=1) + model.mu_coeff * k_target.mean(axis=1)
-
-    n, m = len(model.xp_points), len(model.xq_points)
-    _split_rows(pts.shape[0], n + m, (n, m), work)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below, not warned
+        ref = kernel_sums(model.kernel, pts, model.xp_points, model.alpha[np.newaxis])[0]
+        target = kernel_sums(model.kernel, pts, model.xq_points)[0]
+        values = ref + model.mu_coeff * (target / len(model.xq_points))
     if not np.isfinite(values).all():
         raise NumericalError("non-finite evaluated value", lam=model.scheme.lam)
     return values

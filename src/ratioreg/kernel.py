@@ -30,18 +30,16 @@ data) K/n is diagonalized densely: at n = 1600 and d = 3, the worst
 case, that takes 0.67 s against 0.52 s for the dense ``eigh`` alone
 (2 BLAS threads).
 
-Memory: the eigensystem takes O(n r) floats; ``assemble_gram`` sums row
-blocks of the n x m cross kernel into f_bar and holds no n x n matrix.
-``GramSystem.dot`` multiplies K into a few vectors one row block at a time;
-only ``GramSystem.dense`` forms the n x n K, for the dense fallback.  A
-block holds about ``_BLOCK_ELEMENTS`` = 2^17 kernel values (1 MB), and at
-least 64 rows; the same budget sizes the blocks of f_bar, of ``dot``
-(which also holds their products with a vector), of
-``estimator.evaluate_batch`` and of the capacity probes.  The first three
-sum each row on its own, without BLAS, on up to one thread per core
-(``_split_rows``): the workers share one block budget, each reusing its own
-arrays, and no output bit depends on the core count.  The capacity probes
-stay on the calling thread, as their BLAS products round by block shape.
+Memory: the eigensystem takes O(n r) floats, and only ``GramSystem.dense``
+forms the n x n K, for the dense fallback.  f_bar, ``GramSystem.dot`` and
+``estimator.evaluate_batch`` are weighted row sums of kernel values, and
+one routine forms them all: ``kernel_sums`` sums row blocks of K(a, b),
+without BLAS, on up to one thread per core.  The workers share one block
+budget, each reusing its own arrays, and no output bit depends on the core
+count.  A block holds about ``_BLOCK_ELEMENTS`` = 2^17 kernel values
+(1 MB), and at least 64 rows; the same budget sizes the capacity probes,
+which stay on the calling thread, as their BLAS products round by block
+shape.
 """
 
 from __future__ import annotations
@@ -169,27 +167,26 @@ class SampleSet:
         return self.points.shape[1]
 
 
-def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray, *,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """All pairwise kernel values between the rows of ``a`` and ``b``.
+def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (len(a), len(b)) array of kernel values between the rows of ``a`` and ``b``.
 
-    Returns an (len(a), len(b)) array, written into ``out`` when one of that
-    shape is given (C-contiguous).  The squared distances accumulate one
-    coordinate at a time in the output, which is finished in place, so the
-    call allocates at most the output plus, for d > 1, one array of the same
-    shape.  The result is exactly symmetric when ``a`` is ``b``.
+    The squared distances accumulate one coordinate at a time in the output,
+    which is finished in place, so the call allocates at most the output plus,
+    for d > 1, one array of the same shape.  The result is exactly symmetric
+    when ``a`` is ``b``.
     """
     a = _as_points(a, name="left points")
     b = _as_points(b, name="right points")
     if a.shape[1] != b.shape[1]:
         raise InputError(
             f"point dimensions differ: {a.shape[1]} vs {b.shape[1]}")
-    return _kernel_values(spec, a, b, out=out)
+    return _kernel_values(spec, a, b)
 
 
 def _kernel_values(spec: KernelSpec, a: np.ndarray, b: np.ndarray, *,
                    out: np.ndarray | None = None) -> np.ndarray:
-    """``kernel_matrix`` on checked (n, d) arrays of equal d; overflowed |x - y|^2 gives offset."""
+    """``kernel_matrix`` on checked (n, d) arrays of equal d, written into ``out`` when given
+    (C-contiguous, (len(a), len(b))); an overflowed |x - y|^2 gives offset."""
     with np.errstate(over="ignore"):
         out = np.subtract.outer(a[:, 0], b[:, 0], out=out)
         np.square(out, out=out)
@@ -225,34 +222,50 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _split_rows(count: int, width: int, arrays: tuple[int, ...], work) -> None:
-    """Call ``work(rows, blocks)`` over row blocks that cover ``range(count)``.
+def kernel_sums(spec: KernelSpec, a: np.ndarray, b: np.ndarray,
+                weights: np.ndarray | None = None) -> np.ndarray:
+    """K(a, b) w for every row w of the (c, len(b)) ``weights``, or the row sums of K(a, b).
 
-    A row holds ``width`` kernel values, which size the blocks as in
-    ``_row_blocks``; ``blocks`` holds one C-contiguous (rows, w) float array
-    per w in ``arrays``, to be overwritten.  Up to one worker per core takes
-    every worker-count-th block, of the serial height over the worker count:
-    together they hold one serial block.  Each allocates its arrays once and
-    hands a short last block their leading rows.  Under two budgets of
-    kernel values the caller runs alone.  ``work`` must give a row the same
-    bits at any height.  Threads run in a copy of the caller's context,
-    which carries ``np.errstate``; the first worker error is raised in the
-    caller.
+    ``a`` and ``b`` are checked (n, d) points; the result is (c, len(a)), with c = 1
+    when ``weights`` is None.  Each entry is reduced by numpy's pairwise sum, not a
+    BLAS product, so it has the same bits at any block height, core count and BLAS
+    thread count.  Under two budgets of kernel values the caller runs alone; otherwise
+    up to one worker per core takes every worker-count-th block of
+    ``_block_height(len(b))`` rows over the worker count, so together they hold one
+    block.  Each allocates its block once, and for c > 1 one of products beside it
+    (one row of weights multiplies the block in place).  Threads run in a copy of the
+    caller's context, which carries ``np.errstate``; the first worker error is raised
+    in the caller.
     """
-    if count == 0:
-        return
+    if a.shape[1] != b.shape[1]:
+        raise InputError(f"point dimensions differ: {a.shape[1]} vs {b.shape[1]}")
+    count, width = len(a), len(b)
+    out = np.empty((1 if weights is None else len(weights), count))
+    if not out.size:
+        return out
     workers = 1 if count * width < 2 * _BLOCK_ELEMENTS else min(_cores(), count)
     height = min(max(_block_height(width) // workers, 1), count)
     errors = []
 
     def worker(first: int) -> None:
         try:
-            buffers = [np.empty((height, w)) for w in arrays]
+            buffer = np.empty((height, width))
+            products = np.empty_like(buffer) if len(out) > 1 else None
             for start in range(first * height, count, workers * height):
                 if errors:
                     return
                 rows = slice(start, min(start + height, count))
-                work(rows, [buffer[:rows.stop - start] for buffer in buffers])
+                block = _kernel_values(spec, a[rows], b, out=buffer[:rows.stop - start])
+                if weights is None:
+                    block.sum(axis=1, out=out[0, rows])
+                elif products is None:
+                    block *= weights[0]
+                    block.sum(axis=1, out=out[0, rows])
+                else:
+                    product = products[:len(block)]
+                    for vector, entries in zip(weights, out):
+                        np.multiply(block, vector, out=product)
+                        product.sum(axis=1, out=entries[rows])
         except BaseException as exc:
             errors.append(exc)
 
@@ -265,6 +278,7 @@ def _split_rows(count: int, width: int, arrays: tuple[int, ...], work) -> None:
         thread.join()
     if errors:
         raise errors[0]
+    return out
 
 
 # Pivoting stops at residual diagonal <= _PIVOT_TOL * max k(x, x), about ten
@@ -367,26 +381,13 @@ class GramSystem:
         return kernel_matrix(self.kernel, self.xp.points, self.xp.points).T
 
     def dot(self, vectors: np.ndarray) -> np.ndarray:
-        """K v for every row v of the (c, n) ``vectors``, one row block of K at a time.
+        """K v for every row v of the (c, n) ``vectors``, by ``kernel_sums``.
 
-        Each entry is a row of kernel values times v, reduced by numpy's pairwise
-        sum and not a BLAS product, so it has the same bits at any block height,
-        core count and BLAS thread count.  The workers of ``_split_rows`` hold one
-        block of kernel values and one of products between them, and no n x n
-        array; the fit's refinement is the only caller, and ``dense_twin`` patches it.
+        The workers hold one row block of kernel values and, for c > 1, one of
+        products between them, and no n x n array.  The fit's refinement is the
+        only caller, and the test seam ``dense_twin`` patches this method.
         """
-        points = self.xp.points
-        out = np.empty_like(vectors)
-
-        def work(rows, blocks):
-            block, product = blocks
-            _kernel_values(self.kernel, points[rows], points, out=block)
-            for vector, entries in zip(vectors, out):
-                np.multiply(block, vector, out=product)
-                product.sum(axis=1, out=entries[rows])
-
-        _split_rows(self.n, self.n, (self.n, self.n), work)
-        return out
+        return kernel_sums(self.kernel, self.xp.points, self.xp.points, vectors)
 
     def spectrum(self) -> np.ndarray:
         """The eigenvalues t of K/n floored at zero, which absorbs the eigensolver's rounding.
@@ -437,13 +438,8 @@ def assemble_gram(spec: KernelSpec, xp: SampleSet, xq: SampleSet | None = None) 
     """
     f_bar = np.zeros(xp.n)
     if xq is not None:
-        def work(rows, blocks):
-            kernel_matrix(spec, xp.points[rows], xq.points, out=blocks[0]).sum(
-                axis=1, out=f_bar[rows])
-
         with np.errstate(over="ignore"):  # an overflowed f_bar is refused by GramSystem
-            _split_rows(xp.n, xq.n, (xq.n,), work)
-            f_bar *= xp.n / xq.n
+            f_bar = kernel_sums(spec, xp.points, xq.points)[0] * (xp.n / xq.n)
     return GramSystem(kernel=spec, xp=xp, xq=xq, f_bar=f_bar)
 
 

@@ -223,13 +223,33 @@ def test_evaluate_batch_memory_is_bounded(model_400):
     assert peak < 20000 * 400 * 8
 
 
+@pytest.mark.parametrize("cores", [1, 2])
+def test_evaluate_batch_weights_its_block_in_place(model_400, monkeypatch, cores):
+    """Above the 64-row floor (n = m = 400, 320 rows a block), 20,000 points peak below
+    one block of n kernel values, plus the input copy, the two row sums and the values,
+    plus numpy's ufunc buffers per worker (two of ``np.getbufsize()`` values): the α
+    weights multiply the block in place, with no second block of products."""
+    monkeypatch.setattr(kernel.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    n = len(model_400.xp_points)
+    points = np.linspace(-8.0, 12.0, 20000).reshape(-1, 1)
+    assert kernel._block_height(n) > kernel._BLOCK_ROW_MULTIPLE
+    bound = kernel._block_height(n) * n + 4 * len(points) + cores * 2 * np.getbufsize()
+    tracemalloc.start()
+    try:
+        rr.evaluate_batch(model_400, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * bound
+
+
 @pytest.mark.parametrize("cores", [1, 2, 3])
 def test_workers_share_one_block_budget(default_kernel, monkeypatch, cores):
     """At n = m = 3200, ``evaluate_batch`` on 20,000 points and K times 3 vectors peak
-    below one serial block of 64 rows of the block arrays' width (kernel values, and for
-    ``dot`` their products with a vector), plus their inputs and outputs, plus two arrays
-    of the centres per worker (the checked copy that ``kernel_matrix`` makes, and numpy's
-    outer product takes another)."""
+    below one serial block of 64 rows of n kernel values (for ``dot`` also one of their
+    products with a vector), plus their inputs and outputs (for ``evaluate_batch`` the
+    input copy, the two row sums and the values), plus numpy's ufunc buffer per worker,
+    which holds two rows of n here."""
     monkeypatch.setattr(kernel.os, "sched_getaffinity", lambda pid: set(range(cores)))
     n = 3200
     xp = rr.sample_normal(2.0, 5.0, n, 17, "p")
@@ -238,11 +258,11 @@ def test_workers_share_one_block_budget(default_kernel, monkeypatch, cores):
     model = rr.fit_iterated_lavrentiev(gram, 0.1, 3)
     points = np.linspace(-8.0, 12.0, 20000).reshape(-1, 1)
     vectors = np.random.default_rng(19).normal(size=(3, n))
-    bounds = {  # floats: one block, the inputs' copies and outputs, the workers' centres
-        "evaluate": kernel._block_height(2 * n) * 2 * n + 2 * len(points) + cores * 2 * 2 * n,
+    bounds = {  # floats: the blocks, the inputs' copies and outputs, the workers' buffers
+        "evaluate": kernel._block_height(n) * n + 4 * len(points) + cores * 2 * n,
         "dot": kernel._block_height(n) * 2 * n + 2 * vectors.size + cores * 2 * n,
     }
-    assert kernel._block_height(n) == kernel._block_height(2 * n) == 64
+    assert kernel._block_height(n) == 64
     for name, call in (("evaluate", lambda: rr.evaluate_batch(model, points)),
                        ("dot", lambda: gram.dot(vectors))):
         tracemalloc.start()
@@ -429,3 +449,23 @@ def test_ratio_model_shape_validation(default_kernel, small_pair):
                       xp_points=xp.points, xq_points=xq.points,
                       alpha=np.zeros(gram.n + 1), mu_coeff=1.0,
                       values_at_xp=np.zeros(gram.n))
+
+
+@pytest.mark.parametrize("n, m, d", [(0, 3, 1), (3, 0, 1), (0, 0, 1), (1, 1, 0)],
+                         ids=["n=0", "m=0", "n=m=0", "d=0"])
+def test_empty_or_zero_dimensional_model_refused(default_kernel, tmp_path, n, m, d):
+    """A model with no reference point, no target point or no coordinate is an InputError
+    from the constructor and from ``load_model``, not a ZeroDivisionError, a "Mean of empty
+    slice" warning or a blamed point dimension at evaluation."""
+    fields = dict(kernel=default_kernel, scheme=rr.iterated_lavrentiev(0.5, 1),
+                  xp_points=np.zeros((n, d)), xq_points=np.zeros((m, d)), alpha=np.zeros(n),
+                  mu_coeff=1.0, values_at_xp=np.zeros(n))
+    with pytest.raises(rr.InputError, match="need n, m, d >= 1"):
+        rr.RatioModel(**fields)
+    data = dict(fields, kernel=dataclasses.asdict(default_kernel),
+                scheme=fields["scheme"].to_dict(),
+                **{key: fields[key].tolist() for key in rr.RatioModel._ARRAYS})
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(rr.InputError):
+        rr.load_model(path)

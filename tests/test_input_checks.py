@@ -328,3 +328,20 @@ def test_evaluate_rejects_model_entries_that_are_not_numbers(tmp_path, subproces
     assert len(lines) == 1, run.stderr
     assert json.loads(lines[0])["error"] == "validation"
     assert not (tmp_path / "values.csv").exists()
+
+
+def test_evaluate_refuses_a_model_without_coordinates(tmp_path, monkeypatch, capsys,
+                                                     small_pair):
+    """A model file whose points are ``[[]]`` (d = 0) exits 2 with one JSON line that
+    names the model, not the points."""
+    monkeypatch.chdir(tmp_path)
+    data = dict(rr.fit_spectral(small_pair[2], SINGLE).to_dict(), xp_points=[[]],
+                xq_points=[[]], alpha=[0.0], values_at_xp=[0.0])
+    (tmp_path / "model.json").write_text(json.dumps(data))
+    (tmp_path / "points.csv").write_text("0.0\n1.0\n")
+    assert main(["evaluate", "--model", "model.json", "--points", "points.csv",
+                 "--out", "values.csv"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "validation" and "xp_points" in error["message"]
+    assert not (tmp_path / "values.csv").exists()

@@ -243,17 +243,32 @@ def test_workers_inherit_the_callers_error_state(monkeypatch, cores):
 
 
 def test_worker_errors_reach_the_caller_with_their_type(monkeypatch):
-    """An InputError raised in a thread's block is raised in the caller as InputError,
-    which the CLI maps to exit code 2."""
+    """An InputError raised in a thread's block of ``kernel_sums`` is raised in the caller
+    as InputError, which the CLI maps to exit code 2."""
     _cores(monkeypatch, 2)
     second = kernel._block_height(2048) // 2  # the first row of the thread's first block
+    real_values = kernel._kernel_values
 
-    def work(rows, blocks):
-        if rows.start == second:
-            raise rr.InputError(f"block at row {rows.start}")
+    def failing(spec, a, b, **kwargs):
+        if a[0, 0] == second:
+            raise rr.InputError(f"block at row {int(a[0, 0])}")
+        return real_values(spec, a, b, **kwargs)
 
+    monkeypatch.setattr(kernel, "_kernel_values", failing)
+    rows = np.arange(1000.0).reshape(-1, 1)  # row i holds the point i
     with pytest.raises(rr.InputError, match=f"block at row {second}$"):
-        kernel._split_rows(1000, 2048, (2048,), work)
+        kernel.kernel_sums(rr.KernelSpec(), rows, np.zeros((2048, 1)))
+
+
+def test_assemble_gram_checks_dimensions_before_splitting(default_kernel, monkeypatch):
+    """Samples of 2 and 1 coordinates, above the two-budget threshold on 2 cores, give
+    the InputError of ``kernel_matrix`` and not an IndexError from a worker."""
+    _cores(monkeypatch, 2)
+    xp = rr.SampleSet(np.zeros((600, 2)), "p")
+    xq = rr.SampleSet(np.zeros((600, 1)), "q")
+    assert xp.n * xq.n >= 2 * kernel._BLOCK_ELEMENTS
+    with pytest.raises(rr.InputError, match="^point dimensions differ: 2 vs 1$"):
+        rr.assemble_gram(default_kernel, xp, xq)
 
 
 def test_dense_kernel_is_finite_at_extreme_inputs():
