@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError, positive_real, save_csv, whole_number
-from .kernel import (GramSystem, SampleSet, _as_points, _check_shift, _outside_span,
-                     _row_blocks, kernel_matrix)
+from .kernel import (GramSystem, SampleSet, _as_points, _block_height, _check_shift,
+                     _kernel_values, _outside_span)
 
 # The balance-point bisection stops at this relative bracket width or step count.
 _BISECTION_TOL = 1e-9
@@ -67,12 +67,13 @@ def _leverages(gram: GramSystem, lams: np.ndarray, probes: np.ndarray) -> np.nda
     quad = np.empty((lams.size, probes.shape[0]))
     with np.errstate(over="ignore", invalid="ignore"):  # raised below, not warned
         inverse = 1.0 / (lams[:, None] + t)
-        for cols in _row_blocks(probes.shape[0], gram.n):
-            cross = kernel_matrix(gram.kernel, gram.xp.points, probes[cols])
+        height = _block_height(gram.n)
+        for start in range(0, len(probes), height):
+            cross = _kernel_values(gram.kernel, gram.xp.points, probes[start:start + height])
             weights = u.T @ cross
             outside = _outside_span(u, cross, weights)
             np.square(weights, out=weights)
-            quad[:, cols] = inverse @ weights + np.outer(
+            quad[:, start:start + height] = inverse @ weights + np.outer(
                 1.0 / lams, np.einsum("ip,ip->p", outside, outside))
         leverages = (gram.kernel.diagonal_value() - quad / gram.n) / lams[:, None]
     if not np.isfinite(leverages).all():
@@ -83,12 +84,11 @@ def _leverages(gram: GramSystem, lams: np.ndarray, probes: np.ndarray) -> np.nda
 def christoffel(gram: GramSystem, lam: float, x) -> float:
     """Regularized leverage C_lam(x) of a single point.
 
-    Non-negative in exact arithmetic.  At the strengths the tests check
-    (lam >= 0.01) computed values stay above -1e-10.  Far below the pivot
-    truncation level of ``GramSystem.eigensystem`` the truncation error
-    over lam takes over, and values are returned as computed: they can be
-    large and negative (ROADMAP item 3).  ``capacity_profile`` refuses a
-    strength whose supremum n_inf comes out negative.
+    Non-negative in exact arithmetic.  At the strengths the tests check (lam >= 0.01)
+    computed values stay above -1e-10.  Far below the pivot truncation level of
+    ``GramSystem.eigensystem`` the truncation error over lam takes over, and values are
+    returned as computed: they can be large and negative.  ``capacity_profile`` refuses
+    a strength whose supremum n_inf comes out negative.
     """
     probe = _probes(gram, _as_points(x, name="x").reshape(1, -1))
     return float(_leverages(gram, np.array([positive_real(lam, "lam")]), probe)[0, 0])
@@ -143,8 +143,13 @@ def default_probe_grid(xp: SampleSet, count: int = 200) -> np.ndarray:
 
     The grid takes max(2, ceil(count**(1/d))) points per axis: in one dimension a
     linspace of ``count`` points, or of the box's two ends for a count of 1.
+    InputError, before any array is built, when that is more than 2^20 points.
     """
     count = whole_number(count, "count")
+    per_axis = max(2, math.ceil(count ** (1.0 / xp.dim)))
+    if per_axis ** xp.dim > 1 << 20:  # keeps every default grid up to d = 20
+        raise InputError(f"the default probe grid in d = {xp.dim} would hold "
+                         f"{per_axis ** xp.dim} points, more than 2^20")
     low = xp.points.min(axis=0)
     high = xp.points.max(axis=0)
     # halved before adding: the same bits, and an overflow only past the float range
@@ -154,7 +159,6 @@ def default_probe_grid(xp: SampleSet, count: int = 200) -> np.ndarray:
         low, high = center - half, center + half
         if not np.isfinite(high - low).all():
             raise InputError("the probe box (the sample's bounding box inflated 20%) overflows")
-    per_axis = max(2, math.ceil(count ** (1.0 / xp.dim)))
     axes = [np.linspace(low[d], high[d], per_axis) for d in range(xp.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
@@ -175,9 +179,8 @@ def capacity_profile(gram: GramSystem, lambdas, probe_points=None) -> CapacityPr
     if not values:
         raise InputError("lambdas must hold at least one strength")
     lams = np.sort([positive_real(lam, "lam") for lam in values])[::-1]
-    xp = gram.xp
-    scan = np.vstack([_probes(gram, default_probe_grid(xp) if probe_points is None
-                              else probe_points), xp.points])
+    scan = np.vstack([default_probe_grid(gram.xp) if probe_points is None
+                      else _probes(gram, probe_points), gram.xp.points])
     leverages = _leverages(gram, lams, scan)
     spectrum = gram.spectrum()
     n_eff = np.array([_n_eff(spectrum, lam) for lam in lams])

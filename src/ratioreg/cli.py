@@ -230,7 +230,8 @@ class _Parser(argparse.ArgumentParser):
 
 # Per subcommand: handler, summary and a table dest -> (type, default, help)
 # of its flags --<dest with "-" for "_">.  The help gains "(default: ...)"
-# for a default other than None unless it names one itself.
+# for a default other than None unless it names one itself.  A default that a library
+# function also has is read from its ``__defaults__`` (the first is the flag's).
 _KERNEL = kernel.KernelSpec()
 _STUDY = experiment.SimConfig()
 
@@ -247,7 +248,8 @@ _COMMANDS = {
         "xq": (None, None, "CSV of target points (numerator sample)"),
         **_KERNEL_FLAGS,
         "lam": (float, None, "regularization strength, positive (required)"),
-        "iterations": (int, 1, "iteration count of the shifted-inversion scheme"),
+        "iterations": (int, estimator.fit_iterated_lavrentiev.__defaults__[0],
+                       "iteration count of the shifted-inversion scheme"),
         "out": (None, None, "output model JSON path"),
     }),
     "evaluate": (cmd_evaluate, "evaluate a saved model at points", {
@@ -282,7 +284,7 @@ _COMMANDS = {
         "iterations": (int, 10, "iteration count"),
         "replications": (int, 5, "replications per n"),
         "seed": (int, 0, "master seed"),
-        "mu_q": (float, 2.0, "target mean"),
+        "mu_q": (float, experiment.run_rate_study.__defaults__[0], "target mean"),
         "probe_x": (float, None, "pointwise-error probe (default: mu_q)"),
         "out": (None, None, "output record JSON path"),
         **_KERNEL_FLAGS,
@@ -301,7 +303,8 @@ _COMMANDS = {
         "iterations": (int, 3, "iteration count"),
         "t_max": (float, _KERNEL.diagonal_value(), "right end of the spectral grid (default: "
                   f"{_KERNEL.diagonal_value()}, the diagonal value of the default kernel)"),
-        "grid_size": (int, 2000, "log-grid resolution"),
+        "grid_size": (int, regularization.check_scheme_constants.__defaults__[0],
+                      "log-grid resolution"),
         "qualification": (float, None, "override the qualification order to test a "
                                        "claim (default: the scheme's own)"),
         "out": (None, None, "optional JSON report path"),

@@ -170,23 +170,23 @@ class SampleSet:
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The (len(a), len(b)) array of kernel values between the rows of ``a`` and ``b``.
 
-    The squared distances accumulate one coordinate at a time in the output,
-    which is finished in place, so the call allocates at most the output plus,
-    for d > 1, one array of the same shape.  The result is exactly symmetric
-    when ``a`` is ``b``.
+    The checked public form of ``_kernel_values``, for library users and tests; no
+    package code calls it.
     """
     a = _as_points(a, name="left points")
     b = _as_points(b, name="right points")
     if a.shape[1] != b.shape[1]:
-        raise InputError(
-            f"point dimensions differ: {a.shape[1]} vs {b.shape[1]}")
+        raise InputError(f"point dimensions differ: {a.shape[1]} vs {b.shape[1]}")
     return _kernel_values(spec, a, b)
 
 
 def _kernel_values(spec: KernelSpec, a: np.ndarray, b: np.ndarray, *,
                    out: np.ndarray | None = None) -> np.ndarray:
-    """``kernel_matrix`` on checked (n, d) arrays of equal d, written into ``out`` when given
-    (C-contiguous, (len(a), len(b))); an overflowed |x - y|^2 gives offset."""
+    """The core that forms every kernel value of the package: ``kernel_matrix`` on checked
+    (n, d) arrays of equal d, into ``out`` when given (C-contiguous, (len(a), len(b))).
+    The squared distances accumulate one coordinate at a time in the output, finished in
+    place (d > 1 allocates one more array of its shape).  Exactly symmetric when ``a`` is
+    ``b``; an overflowed |x - y|^2 gives offset."""
     with np.errstate(over="ignore"):
         out = np.subtract.outer(a[:, 0], b[:, 0], out=out)
         np.square(out, out=out)
@@ -206,13 +206,6 @@ def _block_height(width: int) -> int:
     """Rows of one block: at least ``_BLOCK_ROW_MULTIPLE``, otherwise at most
     ``_BLOCK_ELEMENTS`` values of ``width``."""
     return max(_BLOCK_ELEMENTS // width // _BLOCK_ROW_MULTIPLE, 1) * _BLOCK_ROW_MULTIPLE
-
-
-def _row_blocks(count: int, width: int):
-    """Slices over ``count`` rows of ``width`` kernel values, one block each."""
-    rows = _block_height(width)
-    for start in range(0, count, rows):
-        yield slice(start, min(start + rows, count))
 
 
 def _cores() -> int:
@@ -307,7 +300,7 @@ def _pivoted_cholesky(spec: KernelSpec, points: np.ndarray, tol: float,
         if step == rows.shape[0]:
             rows = np.concatenate([rows, np.empty((min(step, cap - step), n))])
         column = rows[step]
-        column[:] = _kernel_values(spec, points, points[pivot:pivot + 1])[:, 0]
+        _kernel_values(spec, points, points[pivot:pivot + 1], out=column[:, np.newaxis])
         column -= rows[:step, pivot] @ rows[:step]
         column /= math.sqrt(residual[pivot])
         residual -= column * column
@@ -361,7 +354,7 @@ class GramSystem:
                 raise InputError("second sample must carry measure_tag 'q'")
             if self.xp.dim != self.xq.dim:
                 raise InputError(f"sample dimensions differ: {self.xp.dim} vs {self.xq.dim}")
-        f = finite_array(self.f_bar, "f_bar")
+        f = np.array(finite_array(self.f_bar, "f_bar"))  # frozen below, so not the caller's
         if f.shape != (self.n,):
             raise InputError(f"f_bar has shape {f.shape}, expected ({self.n},)")
         f.setflags(write=False)
@@ -372,13 +365,10 @@ class GramSystem:
         return self.xp.n
 
     def dense(self) -> np.ndarray:
-        """A fresh, writable, Fortran-contiguous K for the dense ``eigh`` fallback.
-
-        K is formed anew, exactly symmetric, and returned as its transpose view.
-        The fallback scales it in place and ``eigh`` copies it; the test seam
-        ``dense_twin`` is the only other reader.
-        """
-        return kernel_matrix(self.kernel, self.xp.points, self.xp.points).T
+        """A fresh, plain (C-order, writable) K, exactly symmetric, from ``_kernel_values``
+        for the dense ``eigh`` fallback, which scales it in place and which ``eigh``
+        copies; the test seam ``dense_twin`` is the only other reader."""
+        return _kernel_values(self.kernel, self.xp.points, self.xp.points)
 
     def dot(self, vectors: np.ndarray) -> np.ndarray:
         """K v for every row v of the (c, n) ``vectors``, by ``kernel_sums``.

@@ -51,7 +51,7 @@ def dense_twin(monkeypatch):
     Without ``k_matrix`` the copy is the dense reference for ``gram``.  With
     it, the copy is a fault: for the rest of the test ``k_matrix`` stands in
     for K on the copy, in its decomposition and in the fit's refinement alike.
-    ``GramSystem.dense`` returns a fresh Fortran-order copy of it, and
+    ``GramSystem.dense`` returns a fresh copy of it, and
     ``GramSystem.dot`` multiplies by it.
     """
     def make(gram, k_matrix=None, **changes):
@@ -60,7 +60,7 @@ def dense_twin(monkeypatch):
             injected = np.array(k_matrix, dtype=float)
             real_dense, real_dot = kernel.GramSystem.dense, kernel.GramSystem.dot
             monkeypatch.setattr(kernel.GramSystem, "dense", lambda self: (
-                np.array(injected, order="F") if self is twin else real_dense(self)))
+                np.array(injected) if self is twin else real_dense(self)))
             monkeypatch.setattr(kernel.GramSystem, "dot", lambda self, vectors: (
                 vectors @ injected.T if self is twin else real_dot(self, vectors)))
         with monkeypatch.context() as scoped:

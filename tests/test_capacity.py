@@ -189,6 +189,21 @@ def test_default_probe_grid_multidimensional():
     assert grid.shape[0] == 15 * 15  # ceil(sqrt(200)) per axis
 
 
+def test_default_probe_grid_past_2_to_the_20_points_is_refused():
+    """At d = 40 (2^40 points, and more axes than ``np.meshgrid`` takes) the grid and
+    the profile raise InputError naming d and the point count; 2^20 points is the most
+    a grid holds."""
+    wide = rr.SampleSet(np.arange(200.0).reshape(5, 40), "p")
+    with pytest.raises(rr.InputError, match=rf"d = 40 would hold {2**40} points"):
+        rr.default_probe_grid(wide)
+    with pytest.raises(rr.InputError, match="d = 40"):
+        rr.capacity_profile(rr.assemble_gram(rr.KernelSpec(), wide), [0.1])
+    line = rr.SampleSet([0.0, 1.0], "p")
+    assert rr.default_probe_grid(line, count=2**20).shape == (2**20, 1)
+    with pytest.raises(rr.InputError, match=rf"d = 1 would hold {2**20 + 1} points"):
+        rr.default_probe_grid(line, count=2**20 + 1)
+
+
 @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
 def test_non_finite_strengths_rejected(gram, lam):
     with pytest.raises(rr.InputError):

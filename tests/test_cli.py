@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -641,6 +642,15 @@ def test_help_lists_defaults(capsys):
                     else f"(default: {default})") in shown, (command, dest)
             assert parsed[dest] == (kind(default) if kind and isinstance(default, str)
                                     else default), (command, dest)
+
+
+def test_cli_defaults_are_the_library_defaults():
+    """Three flags that repeat a library default take it from the library."""
+    for command, dest, function in [("fit", "iterations", rr.fit_iterated_lavrentiev),
+                                    ("rates", "mu_q", rr.run_rate_study),
+                                    ("check-schemes", "grid_size", rr.check_scheme_constants)]:
+        default = inspect.signature(function).parameters[dest].default
+        assert vars(build_parser().parse_args([command]))[dest] == default, (command, dest)
 
 
 def test_every_config_help_says_flags_override(capsys):

@@ -12,7 +12,6 @@ import scipy.linalg
 import ratioreg as rr
 from ratioreg import kernel
 from ratioreg.experiment import derive_seed
-from ratioreg.kernel import _row_blocks
 from ratioreg.regularization import iterated_lavrentiev, spectral_cutoff
 
 
@@ -197,7 +196,9 @@ def test_evaluate_batch_blocks_are_bitwise(model_400):
     the bits of the per-row formula over the whole batch."""
     model = model_400
     points = np.linspace(-8.0, 12.0, 3072).reshape(-1, 1)
-    blocks = list(_row_blocks(points.shape[0], 800))
+    height = kernel._block_height(len(model.xp_points))
+    blocks = [slice(start, min(start + height, len(points)))
+              for start in range(0, len(points), height)]
     assert len(blocks) >= 3
     batch = rr.evaluate_batch(model, points)
     k_ref = rr.kernel_matrix(model.kernel, points, model.xp_points)

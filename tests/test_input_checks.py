@@ -261,6 +261,21 @@ def test_overflowing_capacity_exits_3_without_warnings(tmp_path, subprocess_env)
     assert not (tmp_path / "profile.csv").exists()
 
 
+def test_capacity_on_a_wide_sample_exits_2(tmp_path, subprocess_env):
+    """On 40 columns the default probe grid would take 2^40 points: exit 2 with one JSON
+    line naming d, not a traceback from ``np.meshgrid``."""
+    np.savetxt(tmp_path / "xp.csv", np.arange(200.0).reshape(5, 40), delimiter=",")
+    run = subprocess.run([sys.executable, "-m", "ratioreg", "capacity", "--xp", "xp.csv",
+                          "--out", "profile.csv"], cwd=tmp_path, env=subprocess_env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2, run.stdout + run.stderr
+    assert run.stdout == ""
+    (line,) = run.stderr.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "validation" and "d = 40" in error["message"]
+    assert not (tmp_path / "profile.csv").exists()
+
+
 FIT = ["fit", "--xp", "xp.csv", "--xq", "xq.csv", "--out", "out"]
 # Inputs whose arithmetic overflows on the way to a checked error or to a right
 # value: (argv, exit code, text that stdout holds).

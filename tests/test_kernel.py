@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import ratioreg as rr
 from ratioreg import kernel
-from ratioreg.kernel import _row_blocks
 
 # k(x, y) = 1 + exp(-(x-y)^2 / 2) at squared distance 2 -> 1 + e^{-1}
 ONE_PLUS_E_MINUS_1 = 1.3678794411714423
@@ -124,8 +123,8 @@ def test_sample_set_points_read_only():
 
 
 def test_gram_symmetry_is_bitwise(default_kernel, rng):
-    """The kernel matrix comes out exactly symmetric with no mirroring step,
-    so the Fortran-order K that the Cholesky fit factors is its transpose view."""
+    """The kernel matrix comes out exactly symmetric with no mirroring step, and
+    ``dense`` returns it as a plain writable K, equal to ``kernel_matrix``'s."""
     for dim in (1, 2, 3):
         xp = rr.SampleSet(rng.normal(size=(301, dim)), "p")
         xq = rr.SampleSet(rng.normal(size=(11, dim)), "q")
@@ -134,7 +133,7 @@ def test_gram_symmetry_is_bitwise(default_kernel, rng):
         for gram in (rr.assemble_gram(default_kernel, xp, xq),
                      rr.assemble_gram(default_kernel, xp)):
             dense = gram.dense()
-            assert dense.flags.f_contiguous and dense.flags.writeable
+            assert dense.flags.c_contiguous and dense.flags.writeable
             assert np.array_equal(dense, k_matrix)
 
 
@@ -142,7 +141,7 @@ def test_f_bar_from_row_blocks_is_bitwise(default_kernel, rng):
     """f_bar summed block by block equals the sums of the whole cross kernel."""
     xp = rr.SampleSet(rng.normal(size=(700, 1)) * 3.0, "p")
     xq = rr.SampleSet(rng.normal(size=(2000, 1)), "q")
-    assert len(list(_row_blocks(xp.n, xq.n))) >= 2
+    assert kernel._block_height(xq.n) < xp.n  # two blocks at least
     gram = rr.assemble_gram(default_kernel, xp, xq)
     cross = rr.kernel_matrix(default_kernel, xp.points, xq.points)
     assert np.array_equal(gram.f_bar, (xp.n / xq.n) * cross.sum(axis=1))
@@ -163,7 +162,8 @@ def test_results_do_not_depend_on_the_block_budget(default_kernel, monkeypatch):
             model = rr.fit_iterated_lavrentiev(small, 0.1, 3)
             reference = rr.assemble_gram(default_kernel, rr.SampleSet(xp.points[:300], "p"))
             profile = rr.capacity_profile(reference, np.geomspace(0.01, 1.0, 20))
-            heights = {rows.stop - rows.start for rows in _row_blocks(3072, 800)}
+            height = kernel._block_height(small.n)
+            heights = {min(height, 3072 - start) for start in range(0, 3072, height)}
             results.append((heights, gram.f_bar, rr.evaluate_batch(model, grid),
                             profile.n_eff, profile.n_inf, profile.lambda_star))
     assert len({max(r[0]) for r in results}) == 3  # three blockings of the grid
@@ -339,6 +339,18 @@ def test_gram_system_shape_validation(default_kernel):
         dataclasses.replace(gram, xq=rr.SampleSet([[0.0, 1.0]], "q"))
     with pytest.raises(rr.InputError):
         dataclasses.replace(gram, xq=rr.SampleSet([0.0], "p"))
+
+
+def test_gram_system_freezes_a_copy_of_f_bar(default_kernel):
+    """The caller's f_bar stays writable, and writing to it leaves the system's alone."""
+    gram = rr.assemble_gram(default_kernel, rr.SampleSet([0.0, 1.0, 2.0], "p"))
+    for build in (lambda f: rr.GramSystem(kernel=default_kernel, xp=gram.xp, xq=None, f_bar=f),
+                  lambda f: dataclasses.replace(gram, f_bar=f)):
+        f = np.array([1.0, 2.0, 3.0])
+        system = build(f)
+        assert f.flags.writeable and not system.f_bar.flags.writeable
+        f[0] = 9.0
+        assert system.f_bar.tolist() == [1.0, 2.0, 3.0]
 
 
 def test_one_decomposition_per_system(linalg_calls, small_pair):

@@ -137,8 +137,7 @@ def test_assembly_and_ladder_memory_is_o_nr(default_kernel):
     rank = gram.eigensystem[0].size
     assert rank < 64
     # one row block of the cross kernel plus eight n x r arrays
-    rows = next(kernel._row_blocks(n, n))
-    assert peak < (rows.stop - rows.start) * n * 8 + 8 * n * rank * 8
+    assert peak < kernel._block_height(n) * n * 8 + 8 * n * rank * 8
     assert peak < n * n * 8 / 4
 
 
