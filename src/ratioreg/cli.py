@@ -133,7 +133,7 @@ def _median_table(report: experiment.ExperimentReport) -> str:
             if k != k_list[0] and math.isfinite(base):
                 marker = " <=" if medians[k] <= base else " >"
             cells.append(f"{medians[k]:<9.5f}{marker:<4}")
-        lines.append(f"{mu_q:<8}" + "".join(cells))
+        lines.append(f"{mu_q:<7} " + "".join(cells))
     return "\n".join(lines)
 
 

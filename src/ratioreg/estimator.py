@@ -170,10 +170,10 @@ def _check_target(gram: GramSystem) -> None:
 # The refinement stops after a correction of at most _REFINE_STOP k kappa eps times
 # the largest value, k kappa eps being what k solves can attain, with kappa = 1 + t_max
 # / lam bounding the condition number of lam I + K/n.  First corrections measured up to
-# 11 k kappa eps, and the next ones up to 3 kappa eps, the rounding of the residuals
-# (n = 400 to 3200, d = 1 to 3 with rank 49 to n, lam = 0.1 to 1e-9, k = 1 to 10): one
-# pass each.  So a correction no smaller than the one before it (the iterates count as
-# the first), or no stop after _REFINE_PASSES passes, raises NumericalError.
+# 12 k kappa eps through the pivoted factor and 59 through the dense fallback's eigh,
+# the next ones below 1.2 (n = 50 to 3200, d = 1 to 3, lam = 1000 to 1e-300, k = 1 to
+# 100): one pass or two.  So a correction no smaller than the one before it (the
+# iterates count as the first), or no stop after _REFINE_PASSES passes, raises.
 _REFINE_STOP = 32.0
 _REFINE_PASSES = 4
 
@@ -190,10 +190,11 @@ def fit_iterated_lavrentiev(gram: GramSystem, lam: float, iterations: int = 1) -
     Iterative refinement against K restores it (Wilkinson; Higham, Accuracy and
     Stability of Numerical Algorithms, ch. 12): one pass of ``GramSystem.dot`` gives
     every residual r_j = f_bar + n lam v_{j-1} - (n lam I + K) v_j, and the corrections
-    d_j = S(r_j + n lam d_{j-1}) are added in order.  The pass holds two blocks of
-    kernel values and no n x n array, and sums without BLAS, so the values have
-    the same bits at any BLAS thread count or core count.  lam is checked as the
-    ladder checks it.
+    d_j = S(r_j + n lam d_{j-1}) are added in order, pass after pass until they are
+    small (``_REFINE_STOP``).  A pass holds two blocks of kernel values and no n x n
+    array and sums without BLAS, so the values have the same bits at any core count
+    and, below the pivot cap, at any BLAS thread count.  lam is checked as the ladder
+    checks it.
     """
     _check_target(gram)
     scheme = iterated_lavrentiev(lam, iterations)

@@ -162,8 +162,10 @@ class SimConfig:
         }
         for name, value in checked.items():
             object.__setattr__(self, name, value)
-        if not self.mu_q_list or not self.k_list:
-            raise InputError("mu_q_list and k_list must be non-empty")
+        for name in ("mu_q_list", "k_list"):  # compared as floats: 0.0 and -0.0 repeat
+            if not checked[name] or len(set(map(float, checked[name]))) < len(checked[name]):
+                raise InputError(f"{name} must be non-empty with no repeated entry, got "
+                                 f"{list(checked[name])}")
 
 
 @dataclass(frozen=True)

@@ -287,6 +287,13 @@ def test_indefinite_system_raises_numerical_error(dense_twin):
     assert rr.christoffel(gram, 1.0, [0.0]) > 0.0
 
 
+def test_overflowing_leverage_raises_numerical_error(gram):
+    """At lam = 1e-300 the leverage overflows 1/lam, which NumericalError reports."""
+    with pytest.raises(rr.NumericalError, match="non-finite regularized leverage") as info:
+        rr.christoffel(gram, 1e-300, [0.0])
+    assert info.value.lam == 1e-300
+
+
 def test_failed_eigendecomposition_raises_numerical_error(monkeypatch, gram):
 
     def broken(matrix):

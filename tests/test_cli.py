@@ -61,7 +61,7 @@ def test_fit_numerical_breakdown_exits_3(tmp_path, capsys):
 
 
 def test_failing_fit_peaks_no_higher_than_a_successful_one(tmp_path, subprocess_env):
-    """At n = m = 3200 and lam = 1e-18 the refinement's correction stops shrinking, and
+    """At n = m = 3200 and lam = 1e-18 the refinement's correction does not shrink, and
     the fit forms no n x n array to report it: the process exits 3 with one JSON line
     and peaks (``os.wait4``) no higher than a fit at lam = 0.1 on the same samples."""
     rr.save_samples_csv(rr.sample_normal(2.0, 5.0, 3200, 31, "p"), tmp_path / "xp.csv")
@@ -255,6 +255,25 @@ def test_simulate_custom_lists(tmp_path, capsys):
     assert len(report["cells"]) == 4
     assert report["config"]["k_list"] == [1, 5]
     assert report["config"]["mu_q_list"] == [3.0]
+
+
+def test_simulate_refuses_repeated_list_entries(tmp_path, capsys):
+    code = main(["simulate", "--n", "5", "--m", "5", "--replications", "2",
+                 "--mu-q-list", "3,3", "--k-list", "1,1", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    payload = read_single_error_line(capsys)
+    assert payload["error"] == "validation" and "no repeated entry" in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_median_table_separates_a_long_target_mean(tmp_path, capsys):
+    code = main(["simulate", "--n", "5", "--m", "5", "--replications", "2",
+                 "--mu-q-list", "1e6", "--k-list", "1,2", "--out-dir", str(tmp_path)])
+    assert code == 0
+    row = capsys.readouterr().out.splitlines()[-1]
+    assert row.startswith("1000000.0 ")
+    mu_q, *medians = row.replace("<=", "").replace(">", "").split()
+    assert float(mu_q) == 1e6 and len(medians) == 2
 
 
 def test_simulate_rejects_bad_k_list(tmp_path, capsys):

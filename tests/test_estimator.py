@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 
 import ratioreg as rr
-from ratioreg import kernel
+from ratioreg import estimator, kernel
 from ratioreg.experiment import derive_seed
 from ratioreg.regularization import iterated_lavrentiev, spectral_cutoff
 
@@ -38,15 +38,52 @@ def bench_case_gram(default_kernel) -> rr.GramSystem:
 
 
 def test_fit_decomposes_once_and_passes_over_k_at_most_twice(linalg_calls, default_kernel):
-    """On the benchmark's fit (lam = 0.1, k = 3) the refinement stops after at most two
-    passes over K, and the fit decomposes nothing of its own: it reads the eigensystem
-    that the system keeps."""
+    """On the benchmark's fit (lam = 0.1, k = 3) the refinement makes one pass over K,
+    and the fit decomposes nothing of its own: it reads the eigensystem that the system
+    keeps."""
     gram = bench_case_gram(default_kernel)
     gram.eigensystem
     for k in (1, 3):
         linalg_calls.clear()
         rr.fit_iterated_lavrentiev(gram, 0.1, k)
-        assert 1 <= linalg_calls.count("dot") <= 2 and "eigh" not in linalg_calls
+        assert linalg_calls.count("dot") == 1 and "eigh" not in linalg_calls
+
+
+def test_refinement_passes_once_below_the_pivot_cap(linalg_calls, default_kernel):
+    """Below the pivot cap a fit passes over K once: at lam = 0.1 and 1e-9 it returns,
+    and at lam = 1e-16 on n = 1000 (d = 1) the first correction does not shrink below
+    the iterates, so it raises NumericalError without a second pass."""
+    gram = rr.assemble_gram(default_kernel, rr.sample_normal(2.0, 5.0, 1000, 71, "p"),
+                            rr.sample_normal(3.0, 0.5, 1000, 72, "q"))
+    gram.eigensystem
+    for lam in (0.1, 1e-9, 1e-16):
+        linalg_calls.clear()
+        if lam > 1e-16:
+            assert np.isfinite(rr.fit_iterated_lavrentiev(gram, lam, 3).values_at_xp).all()
+        else:
+            with pytest.raises(rr.NumericalError, match="stopped shrinking") as info:
+                rr.fit_iterated_lavrentiev(gram, lam, 3)
+            assert info.value.lam == lam
+        assert linalg_calls == ["dot"]
+
+
+def test_dense_fallback_fit_takes_a_second_pass(linalg_calls, default_kernel, monkeypatch):
+    """Past the pivot cap (n = 800, d = 2, N(0, 4I)) the eigensystem comes from a dense
+    eigh, whose first correction at lam = 1 exceeds 32 k kappa eps: the fit takes a
+    second pass and returns the direct solve, and with one pass allowed it raises."""
+    rng = np.random.default_rng(5)
+    gram = rr.assemble_gram(default_kernel, rr.SampleSet(rng.normal(0.0, 2.0, (800, 2)), "p"),
+                            rr.SampleSet(rng.normal(1.0, 1.0, (800, 2)), "q"))
+    assert len(gram.eigensystem[0]) == gram.n  # the dense fallback ran
+    linalg_calls.clear()
+    model = rr.fit_iterated_lavrentiev(gram, 1.0, 1)
+    assert linalg_calls == ["dot", "dot"]
+    direct = np.linalg.solve(gram.n * np.eye(gram.n) + gram.dense(), gram.f_bar)
+    assert np.abs(model.values_at_xp - direct).max() <= 1e-13 * np.abs(direct).max()
+    monkeypatch.setattr(estimator, "_REFINE_PASSES", 1)
+    with pytest.raises(rr.NumericalError, match="did not converge in 1 passes") as info:
+        rr.fit_iterated_lavrentiev(gram, 1.0, 1)
+    assert info.value.lam == 1.0
 
 
 def test_fit_holds_the_eigensystem_and_a_block(default_kernel, monkeypatch):

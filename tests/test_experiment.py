@@ -138,6 +138,11 @@ def test_sim_config_validation():
         rr.SimConfig(k_list=())
     with pytest.raises(rr.InputError):
         rr.SimConfig(k_list=(0,))
+    # a repeat would run its cells twice under one key; 0.0 and -0.0 are one mean
+    for lists in ({"mu_q_list": (3.0, 3.0)}, {"mu_q_list": (0.0, -0.0)},
+                  {"mu_q_list": (2, 2.0)}, {"k_list": (1, 5, 1)}):
+        with pytest.raises(rr.InputError, match="no repeated entry"):
+            rr.SimConfig(**lists)
 
 
 def test_run_study_shape_single_cell():

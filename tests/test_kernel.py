@@ -177,6 +177,15 @@ def _cores(monkeypatch, count: int) -> None:
     monkeypatch.setattr(kernel.os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
+def test_core_count_falls_back_to_cpu_count(monkeypatch):
+    """Without ``os.sched_getaffinity`` (macOS, for one) the workers count ``cpu_count``
+    cores, and one when it is unknown."""
+    monkeypatch.delattr(kernel.os, "sched_getaffinity", raising=False)
+    for reported, cores in ((3, 3), (None, 1)):
+        monkeypatch.setattr(kernel.os, "cpu_count", lambda: reported)
+        assert kernel._cores() == cores
+
+
 @pytest.fixture()
 def fast_switching():
     """Switch threads every 10 us during the test, to expose a lost or misplaced row."""
