@@ -61,7 +61,11 @@ def _probes(gram: GramSystem, points) -> np.ndarray:
 
 
 def _leverages(gram: GramSystem, lams: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """C_lam as a (len(lams), len(probes)) array; NumericalError where 1/lam overflows."""
+    """C_lam as a (len(lams), len(probes)) array; NumericalError where 1/lam overflows.
+
+    Each block of probe kernel values is projected off span(U) in place, so a block
+    holds its kernel values and one product of their shape at a time.
+    """
     t, u = gram.eigensystem[:2]
     _check_shift(float(lams.min()), t)
     quad = np.empty((lams.size, probes.shape[0]))

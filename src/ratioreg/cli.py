@@ -13,6 +13,7 @@ problems, 2 for validation, 3 for numerical breakdown.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -99,6 +100,10 @@ def cmd_fit(options: dict) -> int:
     return 0
 
 
+# Rows of the evaluate CSV held as Python lists at once, as the writer asks for them.
+_CSV_CHUNK = 4096
+
+
 def cmd_evaluate(options: dict) -> int:
     model_path = _require(options, "model")
     points_path = _require(options, "points")
@@ -111,8 +116,11 @@ def cmd_evaluate(options: dict) -> int:
     if options["format"] == "json":
         save_json({"points": points.points.tolist(), "values": values.tolist()}, out_path)
     else:
-        save_csv([[f"x{i}" for i in range(points.dim)] + ["value"],
-                  *np.column_stack([points.points, values])], out_path)
+        chunks = (np.column_stack([points.points[start:start + _CSV_CHUNK],
+                                   values[start:start + _CSV_CHUNK]]).tolist()
+                  for start in range(0, values.size, _CSV_CHUNK))
+        save_csv(itertools.chain([[f"x{i}" for i in range(points.dim)] + ["value"]],
+                                 itertools.chain.from_iterable(chunks)), out_path)
     print(f"evaluated {values.size} points to {out_path}")
     return 0
 

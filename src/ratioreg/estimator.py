@@ -70,7 +70,9 @@ values are corrected against K and not only against the truncated
 spectrum.
 
 Memory: the ladder and both fits hold O(n r) floats besides the (L x n)
-table or the k iterates, and the refinement two blocks of kernel values.
+table or the k iterates, and the refinement two blocks of kernel values;
+each of the fit's steps projects its own right-hand side off span(U) in
+place.
 ``evaluate_batch`` makes two passes of ``kernel.kernel_sums``, over blocks
 of n and then of m kernel values a row, so it holds one block whatever the
 batch size.  Both run on up to one thread per core, whose workers share one

@@ -31,7 +31,9 @@ case, that takes 0.67 s against 0.52 s for the dense ``eigh`` alone
 (2 BLAS threads).
 
 Memory: the eigensystem takes O(n r) floats, and only ``GramSystem.dense``
-forms the n x n K, for the dense fallback.  f_bar, ``GramSystem.dot`` and
+forms the n x n K, for the dense fallback.  The QR reads the pivoted factor
+scaled in place, and ``_outside_span`` projects off span(U) in place, in an
+array its caller owns.  f_bar, ``GramSystem.dot`` and
 ``estimator.evaluate_batch`` are weighted row sums of kernel values, and
 one routine forms them all: ``kernel_sums`` sums row blocks of K(a, b),
 without BLAS, on up to one thread per core.  The workers share one block
@@ -39,7 +41,7 @@ budget, each reusing its own arrays, and no output bit depends on the core
 count.  A block holds about ``_BLOCK_ELEMENTS`` = 2^17 kernel values
 (1 MB), and at least 64 rows; the same budget sizes the capacity probes,
 which stay on the calling thread, as their BLAS products round by block
-shape.
+shape.  A sample CSV is parsed a record at a time into one flat array.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ import csv
 import math
 import os
 import threading
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -308,16 +311,19 @@ def _pivoted_cholesky(spec: KernelSpec, points: np.ndarray, tol: float,
 
 
 def _outside_span(basis: np.ndarray, vectors: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """The part of ``vectors`` outside span(basis), given coords = basis^T vectors.
+    """The part of ``vectors`` outside span(basis), given coords = basis^T vectors,
+    written over ``vectors``, which it returns; the caller owns that array.
 
     Projected out twice: the first difference is rounding noise that points
-    along the basis as much as across it.  Exactly zero for a square basis.
+    along the basis as much as across it.  Each pass holds one product of the
+    shape of ``vectors``.  Exactly zero for a square basis.
     """
     if basis.shape[1] == basis.shape[0]:
-        return np.zeros_like(vectors)
-    outside = vectors - basis @ coords
-    outside -= basis @ (basis.T @ outside)
-    return outside
+        vectors.fill(0.0)
+        return vectors
+    vectors -= basis @ coords
+    vectors -= basis @ (basis.T @ vectors)
+    return vectors
 
 
 def _check_shift(lam: float, spectrum: np.ndarray) -> None:
@@ -406,15 +412,16 @@ class GramSystem:
                 scaled /= self.n
                 t, u = np.linalg.eigh(scaled)
             else:
-                q, r = np.linalg.qr(factor.T / math.sqrt(self.n))
+                factor /= math.sqrt(self.n)
+                q, r = np.linalg.qr(factor.T)
                 t, v = np.linalg.eigh(r @ r.T)
                 u = q @ v
         except np.linalg.LinAlgError as exc:
             raise NumericalError("eigendecomposition of the kernel matrix failed") from exc
         rotated = u.T @ self.f_bar
-        arrays = (t, u, rotated, _outside_span(u, self.f_bar, rotated))
-        for array in arrays:
-            array.setflags(write=False)
+        arrays = (t, u, rotated, _outside_span(u, self.f_bar.copy(), rotated))
+        for part in arrays:
+            part.setflags(write=False)
         return arrays
 
 
@@ -441,18 +448,27 @@ def save_samples_csv(sample: SampleSet, path) -> None:
 
 
 def load_samples_csv(path, measure_tag: str) -> SampleSet:
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            records = [record for record in csv.reader(handle) if record]
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise InputError(f"{path} is not a UTF-8 CSV file: {exc}") from exc
-    try:
-        rows = [[float(v) for v in record] for record in records]
-    except ValueError as exc:
-        raise InputError(f"non-numeric value in {path}: {exc}") from exc
-    if not rows:
+    """The points of a CSV file, one per non-blank record, as a ``SampleSet``.
+
+    Each record is parsed into one flat array of floats as it is read, so the first
+    fault read (bad UTF-8, a malformed record, a non-numeric field) is the one reported;
+    the widths of all records are compared at the end.
+    """
+    values, widths = array("d"), set()
+    # outside the handlers: a path holding NUL raises a ValueError of its own
+    with open(path, newline="", encoding="utf-8") as handle:
+        try:
+            for record in csv.reader(handle):
+                if record:
+                    values.extend(map(float, record))
+                    widths.add(len(record))
+        except (UnicodeDecodeError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
+            raise InputError(f"{path} is not a UTF-8 CSV file: {exc}") from exc
+        except ValueError as exc:
+            raise InputError(f"non-numeric value in {path}: {exc}") from exc
+    if not widths:
         raise InputError(f"no points found in {path}")
-    widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise InputError(f"inconsistent point dimensions in {path}: {sorted(widths)}")
-    return SampleSet(points=np.array(rows), measure_tag=measure_tag)
+    return SampleSet(points=np.frombuffer(values).reshape(-1, widths.pop()),
+                     measure_tag=measure_tag)

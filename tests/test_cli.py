@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,37 @@ def test_evaluate_csv(tmp_path, fitted_model, capsys):
     got = np.array([float(r[1]) for r in rows[1:]])
     expected = rr.evaluate_batch(rr.load_model(fitted_model), points)
     assert np.array_equal(got, expected)
+
+
+def test_evaluate_streams_a_large_csv(tmp_path, capsys):
+    """50,000 points on an n = m = 20 model peak below 6 MB (120 B a point) under
+    tracemalloc: the points are read and the rows written a record or a chunk at a
+    time, where lists of records and of row views took 16.4 MB.  The rows keep the
+    bits of ``evaluate_batch``."""
+    paths = {name: str(tmp_path / f"{name}.csv") for name in ("xp", "xq", "points")}
+    rr.save_samples_csv(rr.sample_normal(2.0, 5.0, 20, 11, "p"), paths["xp"])
+    rr.save_samples_csv(rr.sample_normal(3.0, 0.5, 20, 12, "q"), paths["xq"])
+    points = np.linspace(-2.0, 6.0, 50_000).reshape(-1, 1)
+    rr.save_samples_csv(rr.SampleSet(points, "p"), paths["points"])
+    model, out = str(tmp_path / "model.json"), tmp_path / "values.csv"
+    assert main(["fit", "--xp", paths["xp"], "--xq", paths["xq"], "--lam", "0.2",
+                 "--out", model]) == 0
+    tracemalloc.start()
+    try:
+        code = main(["evaluate", "--model", model, "--points", paths["points"],
+                     "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    capsys.readouterr()
+    assert peak < 6e6
+    with open(out, newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["x0", "value"] and len(rows) == len(points) + 1
+    expected = rr.evaluate_batch(rr.load_model(model), points)
+    assert [float(r[0]) for r in rows[1:]] == points[:, 0].tolist()
+    assert np.array_equal([float(r[1]) for r in rows[1:]], expected)
 
 
 def test_evaluate_json(tmp_path, fitted_model, capsys):
@@ -396,6 +428,18 @@ def test_nul_in_path_flag_is_validation_error(tmp_path, capsys):
         assert len(err.splitlines()) == 1
         payload = json.loads(err)
         assert payload["error"] == "validation" and "NUL" in payload["message"]
+
+
+def test_non_numeric_field_ahead_of_bad_utf8_is_reported(tmp_path, capsys):
+    """A non-numeric field a read buffer ahead of a bad UTF-8 byte is the fault reported,
+    as one JSON line with exit 2."""
+    xp = tmp_path / "xp.csv"
+    xp.write_bytes(b"1.0\noops\n" + b"1.0\n" * 4096 + b"\xff\n")
+    assert main(["capacity", "--xp", str(xp), "--out", str(tmp_path / "p.csv")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "validation" and "non-numeric value" in payload["message"]
 
 
 # -- check-schemes -----------------------------------------------------------

@@ -362,6 +362,39 @@ def test_gram_system_freezes_a_copy_of_f_bar(default_kernel):
         assert system.f_bar.tolist() == [1.0, 2.0, 3.0]
 
 
+@pytest.mark.parametrize("rows, rank, shape", [
+    (40, 7, (40, 5)), (300, 20, (300,)), (40, 40, (40, 5)), (12, 12, (12,))],
+    ids=["block", "vector", "square block", "square vector"])
+def test_outside_span_overwrites_its_input(rng, rows, rank, shape):
+    """The projection is written over the caller's array and returned, with the bits of
+    the two-line formula that forms it in new arrays; a square basis leaves zeros."""
+    basis = np.linalg.qr(rng.normal(size=(rows, rank)))[0]
+    vectors = rng.normal(size=shape)
+    coords = basis.T @ vectors
+    if rank == rows:
+        reference = np.zeros_like(vectors)
+    else:
+        reference = vectors - basis @ coords
+        reference -= basis @ (basis.T @ reference)
+    result = kernel._outside_span(basis, vectors, coords)
+    assert result is vectors
+    assert result.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("cap", ["pivoted", "dense"])
+def test_eigensystem_leaves_f_bar_alone(default_kernel, monkeypatch, cap):
+    """f_bar's part outside span(U) is formed in a copy: f_bar keeps its bits."""
+    if cap == "dense":
+        monkeypatch.setattr(kernel, "_PIVOT_CAP", 0.0)
+    xp = rr.sample_normal(0.0, 1.0, 200, 7, "p")
+    gram = rr.assemble_gram(default_kernel, xp, rr.sample_normal(0.5, 1.0, 150, 8, "q"))
+    before = gram.f_bar.tobytes()
+    outside = gram.eigensystem[3]
+    assert (gram.eigensystem[1].shape[1] < gram.n) == (cap == "pivoted")
+    assert gram.f_bar.tobytes() == before
+    assert not np.shares_memory(outside, gram.f_bar)
+
+
 def test_one_decomposition_per_system(linalg_calls, small_pair):
     """Selection at three counts, capacity and a spectral fit share one eigh."""
     gram = dataclasses.replace(small_pair[2])
@@ -423,10 +456,33 @@ def test_samples_csv_rejects_bad_content(tmp_path):
     with pytest.raises(rr.InputError):
         rr.load_samples_csv(path, measure_tag="p")
     ragged = tmp_path / "ragged.csv"
-    ragged.write_text("1.0,2.0\n3.0\n")
-    with pytest.raises(rr.InputError):
+    ragged.write_text("1.0,2.0\n3.0\n\n4.0,5.0,6.0\n7.0,8.0\n")
+    with pytest.raises(rr.InputError, match=r"dimensions .*: \[1, 2, 3\]"):  # every width
         rr.load_samples_csv(ragged, measure_tag="p")
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     with pytest.raises(rr.InputError):
         rr.load_samples_csv(empty, measure_tag="p")
+
+
+def test_samples_csv_path_with_nul_is_not_a_parse_error():
+    """open() refuses the path before any parsing, so no "non-numeric value" is reported."""
+    with pytest.raises(ValueError, match="null") as info:
+        rr.load_samples_csv("xp\x00.csv", measure_tag="p")
+    assert not isinstance(info.value, rr.InputError)
+
+
+@pytest.mark.parametrize("tail, fault", [
+    (b"\xff\n", "not a UTF-8 CSV file"),
+    (b"9" * 200_000 + b"\n", "not a UTF-8 CSV file: field larger than field limit")],
+    ids=["bad UTF-8", "csv.Error"])
+def test_samples_csv_reports_the_first_fault_read(tmp_path, tail, fault):
+    """Records are parsed as they are read, so a non-numeric field more than one read
+    buffer ahead of a later fault is the one reported; alone, the later fault is."""
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"1.0\noops\n" + b"1.0\n" * 4096 + tail)
+    with pytest.raises(rr.InputError, match="non-numeric value"):
+        rr.load_samples_csv(path, measure_tag="p")
+    path.write_bytes(b"1.0\n" + tail)
+    with pytest.raises(rr.InputError, match=fault):
+        rr.load_samples_csv(path, measure_tag="p")
