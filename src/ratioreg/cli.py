@@ -131,7 +131,7 @@ def _median_table(report: experiment.ExperimentReport) -> str:
     header = "mu_q    " + "".join(f"k={k:<12}" for k in k_list)
     lines = [header]
     for mu_q in config.mu_q_list:
-        stats = report.box[repr(mu_q)]
+        stats = report.box_stats[repr(mu_q)]
         medians = {k: (stats[str(k)]["median"] if stats[str(k)] else math.nan)
                    for k in k_list}
         base = medians[k_list[0]]

@@ -169,6 +169,19 @@ def _check_target(gram: GramSystem) -> None:
                          "assemble it from both xp and xq")
 
 
+def _model(gram: GramSystem, scheme: RegScheme, values: np.ndarray,
+           alpha: np.ndarray) -> RatioModel:
+    """The model of a fit on ``gram`` with mu = g_lam(0), which for the iterated scheme
+    is k / lam to the bit (a geometric sum of k ones over lam + 0); a non-finite value,
+    alpha or mu raises NumericalError."""
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below, not warned
+        mu = filter_value(scheme, 0.0)
+    if not (np.isfinite(values).all() and np.isfinite(alpha).all() and math.isfinite(mu)):
+        raise NumericalError("non-finite fitted values, alpha or mu", lam=scheme.lam)
+    return RatioModel(kernel=gram.kernel, scheme=scheme, xp_points=gram.xp.points,
+                      xq_points=gram.xq.points, alpha=alpha, mu_coeff=mu, values_at_xp=values)
+
+
 # The refinement stops after a correction of at most _REFINE_STOP k kappa eps times
 # the largest value, k kappa eps being what k solves can attain, with kappa = 1 + t_max
 # / lam bounding the condition number of lam I + K/n.  First corrections measured up to
@@ -236,14 +249,8 @@ def fit_iterated_lavrentiev(gram: GramSystem, lam: float, iterations: int = 1) -
         else:
             raise NumericalError(
                 f"iterative refinement did not converge in {_REFINE_PASSES} passes", lam=lam)
-        values = values[1:]
-        alpha = -values.sum(axis=0) / n_lam
-    if not (np.isfinite(values).all() and np.isfinite(alpha).all()):
-        raise NumericalError(
-            f"non-finite fitted values or alpha after {scheme.iterations} iterations", lam=lam)
-    return RatioModel(kernel=gram.kernel, scheme=scheme, xp_points=gram.xp.points,
-                      xq_points=gram.xq.points, alpha=alpha,
-                      mu_coeff=scheme.iterations / lam, values_at_xp=values[-1])
+        alpha = -values[1:].sum(axis=0) / n_lam
+    return _model(gram, scheme, values[-1], alpha)
 
 
 # ``_filtered`` multiplies in blocks of one height per system, since OpenBLAS
@@ -261,13 +268,14 @@ def _filtered(gram: GramSystem, filter_rows, scale: float) -> np.ndarray:
     complement's 0 last, to an array of rows h(t); the result has one
     row of n values per filter row.  Every spectral value and alpha comes
     from here, so a row has the same bits whichever call computes it.  A
-    filter that overflows at a tiny strength gives inf or nan without a
-    warning; the callers' finiteness checks raise NumericalError for it.
+    filter that overflows or divides by zero at a tiny strength gives inf or
+    nan without a warning; the callers' finiteness checks raise NumericalError
+    for it.
     """
     _, basis, rotated, outside = gram.eigensystem
     height = max(-(-_FILTER_MIN_ENTRIES // gram.n), 11)
     rank = len(rotated)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         rows = np.atleast_2d(filter_rows(np.concatenate([gram.spectrum(), [0.0]])))  # h(0) last
         weights = np.zeros((-(-len(rows) // height), height, rank))
         np.multiply(rows[:, :-1], rotated / scale, out=weights.reshape(-1, rank)[:len(rows)])
@@ -286,13 +294,8 @@ def fit_spectral(gram: GramSystem, scheme: RegScheme) -> RatioModel:
     """
     _check_target(gram)
     _check_shift(scheme.lam, gram.eigensystem[0])
-    values = _filtered(gram, partial(filter_value, scheme), gram.n)[0]
-    alpha = _filtered(gram, partial(filter_quotient_value, scheme), gram.n**2)[0]
-    if not (np.isfinite(values).all() and np.isfinite(alpha).all()):
-        raise NumericalError("non-finite spectral fit", lam=scheme.lam)
-    return RatioModel(kernel=gram.kernel, scheme=scheme, xp_points=gram.xp.points,
-                      xq_points=gram.xq.points, alpha=alpha,
-                      mu_coeff=filter_value(scheme, 0.0), values_at_xp=values)
+    return _model(gram, scheme, _filtered(gram, partial(filter_value, scheme), gram.n)[0],
+                  _filtered(gram, partial(filter_quotient_value, scheme), gram.n**2)[0])
 
 
 def fit_iterated_lavrentiev_ladder(gram: GramSystem, lambdas: Iterable[float],

@@ -188,18 +188,9 @@ class ExperimentReport:
 
     config: SimConfig
     cells: tuple[CellResult, ...]
-    box: dict
+    box_stats: dict
     failures: int
     probe_grid: tuple[float, ...] | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "config": asdict(self.config),
-            "cells": [asdict(c) for c in self.cells],
-            "box_stats": self.box,
-            "failures": self.failures,
-            "probe_grid": list(self.probe_grid) if self.probe_grid is not None else None,
-        }
 
 
 def _draw_gram(kernel: KernelSpec, key: tuple[int, ...], p: tuple, q: tuple) -> GramSystem:
@@ -259,8 +250,9 @@ def run_study(config: SimConfig, probe_grid=None) -> ExperimentReport:
             completed[c.mu_q, c.k].append(c.msd)
     return ExperimentReport(
         config=config, cells=tuple(cells),
-        box={repr(mu_q): {str(k): box_stats(completed[mu_q, k]) if completed[mu_q, k] else None
-                          for k in config.k_list} for mu_q in config.mu_q_list},
+        box_stats={repr(mu_q): {str(k): box_stats(completed[mu_q, k]) if completed[mu_q, k]
+                                else None for k in config.k_list}
+                   for mu_q in config.mu_q_list},
         failures=sum(1 for c in cells if c.error is not None),
         probe_grid=tuple(grid_arr[:, 0].tolist()) if grid_arr is not None else None)
 
@@ -269,7 +261,7 @@ def run_study(config: SimConfig, probe_grid=None) -> ExperimentReport:
 # Report serialization: JSON (full) + two CSVs for external plotting.
 
 def save_report_json(report: ExperimentReport, path) -> None:
-    save_json(report.to_dict(), path)
+    save_json(asdict(report), path)
 
 
 def save_report_csv(report: ExperimentReport, path) -> None:
@@ -285,7 +277,7 @@ def save_box_csv(report: ExperimentReport, path) -> None:
     save_csv([["mu_q", "k", *names]]
              + [[mu_q, k, *(stats[name] for name in names)]
                 for mu_q in report.config.mu_q_list for k in report.config.k_list
-                if (stats := report.box[repr(mu_q)][str(k)]) is not None], path)
+                if (stats := report.box_stats[repr(mu_q)][str(k)]) is not None], path)
 
 
 # ---------------------------------------------------------------------------

@@ -246,7 +246,7 @@ def kernel_sums(spec: KernelSpec, a: np.ndarray, b: np.ndarray,
     def worker(first: int) -> None:
         try:
             buffer = np.empty((height, width))
-            products = np.empty_like(buffer) if len(out) > 1 else None
+            products = buffer if len(out) == 1 else np.empty_like(buffer)
             for start in range(first * height, count, workers * height):
                 if errors:
                     return
@@ -254,11 +254,8 @@ def kernel_sums(spec: KernelSpec, a: np.ndarray, b: np.ndarray,
                 block = _kernel_values(spec, a[rows], b, out=buffer[:rows.stop - start])
                 if weights is None:
                     block.sum(axis=1, out=out[0, rows])
-                elif products is None:
-                    block *= weights[0]
-                    block.sum(axis=1, out=out[0, rows])
                 else:
-                    product = products[:len(block)]
+                    product = products[:len(block)]  # the block itself for one weight row
                     for vector, entries in zip(weights, out):
                         np.multiply(block, vector, out=product)
                         product.sum(axis=1, out=entries[rows])

@@ -52,9 +52,9 @@ def test_criterion_1_iteration_improves_study_medians(full_study, criterion):
     with criterion(1, {}) as rec:
         worst_ratio, worst_at = -math.inf, None
         for mu_q in (2.0, 3.0, 4.0):
-            base = report.box[repr(mu_q)]["1"]["median"]
+            base = report.box_stats[repr(mu_q)]["1"]["median"]
             for k in (2, 3, 5, 10):
-                ratio = report.box[repr(mu_q)][str(k)]["median"] / base
+                ratio = report.box_stats[repr(mu_q)][str(k)]["median"] / base
                 if ratio > worst_ratio:
                     worst_ratio, worst_at = ratio, (mu_q, k)
         rec["detail"] = (f"default study in {runtime:.1f}s, {report.failures} failures; "

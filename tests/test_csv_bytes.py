@@ -1,4 +1,4 @@
-"""The exact text of every CSV the package writes.
+"""The exact text of every CSV the package writes, and of the study's report.json.
 
 The inputs are built by hand, and the evaluated model has kernel values
 of exactly 2 and 1, so every float in the files is fixed by the input
@@ -7,6 +7,8 @@ repr, an empty field for a missing value, and "\\n" line ends.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -30,7 +32,123 @@ def _report() -> experiment.ExperimentReport:
     box = {repr(2.0): {"1": experiment.box_stats([0.1 + 0.2]), "10": None},
            repr(3.5): {"1": experiment.box_stats([1e-300]),
                        "10": experiment.box_stats([12345.678])}}
-    return experiment.ExperimentReport(config=config, cells=cells, box=box, failures=1)
+    return experiment.ExperimentReport(config=config, cells=cells, box_stats=box, failures=1)
+
+
+def test_report_json_is_pinned_byte_for_byte(tmp_path):
+    """report.json holds the report's fields under their own names, keys sorted, with
+    tuples as lists, None as null and floats as their repr."""
+    report = dataclasses.replace(_report(), probe_grid=(-0.5, 0.1 + 0.2))
+    experiment.save_report_json(report, tmp_path / "report.json")
+    assert (tmp_path / "report.json").read_bytes() == b"""\
+{
+  "box_stats": {
+    "2.0": {
+      "1": {
+        "count": 1,
+        "max": 0.30000000000000004,
+        "median": 0.30000000000000004,
+        "min": 0.30000000000000004,
+        "q1": 0.30000000000000004,
+        "q3": 0.30000000000000004
+      },
+      "10": null
+    },
+    "3.5": {
+      "1": {
+        "count": 1,
+        "max": 1e-300,
+        "median": 1e-300,
+        "min": 1e-300,
+        "q1": 1e-300,
+        "q3": 1e-300
+      },
+      "10": {
+        "count": 1,
+        "max": 12345.678,
+        "median": 12345.678,
+        "min": 12345.678,
+        "q1": 12345.678,
+        "q3": 12345.678
+      }
+    }
+  },
+  "cells": [
+    {
+      "chosen_index": null,
+      "chosen_lambda": 0.1,
+      "error": null,
+      "k": 1,
+      "max_pointwise_error": null,
+      "msd": 0.30000000000000004,
+      "mu_q": 2.0,
+      "replication": 0
+    },
+    {
+      "chosen_index": null,
+      "chosen_lambda": null,
+      "error": "NumericalError: synthetic",
+      "k": 10,
+      "max_pointwise_error": null,
+      "msd": null,
+      "mu_q": 2.0,
+      "replication": 0
+    },
+    {
+      "chosen_index": null,
+      "chosen_lambda": 0.45,
+      "error": null,
+      "k": 1,
+      "max_pointwise_error": null,
+      "msd": 1e-300,
+      "mu_q": 3.5,
+      "replication": 0
+    },
+    {
+      "chosen_index": null,
+      "chosen_lambda": 0.1,
+      "error": null,
+      "k": 10,
+      "max_pointwise_error": null,
+      "msd": 12345.678,
+      "mu_q": 3.5,
+      "replication": 0
+    }
+  ],
+  "config": {
+    "grid": {
+      "lambda_0": 0.9,
+      "rho": 0.7833810369372723,
+      "size": 9
+    },
+    "k_list": [
+      1,
+      10
+    ],
+    "kernel": {
+      "bandwidth": 1.0,
+      "family": "gaussian_plus_one",
+      "offset": 1.0
+    },
+    "m": 100,
+    "mu_p": 2.0,
+    "mu_q_list": [
+      2.0,
+      3.5
+    ],
+    "n": 100,
+    "replications": 1,
+    "seed": 0,
+    "var_p": 5.0,
+    "var_q": 0.5
+  },
+  "failures": 1,
+  "probe_grid": [
+    -0.5,
+    0.30000000000000004
+  ]
+}
+"""
 
 
 def test_csv_outputs_are_pinned_byte_for_byte(tmp_path):

@@ -407,6 +407,19 @@ def test_overflowing_fit_raises_numerical_error(default_kernel, dense_twin):
         assert info.value.lam == 1e-300
 
 
+def test_overflowing_mu_raises_numerical_error(default_kernel):
+    """On three far-apart points at lam = 1e-308 the values and alpha stay finite but
+    mu = 3 / lam overflows: both fits raise, without a warning, and return no model
+    that ``load_model`` would reject."""
+    points = rr.SampleSet([0.0, 100.0, 200.0], "p")
+    gram = rr.assemble_gram(default_kernel, points, rr.SampleSet(points.points, "q"))
+    for attempt in (lambda: rr.fit_iterated_lavrentiev(gram, 1e-308, 3),
+                    lambda: rr.fit_spectral(gram, rr.iterated_lavrentiev(1e-308, 3))):
+        with pytest.raises(rr.NumericalError, match="non-finite") as info:
+            attempt()
+        assert info.value.lam == 1e-308
+
+
 def test_failed_eigendecomposition_raises_numerical_error(monkeypatch, small_pair):
     gram = dataclasses.replace(small_pair[2])
 

@@ -180,7 +180,7 @@ def test_run_study_box_recomputable():
     report = rr.run_study(config)
     for k in config.k_list:
         raw = [c.msd for c in report.cells if c.mu_q == 2.0 and c.k == k and c.error is None]
-        assert report.box[repr(2.0)][str(k)] == box_stats(raw)
+        assert report.box_stats[repr(2.0)][str(k)] == box_stats(raw)
 
 
 def test_run_study_matches_direct_selection(default_kernel):
@@ -218,8 +218,8 @@ def test_run_study_median_stability_under_doubling():
     r40 = rr.run_study(rr.SimConfig(replications=40))
     for mu_q in (2.0, 3.0, 4.0):
         for k in (1, 2, 3, 5, 10):
-            a = r20.box[repr(mu_q)][str(k)]["median"]
-            b = r40.box[repr(mu_q)][str(k)]["median"]
+            a = r20.box_stats[repr(mu_q)][str(k)]["median"]
+            b = r40.box_stats[repr(mu_q)][str(k)]["median"]
             assert abs(a - b) / a < 0.5
 
 
@@ -242,7 +242,7 @@ def test_run_study_isolates_cell_failures(monkeypatch):
     assert report.failures == 2
     assert len(fine) == 2
     # box stats ignore the failed half
-    assert report.box[repr(2.0)]["1"]["count"] == 1
+    assert report.box_stats[repr(2.0)]["1"]["count"] == 1
 
 
 def test_study_cell_decomposes_once(linalg_calls):

@@ -186,6 +186,24 @@ def test_core_count_falls_back_to_cpu_count(monkeypatch):
         assert kernel._cores() == cores
 
 
+@pytest.mark.parametrize("cores", [1, 3])
+def test_kernel_sums_rows_are_weighted_row_sums(default_kernel, monkeypatch, cores):
+    """Above two block budgets (600 x 500 points), a weight row alone, the same row as
+    one of three, and no weights against a row of ones give, row by row, the bits of
+    the whole kernel matrix times the row, summed along its rows."""
+    _cores(monkeypatch, cores)
+    rng = np.random.default_rng(64)
+    a, b = rng.normal(size=(600, 2)), rng.normal(size=(500, 2))
+    assert len(a) * len(b) > 2 * kernel._BLOCK_ELEMENTS
+    full = rr.kernel_matrix(default_kernel, a, b)
+    weights = rng.normal(size=(3, len(b)))
+    for got, row in ((kernel.kernel_sums(default_kernel, a, b, weights[1:2]), weights[1]),
+                     (kernel.kernel_sums(default_kernel, a, b, weights)[1:2], weights[1]),
+                     (kernel.kernel_sums(default_kernel, a, b), np.ones(len(b)))):
+        assert got.shape == (1, len(a))
+        assert np.array_equal(got[0], (full * row).sum(axis=1))
+
+
 @pytest.fixture()
 def fast_switching():
     """Switch threads every 10 us during the test, to expose a lost or misplaced row."""
