@@ -100,8 +100,22 @@ def cmd_fit(options: dict) -> int:
     return 0
 
 
-# Rows of the evaluate CSV held as Python lists at once, as the writer asks for them.
+# Rows of the evaluate output held as Python lists at once, as the writer asks for them.
 _CSV_CHUNK = 4096
+
+
+def _save_values_json(points: np.ndarray, values: np.ndarray, path) -> None:
+    """The bytes of ``save_json({"points": points.tolist(), "values": values.tolist()})``,
+    written ``_CSV_CHUNK`` rows at a time."""
+    with open(path, "w") as handle:
+        openings = ('{\n  "points": [\n', '\n  ],\n  "values": [\n')
+        for opening, array in zip(openings, (points, values)):
+            handle.write(opening)
+            for start in range(0, len(array), _CSV_CHUNK):
+                # a chunk's list one level deeper than json.dumps puts it, brackets dropped
+                text = json.dumps(array[start:start + _CSV_CHUNK].tolist(), indent=2)
+                handle.write((",\n  " if start else "  ") + text[2:-2].replace("\n", "\n  "))
+        handle.write("\n  ]\n}\n")
 
 
 def cmd_evaluate(options: dict) -> int:
@@ -114,7 +128,7 @@ def cmd_evaluate(options: dict) -> int:
     points = kernel.load_samples_csv(points_path, measure_tag="p")
     values = estimator.evaluate_batch(model, points.points)
     if options["format"] == "json":
-        save_json({"points": points.points.tolist(), "values": values.tolist()}, out_path)
+        _save_values_json(points.points, values, out_path)
     else:
         chunks = (np.column_stack([points.points[start:start + _CSV_CHUNK],
                                    values[start:start + _CSV_CHUNK]]).tolist()
@@ -280,8 +294,8 @@ _COMMANDS = {
         "rho": (float, _STUDY.grid.rho, "ladder ratio in (0,1) (default: (1/9)**(1/9))"),
         "grid_size": (int, _STUDY.grid.size, "ladder length below the anchor"),
         "seed": (int, _STUDY.seed, "master seed"),
-        "threads": (int, None, "accepted and ignored, as the study runs in one "
-                               "thread; must be a whole number >= 1"),
+        "threads": (int, None, "checked to be a whole number >= 1, then ignored: the "
+                               "study runs its draws on up to one process per core"),
         "out_dir": (None, ".", "output directory (default: current directory)"),
         **_KERNEL_FLAGS,
     }),

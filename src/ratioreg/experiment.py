@@ -13,13 +13,19 @@ squared deviation over the reference sample,
 
 Every replication cell derives its own seed from (config.seed, mu_q,
 replication) through a SplitMix64 chain, so cells are independent,
-reproducible in isolation, and independent of execution order; the
-study runs them one after another in a single thread.
+reproducible in isolation, and independent of execution order.  The
+study splits its draws round-robin into one share per core and runs every
+share but the first in a forked child (``_run_shares``); the cells are
+sorted afterwards, so no output byte depends on the core count.
 """
 
 from __future__ import annotations
 
+import gc
 import math
+import os
+import pickle
+import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -27,7 +33,7 @@ import numpy as np
 from .errors import (InputError, NumericalError, finite_array, finite_real, iteration_count,
                      positive_real, save_csv, save_json, whole_number)
 from .estimator import evaluate_batch, fit_iterated_lavrentiev, fit_spectral
-from .kernel import GramSystem, KernelSpec, SampleSet, _as_points, assemble_gram
+from .kernel import GramSystem, KernelSpec, SampleSet, _as_points, _cores, assemble_gram
 from .regularization import iterated_lavrentiev
 from .selection import LambdaGrid, lambda_mn, quasi_optimality
 
@@ -227,22 +233,102 @@ def _run_cell(config: SimConfig, mu_q: float, replication: int,
             for k, trace, model in zip(config.k_list, traces, models)]
 
 
+def _send_share(write_end: int, share, inherited: list[int]) -> None:
+    """In a forked child: close the ``inherited`` read ends, send ``share()``, or what
+    it raised, pickled to ``write_end``, and exit."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            payload = (True, share())
+        except BaseException as exc:  # the parent raises it
+            payload = (False, exc)
+        data = pickle.dumps(payload)
+        with open(write_end, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)  # never the parent's code: no return, no cleanup, no stdio flush
+
+
+def _run_shares(tasks: list, run) -> list:
+    """The lists ``run(task)`` returns, joined, on up to one process per core.
+
+    Task i goes to share i mod w, where w is the number of cores this
+    process may run on, at most one per task.  This process runs share 0
+    and forks one child per other share; the child sends its list, or the
+    exception it raised, pickled through a pipe, and the exception is
+    raised here.  A child that ends without a result, killed by a signal
+    say, is a ChildProcessError naming its exit status.  Every child is
+    reaped before this returns or raises.  With one share, without
+    ``os.fork``, or while another thread runs (a fork copies only the
+    calling thread), every task runs in this process.  The joined list
+    is in share order, which callers sort away.
+    """
+    workers = min(_cores(), len(tasks))
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [item for task in tasks for item in run(task)]
+
+    def share(index: int) -> list:
+        return [item for task in tasks[index::workers] for item in run(task)]
+
+    pipes, pids = [], []  # read ends still open, children not yet reaped
+    try:
+        # Young cyclic garbage (the CLI's parser, for one) goes first: frozen, it would
+        # outlive the share run here, at the peak of this process's memory.
+        gc.collect(1)
+        gc.freeze()  # so the children's collector leaves the inherited heap's pages shared
+        try:
+            for index in range(1, workers):
+                read_end, write_end = os.pipe()
+                pipes.append(read_end)
+                try:
+                    pid = os.fork()
+                    if pid == 0:  # its own read end and its elder siblings' are inherited
+                        _send_share(write_end, lambda: share(index), pipes)
+                finally:
+                    os.close(write_end)
+                pids.append(pid)
+        finally:
+            gc.unfreeze()
+        results = share(0)
+        while pids:
+            with open(pipes.pop(0), "rb") as pipe:
+                data = pipe.read()
+            pid = pids.pop(0)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code != 0:  # a child exits 0 only once it has written its whole result
+                raise ChildProcessError(f"study worker {pid} ended without a result, "
+                                        f"exit status {code}")
+            done, payload = pickle.loads(data)
+            if not done:
+                raise payload
+            results.extend(payload)
+        return results
+    finally:
+        # a child still running finds its pipe closed once its share is done, and exits
+        for fd in pipes:
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
 def run_study(config: SimConfig, probe_grid=None) -> ExperimentReport:
     """Run the full replication study.
 
-    Cells are seeded independently and sorted before aggregation, so the
-    result depends on the inputs alone.  ``probe_grid`` (1-d,
-    optional) additionally records each cell's maximum absolute
-    pointwise error over that grid.
+    Cells are seeded independently, run on up to one process per core
+    (``_run_shares``) and sorted before aggregation, so the result depends
+    on the inputs alone.  ``probe_grid`` (1-d, optional) additionally
+    records each cell's maximum absolute pointwise error over that grid.
     """
     grid_arr = None if probe_grid is None else _as_points(probe_grid, name="probe_grid")
     if grid_arr is not None and (grid_arr.size == 0 or grid_arr.shape[1] != 1):
         raise InputError(f"probe_grid must be a non-empty 1-d grid, got shape {grid_arr.shape}")
 
-    cells = sorted(
-        (cell for mu_q in config.mu_q_list for rep in range(config.replications)
-         for cell in _run_cell(config, mu_q, rep, grid_arr)),
-        key=lambda c: (config.mu_q_list.index(c.mu_q), c.k, c.replication))
+    draws = [(mu_q, rep) for mu_q in config.mu_q_list for rep in range(config.replications)]
+    cells = sorted(_run_shares(draws, lambda draw: _run_cell(config, *draw, grid_arr)),
+                   key=lambda c: (config.mu_q_list.index(c.mu_q), c.k, c.replication))
 
     completed = {(mu_q, k): [] for mu_q in config.mu_q_list for k in config.k_list}
     for c in cells:

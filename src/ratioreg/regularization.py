@@ -214,7 +214,9 @@ def filter_quotient_value(scheme: RegScheme, t):
     if scheme.kind == "spectral_cutoff":
         return _as_given(_cutoff(arr, lam, 2), scalar)
     total, shifted = _geometric_sum([lam], arr, range(scheme.iterations, 0, -1))
-    with np.errstate(over="ignore"):  # lam (lam + t) = inf only where |q| < k^2 * 1e-308
+    # lam (lam + t) = inf only where |q| < k^2 * 1e-308, and = 0 (lam below about
+    # 2e-162) only where |q| >= k / 5e-324 overflows: -0.0 and -inf are the quotient
+    with np.errstate(over="ignore", divide="ignore"):
         return _as_given(-total[0] / (lam * shifted[0]), scalar)
 
 

@@ -160,28 +160,35 @@ def test_evaluate_csv(tmp_path, fitted_model, capsys):
     assert np.array_equal(got, expected)
 
 
-def test_evaluate_streams_a_large_csv(tmp_path, capsys):
-    """50,000 points on an n = m = 20 model peak below 6 MB (120 B a point) under
-    tracemalloc: the points are read and the rows written a record or a chunk at a
-    time, where lists of records and of row views took 16.4 MB.  The rows keep the
-    bits of ``evaluate_batch``."""
+def _evaluate_many_points(tmp_path, capsys, fmt: str):
+    """``evaluate --format fmt`` of 50,000 points on an n = m = 20 model: the points,
+    the model path, the output path and the peak of the command under tracemalloc."""
     paths = {name: str(tmp_path / f"{name}.csv") for name in ("xp", "xq", "points")}
     rr.save_samples_csv(rr.sample_normal(2.0, 5.0, 20, 11, "p"), paths["xp"])
     rr.save_samples_csv(rr.sample_normal(3.0, 0.5, 20, 12, "q"), paths["xq"])
     points = np.linspace(-2.0, 6.0, 50_000).reshape(-1, 1)
     rr.save_samples_csv(rr.SampleSet(points, "p"), paths["points"])
-    model, out = str(tmp_path / "model.json"), tmp_path / "values.csv"
+    model, out = str(tmp_path / "model.json"), tmp_path / f"values.{fmt}"
     assert main(["fit", "--xp", paths["xp"], "--xq", paths["xq"], "--lam", "0.2",
                  "--out", model]) == 0
     tracemalloc.start()
     try:
         code = main(["evaluate", "--model", model, "--points", paths["points"],
-                     "--out", str(out)])
+                     "--out", str(out), "--format", fmt])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 0
     capsys.readouterr()
+    return points, model, out, peak
+
+
+def test_evaluate_streams_a_large_csv(tmp_path, capsys):
+    """50,000 points on an n = m = 20 model peak below 6 MB (120 B a point) under
+    tracemalloc: the points are read and the rows written a record or a chunk at a
+    time, where lists of records and of row views took 16.4 MB.  The rows keep the
+    bits of ``evaluate_batch``."""
+    points, model, out, peak = _evaluate_many_points(tmp_path, capsys, "csv")
     assert peak < 6e6
     with open(out, newline="") as handle:
         rows = list(csv.reader(handle))
@@ -189,6 +196,16 @@ def test_evaluate_streams_a_large_csv(tmp_path, capsys):
     expected = rr.evaluate_batch(rr.load_model(model), points)
     assert [float(r[0]) for r in rows[1:]] == points[:, 0].tolist()
     assert np.array_equal([float(r[1]) for r in rows[1:]], expected)
+
+
+def test_evaluate_streams_a_large_json(tmp_path, capsys):
+    """The same 50,000 points written as JSON peak below 6 MB too, where the lists of
+    every point and value took 7.3 MB."""
+    points, model, out, peak = _evaluate_many_points(tmp_path, capsys, "json")
+    assert peak < 6e6
+    payload = json.loads(out.read_text())
+    assert payload["points"] == points.tolist()
+    assert payload["values"] == rr.evaluate_batch(rr.load_model(model), points).tolist()
 
 
 def test_evaluate_json(tmp_path, fitted_model, capsys):
@@ -727,8 +744,8 @@ def test_every_config_help_says_flags_override(capsys):
 
 
 # Runs command lines through ``python -m ratioreg`` (``runpy``) in one fresh
-# interpreter, then prints their exit codes and every loaded scipy and
-# concurrent module.  With argument "block", a ``sys.meta_path`` finder
+# interpreter, then prints their exit codes and every loaded scipy, concurrent
+# and multiprocessing module.  With argument "block", a ``sys.meta_path`` finder
 # refuses every scipy module first, as if scipy were not installed.
 FRESH_RUNS = """
 import importlib.abc, json, runpy, sys
@@ -748,7 +765,7 @@ for argv in json.loads(sys.argv[1]):
         codes.append(exc.code)
 print(json.dumps({"codes": codes, **{package: sorted(
     m for m in sys.modules if m.partition(".")[0] == package)
-    for package in ("scipy", "concurrent")}}))
+    for package in ("scipy", "concurrent", "multiprocessing")}}))
 """
 
 
@@ -780,17 +797,19 @@ def every_subcommand(tmp_path, sample_files, small_pair):
 
 
 def test_cli_import_loads_no_scipy(subprocess_env):
-    """Importing the CLI loads no scipy module, and no concurrent module, since the
-    study runs in one thread."""
-    assert run_fresh([], subprocess_env) == {"codes": [], "scipy": [], "concurrent": []}
+    """Importing the CLI loads no scipy, concurrent or multiprocessing module."""
+    assert run_fresh([], subprocess_env) == {"codes": [], "scipy": [], "concurrent": [],
+                                             "multiprocessing": []}
 
 
 def test_commands_without_cholesky_fit_load_no_scipy(every_subcommand, subprocess_env):
     """No subcommand runs a Cholesky fit, so none loads a scipy module: --help and all
-    six subcommands, fit and rates included, run in one interpreter without one, and
-    without a concurrent module."""
+    six subcommands, fit and rates included, run in one interpreter without one.  Nor
+    does any load a concurrent or multiprocessing module: the study forks its workers
+    with ``os.fork`` alone."""
     assert run_fresh(every_subcommand, subprocess_env) == {
-        "codes": [0] * len(every_subcommand), "scipy": [], "concurrent": []}
+        "codes": [0] * len(every_subcommand), "scipy": [], "concurrent": [],
+        "multiprocessing": []}
 
 
 def test_fit_imports_scipy_on_first_use(tmp_path, sample_files, subprocess_env):
@@ -800,7 +819,7 @@ def test_fit_imports_scipy_on_first_use(tmp_path, sample_files, subprocess_env):
     out = str(tmp_path / "model.json")
     got = run_fresh([["fit", "--xp", xp_path, "--xq", xq_path, "--lam", "0.3",
                       "--iterations", "2", "--out", out]], subprocess_env)
-    assert got == {"codes": [0], "scipy": [], "concurrent": []}
+    assert got == {"codes": [0], "scipy": [], "concurrent": [], "multiprocessing": []}
     direct = rr.fit_iterated_lavrentiev(rr.assemble_gram(rr.KernelSpec(), xp, xq), 0.3, 2)
     assert np.array_equal(rr.load_model(out).alpha, direct.alpha)
 

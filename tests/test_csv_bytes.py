@@ -1,4 +1,5 @@
-"""The exact text of every CSV the package writes, and of the study's report.json.
+"""The exact text of every CSV the package writes, of the study's report.json and of
+evaluate's JSON.
 
 The inputs are built by hand, and the evaluated model has kernel values
 of exactly 2 and 1, so every float in the files is fixed by the input
@@ -15,6 +16,7 @@ import numpy as np
 import ratioreg as rr
 from ratioreg import cli, experiment
 from ratioreg.capacity import CapacityProfile, save_profile_csv
+from ratioreg.errors import save_json
 
 
 def _report() -> experiment.ExperimentReport:
@@ -197,3 +199,31 @@ def test_csv_outputs_are_pinned_byte_for_byte(tmp_path):
         b"x0,x1,value\n"
         b"0.0,0.0,0.8\n"
         b"100.0,-0.5,0.4\n")
+
+
+def test_evaluate_json_is_pinned_byte_for_byte(tmp_path):
+    """evaluate --format json writes the bytes of save_json's {"points", "values"}, a
+    chunk of rows at a time: pinned for one point at d = 1 and d = 2, and equal to
+    save_json of the whole lists past one chunk."""
+    def evaluate(points: np.ndarray) -> bytes:
+        origin = [[0.0] * points.shape[1]]  # kernel values of exactly 2 and 1, as above
+        rr.save_model(rr.RatioModel(kernel=rr.KernelSpec(), scheme=rr.iterated_lavrentiev(0.5, 1),
+                                    xp_points=origin, xq_points=origin, alpha=[0.3],
+                                    mu_coeff=0.1, values_at_xp=[0.8]), tmp_path / "model.json")
+        rr.save_samples_csv(rr.SampleSet(points, "p"), tmp_path / "points.csv")
+        assert cli.main(["evaluate", "--model", str(tmp_path / "model.json"),
+                         "--points", str(tmp_path / "points.csv"),
+                         "--out", str(tmp_path / "values.json"), "--format", "json"]) == 0
+        return (tmp_path / "values.json").read_bytes()
+
+    assert evaluate(np.array([[0.0]])) == (
+        b'{\n  "points": [\n    [\n      0.0\n    ]\n  ],\n  "values": [\n    0.8\n  ]\n}\n')
+    assert evaluate(np.array([[100.0, -0.5]])) == (
+        b'{\n  "points": [\n    [\n      100.0,\n      -0.5\n    ]\n  ],\n'
+        b'  "values": [\n    0.4\n  ]\n}\n')
+    for dim in (1, 2):
+        points = np.linspace(-3.0, 3.0, (cli._CSV_CHUNK + 3) * dim).reshape(-1, dim)
+        written = evaluate(points)
+        values = rr.evaluate_batch(rr.load_model(tmp_path / "model.json"), points)
+        save_json({"points": points.tolist(), "values": values.tolist()}, tmp_path / "whole.json")
+        assert written == (tmp_path / "whole.json").read_bytes()

@@ -4,13 +4,15 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
 import scipy.stats
 
 import ratioreg as rr
-from ratioreg import experiment
+from ratioreg import cli, experiment
 from ratioreg.errors import load_json
 from ratioreg.experiment import (box_stats, derive_seed, nearest_rank_quantile,
                                  save_box_csv, save_report_csv, save_report_json)
@@ -245,10 +247,99 @@ def test_run_study_isolates_cell_failures(monkeypatch):
     assert report.box_stats[repr(2.0)]["1"]["count"] == 1
 
 
-def test_study_cell_decomposes_once(linalg_calls):
+def test_study_cell_decomposes_once(linalg_calls, monkeypatch):
     """One eigendecomposition per draw covers every strength and every k."""
+    monkeypatch.setattr(experiment, "_cores", lambda: 1)  # calls are counted in this process
     rr.run_study(tiny_config(k_list=(1, 2, 3)))
     assert linalg_calls == ["eigh", "eigh"]  # two replications
+
+
+@pytest.fixture()
+def workers(monkeypatch):
+    """Sets the study's worker count, counting forks; afterwards no child process is left."""
+    real_fork, forks = os.fork, []
+
+    def counted_fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+
+    def use(count: int) -> list:
+        monkeypatch.setattr(experiment, "_cores", lambda: count)
+        forks.clear()
+        return forks
+
+    yield use
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_report_bytes_do_not_depend_on_the_worker_count(tmp_path, workers):
+    config = tiny_config(mu_q_list=(2.0, 3.0))  # four draws
+    blobs = set()
+    for count, forked in ((1, 0), (2, 1), (7, 3)):  # 7: more workers than draws
+        forks = workers(count)
+        path = tmp_path / f"report{count}.json"
+        save_report_json(rr.run_study(config), path)
+        blobs.add(path.read_bytes())
+        assert len(forks) == forked
+    assert len(blobs) == 1
+
+
+def _run_cell_failing_at(monkeypatch, replication: int, fail) -> None:
+    real = experiment._run_cell
+
+    def patched(config, mu_q, rep, probe_grid):
+        if rep == replication:
+            fail()
+        return real(config, mu_q, rep, probe_grid)
+
+    monkeypatch.setattr(experiment, "_run_cell", patched)
+
+
+def test_an_exception_in_a_childs_share_reaches_the_caller(monkeypatch, workers):
+    parent = os.getpid()
+
+    def fail():
+        raise RuntimeError(f"raised in process {os.getpid()}")
+
+    workers(2)  # replication 1 is the child's share
+    _run_cell_failing_at(monkeypatch, 1, fail)
+    with pytest.raises(RuntimeError, match="raised in process") as info:
+        rr.run_study(tiny_config())
+    assert info.value.args != (f"raised in process {parent}",)
+
+
+def test_an_exception_in_the_parents_share_reaps_the_children(monkeypatch, workers):
+    def fail():
+        raise RuntimeError("raised in the parent's share")
+
+    forks = workers(2)
+    _run_cell_failing_at(monkeypatch, 0, fail)
+    with pytest.raises(RuntimeError, match="the parent's share"):
+        rr.run_study(tiny_config())
+    assert len(forks) == 1
+
+
+def test_a_killed_child_is_a_child_process_error(monkeypatch, workers, tmp_path, capsys):
+    parent = os.getpid()
+
+    def die():
+        if os.getpid() != parent:  # never this process, whatever the worker count
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    workers(2)
+    _run_cell_failing_at(monkeypatch, 1, die)
+    with pytest.raises(ChildProcessError, match=f"exit status {-signal.SIGKILL}$"):
+        rr.run_study(tiny_config())
+    code = cli.main(["simulate", "--n", "20", "--m", "20", "--mu-q-list", "2",
+                     "--replications", "2", "--out-dir", str(tmp_path)])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "io"
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_run_study_isolates_indefinite_systems(monkeypatch, dense_twin):

@@ -235,6 +235,14 @@ def test_quotient_at_huge_strength_is_minus_zero_without_a_warning():
         assert value == 0.0 and math.copysign(1.0, value) == -1.0
 
 
+def test_quotient_at_tiny_strength_is_minus_inf_without_a_warning():
+    """lam (lam + t) underflows to 0 at lam = 1e-308, where |q| >= k / 5e-324
+    overflows: the quotient is -inf, and no divide warning leaks (warnings are
+    errors here)."""
+    for t in (0.0, 1e-300):
+        assert filter_quotient_value(iterated_lavrentiev(1e-308, 3), t) == -math.inf
+
+
 def test_constants_check_iterated_holds():
     report = rr.check_scheme_constants(iterated_lavrentiev(0.2, 3), t_max=2.0)
     assert report.all_satisfied
